@@ -1,8 +1,6 @@
 //! Microbenchmarks of the protocol hot paths: wire-header codec, matching
-//! queues, the event heap, and the engine's context-switch cost. The
-//! engine benches are the before/after yardstick for the self-resume fast
-//! path: run once normally and once with `VIAMPI_NO_FASTPATH=1` to see
-//! the scheduler round trip it removes.
+//! queues, the event queue, and the engine's self-resume and fiber-switch
+//! costs.
 
 use viampi_bench::micro;
 use viampi_bench::minibench::{black_box, Bench};
@@ -141,9 +139,8 @@ impl viampi_sim::World for Nop {
 }
 
 fn bench_engine(b: &mut Bench) {
-    // Cost of one advance() through the scheduler. With the fast path a
-    // lone process self-resumes; with VIAMPI_NO_FASTPATH=1 every advance
-    // is a full notify/park/unpark round trip.
+    // Cost of one advance() through the scheduler: a lone process
+    // self-resumes every time.
     b.run("engine_1k_advances", || {
         let mut eng = Engine::new(Nop);
         eng.spawn("p", |ctx| {
@@ -154,8 +151,8 @@ fn bench_engine(b: &mut Bench) {
         eng.run().unwrap()
     });
     // Token passing between two runnable processes: the fast path cannot
-    // apply (the peer is always earlier), so this isolates the true
-    // cross-thread handoff cost that repro_all pays inside every
+    // apply (the peer is always earlier), so this isolates the inline
+    // decision plus fiber-to-fiber switch that repro_all pays inside every
     // multi-rank simulation.
     b.run("engine_1k_token_passes", || {
         let mut eng = Engine::new(Nop);
@@ -163,77 +160,6 @@ fn bench_engine(b: &mut Bench) {
             eng.spawn(format!("p{p}"), |ctx| {
                 for _ in 0..500 {
                     ctx.advance(SimDuration::nanos(10));
-                }
-            });
-        }
-        eng.run().unwrap()
-    });
-    // A 1M-step pure-compute stretch. With coalescing (default) each
-    // advance is two relaxed atomic adds and the engine sees a single
-    // authoritative flush; with VIAMPI_NO_COALESCE=1 each one is a
-    // scheduler interaction. This is the fig6 NPB kernel inner loop in
-    // miniature.
-    b.run("compute_coalesce_1m", || {
-        let mut eng = Engine::new(Nop);
-        eng.spawn("p", |ctx| {
-            for _ in 0..1_000_000u32 {
-                ctx.advance(SimDuration::nanos(3));
-            }
-        });
-        eng.run().unwrap()
-    });
-    // An 8-process compute+token ring under the conservative parallel
-    // mode (VIAMPI_PAR=8 equivalent): guards the pre-release/promotion
-    // overhead against the serial schedule it must reproduce exactly.
-    b.run("par_ring_np8", || {
-        let mut eng = Engine::new(Nop);
-        eng.set_par(Some(8));
-        eng.set_lookahead(SimDuration::micros(2));
-        for p in 0..8 {
-            eng.spawn(format!("p{p}"), |ctx| {
-                for _ in 0..200 {
-                    for _ in 0..16 {
-                        ctx.advance(SimDuration::nanos(40));
-                    }
-                    ctx.yield_now();
-                }
-            });
-        }
-        eng.run().unwrap()
-    });
-    // A 64-process compute+token ring partitioned across 4 shards: guards
-    // the sharded scheduler's drain/merge/grant path (per-shard wheels and
-    // ready heaps merged in global (time, seq) order) against the serial
-    // schedule it must reproduce byte-for-byte.
-    b.run("shard_ring_np64", || {
-        let mut eng = Engine::new(Nop);
-        eng.set_shards(Some(4));
-        eng.set_lookahead(SimDuration::micros(2));
-        for p in 0..64 {
-            eng.spawn(format!("p{p}"), |ctx| {
-                for _ in 0..25 {
-                    for _ in 0..16 {
-                        ctx.advance(SimDuration::nanos(40));
-                    }
-                    ctx.yield_now();
-                }
-            });
-        }
-        eng.run().unwrap()
-    });
-    // Worst-case LBTS merge: one process per shard, so every grant scans
-    // all W wheel heads and ready heaps for the global minimum — the
-    // per-round cost of the conservative merge, isolated from any real
-    // workload.
-    b.run("shard_lbts_round", || {
-        let mut eng = Engine::new(Nop);
-        eng.set_shards(Some(8));
-        eng.set_lookahead(SimDuration::micros(2));
-        for p in 0..8 {
-            eng.spawn(format!("p{p}"), |ctx| {
-                for _ in 0..250 {
-                    ctx.advance(SimDuration::nanos(20));
-                    ctx.yield_now();
                 }
             });
         }

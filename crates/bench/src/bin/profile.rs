@@ -8,12 +8,7 @@
 //! ```text
 //! profile [--program cg|mg|is|ep|ft|lu|ring|barrier] [--np N]
 //!         [--device clan|bvia] [--class S|A|B|C] [--out PATH] [--jobs J]
-//!         [--engine threads|sm] [--shards W]
 //! ```
-//!
-//! `--shards W` runs the sharded conservative engine and adds one trace
-//! lane per shard (see `profile::chrome_trace`); virtual-time results are
-//! bit-identical at any W, so the rank tracks never move.
 //!
 //! Defaults: `--program ring --np 4 --device clan --class S`, output to
 //! `results/profile_<program>.json`.
@@ -29,8 +24,6 @@ struct Args {
     device: Device,
     class: Class,
     out: Option<PathBuf>,
-    engine: Option<viampi_sim::Backend>,
-    shards: Option<usize>,
 }
 
 fn die(msg: &str) -> ! {
@@ -46,8 +39,6 @@ fn parse_args() -> Args {
         device: Device::Clan,
         class: Class::S,
         out: None,
-        engine: None,
-        shards: None,
     };
     let value = |argv: &[String], i: usize, flag: &str| -> String {
         argv.get(i + 1)
@@ -89,29 +80,12 @@ fn parse_args() -> Args {
                 args.out = Some(PathBuf::from(value(&argv, i, "--out")));
                 i += 2;
             }
-            "--engine" => {
-                args.engine = match value(&argv, i, "--engine").as_str() {
-                    "threads" => Some(viampi_sim::Backend::Threads),
-                    "sm" => Some(viampi_sim::Backend::Sm),
-                    _ => die("--engine expects threads|sm"),
-                };
-                i += 2;
-            }
-            "--shards" => {
-                args.shards = Some(
-                    value(&argv, i, "--shards")
-                        .parse()
-                        .unwrap_or_else(|_| die("--shards expects a number")),
-                );
-                i += 2;
-            }
             "--jobs" => i += 2, // handled by runner::init_from_args
             a if a.starts_with("--jobs=") => i += 1,
             "--help" | "-h" => {
                 println!(
                     "usage: profile [--program cg|mg|is|ep|ft|lu|ring|barrier] [--np N] \
-                     [--device clan|bvia] [--class S|A|B|C] [--out PATH] [--jobs J] \
-                     [--engine threads|sm] [--shards W]"
+                     [--device clan|bvia] [--class S|A|B|C] [--out PATH] [--jobs J]"
                 );
                 std::process::exit(0);
             }
@@ -131,8 +105,6 @@ fn traced_run(args: &Args) -> RunReport<f64> {
         WaitPolicy::Polling,
     );
     uni.config_mut().trace = true;
-    uni.config_mut().engine_backend = args.engine;
-    uni.config_mut().shards = args.shards;
     let class = args.class;
     let run = match args.program.as_str() {
         "ring" => uni.run(|mpi| ring::run(mpi, 4, 4096)),

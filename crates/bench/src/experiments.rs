@@ -883,18 +883,8 @@ fn largen_sizes(device: Device, mode: ConnMode) -> &'static [usize] {
     }
 }
 
-/// A large-N world: always the state-machine engine backend (one OS
-/// thread, O(used-channels) memory). Threads-vs-sm result parity is
-/// enforced by `tests/backend_parity.rs`, so the numbers here are
-/// backend-independent.
-fn largen_universe(np: usize, device: Device, mode: ConnMode) -> Universe {
-    let mut uni = Universe::new(np, device, mode, WaitPolicy::Polling);
-    uni.config_mut().engine_backend = Some(viampi_sim::Backend::Sm);
-    uni
-}
-
 /// Fig. 8 extension: `MPI_Init` time at np = 256/1024/4096 (static capped
-/// at 1024), both devices, on the state-machine engine.
+/// at 1024), both devices.
 pub fn fig8_largen() -> (String, Vec<InitPoint>) {
     let mut items = Vec::new();
     for device in [Device::Clan, Device::Berkeley] {
@@ -906,7 +896,9 @@ pub fn fig8_largen() -> (String, Vec<InitPoint>) {
     }
     let points = runner::timed("fig8_largen", || {
         runner::par_map(items, |(device, label, mode, np)| {
-            let report = largen_universe(np, device, mode).run(|_mpi| ()).unwrap();
+            let report = Universe::new(np, device, mode, WaitPolicy::Polling)
+                .run(|_mpi| ())
+                .unwrap();
             InitPoint {
                 device: device.name().into(),
                 mode: label.into(),
@@ -954,7 +946,9 @@ pub struct Tab2LargenRow {
     /// Most channels any one rank materialized — the O(used-channels)
     /// witness: ≪ np for on-demand sparse workloads, np-1 for static.
     pub chan_peak: usize,
-    /// Largest per-rank fiber stack usage in bytes (sm backend gauge).
+    /// Deepest per-rank fiber stack usage in bytes. Host-dependent (it
+    /// moves with the compiler), so it is printed in the table but is not
+    /// part of the JSON record.
     pub rank_mem_peak: u64,
 }
 
@@ -966,8 +960,7 @@ impl_json!(Tab2LargenRow {
     avg_vis,
     utilization,
     pinned_peak,
-    chan_peak,
-    rank_mem_peak
+    chan_peak
 });
 
 #[derive(Clone, Copy)]
@@ -991,7 +984,7 @@ pub fn tab2_largen() -> (String, Vec<Tab2LargenRow>) {
     }
     let data = runner::timed("tab2_largen", || {
         runner::par_map(items, |(app, device, label, mode, np, kind)| {
-            let report = largen_universe(np, device, mode)
+            let report = Universe::new(np, device, mode, WaitPolicy::Polling)
                 .run(move |mpi| match kind {
                     LargenApp::Ring => {
                         ring::run(mpi, 4, 64);
@@ -1016,7 +1009,7 @@ pub fn tab2_largen() -> (String, Vec<Tab2LargenRow>) {
                     .map(|r| r.channels.len())
                     .max()
                     .unwrap_or(0),
-                rank_mem_peak: report.metrics.get("sim.sm.rank_mem_peak").unwrap_or(0),
+                rank_mem_peak: report.stack_depth_peak,
             }
         })
     });

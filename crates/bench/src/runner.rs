@@ -30,7 +30,7 @@ pub fn jobs() -> usize {
     {
         return v.max(1);
     }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+    nproc()
 }
 
 /// Force the worker count (overrides `VIAMPI_JOBS`); 0 restores defaults.
@@ -179,33 +179,11 @@ where
     committed
 }
 
-/// Effective engine mode of this process's runs, resolved the same way the
-/// engine resolves a config `None` (defer to the environment): execution
-/// backend, pre-release width, shard count, and compute coalescing.
-///
-/// Recorded in every [`PerfRecord`] so a wall-clock number carries the
-/// mode it was measured under — comparing a `shards=4` record against a
-/// serial baseline is a mode change, not a regression.
-pub fn engine_mode() -> String {
-    let env_width = |key: &str| {
-        std::env::var(key)
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .unwrap_or(1)
-            .max(1)
-    };
-    let backend = match viampi_sim::Backend::from_env() {
-        Some(viampi_sim::Backend::Sm) => "sm",
-        _ => "threads",
-    };
-    let par = env_width("VIAMPI_PAR");
-    let shards = env_width("VIAMPI_SHARDS");
-    let coalesce = if std::env::var_os("VIAMPI_NO_COALESCE").is_some() {
-        "off"
-    } else {
-        "on"
-    };
-    format!("{backend} par={par} shards={shards} coalesce={coalesce}")
+/// Cores this machine offers the process — recorded beside every wall-clock
+/// number, because a `--jobs 1` wall on a 2-core box and on a 64-core box are
+/// the same measurement only if the record says so.
+pub fn nproc() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// Wall-clock/throughput record for one timed experiment.
@@ -213,9 +191,8 @@ pub fn engine_mode() -> String {
 pub struct PerfRecord {
     /// Experiment name (matches the `results/<name>.json` record).
     pub name: String,
-    /// Effective engine mode the measurement ran under (see
-    /// [`engine_mode`]).
-    pub engine_mode: String,
+    /// Cores available to the process when it was measured ([`nproc`]).
+    pub nproc: usize,
     /// Wall-clock seconds.
     pub wall_secs: f64,
     /// Worker count in effect.
@@ -228,25 +205,17 @@ pub struct PerfRecord {
     pub events_per_sec: f64,
     /// Scheduler round trips skipped by the self-resume fast path.
     pub fast_resumes: u64,
-    /// Authoritative compute advances applied (each is one coalesced flush
-    /// of a pure-compute stretch; the comm-side complement of `events`).
-    pub compute_events: u64,
-    /// `advance()` calls absorbed into deferred clocks without touching the
-    /// scheduler — the work the coalescing optimization eliminated.
-    pub coalesced_advances: u64,
 }
 
 crate::impl_json!(PerfRecord {
     name,
-    engine_mode,
+    nproc,
     wall_secs,
     jobs,
     runs,
     events,
     events_per_sec,
     fast_resumes,
-    compute_events,
-    coalesced_advances,
 });
 
 static PERF_LOG: Mutex<Vec<PerfRecord>> = Mutex::new(Vec::new());
@@ -265,7 +234,7 @@ pub fn timed<R>(name: &str, f: impl FnOnce() -> R) -> R {
     let events = after.events - before.events;
     let record = PerfRecord {
         name: name.to_string(),
-        engine_mode: engine_mode(),
+        nproc: nproc(),
         wall_secs: wall,
         jobs: jobs(),
         runs: after.runs - before.runs,
@@ -276,8 +245,6 @@ pub fn timed<R>(name: &str, f: impl FnOnce() -> R) -> R {
             0.0
         },
         fast_resumes: after.fast_resumes - before.fast_resumes,
-        compute_events: after.compute_flushes - before.compute_flushes,
-        coalesced_advances: after.coalesced_advances - before.coalesced_advances,
     };
     PERF_LOG
         .lock()
@@ -312,9 +279,9 @@ pub fn write_perf(name: &str) -> String {
         })
         .collect();
     format!(
-        "harness wall-clock ({} jobs; engine {}; {} events in {:.1}s):\n\n{}\nperf record: {}",
+        "harness wall-clock ({} jobs on {} cores; {} events in {:.1}s):\n\n{}\nperf record: {}",
         jobs(),
-        engine_mode(),
+        nproc(),
         total_events,
         total_wall,
         crate::report::table(
@@ -416,20 +383,7 @@ mod tests {
             .iter()
             .find(|r| r.name == "runner_test_timed")
             .expect("timed() pushed a record");
-        assert_eq!(rec.engine_mode, engine_mode());
-    }
-
-    #[test]
-    fn engine_mode_names_every_knob() {
-        // The exact values are environment-dependent (the determinism mode
-        // legs export VIAMPI_PAR/SHARDS/ENGINE), so pin the shape: every
-        // knob appears exactly once, in a fixed order.
-        let m = engine_mode();
-        assert!(m.starts_with("threads ") || m.starts_with("sm "), "{m}");
-        let rest: Vec<&str> = m.split(' ').skip(1).collect();
-        assert_eq!(rest.len(), 3, "{m}");
-        assert!(rest[0].starts_with("par="), "{m}");
-        assert!(rest[1].starts_with("shards="), "{m}");
-        assert!(rest[2] == "coalesce=on" || rest[2] == "coalesce=off", "{m}");
+        assert_eq!(rec.nproc, nproc());
+        assert!(rec.nproc >= 1);
     }
 }

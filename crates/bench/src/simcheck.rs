@@ -120,16 +120,6 @@ struct Scenario {
     drop_override: Option<f64>,
     /// Data-plane jitter `(delay_prob, reorder_prob, delay_max_us)`.
     data_jitter: Option<(f64, f64, u64)>,
-    /// Engine worker width (1 = serial; the par-engine axis raises it).
-    par_workers: usize,
-    /// Engine shard count (1 = serial structures; the shards axis raises
-    /// it — results must stay byte-identical at any count).
-    shards: usize,
-    /// Compute coalescing (the par-engine axis also fuzzes it off).
-    coalesce: bool,
-    /// Engine backend (`None` = session default; the engine-backend axis
-    /// pins threads or the state-machine scheduler).
-    engine_backend: Option<viampi_sim::Backend>,
     /// Stripe VIs per peer pair (the endpoints axis; 1 = the paper's
     /// single-VI channel).
     vis_per_peer: usize,
@@ -178,14 +168,6 @@ fn derive(seed: u64) -> Scenario {
         fault_scale: 100,
         drop_override: None,
         data_jitter: None,
-        // Engine-mode fields are constants here (no new draws): the plain
-        // draw sequence is frozen, and byte-identity across engine modes is
-        // its own invariant, so only the par-engine and engine-backend axes
-        // vary these.
-        par_workers: 1,
-        shards: 1,
-        coalesce: true,
-        engine_backend: None,
         vis_per_peer: 1,
         threads: 1,
     }
@@ -291,29 +273,19 @@ pub enum Axis {
     DataJitter = 6,
     /// Dynamic flow control on, with enough traffic to trigger growth.
     DynCredits = 7,
-    /// Conservative parallel engine (`VIAMPI_PAR` 2–4), with and without
-    /// compute coalescing: every invariant must hold — and every outcome
-    /// stay byte-identical to serial — under concurrent pre-release.
-    ParEngine = 8,
-    /// Engine backend flip (OS threads ↔ fiber state machines). Variant
-    /// pairs `(2i, 2i+1)` share scheduler and fault seeds and differ only
-    /// in backend, so every pair is a live threads-vs-sm replay; half the
-    /// pairs also widen np past the thread backend's 64-rank band.
-    EngineBackend = 9,
+    // Tags 8, 9 and 11 are retired: they selected engine modes (parallel
+    // pre-release, the thread/fiber backend flip, sharding) that no longer
+    // exist. Keys carrying them derive like their root (see `derive_key`);
+    // the numbers are never reused, so surviving axes keep their tags.
     /// Multi-VI endpoints: stripe VIs per pair × producer threads. Every
     /// invariant generalizes per (peer, stripe) — per-VI credit
     /// conservation, per-pair VI totals, symmetric stripe states.
     Endpoints = 10,
-    /// Sharded conservative engine (`VIAMPI_SHARDS` 2–4): every invariant
-    /// must hold — and every outcome stay byte-identical to serial —
-    /// under per-shard wheels, cross-shard mailboxes and the global
-    /// `(time, seq)` merge.
-    Shards = 11,
 }
 
 impl Axis {
     /// Every axis, in tag order.
-    pub const ALL: [Axis; 11] = [
+    pub const ALL: [Axis; 8] = [
         Axis::NpLarge,
         Axis::Storm,
         Axis::RetryEdge,
@@ -321,10 +293,7 @@ impl Axis {
         Axis::ConnWait,
         Axis::DataJitter,
         Axis::DynCredits,
-        Axis::ParEngine,
-        Axis::EngineBackend,
         Axis::Endpoints,
-        Axis::Shards,
     ];
 
     /// Axis for a key tag in `1..=14`.
@@ -342,10 +311,7 @@ impl Axis {
             Axis::ConnWait => "conn-wait",
             Axis::DataJitter => "data-jitter",
             Axis::DynCredits => "dyn-credits",
-            Axis::ParEngine => "par-engine",
-            Axis::EngineBackend => "engine-backend",
             Axis::Endpoints => "endpoints",
-            Axis::Shards => "shards",
         }
     }
 
@@ -354,11 +320,7 @@ impl Axis {
     pub fn weight(self) -> u32 {
         match self {
             Axis::NpLarge | Axis::Storm | Axis::RetryEdge => 4,
-            Axis::DataJitter
-            | Axis::ParEngine
-            | Axis::EngineBackend
-            | Axis::Endpoints
-            | Axis::Shards => 2,
+            Axis::DataJitter | Axis::Endpoints => 2,
             Axis::Msgs | Axis::ConnWait | Axis::DynCredits => 1,
         }
     }
@@ -430,45 +392,12 @@ fn apply_axis(mut sc: Scenario, axis: Axis, variant: u32, k: u64) -> Scenario {
             sc.dynamic_credits = true;
             sc.m = 3 + variant % 6;
         }
-        Axis::ParEngine => {
-            sc.par_workers = 2 + (variant as usize % 3);
-            sc.coalesce = (variant / 3).is_multiple_of(2);
-        }
-        Axis::EngineBackend => {
-            // Re-salt with the parity bit (key bit 48) masked off so the
-            // variants `2i` and `2i+1` share scheduler and fault seeds:
-            // the pair differs *only* in backend, making each one a
-            // replayable threads-vs-sm comparison (backend_parity.rs
-            // asserts the outcomes are byte-identical).
-            let mut prng = SplitMix64::new((k & !(1u64 << 48)) ^ 0x0DD5_EED5_0C4A_FE01);
-            sc.sched_seed = prng.next_u64();
-            sc.fault_seed = prng.next_u64();
-            sc.engine_backend = Some(if variant.is_multiple_of(2) {
-                viampi_sim::Backend::Threads
-            } else {
-                viampi_sim::Backend::Sm
-            });
-            // Half the pairs widen np past the np-large axis's 64-rank
-            // ceiling — both backends run the same world, so the thread
-            // backend caps the band at an affordable 256.
-            if (variant / 2) % 2 == 1 {
-                const NP_WIDE: [usize; 4] = [96, 128, 192, 256];
-                sc.np = NP_WIDE[(variant as usize / 4) % NP_WIDE.len()];
-                sc.program = Program::Ring;
-                sc.m = sc.m.min(2);
-            }
-        }
         Axis::Endpoints => {
             // Stripe count × producer threads, covering T < S (idle
             // stripes), T == S (one thread per VI) and T > S (threads
             // sharing stripes, the convoy path).
             sc.vis_per_peer = [2, 4][variant as usize % 2];
             sc.threads = [1, 2, 4][(variant as usize / 2) % 3];
-        }
-        Axis::Shards => {
-            // 2–4 shards; the engine clamps to np, so small worlds still
-            // exercise the drain/merge path at their full width.
-            sc.shards = 2 + (variant as usize % 3);
         }
     }
     sc
@@ -1052,10 +981,6 @@ pub fn run_key(k: u64, kind: FaultKind) -> SeedOutcome {
         cfg.faults = effective_profile(&sc, kind);
         cfg.sched_seed = Some(sc.sched_seed);
         cfg.dynamic_credits = sc.dynamic_credits;
-        cfg.par_workers = Some(sc.par_workers);
-        cfg.shards = Some(sc.shards);
-        cfg.coalesce = Some(sc.coalesce);
-        cfg.engine_backend = sc.engine_backend;
         cfg.vis_per_peer = sc.vis_per_peer;
     }
     let sc2 = sc.clone();
@@ -1089,22 +1014,10 @@ pub fn run_key(k: u64, kind: FaultKind) -> SeedOutcome {
         log2_band('u', unexpected_msgs),
         log2_band('c', channels_connected),
     );
-    // A pinned backend gets its own coverage token; scenarios without one
-    // (every plain seed) keep their historical signature bytes.
-    if let Some(b) = sc.engine_backend {
-        signature.push_str(match b {
-            viampi_sim::Backend::Threads => "|thr",
-            viampi_sim::Backend::Sm => "|sm",
-        });
-    }
     // Endpoint-axis scenarios get their own coverage token; default
     // single-VI single-thread scenarios keep their historical bytes.
     if sc.vis_per_peer > 1 || sc.threads > 1 {
         signature.push_str(&format!("|ep{}x{}", sc.vis_per_peer, sc.threads));
-    }
-    // Shards-axis scenarios likewise; serial scenarios keep their bytes.
-    if sc.shards > 1 {
-        signature.push_str(&format!("|sh{}", sc.shards));
     }
     SeedOutcome {
         seed: k,
@@ -1397,11 +1310,6 @@ mod tests {
         let dync = derive_key(key::mutated(Axis::DynCredits, 0, root));
         assert!(dync.dynamic_credits);
         for variant in 0..6 {
-            let par = derive_key(key::mutated(Axis::ParEngine, variant, root));
-            assert!((2..=4).contains(&par.par_workers));
-        }
-        assert!(!derive_key(key::mutated(Axis::ParEngine, 3, root)).coalesce);
-        for variant in 0..6 {
             let ep = derive_key(key::mutated(Axis::Endpoints, variant, root));
             assert!([2, 4].contains(&ep.vis_per_peer));
             assert!([1, 2, 4].contains(&ep.threads));
@@ -1414,10 +1322,6 @@ mod tests {
             derive_key(key::mutated(Axis::Endpoints, 4, root)).threads,
             4
         );
-        for variant in 0..6 {
-            let sh = derive_key(key::mutated(Axis::Shards, variant, root));
-            assert_eq!(sh.shards, 2 + (variant as usize % 3));
-        }
         // Every mutated key reseeds the schedule: same topology axis,
         // different race.
         assert_ne!(np_large.sched_seed, base.sched_seed);
@@ -1493,46 +1397,29 @@ mod tests {
     }
 
     #[test]
-    fn a_par_engine_key_passes_invariants_and_replays() {
-        // Variant 1 → 3 workers with coalescing on; variant 3 → 2 workers
-        // with coalescing off. Both must satisfy every invariant and
-        // replay byte-identically despite concurrent pre-release.
-        for variant in [1u32, 3] {
-            let k = key::mutated(Axis::ParEngine, variant, 23);
-            let a = run_key(k, FaultKind::Light);
-            assert!(a.violations.is_empty(), "{:?}", a.violations);
-            let b = run_key(k, FaultKind::Light);
+    fn retired_engine_mode_tags_derive_as_their_root() {
+        // Tags 8 (par-engine), 9 (engine-backend) and 11 (shards) named
+        // engine modes that are gone. Old keys stay runnable — as their
+        // root's plain scenario — and the numbers are not reused, so
+        // surviving axes (endpoints = 10) keep their historical tags.
+        let root = 23u64;
+        let base = derive(root);
+        for tag in [8u64, 9, 11] {
+            assert!(Axis::from_tag(tag).is_none());
+            let sc = derive_key((tag << 60) | (3 << 48) | root);
             assert_eq!(
-                crate::json::to_string_pretty(&a),
-                crate::json::to_string_pretty(&b),
-                "parallel-engine key {k} must replay"
+                (sc.np, sc.program, sc.sched_seed, sc.fault_seed, sc.m),
+                (
+                    base.np,
+                    base.program,
+                    base.sched_seed,
+                    base.fault_seed,
+                    base.m
+                ),
             );
         }
-    }
-
-    #[test]
-    fn a_shards_key_passes_invariants_and_replays() {
-        // Variant 0 → 2 shards, variant 2 → 4 shards. Every invariant must
-        // hold and the outcome replay byte-identically despite per-shard
-        // wheels and cross-shard mailboxes; the serial twin of the same
-        // root differs only in its coverage token.
-        for variant in [0u32, 2] {
-            let k = key::mutated(Axis::Shards, variant, 29);
-            let a = run_key(k, FaultKind::Light);
-            assert!(a.violations.is_empty(), "{:?}", a.violations);
-            assert!(
-                a.signature
-                    .ends_with(&format!("|sh{}", 2 + variant as usize)),
-                "{}",
-                a.signature
-            );
-            let b = run_key(k, FaultKind::Light);
-            assert_eq!(
-                crate::json::to_string_pretty(&a),
-                crate::json::to_string_pretty(&b),
-                "shards key {k} must replay"
-            );
-        }
+        assert_eq!(Axis::Endpoints as u64, 10);
+        assert_eq!(Axis::from_tag(10), Some(Axis::Endpoints));
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Determinism regression suite: the paper-reproduction numbers must be a
-//! pure function of the configuration — identical across repeat runs,
-//! across worker counts, and with the scheduler's self-resume fast path
-//! on or off (the fast path only short-circuits token passes whose
-//! outcome is already forced, so only wall clock may change).
+//! pure function of the configuration — identical across repeat runs and
+//! across worker counts, and equal to the constants pinned from the engine
+//! generation that still had selectable backends and scheduler modes.
 
 use viampi_bench::json::to_string_pretty;
 use viampi_bench::runner;
@@ -159,8 +158,6 @@ fn fault_injected_outcome_is_bit_identical_across_repeats() {
     // from its own seeded stream, so the same seed gives the same drops,
     // duplications, delays and retries — and therefore the same virtual
     // times, event counts and counters, down to the serialized bytes.
-    // Under VIAMPI_NO_FASTPATH=1 the same constants pin the engine path
-    // (see `outcome_matches_with_fast_path_disabled_if_env_set`).
     for seed in [3u64, 8, 21] {
         let a = viampi_bench::simcheck::run_seed(seed, viampi_bench::simcheck::FaultKind::Heavy);
         let b = viampi_bench::simcheck::run_seed(seed, viampi_bench::simcheck::FaultKind::Heavy);
@@ -497,366 +494,83 @@ fn killed_campaign_resumes_to_one_shot_bytes() {
 }
 
 // ---------------------------------------------------------------------------
-// Engine modes: compute coalescing and the conservative parallel scheduler.
+// The one engine: pinned outcomes and the `sim.*` metrics interface.
 // ---------------------------------------------------------------------------
 
-/// The fig4 barrier run under an explicit engine-mode configuration
-/// (overrides beat the `VIAMPI_PAR`/`VIAMPI_NO_COALESCE` environment, so
-/// these tests are race-free under any test-harness parallelism).
-fn barrier_run_modes(
-    np: usize,
-    par: Option<usize>,
-    coalesce: Option<bool>,
-) -> RunReport<Option<f64>> {
-    let mut uni = Universe::new(np, Device::Clan, ConnMode::OnDemand, WaitPolicy::Polling);
-    uni.config_mut().par_workers = par;
-    uni.config_mut().coalesce = coalesce;
-    uni.run(|mpi| llc::barrier_latency(mpi, 300)).unwrap()
-}
-
-/// The CG class-S run under an explicit engine-mode configuration.
-fn npb_run_modes(par: Option<usize>, coalesce: Option<bool>) -> RunReport<Option<f64>> {
-    let mut uni = Universe::new(8, Device::Clan, ConnMode::OnDemand, WaitPolicy::Polling);
-    uni.config_mut().par_workers = par;
-    uni.config_mut().coalesce = coalesce;
-    uni.run(|mpi| {
-        let r = cg::run(mpi, Class::S);
-        Some(if r.verified { r.time_secs } else { f64::NAN })
-    })
-    .unwrap()
-}
-
 #[test]
-fn parallel_engine_matches_serial_for_fig4_and_cg() {
-    // The conservative parallel mode must reproduce the serial schedule
-    // exactly: same end times, event counts, per-rank finishes and result
-    // bits at every worker width.
-    let fig4 = fingerprint(&barrier_run_modes(16, Some(1), None));
-    let cg = fingerprint(&npb_run_modes(Some(1), None));
-    for par in [2usize, 4] {
-        assert_eq!(
-            fingerprint(&barrier_run_modes(16, Some(par), None)),
-            fig4,
-            "fig4 must be bit-identical at VIAMPI_PAR={par}"
-        );
-        assert_eq!(
-            fingerprint(&npb_run_modes(Some(par), None)),
-            cg,
-            "CG must be bit-identical at VIAMPI_PAR={par}"
-        );
-    }
-}
-
-#[test]
-fn coalescing_on_and_off_match_for_fig4_and_cg() {
-    // Lazy (deferred-clock) and eager compute charging are two encodings
-    // of the same virtual-time history.
+fn fig4_and_cg_outcomes_match_the_pinned_constants() {
+    // These numbers were produced — identically — by every configuration
+    // of the previous engine generation (thread and fiber backends, fast
+    // path on/off, lazy and eager compute charging, pre-release widths,
+    // shard counts). The single engine that remains must keep producing
+    // them; a diff here is a virtual-time change, not a refactor.
+    let fig4 = barrier_run(16);
     assert_eq!(
-        fingerprint(&barrier_run_modes(16, None, Some(true))),
-        fingerprint(&barrier_run_modes(16, None, Some(false))),
-        "fig4 must not depend on compute coalescing"
-    );
-    assert_eq!(
-        fingerprint(&npb_run_modes(None, Some(true))),
-        fingerprint(&npb_run_modes(None, Some(false))),
-        "CG must not depend on compute coalescing"
-    );
-}
-
-#[test]
-fn engine_mode_counter_names_are_pinned() {
-    // The coalescing/parallel observability counters are part of the
-    // metrics interface: the dotted names must not drift, and a parallel
-    // run must actually exercise the pre-release machinery it reports.
-    let r = barrier_run_modes(8, Some(2), None);
-    let rendered = r.metrics.render();
-    for name in [
-        "sim.coalesce.advances",
-        "sim.coalesce.flushes",
-        "sim.direct.handoffs",
-        "sim.direct.self_resumes",
-        "sim.par.pre_releases",
-        "sim.par.promotions",
-        "sim.par.workers",
-    ] {
-        assert!(
-            rendered.contains(name),
-            "snapshot is missing {name}:\n{rendered}"
-        );
-    }
-    let repeat = barrier_run_modes(8, Some(2), None).metrics.render();
-    assert_eq!(
-        rendered, repeat,
-        "mode counters must replay bit-identically"
-    );
-}
-
-// ---------------------------------------------------------------------------
-// Engine backends: the state-machine (fiber) scheduler vs OS threads.
-// ---------------------------------------------------------------------------
-
-use viampi_sim::Backend;
-
-/// The fig4 barrier run with the engine backend (and optionally other
-/// engine modes) pinned through the config — overrides beat the
-/// `VIAMPI_ENGINE` environment, so these tests are race-free under any
-/// test-harness parallelism.
-fn barrier_run_backend(
-    np: usize,
-    backend: Backend,
-    par: Option<usize>,
-    coalesce: Option<bool>,
-) -> RunReport<Option<f64>> {
-    let mut uni = Universe::new(np, Device::Clan, ConnMode::OnDemand, WaitPolicy::Polling);
-    uni.config_mut().engine_backend = Some(backend);
-    uni.config_mut().par_workers = par;
-    uni.config_mut().coalesce = coalesce;
-    uni.run(|mpi| llc::barrier_latency(mpi, 300)).unwrap()
-}
-
-/// The CG class-S run with the engine backend pinned.
-fn npb_run_backend(backend: Backend) -> RunReport<Option<f64>> {
-    let mut uni = Universe::new(8, Device::Clan, ConnMode::OnDemand, WaitPolicy::Polling);
-    uni.config_mut().engine_backend = Some(backend);
-    uni.run(|mpi| {
-        let r = cg::run(mpi, Class::S);
-        Some(if r.verified { r.time_secs } else { f64::NAN })
-    })
-    .unwrap()
-}
-
-#[test]
-fn sm_backend_repeat_runs_are_bit_identical() {
-    let a = barrier_run_backend(16, Backend::Sm, None, None);
-    let b = barrier_run_backend(16, Backend::Sm, None, None);
-    assert_eq!(
-        fingerprint(&a),
-        fingerprint(&b),
-        "repeat sm runs must be bit-identical"
-    );
-    assert_eq!(
-        a.metrics.render(),
-        b.metrics.render(),
-        "sm metrics must replay bit-identically"
-    );
-}
-
-#[test]
-fn sm_backend_matches_threads_for_fig4_and_cg() {
-    // The substrate swap must be invisible in every published number:
-    // end times, event counts, per-rank finishes, result bits.
-    assert_eq!(
-        fingerprint(&barrier_run_backend(16, Backend::Sm, None, None)),
-        fingerprint(&barrier_run_backend(16, Backend::Threads, None, None)),
-        "fig4 must not depend on the engine backend"
-    );
-    assert_eq!(
-        fingerprint(&npb_run_backend(Backend::Sm)),
-        fingerprint(&npb_run_backend(Backend::Threads)),
-        "CG must not depend on the engine backend"
-    );
-}
-
-#[test]
-fn sm_backend_matches_across_engine_modes() {
-    // sm composes with the other engine modes: coalescing off and a
-    // requested parallel width (clamped to serial under sm) must leave
-    // the outcome bit-identical to the plain sm run.
-    let base = fingerprint(&barrier_run_backend(16, Backend::Sm, None, None));
-    assert_eq!(
-        fingerprint(&barrier_run_backend(16, Backend::Sm, None, Some(false))),
-        base,
-        "sm must not depend on compute coalescing"
-    );
-    assert_eq!(
-        fingerprint(&barrier_run_backend(16, Backend::Sm, Some(2), None)),
-        base,
-        "sm with a parallel-width request must clamp to the serial schedule"
-    );
-}
-
-#[test]
-fn sm_counter_names_are_pinned() {
-    // The sm observability counters are part of the metrics interface:
-    // the dotted names must not drift, an sm run must actually poll and
-    // park fibers, and a threads run must report them at zero.
-    let r = barrier_run_backend(8, Backend::Sm, None, None);
-    let rendered = r.metrics.render();
-    for name in [
-        "sim.sm.polls",
-        "sim.sm.parks",
-        "sim.sm.resumes",
-        "sim.sm.rank_mem_peak",
-    ] {
-        assert!(
-            rendered.contains(name),
-            "snapshot is missing {name}:\n{rendered}"
-        );
-    }
-    assert!(
-        r.metrics.get("sim.sm.parks").unwrap() > 0,
-        "sm run must park"
-    );
-    assert!(
-        r.metrics.get("sim.sm.rank_mem_peak").unwrap() > 0,
-        "sm run must sample fiber stack depth"
-    );
-    let t = barrier_run_backend(8, Backend::Threads, None, None);
-    assert_eq!(
-        t.metrics.get("sim.sm.polls"),
-        Some(0),
-        "threads run must not count sm polls"
-    );
-}
-
-// ---------------------------------------------------------------------------
-// Sharded conservative mode: per-shard wheels merged in (time, seq) order.
-// ---------------------------------------------------------------------------
-
-/// The fig4 barrier run with the shard count (and optionally the other
-/// engine modes) pinned through the config — overrides beat the
-/// `VIAMPI_SHARDS` environment, so these tests are race-free under any
-/// test-harness parallelism and any check.sh determinism leg.
-fn barrier_run_shards(
-    np: usize,
-    shards: usize,
-    backend: Option<Backend>,
-    par: Option<usize>,
-    coalesce: Option<bool>,
-) -> RunReport<Option<f64>> {
-    let mut uni = Universe::new(np, Device::Clan, ConnMode::OnDemand, WaitPolicy::Polling);
-    uni.config_mut().shards = Some(shards);
-    uni.config_mut().engine_backend = backend;
-    uni.config_mut().par_workers = par;
-    uni.config_mut().coalesce = coalesce;
-    uni.run(|mpi| llc::barrier_latency(mpi, 300)).unwrap()
-}
-
-/// The CG class-S run with the shard count pinned.
-fn npb_run_shards(shards: usize, backend: Option<Backend>) -> RunReport<Option<f64>> {
-    let mut uni = Universe::new(8, Device::Clan, ConnMode::OnDemand, WaitPolicy::Polling);
-    uni.config_mut().shards = Some(shards);
-    uni.config_mut().engine_backend = backend;
-    uni.run(|mpi| {
-        let r = cg::run(mpi, Class::S);
-        Some(if r.verified { r.time_secs } else { f64::NAN })
-    })
-    .unwrap()
-}
-
-#[test]
-fn sharded_engine_matches_serial_for_fig4_and_cg() {
-    // The W-way (time, seq) merge must reproduce the serial schedule
-    // exactly: same end times, event counts, per-rank finishes and result
-    // bits at every shard count, under both backends.
-    let fig4 = fingerprint(&barrier_run_shards(16, 1, None, None, None));
-    let cg = fingerprint(&npb_run_shards(1, None));
-    for shards in [2usize, 4] {
-        assert_eq!(
-            fingerprint(&barrier_run_shards(16, shards, None, None, None)),
-            fig4,
-            "fig4 must be bit-identical at VIAMPI_SHARDS={shards}"
-        );
-        assert_eq!(
-            fingerprint(&npb_run_shards(shards, None)),
-            cg,
-            "CG must be bit-identical at VIAMPI_SHARDS={shards}"
-        );
-        assert_eq!(
-            fingerprint(&npb_run_shards(shards, Some(Backend::Sm))),
-            cg,
-            "CG under sm must be bit-identical at VIAMPI_SHARDS={shards}"
-        );
-    }
-}
-
-#[test]
-fn sharded_engine_composes_with_other_modes() {
-    // Shards must compose with every other engine mode without moving a
-    // single bit: sm backend, eager compute, pre-release widths, and the
-    // full shards × par × coalesce stack.
-    let base = fingerprint(&barrier_run_shards(16, 1, None, None, None));
-    let legs: [(&str, RunReport<Option<f64>>); 4] = [
         (
-            "shards=2 × sm",
-            barrier_run_shards(16, 2, Some(Backend::Sm), None, None),
+            fig4.end_time,
+            fig4.events,
+            fig4.results[0].map(f64::to_bits)
         ),
-        (
-            "shards=2 × eager compute",
-            barrier_run_shards(16, 2, None, None, Some(false)),
-        ),
-        (
-            "shards=2 × par=2",
-            barrier_run_shards(16, 2, None, Some(2), None),
-        ),
-        (
-            "shards=4 × par=2 × eager compute",
-            barrier_run_shards(16, 4, None, Some(2), Some(false)),
-        ),
-    ];
-    for (label, report) in &legs {
-        assert_eq!(
-            fingerprint(report),
-            base,
-            "{label} must be bit-identical to serial"
-        );
-    }
-}
-
-#[test]
-fn shard_counter_names_are_pinned() {
-    // The shard observability counters are part of the metrics interface:
-    // the dotted names must not drift, a sharded run must actually take
-    // LBTS rounds and cross-shard sends, and a serial run must report the
-    // counters at zero with workers = 1.
-    let r = barrier_run_shards(8, 2, None, None, None);
-    let rendered = r.metrics.render();
-    for name in [
-        "sim.shard.lbts_rounds",
-        "sim.shard.cross_sends",
-        "sim.shard.stalls",
-        "sim.shard.mailbox_peak",
-        "sim.shard.workers",
-    ] {
-        assert!(
-            rendered.contains(name),
-            "snapshot is missing {name}:\n{rendered}"
-        );
-    }
-    assert!(
-        r.metrics.get("sim.shard.lbts_rounds").unwrap() > 0,
-        "sharded run must take LBTS merge rounds"
+        (SimTime(23_123_059), 38_795, Some(4633699682191422322))
     );
-    assert!(
-        r.metrics.get("sim.shard.cross_sends").unwrap() > 0,
-        "a barrier exchanges across the shard cut"
-    );
-    assert_eq!(r.metrics.get("sim.shard.workers"), Some(2));
-    let repeat = barrier_run_shards(8, 2, None, None, None).metrics.render();
+    let cg = npb_run();
     assert_eq!(
-        rendered, repeat,
-        "shard counters must replay bit-identically"
+        (cg.end_time, cg.events, cg.results[0].map(f64::to_bits)),
+        (SimTime(10_495_836), 6_737, Some(4576031583667881064))
     );
-    let serial = barrier_run_shards(8, 1, None, None, None);
-    assert_eq!(serial.metrics.get("sim.shard.lbts_rounds"), Some(0));
-    assert_eq!(serial.metrics.get("sim.shard.cross_sends"), Some(0));
-    assert_eq!(serial.metrics.get("sim.shard.workers"), Some(1));
 }
 
 #[test]
-fn outcome_matches_with_fast_path_disabled_if_env_set() {
-    // When the whole test process runs under VIAMPI_NO_FASTPATH=1 this
-    // checks the engine path; otherwise it checks the fast path. Either
-    // way the committed constants pin the virtual-time results so a
-    // regression in *either* path shows up as a diff against these.
-    let report = barrier_run(8);
-    let a = fingerprint(&report);
-    let b = fingerprint(&barrier_run(8));
-    assert_eq!(a, b);
-    assert!(
-        report.end_time > SimTime::ZERO && report.events > 0,
-        "sanity: the run did real work"
+fn engine_counter_names_are_pinned() {
+    // The engine's counters are part of the metrics interface (the repo
+    // benchmark reads several by name): the `sim.*` set is exactly this,
+    // in this order — nothing drifts, and nothing from a deleted engine
+    // mode (`sim.coalesce.*`, `sim.par.*`, `sim.shard.*`, `sim.sm.*`)
+    // lingers at zero.
+    let r = barrier_run(8);
+    let sim: Vec<&str> = r
+        .metrics
+        .entries
+        .iter()
+        .map(|e| e.name.as_str())
+        .filter(|n| n.starts_with("sim."))
+        .collect();
+    assert_eq!(
+        sim,
+        [
+            "sim.handoffs",
+            "sim.events",
+            "sim.fast_resumes",
+            "sim.events_scheduled",
+            "sim.direct.handoffs",
+            "sim.direct.self_resumes",
+            "sim.wheel.push_due",
+            "sim.wheel.push_l0",
+            "sim.wheel.push_l1",
+            "sim.wheel.push_overflow",
+            "sim.wheel.cascades",
+            "sim.ready_peak",
+            "sim.queue_peak",
+        ]
     );
+    // An 8-rank barrier loop really does hand the token between fibers,
+    // and every grant is accounted for: a self-resume, an inline grant by
+    // the yielding rank, or one of the driver's (the first grant, plus at
+    // most one per rank body that returned).
+    let get = |name| r.metrics.get(name).unwrap();
+    assert!(get("sim.direct.handoffs") > 0);
+    assert_eq!(get("sim.fast_resumes"), r.fast_resumes);
+    let inline =
+        get("sim.fast_resumes") + get("sim.direct.handoffs") + get("sim.direct.self_resumes");
+    let by_driver = get("sim.handoffs") - inline;
+    assert!(
+        (1..=8).contains(&by_driver),
+        "driver made {by_driver} grants"
+    );
+    // The per-thread stack-pool counters are *not* per-run metrics: which
+    // run maps a stack depends on what the worker ran before.
+    assert!(!r.metrics.render().contains("sim.fiber."));
+    assert!(r.stack_depth_peak > 0, "ranks parked, so a depth was seen");
 }
 
 // ---------------------------------------------------------------------------
@@ -865,17 +579,10 @@ fn outcome_matches_with_fast_path_disabled_if_env_set() {
 
 /// A threads-per-rank pair exchange with `vis_per_peer` stripe VIs per
 /// pair, on BVIA (whose per-VI polling + lock-convoy charges make the
-/// endpoint model observable in virtual time). Engine backend optionally
-/// pinned — overrides beat the environment, so these tests are race-free
-/// under any harness parallelism.
-fn multivi_run(
-    vis_per_peer: usize,
-    threads: usize,
-    backend: Option<Backend>,
-) -> RunReport<Option<f64>> {
+/// endpoint model observable in virtual time).
+fn multivi_run(vis_per_peer: usize, threads: usize) -> RunReport<Option<f64>> {
     let mut uni = Universe::new(2, Device::Berkeley, ConnMode::OnDemand, WaitPolicy::Polling);
     uni.config_mut().vis_per_peer = vis_per_peer;
-    uni.config_mut().engine_backend = backend;
     uni.run(move |mpi| {
         let peer = 1 - mpi.rank();
         viampi_npb::patterns::threaded_pair_exchange(mpi, peer, threads, 24, 256);
@@ -887,8 +594,8 @@ fn multivi_run(
 #[test]
 fn multivi_exchange_is_bit_identical_across_repeats() {
     for (vis, threads) in [(1usize, 4usize), (4, 4)] {
-        let a = multivi_run(vis, threads, None);
-        let b = multivi_run(vis, threads, None);
+        let a = multivi_run(vis, threads);
+        let b = multivi_run(vis, threads);
         assert_eq!(
             fingerprint(&a),
             fingerprint(&b),
@@ -898,19 +605,6 @@ fn multivi_exchange_is_bit_identical_across_repeats() {
             a.metrics.render(),
             b.metrics.render(),
             "multi-VI metrics (S={vis}, T={threads}) must replay bit-identically"
-        );
-    }
-}
-
-#[test]
-fn multivi_exchange_matches_across_backends() {
-    // The endpoint model is engine-independent: threads and sm must agree
-    // bit-for-bit at both the default and a striped configuration.
-    for (vis, threads) in [(1usize, 4usize), (4, 4)] {
-        assert_eq!(
-            fingerprint(&multivi_run(vis, threads, Some(Backend::Threads))),
-            fingerprint(&multivi_run(vis, threads, Some(Backend::Sm))),
-            "multi-VI run (S={vis}, T={threads}) must not depend on the backend"
         );
     }
 }
@@ -938,7 +632,7 @@ fn multivi_endpoint_counter_names_are_pinned() {
     // interface: dotted names must not drift, and a striped multi-producer
     // run must actually exercise stripe setup, striped sends and the
     // shared-VI convoy accounting.
-    let r = multivi_run(4, 4, None);
+    let r = multivi_run(4, 4);
     let rendered = r.metrics.render();
     for name in [
         "mpi.endpoint.stripe_setups",
@@ -964,12 +658,12 @@ fn multivi_endpoint_counter_names_are_pinned() {
     );
     assert_eq!(r.metrics.get("mpi.endpoint.vis_per_peer"), Some(4));
     // A shared-VI multi-producer run pays convoys; the default does not.
-    let shared = multivi_run(1, 4, None);
+    let shared = multivi_run(1, 4);
     assert!(
         shared.metrics.get("nic.vi.producer_switches").unwrap() > 0,
         "shared-VI multi-producer run must count producer switches"
     );
-    let default = multivi_run(1, 1, None);
+    let default = multivi_run(1, 1);
     assert_eq!(default.metrics.get("nic.vi.producer_switches"), Some(0));
     assert_eq!(default.metrics.get("mpi.endpoint.striped_sends"), Some(0));
 }

@@ -1,19 +1,16 @@
 //! Large-N resource regression wall: a 1024-rank on-demand world must
-//! stay cheap on the state-machine backend — bounded wall-clock on one
-//! core, O(used-channels) channel state instead of O(np) per rank, and a
-//! bounded per-rank fiber stack footprint.
+//! stay cheap — bounded wall-clock on one core, O(used-channels) channel
+//! state instead of O(np) per rank, and a bounded per-rank fiber stack
+//! footprint.
 
 use std::time::{Duration, Instant};
 use viampi_core::{ConnMode, Device, Universe, WaitPolicy};
 use viampi_npb::{patterns, ring};
-use viampi_sim::Backend;
 
 #[test]
-fn np1024_ring_is_fast_and_sparse_under_sm() {
+fn np1024_ring_is_fast_and_sparse() {
     let start = Instant::now();
-    let mut uni = Universe::new(1024, Device::Clan, ConnMode::OnDemand, WaitPolicy::Polling);
-    uni.config_mut().engine_backend = Some(Backend::Sm);
-    let report = uni
+    let report = Universe::new(1024, Device::Clan, ConnMode::OnDemand, WaitPolicy::Polling)
         .run(|mpi| {
             ring::run(mpi, 4, 4096);
         })
@@ -25,7 +22,7 @@ fn np1024_ring_is_fast_and_sparse_under_sm() {
     // in init, channel tables or snapshots would cost.
     assert!(
         elapsed < Duration::from_secs(120),
-        "np=1024 ring took {elapsed:?} on the sm backend"
+        "np=1024 ring took {elapsed:?}"
     );
 
     // O(used-channels): a ring touches exactly its two neighbours, so no
@@ -50,10 +47,7 @@ fn np1024_ring_is_fast_and_sparse_under_sm() {
 
     // Peak per-rank fiber stack stays well inside the minimum 32 KiB
     // stack: rank memory is bounded by real usage, not by np.
-    let peak = report
-        .metrics
-        .get("sim.sm.rank_mem_peak")
-        .expect("sm gauge present");
+    let peak = report.stack_depth_peak;
     assert!(
         peak > 0 && peak < 32 * 1024,
         "peak fiber stack {peak} bytes out of bounds"
@@ -61,13 +55,11 @@ fn np1024_ring_is_fast_and_sparse_under_sm() {
 }
 
 #[test]
-fn np1024_cg_pattern_completes_under_sm() {
+fn np1024_cg_pattern_completes() {
     // The CG-style neighbour exchange at np=1024: ~11 partners per rank
     // (log-structured), still O(used-channels) sparse.
     let start = Instant::now();
-    let mut uni = Universe::new(1024, Device::Clan, ConnMode::OnDemand, WaitPolicy::Polling);
-    uni.config_mut().engine_backend = Some(Backend::Sm);
-    let report = uni
+    let report = Universe::new(1024, Device::Clan, ConnMode::OnDemand, WaitPolicy::Polling)
         .run(|mpi| {
             let partners = patterns::cg_rank(mpi.size(), mpi.rank());
             patterns::neighbor_exchange(mpi, &partners, 2, 64);
@@ -75,7 +67,7 @@ fn np1024_cg_pattern_completes_under_sm() {
         .unwrap();
     assert!(
         start.elapsed() < Duration::from_secs(120),
-        "np=1024 CG exchange took {:?} on the sm backend",
+        "np=1024 CG exchange took {:?}",
         start.elapsed()
     );
     let per_rank_max = report

@@ -150,29 +150,6 @@ pub struct MpiConfig {
     /// (see [`viampi_sim::Engine::set_sched_seed`]). `None` keeps the
     /// default round-robin order.
     pub sched_seed: Option<u64>,
-    /// Engine worker width for the conservative parallel mode (see
-    /// [`viampi_sim::Engine::set_par`]). `None` defers to the `VIAMPI_PAR`
-    /// environment variable (default 1 = serial). Results are bit-identical
-    /// at any width.
-    pub par_workers: Option<usize>,
-    /// Shard count for the engine's sharded conservative mode (see
-    /// [`viampi_sim::Engine::set_shards`]): ranks partition across this
-    /// many shards, each with its own timing wheel and ready heap, merged
-    /// in `(time, seq)` total order. `None` defers to the `VIAMPI_SHARDS`
-    /// environment variable (default 1 = serial structures). Results are
-    /// bit-identical at any count.
-    pub shards: Option<usize>,
-    /// Compute-time coalescing override (see
-    /// [`viampi_sim::Engine::set_coalesce`]). `None` defers to
-    /// `VIAMPI_NO_COALESCE` (default on). Results are bit-identical either
-    /// way.
-    pub coalesce: Option<bool>,
-    /// Execution-substrate override (see [`viampi_sim::Engine::set_backend`]):
-    /// `threads` (one OS thread per rank) or `sm` (proc-state-machine
-    /// fibers on one thread, the large-N substrate). `None` defers to
-    /// `VIAMPI_ENGINE` (default `threads`). Results are bit-identical
-    /// either way.
-    pub engine_backend: Option<viampi_sim::Backend>,
     /// VIs (endpoints) per peer pair — the Zambre et al. endpoint model.
     /// Each pair holds this many independent stripe channels, each with its
     /// own VI, credits and send FIFO; a rank's sends pick the stripe
@@ -207,10 +184,6 @@ impl MpiConfig {
             conn_retry_max: 10,
             faults: None,
             sched_seed: None,
-            par_workers: None,
-            shards: None,
-            coalesce: None,
-            engine_backend: None,
             vis_per_peer: 1,
         }
     }

@@ -56,6 +56,10 @@ pub struct RunReport<R> {
     /// Scheduler round trips skipped by the engine's self-resume fast
     /// path (wall-clock statistic; never affects virtual-time results).
     pub fast_resumes: u64,
+    /// Deepest fiber stack any rank was seen using, in bytes — a host-side
+    /// measurement (it moves with the compiler), so it is a field here and
+    /// not an entry of the deterministic `metrics` snapshot.
+    pub stack_depth_peak: u64,
     /// Faults the fabric injected (all-zero without a fault profile).
     pub fault_stats: FaultStats,
     /// Whole-run flat metrics snapshot: the engine's `sim.*` entries merged
@@ -148,11 +152,6 @@ impl Universe {
         }
         let mut engine = Engine::new(fabric);
         engine.set_sched_seed(cfg.sched_seed);
-        engine.set_par(cfg.par_workers);
-        engine.set_shards(cfg.shards);
-        engine.set_coalesce(cfg.coalesce);
-        engine.set_backend(cfg.engine_backend);
-        engine.set_lookahead(cfg.device.profile().min_latency());
         let body = Arc::new(body);
         type Slot<R> = Option<(R, RankReport)>;
         let slots: Arc<Mutex<Vec<Slot<R>>>> = Arc::new(Mutex::new((0..np).map(|_| None).collect()));
@@ -228,6 +227,7 @@ impl Universe {
             end_time: outcome.end_time,
             events: outcome.events_processed,
             fast_resumes: outcome.fast_resumes,
+            stack_depth_peak: outcome.stack_depth_peak,
             fault_stats,
             metrics,
             config: self.cfg,

@@ -1,40 +1,20 @@
 //! The virtual-time engine.
 //!
-//! Every simulated process (an MPI rank, in this repository) runs as its own
-//! suspendable execution context, but **exactly one** of {engine, processes}
-//! executes at any real instant: a token is passed between the engine and
-//! the process with the smallest virtual clock. Hardware activity (NIC
-//! processing, wire flight, DMA, connection handshakes) is represented by
-//! events in a global queue; events due at or before the next process resume
-//! time are applied first.
-//!
-//! ## Execution backends (`VIAMPI_ENGINE=threads|sm`)
-//!
-//! The *substrate* carrying a suspended process is selectable
-//! ([`Backend`], [`Engine::set_backend`], `VIAMPI_ENGINE`):
-//!
-//! * `threads` (default) — one OS thread per process, parked on a gate
-//!   condvar while it does not hold the token. Simple and portable, but a
-//!   token pass costs a futex round trip and an np-rank world costs np
-//!   thread stacks plus np kernel tasks, which caps worlds around a few
-//!   hundred ranks.
-//! * `sm` — every process runs as a pollable state machine: a stackful
-//!   coroutine (fiber, [`crate::fiber`]) multiplexed onto the single thread
-//!   that called [`Engine::run`]. The park/resume points are *exactly* the
-//!   former gate sites, the scheduling decision ([`decide`]) is the same
-//!   code, and the tie-break/recency rules are untouched, so virtual-time
-//!   results are byte-identical with the thread backend. Token passes
-//!   become user-space context switches and rank memory becomes one lazily
-//!   committed fiber stack (`VIAMPI_SM_STACK` bytes reserved, only touched
-//!   pages resident), which is what lets np = 1024–4096 worlds run.
-//!
-//! Under `sm` the conservative parallel mode is meaningless (there is only
-//! one OS thread); `par` is clamped to 1, which cannot change results
-//! (parallel mode is byte-identical at any width by construction).
+//! Every simulated process (an MPI rank, in this repository) runs as a
+//! stackful fiber ([`crate::fiber`]) on the one OS thread that called
+//! [`Engine::run`], and **exactly one** of {driver, processes} executes at
+//! any real instant: a token is passed to the process with the smallest
+//! virtual clock. Hardware activity (NIC processing, wire flight, DMA,
+//! connection handshakes) is represented by events in a timing-wheel queue
+//! ([`crate::queue`]); events due at or before the next process resume time
+//! are applied first.
 //!
 //! The result is a *deterministic* simulation: given the same world, the same
 //! spawned closures and the same seeds, every run produces identical virtual
 //! timestamps, identical message interleavings, and identical statistics.
+//! There is one engine and it has no modes: multicore speed comes from
+//! running independent simulations on separate threads (the bench harness's
+//! `--jobs`), each with its own engine and its own fiber stack pool.
 //!
 //! Blocking is cooperative. A process that would spin-poll a completion queue
 //! instead parks in [`ProcCtx::block_on`]; whoever makes the awaited state
@@ -42,48 +22,28 @@
 //! engine resumes the sleeper *at the virtual time of the wake*. Wait-policy
 //! costs (poll-detect vs interrupt wake-up) are charged by the caller on top.
 //!
-//! ## The self-resume fast path
+//! ## One scheduling decision, taken where the token is given up
 //!
-//! The token pass costs two OS context switches (process → engine → process).
-//! When the calling process would be handed the token right back — it is the
-//! unique earliest runnable process and no event is due at or before its
-//! clock — the scheduling decision is already forced, so
-//! [`ProcCtx::advance`] and [`ProcCtx::yield_now`] skip the round trip and
-//! continue on the same OS thread, stamping `last_run` exactly as the engine
-//! would have. Virtual timestamps, event order and round-robin fairness are
-//! bit-identical with the fast path on or off; set `VIAMPI_NO_FASTPATH=1` to
-//! disable it (used to measure the win).
+//! [`Inner::decide`] is the whole scheduler: apply every event due at or
+//! before the earliest ready process's clock (events win ties), then grant
+//! the token to the head of the ready heap. A process that gives up the
+//! token ([`ProcCtx::advance`], [`ProcCtx::yield_now`], a blocking
+//! [`ProcCtx::block_on`]) runs that decision *inline* and switches straight
+//! to the chosen process's fiber — or simply keeps going when event
+//! processing made itself the next runnable process. Two shortcuts skip even
+//! the heap traffic, and both stamp `last_run` exactly as a full decision
+//! would, so they can never change a result:
 //!
-//! ## Compute coalescing
+//! * **self-resume** (`sim.fast_resumes`): the caller is the unique earliest
+//!   runnable process and no event is due at or before its clock, so the
+//!   decision is already forced and `advance`/`yield_now` just return;
+//! * **inline self-grant** (`sim.direct.self_resumes`): the full decision ran
+//!   and popped the caller itself.
 //!
-//! MPI kernels charge compute as streams of small [`ProcCtx::advance`] calls.
-//! Each one used to take the engine lock and run a scheduling decision, which
-//! dominated the wall clock of compute-heavy workloads. `advance` is now
-//! *lazy* by default: the duration accumulates into a per-process deferred
-//! counter (two relaxed atomic adds, no lock) and is flushed as a single
-//! authoritative advance at the next world interaction —
-//! [`ProcCtx::with_world`], [`ProcCtx::block_on`], [`ProcCtx::yield_now`], or
-//! the end of the process body. [`ProcCtx::now`] reads through the deferred
-//! component, so timestamps taken mid-stretch stay exact. A stretch of N
-//! lazy advances is semantically one `advance` of the sum: the intermediate
-//! clock values are unobservable (the process touches no shared state in
-//! between), events still fire at their own due times before the flushed
-//! process resumes, and woken peers still resume at the wake time. Set
-//! `VIAMPI_NO_COALESCE=1` (or [`Engine::set_coalesce`]) to charge eagerly;
-//! results are bit-identical either way because the equal-clock tie-break
-//! never looks at compute-parked grants (see below).
-//!
-//! ## Direct handoff
-//!
-//! Returning the token to the engine thread just so it can wake the next
-//! process costs two OS context switches per handoff. Instead, a yielding
-//! process now runs the scheduling decision *inline* while it still holds
-//! the lock: it applies due events, pops the next ready process and opens
-//! its gate directly (one switch), or — when event processing makes itself
-//! the next runnable process — simply keeps going (zero switches). The
-//! engine thread remains the coordinator for startup, termination, deadlock
-//! and teardown, and `VIAMPI_NO_FASTPATH=1` restores the fully conservative
-//! everything-through-the-engine reference path.
+//! The driver context (the caller of [`Engine::run`]) only starts the
+//! first process, picks the next one when a process body returns, and —
+//! when a decision finds nothing runnable — tells "everyone finished" from
+//! deadlock and unwinds whatever is left.
 //!
 //! ## Equal-clock ties and recency stamps
 //!
@@ -91,106 +51,40 @@
 //! first. "Run" counts *voluntary* scheduling points only — `yield_now`,
 //! `block_on` wake-ups and the initial grant — never compute-parked grants
 //! (`advance`). This makes the tie-break independent of how a compute
-//! stretch is segmented, which is exactly the invariant that keeps lazy and
-//! eager compute charging bit-identical.
-//!
-//! ## Conservative parallel mode (`VIAMPI_PAR=N`)
-//!
-//! Opt-in intra-run parallelism ([`Engine::set_par`] or `VIAMPI_PAR=N`).
-//! When the scheduler grants the token at global-minimum clock `t`, it may
-//! additionally *pre-release* up to `N-1` compute-parked ready processes
-//! whose clocks lie within `t + lookahead` (the minimum cross-rank influence
-//! latency of the device profile, [`Engine::set_lookahead`]). A pre-released
-//! process resumes on its own core but only accumulates deferred compute
-//! time; at its next world interaction it parks until the scheduler promotes
-//! it — i.e. pops it from the ready heap exactly where the serial schedule
-//! would have run it. Every lock-protected mutation therefore happens in the
-//! identical order as the serial engine, so parallel results are
-//! byte-identical at any `N`; the window only controls how much pure compute
-//! overlaps wall-clock-wise. Correctness does not depend on the lookahead
-//! value (promotion is the commit gate); `0` simply disables overlap.
-//!
-//! ## Sharded conservative mode (`VIAMPI_SHARDS=W`)
-//!
-//! [`Engine::set_shards`] / `VIAMPI_SHARDS=W` partitions the processes into
-//! `W` contiguous shards, each owning its own timing wheel and ready heap.
-//! Events carry a *global* monotone sequence number assigned at scheduling
-//! time; same-shard events go straight onto the owning shard's wheel, while
-//! cross-shard sends (routed by [`World::event_dst`]) travel through
-//! per-(src,dst) SPSC mailboxes that are drained — in fixed (src,dst) order —
-//! before every scheduling inspection. Each scheduling step is one
-//! lower-bound-timestamp (LBTS) merge round: the W wheel heads and W ready
-//! heads are compared by their full `(time, seq)` / `(clock, key, pid)` keys
-//! and the global minimum is committed. Because the global sequence numbers
-//! reproduce the serial engine's insertion order and every wheel orders by
-//! the full key, the W-way merge pops in *exactly* the serial total order —
-//! results are byte-identical at any `W`, under both backends, composed with
-//! coalescing and parallel pre-release. `W = 1` (and single-process worlds)
-//! bypasses the shard structures entirely and runs the serial code path, so
-//! its overhead is structurally zero.
-//!
-//! Wall-clock parallelism comes from composing shards with pre-release: under
-//! the thread backend the effective pre-release width is `max(par, W)`, so a
-//! `VIAMPI_SHARDS=W` run overlaps up to `W` compute stretches across cores
-//! without also setting `VIAMPI_PAR`. The per-round lookahead — how far past
-//! the committed minimum other shards may owe activity before being counted
-//! stalled (`sim.shard.stalls`) — comes from [`Engine::set_lookahead`], i.e.
-//! the device profile's minimum cross-rank influence latency. As with
-//! parallel mode, no routing, stall, or release policy can change results:
-//! the `(time, seq)` merge is the only commit gate.
+//! stretch is segmented into `advance` calls.
 
 use crate::error::{BlockedProc, SimError};
-use crate::fiber::{FiberSet, FiberStats};
+use crate::fiber::{round_stack_size, FiberSet};
 use crate::queue::EventQueue;
 use crate::rng::SplitMix64;
-use crate::sync::{Condvar, Mutex, MutexGuard};
 use crate::time::{SimDuration, SimTime};
+use std::cell::{Cell, RefCell, RefMut};
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Identifier of a spawned simulated process (dense, starting at 0 in spawn
 /// order — MPI layers use it directly as the rank).
 pub type ProcId = usize;
 
-/// Execution substrate carrying suspended simulated processes (see the
-/// module docs). Selected by [`Engine::set_backend`] or `VIAMPI_ENGINE`;
-/// virtual-time results are byte-identical across backends.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Backend {
-    /// One OS thread per process (the reference substrate; the default).
-    #[default]
-    Threads,
-    /// Proc-state-machine mode: stackful fibers multiplexed onto the
-    /// driving thread. O(1) OS threads, O(touched-pages) rank memory.
-    Sm,
-}
+/// Environment variable sizing every process's fiber stack, in bytes.
+const STACK_KNOB: &str = "VIAMPI_SM_STACK";
 
-impl Backend {
-    /// Resolve the `VIAMPI_ENGINE` environment override (`threads` | `sm`);
-    /// `None` when unset or empty. Unknown values panic — a typo silently
-    /// falling back to the default would invalidate an A/B measurement.
-    pub fn from_env() -> Option<Backend> {
-        match std::env::var("VIAMPI_ENGINE") {
-            Ok(s) => match s.trim() {
-                "" => None,
-                "threads" => Some(Backend::Threads),
-                "sm" => Some(Backend::Sm),
-                other => panic!("VIAMPI_ENGINE must be `threads` or `sm`, got {other:?}"),
-            },
-            Err(_) => None,
-        }
-    }
-}
-
-/// Fiber stack reservation for the `sm` backend: `VIAMPI_SM_STACK` bytes,
-/// default 1 MiB. Stacks are lazily committed, so the default costs only
-/// address space until a rank actually recurses into it.
-fn sm_stack_size() -> usize {
-    std::env::var("VIAMPI_SM_STACK")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .unwrap_or(1 << 20)
+/// Fiber stack bytes per process: [`STACK_KNOB`] if set, else 1 MiB, rounded
+/// up to whole pages. Stacks are lazily committed, so the default costs only
+/// address space until a rank actually recurses into it. A value that is not
+/// a byte count the fiber layer accepts is an error — silently running with
+/// the default would hide the typo until the overflow it was meant to
+/// prevent.
+fn stack_size(knob: Option<&str>) -> Result<usize, SimError> {
+    let asked = knob.map(str::trim).filter(|s| !s.is_empty());
+    asked
+        .map_or(Some(1 << 20), |s| s.parse::<usize>().ok())
+        .and_then(round_stack_size)
+        .ok_or_else(|| SimError::BadKnob {
+            name: STACK_KNOB,
+            value: asked.unwrap_or_default().to_string(),
+        })
 }
 
 /// The simulated hardware/world state shared by all processes.
@@ -206,16 +100,6 @@ pub trait World: Sized + Send + 'static {
     /// Apply `event` at its due time. May schedule follow-up events and wake
     /// blocked processes through `api`.
     fn handle_event(&mut self, event: Self::Event, api: &mut Api<'_, Self::Event>);
-
-    /// Destination process of `event`, if it has one — the sharded engine
-    /// routes an event to its destination's shard wheel (a cross-shard
-    /// mailbox hop when scheduled from another shard). `None` (the default)
-    /// keeps the event on the scheduling shard. Routing is purely
-    /// structural: the merge order is the global `(time, seq)` total order,
-    /// so any routing choice produces byte-identical results.
-    fn event_dst(_event: &Self::Event) -> Option<ProcId> {
-        None
-    }
 }
 
 /// Scheduling capabilities handed to event handlers and world accessors.
@@ -223,12 +107,6 @@ pub struct Api<'a, E> {
     now: SimTime,
     queue: &'a mut EventQueue<E>,
     wakes: &'a mut Vec<ProcId>,
-    /// Sharded-mode scheduling state (`None` in the serial engine, in which
-    /// case `queue` is authoritative).
-    shard: Option<&'a mut ShardSched<E>>,
-    /// Event-destination extractor ([`World::event_dst`]) used by the
-    /// sharded router; ignored in serial mode.
-    dst_of: fn(&E) -> Option<ProcId>,
 }
 
 impl<'a, E> Api<'a, E> {
@@ -238,30 +116,16 @@ impl<'a, E> Api<'a, E> {
         self.now
     }
 
-    /// File `event` at `at`: straight onto the global queue in serial mode,
-    /// or through the shard router (global sequence stamp, destination
-    /// shard's wheel, mailbox hop when cross-shard).
-    #[inline]
-    fn push(&mut self, at: SimTime, event: E) {
-        match &mut self.shard {
-            Some(ss) => {
-                let dst = (self.dst_of)(&event);
-                ss.route(at, event, dst);
-            }
-            None => self.queue.push(at, event),
-        }
-    }
-
     /// Schedule `event` to fire `after` from now.
     #[inline]
     pub fn schedule(&mut self, after: SimDuration, event: E) {
-        self.push(self.now + after, event);
+        self.queue.push(self.now + after, event);
     }
 
     /// Schedule `event` at an absolute time (clamped to now if in the past).
     #[inline]
     pub fn schedule_at(&mut self, at: SimTime, event: E) {
-        self.push(at.max(self.now), event);
+        self.queue.push(at.max(self.now), event);
     }
 
     /// Mark a blocked process runnable at the current virtual time. Waking a
@@ -275,7 +139,7 @@ impl<'a, E> Api<'a, E> {
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ProcState {
-    /// Runnable at `clock` (present in the ready heap).
+    /// Runnable at its clock (present in the ready heap).
     Ready,
     /// Currently holding the execution token.
     Running,
@@ -288,12 +152,12 @@ enum ProcState {
 }
 
 /// Why a process last left the Running state (what kind of ready-heap entry
-/// it owns). Voluntary parks stamp scheduling recency and are never
-/// pre-released; compute parks do neither — see the module docs.
+/// it owns). Voluntary parks stamp scheduling recency; compute parks do
+/// not — see the module docs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ParkSite {
-    /// Parked by `advance` (a pure-compute yield). Eligible for parallel
-    /// pre-release; its grant does not update `last_run`.
+    /// Parked by `advance` (a pure-compute yield). Its grant does not
+    /// update `last_run`.
     Compute,
     /// Parked by `yield_now`, `block_on`, or not yet run at all. Its grant
     /// stamps `last_run` so equal-clock processes round-robin.
@@ -302,22 +166,17 @@ enum ParkSite {
 
 struct ProcSlot {
     name: String,
-    clock: SimTime,
     state: ProcState,
     /// Engine pass on which this slot was last *voluntarily* scheduled
     /// (`yield_now` / `block_on` / initial grant); breaks clock ties
     /// least-recently-run-first so equal-time processes round-robin.
     /// Compute-parked grants do not stamp it, which keeps the tie-break —
     /// and therefore every result — independent of how compute stretches
-    /// are segmented (lazy vs eager charging).
+    /// are segmented.
     last_run: u64,
     /// Kind of the ready-heap entry this slot currently owns (valid while
     /// `state == Ready`).
     site: ParkSite,
-    /// Currently pre-released to run ahead (parallel mode): still in the
-    /// ready heap, executing pure compute concurrently with the token
-    /// holder, to be promoted when popped.
-    pre: bool,
 }
 
 /// Index min-heap over the Ready processes, keyed `(clock, last_run, pid)`.
@@ -339,8 +198,7 @@ struct ReadyHeap {
 /// seed-dependent order, which is what the `simcheck` harness uses to
 /// explore different interleavings. The hash must be stateless (not a
 /// shared RNG stream) so the self-resume fast path — which skips Ready
-/// transitions entirely — computes the identical key and the schedule
-/// stays bit-identical with the fast path on or off.
+/// transitions entirely — computes the identical key.
 #[inline]
 fn sched_key(sched_seed: Option<u64>, last_run: u64, pid: ProcId, clock: SimTime) -> u64 {
     match sched_seed {
@@ -364,13 +222,6 @@ impl ReadyHeap {
     #[inline]
     fn peek(&self) -> Option<(SimTime, u64, ProcId)> {
         self.heap.first().copied()
-    }
-
-    /// Iterate entries in internal array order (used by pre-release scans;
-    /// the order is deterministic because the push/pop sequence is).
-    #[inline]
-    fn iter(&self) -> std::slice::Iter<'_, (SimTime, u64, ProcId)> {
-        self.heap.iter()
     }
 
     fn push(&mut self, clock: SimTime, last_run: u64, pid: ProcId) {
@@ -418,540 +269,146 @@ impl ReadyHeap {
     }
 }
 
-/// Scheduling state of the sharded conservative mode (see the module docs):
-/// per-shard timing wheels and ready heaps under one global sequence
-/// counter, joined by per-(src,dst) mailboxes. Lives inside [`Inner`] —
-/// every mutation happens under the engine lock, so the W-way merge commits
-/// in exactly the serial total order.
-struct ShardSched<E> {
-    /// Home shard of each process (contiguous partition: `pid * W / n`).
-    shard_of: Vec<usize>,
-    /// One timing wheel per shard; pushed via `push_with_seq` with globally
-    /// assigned sequence numbers.
-    wheels: Vec<EventQueue<E>>,
-    /// One ready heap per shard.
-    readys: Vec<ReadyHeap>,
-    /// SPSC mailboxes, indexed `src * W + dst`, each FIFO in global-seq
-    /// order. A mailbox front is *not* a time minimum (a later send can be
-    /// due earlier), so mailboxes are always fully drained before any
-    /// scheduling inspection — never peeked.
-    mail: Vec<std::collections::VecDeque<(SimTime, u64, E)>>,
-    /// Events currently sitting in mailboxes.
-    mail_len: usize,
-    /// High-water mark of `mail_len` (`sim.shard.mailbox_peak`).
-    mailbox_peak: usize,
-    /// Global event sequence counter (the serial queue's insertion order).
-    next_seq: u64,
-    /// Shard context of the executing event handler or process; newly
-    /// scheduled events without a destination stay on this shard.
-    cur: usize,
-    /// Total entries across the per-shard ready heaps, and its peak.
-    ready_len: usize,
-    ready_peak: usize,
-    /// LBTS merge rounds taken (`sim.shard.lbts_rounds`).
-    lbts_rounds: u64,
-    /// Events routed across shards (`sim.shard.cross_sends`).
-    cross_sends: u64,
-    /// Shards observed owing no activity inside the lookahead horizon at a
-    /// grant (`sim.shard.stalls`).
-    stalls: u64,
-}
-
-impl<E> ShardSched<E> {
-    fn new(n: usize, w: usize) -> Self {
-        ShardSched {
-            shard_of: (0..n).map(|pid| pid * w / n).collect(),
-            wheels: (0..w).map(|_| EventQueue::with_capacity(64)).collect(),
-            readys: (0..w)
-                .map(|_| ReadyHeap::with_capacity(n / w + 1))
-                .collect(),
-            mail: (0..w * w)
-                .map(|_| std::collections::VecDeque::new())
-                .collect(),
-            mail_len: 0,
-            mailbox_peak: 0,
-            next_seq: 0,
-            cur: 0,
-            ready_len: 0,
-            ready_peak: 0,
-            lbts_rounds: 0,
-            cross_sends: 0,
-            stalls: 0,
-        }
-    }
-
-    /// Stamp `event` with the next global sequence number and file it on
-    /// `dst`'s shard wheel — directly when that is the current shard,
-    /// through the (cur → dst) mailbox otherwise. `None` destinations stay
-    /// on the current shard.
-    fn route(&mut self, at: SimTime, event: E, dst: Option<ProcId>) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let to = dst.map_or(self.cur, |pid| self.shard_of[pid]);
-        if to == self.cur {
-            self.wheels[to].push_with_seq(at, seq, event);
-        } else {
-            self.cross_sends += 1;
-            self.mail[self.cur * self.wheels.len() + to].push_back((at, seq, event));
-            self.mail_len += 1;
-            if self.mail_len > self.mailbox_peak {
-                self.mailbox_peak = self.mail_len;
-            }
-        }
-    }
-
-    /// Flush every mailbox into its destination wheel, in fixed (src, dst)
-    /// order. Must run before any wheel inspection; the pop order is
-    /// independent of drain timing because wheels order by the full
-    /// `(time, seq)` key at every level.
-    fn drain_mail(&mut self) {
-        if self.mail_len == 0 {
-            return;
-        }
-        let w = self.wheels.len();
-        for src in 0..w {
-            for dst in 0..w {
-                let mb = &mut self.mail[src * w + dst];
-                while let Some((at, seq, ev)) = mb.pop_front() {
-                    self.wheels[dst].push_with_seq(at, seq, ev);
-                }
-            }
-        }
-        self.mail_len = 0;
-    }
-
-    /// Earliest pending event across all wheels: its `(time, seq)` key and
-    /// owning shard. Mailboxes must already be drained.
-    fn min_event(&self) -> Option<(SimTime, u64, usize)> {
-        debug_assert_eq!(self.mail_len, 0, "inspected wheels with mail pending");
-        let mut best: Option<(SimTime, u64, usize)> = None;
-        for (s, wq) in self.wheels.iter().enumerate() {
-            if let Some((t, seq)) = wq.peek_key() {
-                if best.is_none_or(|(bt, bs, _)| (t, seq) < (bt, bs)) {
-                    best = Some((t, seq, s));
-                }
-            }
-        }
-        best
-    }
-
-    /// Earliest ready process across all shard heaps: its heap key and
-    /// owning shard.
-    fn min_ready(&self) -> Option<(SimTime, u64, ProcId, usize)> {
-        let mut best: Option<(SimTime, u64, ProcId, usize)> = None;
-        for (s, rh) in self.readys.iter().enumerate() {
-            if let Some((t, k, p)) = rh.peek() {
-                if best.is_none_or(|(bt, bk, bp, _)| (t, k, p) < (bt, bk, bp)) {
-                    best = Some((t, k, p, s));
-                }
-            }
-        }
-        best
-    }
-
-    /// File `pid` on its home shard's ready heap.
-    fn push_ready(&mut self, clock: SimTime, key: u64, pid: ProcId) {
-        self.readys[self.shard_of[pid]].push(clock, key, pid);
-        self.ready_len += 1;
-        if self.ready_len > self.ready_peak {
-            self.ready_peak = self.ready_len;
-        }
-    }
-}
-
+/// Everything the scheduler mutates. One `RefCell` guards it: the engine is
+/// single-threaded by construction, and no borrow is ever held across a
+/// fiber switch.
 struct Inner<W: World> {
     world: W,
     queue: EventQueue<W::Event>,
     procs: Vec<ProcSlot>,
+    /// Per-process virtual clocks, shared with [`ProcCtx::now`] so reading
+    /// the time never needs the `RefCell` (it is legal inside a
+    /// `with_world` closure).
+    clocks: Rc<[Cell<SimTime>]>,
     /// Ready processes, ordered as the scheduler will pick them.
     ready: ReadyHeap,
-    /// Process currently holding the token, if any.
-    running: Option<ProcId>,
     /// First process panic observed (poisons the simulation).
     poisoned: Option<(String, String)>,
+    /// Set once the driver starts unwinding the survivors: nothing is
+    /// scheduled any more, and every fiber resumed from here on unwinds at
+    /// its park site.
+    teardown: bool,
     /// Monotone counter stamped into `ProcSlot::last_run`.
     pass: u64,
     /// Events applied so far.
     events_processed: u64,
     /// Token passes short-circuited by the self-resume fast path.
     fast_resumes: u64,
-    /// Token grants performed inline by a yielding process (direct handoff).
+    /// Token grants that switched fiber-to-fiber from a yielding process.
     direct_handoffs: u64,
-    /// Inline scheduling decisions that handed the token straight back to
-    /// the yielding process after event processing (zero context switches).
+    /// Inline decisions that handed the token straight back to the
+    /// yielding process after event processing (no switch).
     direct_self: u64,
-    /// Processes released to run ahead inside the lookahead window.
-    pre_releases: u64,
-    /// Pre-released processes promoted to token holder.
-    promotions: u64,
-    /// Pre-released processes currently executing ahead of the token.
-    pre_live: usize,
     /// Reusable wake buffer so `with_world`/`block_on`/event dispatch do not
     /// allocate a fresh `Vec` per call.
     wake_scratch: Vec<ProcId>,
-    /// Reusable candidate buffer for pre-release scans.
-    pre_scratch: Vec<ProcId>,
     /// Schedule-exploration seed (see [`sched_key`]). Immutable after init.
     sched_seed: Option<u64>,
-    /// Scheduling decisions taken by the sm backend (driver loop plus
-    /// inline direct-handoff decisions). Always 0 under the thread backend.
-    sm_polls: u64,
-    /// Sharded-mode scheduling state (`None` ⟺ serial; see the module
-    /// docs). When set, `queue` and `ready` above stay empty and the
-    /// per-shard wheels/heaps are authoritative.
-    shard: Option<ShardSched<W::Event>>,
 }
 
 impl<W: World> Inner<W> {
-    /// True when the scheduler, run right now, would hand the token straight
-    /// back to `pid` (whose clock is `clock` and which is still Running):
-    /// no event due at or before `clock`, and no Ready process ordered
-    /// before it. The comparison mirrors the scheduler exactly — events win
-    /// ties against processes, and processes order by `(clock, last_run,
-    /// pid)`.
+    /// Run `f` against the world at instant `now`, then file every process
+    /// it woke as Ready at `max(its clock, now)`.
+    fn with_api<R>(
+        &mut self,
+        now: SimTime,
+        f: impl FnOnce(&mut W, &mut Api<'_, W::Event>) -> R,
+    ) -> R {
+        let mut wakes = std::mem::take(&mut self.wake_scratch);
+        let r = {
+            let mut api = Api {
+                now,
+                queue: &mut self.queue,
+                wakes: &mut wakes,
+            };
+            f(&mut self.world, &mut api)
+        };
+        for &pid in &wakes {
+            if self.procs[pid].state == ProcState::Blocked {
+                let clock = self.clocks[pid].get().max(now);
+                self.clocks[pid].set(clock);
+                self.make_ready(pid, clock, ParkSite::Voluntary);
+            }
+        }
+        wakes.clear();
+        self.wake_scratch = wakes;
+        r
+    }
+
+    /// File `pid` on the ready heap at `clock`.
     #[inline]
-    fn can_self_resume(&mut self, pid: ProcId, clock: SimTime) -> bool {
-        if self.poisoned.is_some() {
+    fn make_ready(&mut self, pid: ProcId, clock: SimTime, site: ParkSite) {
+        let slot = &mut self.procs[pid];
+        slot.state = ProcState::Ready;
+        slot.site = site;
+        let key = sched_key(self.sched_seed, slot.last_run, pid, clock);
+        self.ready.push(clock, key, pid);
+    }
+
+    /// Self-resume fast path: when [`Inner::decide`], run right now, would
+    /// hand the token straight back to the still-Running `pid` at `clock` —
+    /// no event due at or before `clock`, and no Ready process ordered
+    /// before it — grant it in place and return `true`. The comparison
+    /// mirrors `decide` exactly: events win ties against processes, and
+    /// processes order by `(clock, key, pid)`.
+    #[inline]
+    fn try_self_resume(&mut self, pid: ProcId, clock: SimTime, site: ParkSite) -> bool {
+        if self.poisoned.is_some() || self.queue.peek_time().is_some_and(|te| te <= clock) {
             return false;
         }
         let key = sched_key(self.sched_seed, self.procs[pid].last_run, pid, clock);
-        match &mut self.shard {
-            Some(ss) => {
-                // Mailboxes hide pending events from the wheel heads; drain
-                // before inspecting (fronts are not time minima).
-                ss.drain_mail();
-                if let Some((te, _, _)) = ss.min_event() {
-                    if te <= clock {
-                        return false;
-                    }
-                }
-                match ss.min_ready() {
-                    Some((t, k, p, _)) => (clock, key, pid) < (t, k, p),
-                    None => true,
-                }
-            }
-            None => {
-                if let Some(te) = self.queue.peek_time() {
-                    if te <= clock {
-                        return false;
-                    }
-                }
-                match self.ready.peek() {
-                    Some(head) => (clock, key, pid) < head,
-                    None => true,
-                }
-            }
+        if self
+            .ready
+            .peek()
+            .is_some_and(|head| head <= (clock, key, pid))
+        {
+            return false;
         }
+        self.grant(pid, site);
+        self.fast_resumes += 1;
+        true
     }
 
-    /// File `pid` on the ready structure of the active mode (the global
-    /// heap, or its home shard's heap).
+    /// Count a token grant to `pid` and stamp its recency if the entry it
+    /// is granted from was a voluntary park.
     #[inline]
-    fn push_ready(&mut self, clock: SimTime, key: u64, pid: ProcId) {
-        match &mut self.shard {
-            Some(ss) => ss.push_ready(clock, key, pid),
-            None => self.ready.push(clock, key, pid),
-        }
-    }
-
-    /// Grant `pid` a new pass exactly as the scheduler would, without moving
-    /// the token. `voluntary` grants stamp scheduling recency; compute
-    /// grants do not (see [`ParkSite`]).
-    #[inline]
-    fn grant_self(&mut self, pid: ProcId, voluntary: bool) {
+    fn grant(&mut self, pid: ProcId, site: ParkSite) {
         self.pass += 1;
-        if voluntary {
+        if site == ParkSite::Voluntary {
             self.procs[pid].last_run = self.pass;
         }
-        self.fast_resumes += 1;
     }
-}
 
-/// Outcome of one scheduling decision (see [`decide`]).
-enum Decision {
-    /// `pid` was stamped Running and `running` was set; the caller must open
-    /// its gate (unless the caller *is* `pid`).
-    Run(ProcId),
-    /// Nothing runnable: every process finished, the simulation deadlocked,
-    /// or it is poisoned — the engine thread sorts out which.
-    Idle,
-}
-
-/// One scheduling step, shared verbatim by the engine thread and the
-/// direct-handoff path: apply every event due at or before the next ready
-/// process's clock (events win ties), then grant the token to the head of
-/// the ready heap. In parallel mode the grant also pre-releases eligible
-/// compute-parked processes inside the lookahead window.
-fn decide<W: World>(g: &mut Inner<W>, shared: &Shared<W>) -> Decision {
-    if g.shard.is_some() {
-        return decide_sharded(g, shared);
-    }
-    loop {
-        if g.poisoned.is_some() {
-            return Decision::Idle;
-        }
-        let limit = g.ready.peek().map_or(SimTime(u64::MAX), |(tp, _, _)| tp);
-        if let Some((t, ev)) = g.queue.pop_due(limit) {
-            g.events_processed += 1;
-            let mut wakes = std::mem::take(&mut g.wake_scratch);
-            {
-                let mut api = Api {
-                    now: t,
-                    queue: &mut g.queue,
-                    wakes: &mut wakes,
-                    shard: None,
-                    dst_of: W::event_dst,
-                };
-                g.world.handle_event(ev, &mut api);
+    /// The scheduler: apply every event due at or before the next ready
+    /// process's clock (events win ties), then grant the token to the head
+    /// of the ready heap and return it. `None` means nothing is runnable —
+    /// every process finished, the simulation deadlocked, or it is being
+    /// torn down; the driver sorts out which.
+    fn decide(&mut self) -> Option<ProcId> {
+        loop {
+            if self.poisoned.is_some() || self.teardown {
+                return None;
             }
-            apply_wakes(g, &shared.clocks, t, &wakes);
-            wakes.clear();
-            g.wake_scratch = wakes;
-            continue;
-        }
-        let Some((_, _, pid)) = g.ready.pop() else {
-            return Decision::Idle;
-        };
-        debug_assert_eq!(g.procs[pid].state, ProcState::Ready);
-        g.pass += 1;
-        let pass = g.pass;
-        let promoted = {
-            let slot = &mut g.procs[pid];
-            slot.state = ProcState::Running;
-            if slot.site == ParkSite::Voluntary {
-                slot.last_run = pass;
-            }
-            std::mem::replace(&mut slot.pre, false)
-        };
-        if promoted {
-            g.pre_live -= 1;
-            g.promotions += 1;
-        }
-        g.running = Some(pid);
-        if shared.width > 1 {
-            pre_release(g, shared, pid);
-        }
-        return Decision::Run(pid);
-    }
-}
-
-/// The sharded scheduling step — one LBTS merge round per call. Identical
-/// commit semantics to the serial [`decide`]: drain mailboxes, compare the W
-/// wheel heads and W ready heads by their full keys, apply every event due
-/// at or before the earliest ready process (events win ties), then grant the
-/// token to the global-minimum ready process and count shards stalled past
-/// the lookahead horizon.
-fn decide_sharded<W: World>(g: &mut Inner<W>, shared: &Shared<W>) -> Decision {
-    g.shard.as_mut().expect("sharded decide").lbts_rounds += 1;
-    loop {
-        if g.poisoned.is_some() {
-            return Decision::Idle;
-        }
-        let ss = g.shard.as_mut().expect("sharded decide");
-        ss.drain_mail();
-        let ready_min = ss.min_ready();
-        let limit = ready_min.map_or(SimTime(u64::MAX), |(t, _, _, _)| t);
-        if let Some((te, _, s)) = ss.min_event() {
-            if te <= limit {
-                let (t, ev) = ss.wheels[s].pop().expect("peeked wheel head");
-                ss.cur = s;
-                g.events_processed += 1;
-                let mut wakes = std::mem::take(&mut g.wake_scratch);
-                {
-                    let inner = &mut *g;
-                    let mut api = Api {
-                        now: t,
-                        queue: &mut inner.queue,
-                        wakes: &mut wakes,
-                        shard: inner.shard.as_mut(),
-                        dst_of: W::event_dst,
-                    };
-                    inner.world.handle_event(ev, &mut api);
-                }
-                apply_wakes(g, &shared.clocks, t, &wakes);
-                wakes.clear();
-                g.wake_scratch = wakes;
+            let limit = self.ready.peek().map_or(SimTime(u64::MAX), |(tp, _, _)| tp);
+            if let Some((t, ev)) = self.queue.pop_due(limit) {
+                self.events_processed += 1;
+                self.with_api(t, |world, api| world.handle_event(ev, api));
                 continue;
             }
+            let (_, _, pid) = self.ready.pop()?;
+            debug_assert_eq!(self.procs[pid].state, ProcState::Ready);
+            self.procs[pid].state = ProcState::Running;
+            self.grant(pid, self.procs[pid].site);
+            return Some(pid);
         }
-        let Some((t, _, pid, s)) = ready_min else {
-            return Decision::Idle;
-        };
-        ss.readys[s].pop();
-        ss.ready_len -= 1;
-        ss.cur = s;
-        // Count shards with no activity due inside the lookahead horizon of
-        // this grant: on real parallel hardware these are the ones an LBTS
-        // barrier would leave idle this round. Pure observability.
-        let horizon = SimTime(t.0.saturating_add(shared.lookahead_ns));
-        for (i, (wq, rh)) in ss.wheels.iter().zip(&ss.readys).enumerate() {
-            if i == s {
-                continue;
-            }
-            let bound = match (wq.peek_key(), rh.peek()) {
-                (Some((tw, _)), Some((tr, _, _))) => tw.min(tr),
-                (Some((tw, _)), None) => tw,
-                (None, Some((tr, _, _))) => tr,
-                (None, None) => continue,
-            };
-            if bound > horizon {
-                ss.stalls += 1;
-            }
-        }
-        debug_assert_eq!(g.procs[pid].state, ProcState::Ready);
-        g.pass += 1;
-        let pass = g.pass;
-        let promoted = {
-            let slot = &mut g.procs[pid];
-            slot.state = ProcState::Running;
-            if slot.site == ParkSite::Voluntary {
-                slot.last_run = pass;
-            }
-            std::mem::replace(&mut slot.pre, false)
-        };
-        if promoted {
-            g.pre_live -= 1;
-            g.promotions += 1;
-        }
-        g.running = Some(pid);
-        if shared.width > 1 {
-            pre_release(g, shared, pid);
-        }
-        return Decision::Run(pid);
-    }
-}
-
-/// Release up to `width - 1` compute-parked ready processes whose clocks lie
-/// within the token holder's lookahead window so they overlap their pure
-/// compute with the serial schedule. They stay in the ready heap and are
-/// promoted (committed) only when popped, so which processes are released —
-/// and the window size itself — can never change results.
-fn pre_release<W: World>(g: &mut Inner<W>, shared: &Shared<W>, holder: ProcId) {
-    let budget = shared.width.saturating_sub(1 + g.pre_live);
-    if budget == 0 {
-        return;
-    }
-    let horizon = SimTime(g.procs[holder].clock.0.saturating_add(shared.lookahead_ns));
-    let mut picks = std::mem::take(&mut g.pre_scratch);
-    picks.clear();
-    match &g.shard {
-        Some(ss) => {
-            'scan: for rh in &ss.readys {
-                for &(t, _, p) in rh.iter() {
-                    if picks.len() >= budget {
-                        break 'scan;
-                    }
-                    if t <= horizon && !g.procs[p].pre && g.procs[p].site == ParkSite::Compute {
-                        picks.push(p);
-                    }
-                }
-            }
-        }
-        None => {
-            for &(t, _, p) in g.ready.iter() {
-                if picks.len() >= budget {
-                    break;
-                }
-                if t <= horizon && !g.procs[p].pre && g.procs[p].site == ParkSite::Compute {
-                    picks.push(p);
-                }
-            }
-        }
-    }
-    for &p in &picks {
-        g.procs[p].pre = true;
-        g.pre_live += 1;
-        g.pre_releases += 1;
-        shared.gates[p].open(GateCmd::Pre);
-    }
-    g.pre_scratch = picks;
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum GateCmd {
-    Hold,
-    Run,
-    /// Parallel mode: resume and run ahead of the token (pure compute only);
-    /// park for promotion at the next world interaction.
-    Pre,
-    Poison,
-}
-
-struct Gate {
-    m: Mutex<GateCmd>,
-    cv: Condvar,
-}
-
-impl Gate {
-    fn new() -> Self {
-        Gate {
-            m: Mutex::new(GateCmd::Hold),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn wait(&self) -> GateCmd {
-        let mut g = self.m.lock();
-        while *g == GateCmd::Hold {
-            self.cv.wait(&mut g);
-        }
-        let cmd = *g;
-        *g = GateCmd::Hold;
-        cmd
-    }
-
-    fn open(&self, cmd: GateCmd) {
-        let mut g = self.m.lock();
-        *g = cmd;
-        self.cv.notify_one();
     }
 }
 
 struct Shared<W: World> {
-    inner: Mutex<Inner<W>>,
-    /// Signalled whenever a process returns the token to the engine.
-    engine_cv: Condvar,
-    gates: Vec<Arc<Gate>>,
-    /// Per-process clock mirrors for lock-free [`ProcCtx::now`]. Written by
-    /// the token holder (or by the engine/waker while the owner is parked,
-    /// synchronized through the gate); read by the owner.
-    clocks: Vec<AtomicU64>,
-    /// Self-resume fast path + direct handoff enabled (default;
-    /// `VIAMPI_NO_FASTPATH=1` disables both for A/B measurements, restoring
-    /// the everything-through-the-engine reference path).
-    fastpath: bool,
-    /// Compute coalescing enabled (default; `VIAMPI_NO_COALESCE=1` or
-    /// [`Engine::set_coalesce`] disables it).
-    coalesce: bool,
-    /// Maximum concurrently-executing processes (1 = serial; >1 enables
-    /// conservative pre-release, from `VIAMPI_PAR` / [`Engine::set_par`]).
-    par: usize,
-    /// Effective pre-release width: `max(par, shards)` under the thread
-    /// backend (a sharded run overlaps up to one process per shard without
-    /// also setting `VIAMPI_PAR`), `1` under sm (single OS thread).
-    width: usize,
-    /// Effective shard count of the run (1 = serial scheduling structures).
-    shards: usize,
-    /// Pre-release window in nanoseconds past the token holder's clock.
-    lookahead_ns: u64,
-    /// Per-process deferred compute time (nanoseconds) not yet applied to
-    /// the authoritative clock. Written only by the owning process
-    /// (relaxed: no other thread reads it meaningfully mid-stretch).
-    deferred: Vec<AtomicU64>,
-    /// Owner-maintained flag: this process consumed a `Pre` grant and must
-    /// wait for promotion before its next lock-protected operation.
-    pre_flag: Vec<AtomicBool>,
-    /// `advance` calls absorbed into deferred clocks (whole run).
-    coalesce_advances: AtomicU64,
-    /// Deferred stretches flushed as one authoritative advance (whole run).
-    coalesce_flushes: AtomicU64,
-    /// Fiber set hosting every process under the `sm` backend (`None`
-    /// under the thread backend). All fiber operations happen on the one
-    /// thread that called [`Engine::run`].
-    sm: Option<FiberSet>,
-    /// sm-backend poison flags: set by teardown before resuming a fiber so
-    /// the fiber unwinds at its park site (the gate-command analogue).
-    sm_poison: Vec<AtomicBool>,
+    inner: RefCell<Inner<W>>,
+    clocks: Rc<[Cell<SimTime>]>,
+    /// The fibers hosting the processes, one per [`ProcId`].
+    fibers: FiberSet,
 }
 
 /// Panic payload used to unwind simulated processes during teardown.
@@ -959,14 +416,13 @@ struct SimPoison;
 
 /// Handle passed to each simulated process body.
 ///
-/// Cheap to clone; all methods may only be called from the owning process's
-/// thread while it holds the execution token (which is the case whenever the
-/// body is executing).
+/// Cheap to clone; all methods may only be called by the owning process
+/// while it holds the execution token (which is the case whenever the body
+/// is executing).
 pub struct ProcCtx<W: World> {
-    shared: Arc<Shared<W>>,
+    shared: Rc<Shared<W>>,
     pid: ProcId,
-    /// Cached process count — immutable after spawn, so reads never touch
-    /// shared state.
+    /// Cached process count — immutable after spawn.
     nprocs: usize,
 }
 
@@ -995,87 +451,23 @@ impl<W: World> ProcCtx<W> {
         self.nprocs
     }
 
-    /// Current virtual time of this process.
-    ///
-    /// Lock-free: reads a per-process atomic mirror of the authoritative
-    /// clock plus this process's deferred compute component, so hot kernels
-    /// that timestamp every iteration never serialize on the scheduler and
-    /// still see exact mid-stretch times. The mirror is only written by the
-    /// token holder or (while this process is parked) by the engine, with
-    /// the gate providing the ordering; the deferred component is owned by
-    /// this process.
+    /// Current virtual time of this process: one `Cell` read, so hot kernels
+    /// that timestamp every iteration never touch the scheduler.
     #[inline]
     pub fn now(&self) -> SimTime {
-        SimTime(
-            self.shared.clocks[self.pid]
-                .load(Ordering::Acquire)
-                .wrapping_add(self.shared.deferred[self.pid].load(Ordering::Relaxed)),
-        )
+        self.shared.clocks[self.pid].get()
     }
 
-    /// Charge `d` of virtual compute time to this process.
-    ///
-    /// By default (compute coalescing) the duration accumulates into this
-    /// process's deferred clock — no lock, no scheduler round trip — and is
-    /// applied as one authoritative advance at the next world interaction.
-    /// With coalescing disabled the charge is applied eagerly and the
-    /// process yields so that any events or other processes due earlier run
-    /// first (self-resume fast path permitting). Results are bit-identical
-    /// either way.
+    /// Charge `d` of virtual compute time to this process, then yield to
+    /// any event or other process due earlier (usually nothing is, and the
+    /// self-resume fast path returns at once).
     pub fn advance(&self, d: SimDuration) {
         if d == SimDuration::ZERO {
             return;
         }
-        if self.shared.coalesce {
-            self.shared.deferred[self.pid].fetch_add(d.as_nanos(), Ordering::Relaxed);
-            self.shared
-                .coalesce_advances
-                .fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        self.sync();
-        self.advance_sync(d);
-    }
-
-    /// Re-join the authoritative schedule before a lock-protected
-    /// operation: wait for promotion if this process is running ahead of a
-    /// pre-release grant, then flush any deferred compute time as a single
-    /// authoritative advance. Every public world-touching entry point calls
-    /// this first.
-    fn sync(&self) {
-        loop {
-            if self.shared.pre_flag[self.pid].load(Ordering::Relaxed) {
-                self.await_promotion();
-            }
-            let d = self.shared.deferred[self.pid].swap(0, Ordering::Relaxed);
-            if d == 0 {
-                return;
-            }
-            self.shared.coalesce_flushes.fetch_add(1, Ordering::Relaxed);
-            self.advance_sync(SimDuration::nanos(d));
-            // The flush itself may have parked us and been answered with a
-            // `Pre` grant (run-ahead). There is no user code left to run
-            // ahead of here — the caller is about to touch the world — so
-            // loop and wait for promotion before letting it proceed.
-        }
-    }
-
-    /// Apply `d` to the authoritative clock and yield to anything due
-    /// earlier. Must be called as the token holder with no deferred time.
-    fn advance_sync(&self, d: SimDuration) {
-        let mut g = self.shared.inner.lock();
-        let clock = g.procs[self.pid].clock + d;
-        g.procs[self.pid].clock = clock;
-        self.shared.clocks[self.pid].store(clock.0, Ordering::Release);
-        if self.shared.fastpath && g.can_self_resume(self.pid, clock) {
-            g.grant_self(self.pid, false);
-            return;
-        }
-        let key = sched_key(g.sched_seed, g.procs[self.pid].last_run, self.pid, clock);
-        g.procs[self.pid].state = ProcState::Ready;
-        g.procs[self.pid].site = ParkSite::Compute;
-        g.push_ready(clock, key, self.pid);
-        self.relinquish(g);
+        let clock = self.now() + d;
+        self.shared.clocks[self.pid].set(clock);
+        self.give_up_token(clock, ParkSite::Compute);
     }
 
     /// Yield the token without advancing time. Equal-clock processes are
@@ -1085,188 +477,64 @@ impl<W: World> ProcCtx<W> {
     /// runnable entity (no equal-or-earlier Ready process, no due event),
     /// the fast path returns immediately.
     pub fn yield_now(&self) {
-        self.sync();
-        let mut g = self.shared.inner.lock();
-        let clock = g.procs[self.pid].clock;
-        if self.shared.fastpath && g.can_self_resume(self.pid, clock) {
-            g.grant_self(self.pid, true);
-            return;
+        self.give_up_token(self.now(), ParkSite::Voluntary);
+    }
+
+    /// Offer the token to whatever is due before `(clock, self)`: keep it
+    /// if nothing is, otherwise queue up as Ready and reschedule.
+    fn give_up_token(&self, clock: SimTime, site: ParkSite) {
+        let mut g = self.shared.inner.borrow_mut();
+        if !g.try_self_resume(self.pid, clock, site) {
+            g.make_ready(self.pid, clock, site);
+            self.relinquish(g);
         }
-        let key = sched_key(g.sched_seed, g.procs[self.pid].last_run, self.pid, clock);
-        g.procs[self.pid].state = ProcState::Ready;
-        g.procs[self.pid].site = ParkSite::Voluntary;
-        g.push_ready(clock, key, self.pid);
-        self.relinquish(g);
     }
 
     /// Run `f` against the world at the current instant (zero virtual time).
     /// `f` may schedule events and wake blocked processes.
     pub fn with_world<R>(&self, f: impl FnOnce(&mut W, &mut Api<'_, W::Event>) -> R) -> R {
-        self.sync();
-        let mut g = self.shared.inner.lock();
-        let now = g.procs[self.pid].clock;
-        let inner = &mut *g;
-        if let Some(ss) = &mut inner.shard {
-            ss.cur = ss.shard_of[self.pid];
-        }
-        let mut wakes = std::mem::take(&mut inner.wake_scratch);
-        let r = {
-            let mut api = Api {
-                now,
-                queue: &mut inner.queue,
-                wakes: &mut wakes,
-                shard: inner.shard.as_mut(),
-                dst_of: W::event_dst,
-            };
-            f(&mut inner.world, &mut api)
-        };
-        apply_wakes(inner, &self.shared.clocks, now, &wakes);
-        wakes.clear();
-        inner.wake_scratch = wakes;
-        r
+        self.shared.inner.borrow_mut().with_api(self.now(), f)
     }
 
-    /// Park until `f` yields `Some`. `f` is evaluated under the world lock;
-    /// if it returns `None` the process blocks and is re-evaluated after each
-    /// [`Api::wake`] targeting it. Returns the produced value together with
-    /// the virtual time at which it was produced.
+    /// Park until `f` yields `Some`. `f` is evaluated against the world; if
+    /// it returns `None` the process blocks and is re-evaluated after each
+    /// [`Api::wake`] targeting it, at the virtual time of that wake.
     pub fn block_on<R>(&self, mut f: impl FnMut(&mut W, &mut Api<'_, W::Event>) -> Option<R>) -> R {
         loop {
-            self.sync();
-            let mut g = self.shared.inner.lock();
-            let now = g.procs[self.pid].clock;
-            let inner = &mut *g;
-            if let Some(ss) = &mut inner.shard {
-                ss.cur = ss.shard_of[self.pid];
-            }
-            let mut wakes = std::mem::take(&mut inner.wake_scratch);
-            let out = {
-                let mut api = Api {
-                    now,
-                    queue: &mut inner.queue,
-                    wakes: &mut wakes,
-                    shard: inner.shard.as_mut(),
-                    dst_of: W::event_dst,
-                };
-                f(&mut inner.world, &mut api)
-            };
-            apply_wakes(inner, &self.shared.clocks, now, &wakes);
-            wakes.clear();
-            inner.wake_scratch = wakes;
-            if let Some(r) = out {
+            let mut g = self.shared.inner.borrow_mut();
+            if let Some(r) = g.with_api(self.now(), &mut f) {
                 return r;
             }
-            inner.procs[self.pid].state = ProcState::Blocked;
-            inner.procs[self.pid].site = ParkSite::Voluntary;
+            g.procs[self.pid].state = ProcState::Blocked;
             self.relinquish(g);
         }
     }
 
-    /// Give up the token and block until re-granted. With the fast path
-    /// enabled the scheduling decision runs inline on this thread (direct
-    /// handoff — one context switch instead of two, or zero when event
-    /// processing makes this process the next runnable one); otherwise the
-    /// engine thread is woken to decide.
-    fn relinquish(&self, mut g: MutexGuard<'_, Inner<W>>) {
-        g.running = None;
-        if self.shared.fastpath {
-            if self.shared.sm.is_some() {
-                g.sm_polls += 1;
+    /// Give up the token and suspend until re-granted. The scheduling
+    /// decision runs inline, here: a grant to another process is one
+    /// fiber-to-fiber switch, a grant back to this process (event
+    /// processing made it the next runnable one) is no switch at all, and
+    /// only "nothing runnable" goes back to the driver.
+    fn relinquish(&self, mut g: RefMut<'_, Inner<W>>) {
+        match g.decide() {
+            Some(next) if next == self.pid => {
+                g.direct_self += 1;
+                return;
             }
-            match decide(&mut g, &self.shared) {
-                Decision::Run(next) if next == self.pid => {
-                    g.direct_self += 1;
-                    return;
-                }
-                Decision::Run(next) => {
-                    g.direct_handoffs += 1;
-                    drop(g);
-                    if let Some(fs) = &self.shared.sm {
-                        // Fiber-to-fiber direct handoff: switch straight to
-                        // `next` (starting it if this is its first grant);
-                        // control comes back when something resumes us.
-                        fs.resume(next);
-                        self.sm_check_poison();
-                    } else {
-                        self.shared.gates[next].open(GateCmd::Run);
-                        self.park();
-                    }
-                    return;
-                }
-                Decision::Idle => {}
+            Some(next) => {
+                g.direct_handoffs += 1;
+                drop(g);
+                self.shared.fibers.resume(next);
+            }
+            None => {
+                drop(g);
+                self.shared.fibers.yield_to_driver();
             }
         }
-        drop(g);
-        if let Some(fs) = &self.shared.sm {
-            fs.yield_to_driver();
-            self.sm_check_poison();
-        } else {
-            self.shared.engine_cv.notify_one();
-            self.park();
-        }
-    }
-
-    /// Flush any deferred compute time (waiting for promotion first if this
-    /// process is running ahead), so the process finishes — or reaches its
-    /// next phase — as the authoritative token holder. Called once when the
-    /// body returns.
-    fn retire(&self) {
-        self.sync();
-    }
-
-    /// sm-backend analogue of the gate's `Poison` command, checked right
-    /// after a fiber is resumed at a park site: unwind if teardown marked
-    /// this process for poisoning before resuming it.
-    fn sm_check_poison(&self) {
-        if self.shared.sm_poison[self.pid].swap(false, Ordering::Relaxed) {
+        // Resumed. During teardown that means "unwind": the driver resumes
+        // each surviving fiber exactly so that it raises `SimPoison` here.
+        if self.shared.inner.borrow().teardown {
             panic::panic_any(SimPoison);
-        }
-    }
-
-    fn park(&self) {
-        match self.shared.gates[self.pid].wait() {
-            GateCmd::Run => {}
-            GateCmd::Pre => self.shared.pre_flag[self.pid].store(true, Ordering::Relaxed),
-            GateCmd::Poison => panic::panic_any(SimPoison),
-            GateCmd::Hold => unreachable!(),
-        }
-    }
-
-    /// Park at the gate until the scheduler promotes this pre-released
-    /// process to token holder (pops its ready-heap entry).
-    fn await_promotion(&self) {
-        loop {
-            match self.shared.gates[self.pid].wait() {
-                GateCmd::Run => {
-                    self.shared.pre_flag[self.pid].store(false, Ordering::Relaxed);
-                    return;
-                }
-                GateCmd::Pre => {} // duplicate pre-release: keep waiting
-                GateCmd::Poison => {
-                    self.shared.pre_flag[self.pid].store(false, Ordering::Relaxed);
-                    panic::panic_any(SimPoison)
-                }
-                GateCmd::Hold => unreachable!(),
-            }
-        }
-    }
-}
-
-fn apply_wakes<W: World>(
-    inner: &mut Inner<W>,
-    clocks: &[AtomicU64],
-    now: SimTime,
-    wakes: &[ProcId],
-) {
-    for &pid in wakes {
-        let slot = &mut inner.procs[pid];
-        if slot.state == ProcState::Blocked {
-            slot.state = ProcState::Ready;
-            slot.clock = slot.clock.max(now);
-            clocks[pid].store(slot.clock.0, Ordering::Release);
-            let key = sched_key(inner.sched_seed, slot.last_run, pid, slot.clock);
-            let clock = slot.clock;
-            inner.push_ready(clock, key, pid);
         }
     }
 }
@@ -1279,8 +547,6 @@ fn apply_wakes<W: World>(
 static TOTAL_RUNS: AtomicU64 = AtomicU64::new(0);
 static TOTAL_EVENTS: AtomicU64 = AtomicU64::new(0);
 static TOTAL_FAST_RESUMES: AtomicU64 = AtomicU64::new(0);
-static TOTAL_COALESCED_ADVANCES: AtomicU64 = AtomicU64::new(0);
-static TOTAL_COMPUTE_FLUSHES: AtomicU64 = AtomicU64::new(0);
 
 /// Process-wide cumulative totals over every completed [`Engine::run`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1291,11 +557,6 @@ pub struct EngineTotals {
     pub events: u64,
     /// Fast-path self-resumes, summed over those runs.
     pub fast_resumes: u64,
-    /// `advance` calls absorbed into deferred compute clocks.
-    pub coalesced_advances: u64,
-    /// Deferred compute stretches flushed as one authoritative advance
-    /// (the scheduler-visible compute events).
-    pub compute_flushes: u64,
 }
 
 /// Snapshot the process-wide cumulative engine counters.
@@ -1304,8 +565,6 @@ pub fn engine_totals() -> EngineTotals {
         runs: TOTAL_RUNS.load(Ordering::Relaxed),
         events: TOTAL_EVENTS.load(Ordering::Relaxed),
         fast_resumes: TOTAL_FAST_RESUMES.load(Ordering::Relaxed),
-        coalesced_advances: TOTAL_COALESCED_ADVANCES.load(Ordering::Relaxed),
-        compute_flushes: TOTAL_COMPUTE_FLUSHES.load(Ordering::Relaxed),
     }
 }
 
@@ -1318,9 +577,13 @@ pub struct Outcome {
     pub end_time: SimTime,
     /// Number of events the engine applied.
     pub events_processed: u64,
-    /// Scheduler round trips avoided by the self-resume fast path. Purely
-    /// a wall-clock statistic: it never affects virtual-time results.
+    /// Scheduler round trips avoided by the self-resume fast path.
     pub fast_resumes: u64,
+    /// Deepest fiber stack usage observed at any park site, in bytes. A
+    /// *host-side* measurement — it moves with the compiler version and
+    /// with any edit to the frames under a park site — so it lives here and
+    /// not in the deterministic [`Outcome::metrics`].
+    pub stack_depth_peak: u64,
     /// The engine's metric set ([`crate::metrics::engine`]), published once
     /// at the end of the run: handoffs, events, fast resumes, scheduled
     /// events, and the ready-heap / event-queue high-water marks. Built
@@ -1333,71 +596,19 @@ type ProcBody<W> = Box<dyn FnOnce(ProcCtx<W>) + Send + 'static>;
 
 /// A configured simulation: a world plus a set of process bodies.
 pub struct Engine<W: World> {
-    world: Option<W>,
+    world: W,
     bodies: Vec<(String, ProcBody<W>)>,
     sched_seed: Option<u64>,
-    par: Option<usize>,
-    shards: Option<usize>,
-    coalesce: Option<bool>,
-    lookahead: SimDuration,
-    backend: Option<Backend>,
 }
 
 impl<W: World> Engine<W> {
     /// Create an engine around an initial world state.
     pub fn new(world: W) -> Self {
         Engine {
-            world: Some(world),
+            world,
             bodies: Vec::new(),
             sched_seed: None,
-            par: None,
-            shards: None,
-            coalesce: None,
-            lookahead: SimDuration::ZERO,
-            backend: None,
         }
-    }
-
-    /// Select the execution substrate. `None` (the default) falls back to
-    /// the `VIAMPI_ENGINE` environment variable, then to
-    /// [`Backend::Threads`]. Virtual-time results are byte-identical
-    /// across backends; only wall clock and memory footprint differ.
-    pub fn set_backend(&mut self, backend: Option<Backend>) {
-        self.backend = backend;
-    }
-
-    /// Set the maximum number of concurrently-executing processes for the
-    /// conservative parallel mode (see the module docs). `None` (the
-    /// default) falls back to the `VIAMPI_PAR` environment variable; `1`
-    /// runs serially. Results are byte-identical at any value.
-    pub fn set_par(&mut self, par: Option<usize>) {
-        self.par = par;
-    }
-
-    /// Set the shard count of the sharded conservative mode (see the module
-    /// docs). `None` (the default) falls back to the `VIAMPI_SHARDS`
-    /// environment variable; `1` — or any world of fewer than two processes
-    /// — runs the serial scheduling structures. The effective count is
-    /// clamped to the process count. Results are byte-identical at any
-    /// value.
-    pub fn set_shards(&mut self, shards: Option<usize>) {
-        self.shards = shards;
-    }
-
-    /// Enable/disable compute coalescing explicitly. `None` (the default)
-    /// falls back to the environment: on unless `VIAMPI_NO_COALESCE=1`.
-    /// Results are byte-identical either way.
-    pub fn set_coalesce(&mut self, coalesce: Option<bool>) {
-        self.coalesce = coalesce;
-    }
-
-    /// Pre-release window for the parallel mode: how far past the token
-    /// holder's clock a compute-parked process may be released to run
-    /// ahead. Callers derive it from the device cost model's minimum
-    /// cross-rank influence latency. Correctness never depends on the
-    /// value (promotion is the commit gate); it only tunes overlap.
-    pub fn set_lookahead(&mut self, lookahead: SimDuration) {
-        self.lookahead = lookahead;
     }
 
     /// Install a schedule-exploration seed. When set, equal-clock scheduling
@@ -1405,8 +616,7 @@ impl<W: World> Engine<W> {
     /// instead of least-recently-run order: each seed yields one fixed,
     /// replayable interleaving, and different seeds explore different
     /// interleavings. `None` (the default) keeps the exact round-robin
-    /// behaviour. Results remain bit-identical with the self-resume fast
-    /// path on or off for any fixed seed.
+    /// behaviour.
     pub fn set_sched_seed(&mut self, seed: Option<u64>) {
         self.sched_seed = seed;
     }
@@ -1421,302 +631,117 @@ impl<W: World> Engine<W> {
         self.bodies.len() - 1
     }
 
-    /// Run the simulation to completion. Returns the final world (for
-    /// statistics extraction) and an [`Outcome`], or a [`SimError`] if the
-    /// simulated program deadlocked or panicked.
-    pub fn run(mut self) -> Result<(W, Outcome), SimError> {
-        let world = self.world.take().expect("engine already run");
+    /// Run the simulation to completion on the calling thread. Returns the
+    /// final world (for statistics extraction) and an [`Outcome`], or a
+    /// [`SimError`] if the simulated program deadlocked or panicked, or the
+    /// fiber stack size knob is malformed.
+    pub fn run(self) -> Result<(W, Outcome), SimError> {
+        let stack = stack_size(std::env::var(STACK_KNOB).ok().as_deref())?;
         let n = self.bodies.len();
-        let backend = self.backend.or_else(Backend::from_env).unwrap_or_default();
-        if backend == Backend::Sm && !crate::fiber::SUPPORTED {
-            panic!(
-                "the sm engine backend has no context-switch support on this architecture; \
-                 use VIAMPI_ENGINE=threads"
+        let clocks: Rc<[Cell<SimTime>]> = (0..n).map(|_| Cell::new(SimTime::ZERO)).collect();
+        let mut ready = ReadyHeap::with_capacity(n);
+        for pid in 0..n {
+            ready.push(
+                SimTime::ZERO,
+                sched_key(self.sched_seed, 0, pid, SimTime::ZERO),
+                pid,
             );
         }
-        // Resolve the shard count: explicit setting, then `VIAMPI_SHARDS`,
-        // then serial. Worlds of fewer than two processes cannot shard.
-        let req_shards = self
-            .shards
-            .or_else(|| {
-                std::env::var("VIAMPI_SHARDS")
-                    .ok()
-                    .and_then(|s| s.trim().parse::<usize>().ok())
-            })
-            .unwrap_or(1)
-            .max(1);
-        let shards = if n >= 2 && req_shards >= 2 {
-            req_shards.min(n)
-        } else {
-            1
-        };
-        // The sm backend multiplexes every process onto this thread, so
-        // pre-release cannot overlap anything (same clamp as `par`).
-        let par = if backend == Backend::Sm {
-            1
-        } else {
-            self.par
-                .or_else(|| {
-                    std::env::var("VIAMPI_PAR")
-                        .ok()
-                        .and_then(|s| s.trim().parse::<usize>().ok())
-                })
-                .unwrap_or(1)
-                .max(1)
-        };
-        let width = if backend == Backend::Sm {
-            1
-        } else {
-            par.max(shards)
-        };
-        let mut ready = ReadyHeap::with_capacity(if shards > 1 { 0 } else { n });
-        let mut shard = (shards > 1).then(|| ShardSched::new(n, shards));
-        for pid in 0..n {
-            let key = sched_key(self.sched_seed, 0, pid, SimTime::ZERO);
-            match &mut shard {
-                Some(ss) => ss.push_ready(SimTime::ZERO, key, pid),
-                None => ready.push(SimTime::ZERO, key, pid),
-            }
-        }
-        let shared = Arc::new(Shared {
-            inner: Mutex::new(Inner {
-                world,
+        let shared = Rc::new(Shared {
+            inner: RefCell::new(Inner {
+                world: self.world,
                 queue: EventQueue::with_capacity(64),
                 procs: self
                     .bodies
                     .iter()
                     .map(|(name, _)| ProcSlot {
                         name: name.clone(),
-                        clock: SimTime::ZERO,
                         state: ProcState::Ready,
                         last_run: 0,
                         site: ParkSite::Voluntary,
-                        pre: false,
                     })
                     .collect(),
+                clocks: clocks.clone(),
                 ready,
-                running: None,
                 poisoned: None,
+                teardown: false,
                 pass: 0,
                 events_processed: 0,
                 fast_resumes: 0,
                 direct_handoffs: 0,
                 direct_self: 0,
-                pre_releases: 0,
-                promotions: 0,
-                pre_live: 0,
                 wake_scratch: Vec::with_capacity(8),
-                pre_scratch: Vec::new(),
                 sched_seed: self.sched_seed,
-                sm_polls: 0,
-                shard,
             }),
-            engine_cv: Condvar::new(),
-            gates: (0..n).map(|_| Arc::new(Gate::new())).collect(),
-            clocks: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            fastpath: std::env::var_os("VIAMPI_NO_FASTPATH").is_none(),
-            coalesce: self
-                .coalesce
-                .unwrap_or_else(|| std::env::var_os("VIAMPI_NO_COALESCE").is_none()),
-            par,
-            width,
-            shards,
-            lookahead_ns: self.lookahead.as_nanos(),
-            deferred: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            pre_flag: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            coalesce_advances: AtomicU64::new(0),
-            coalesce_flushes: AtomicU64::new(0),
-            sm: (backend == Backend::Sm).then(|| FiberSet::new(n, sm_stack_size())),
-            sm_poison: (0..n).map(|_| AtomicBool::new(false)).collect(),
+            clocks,
+            fibers: FiberSet::new(n, stack),
         });
 
-        let error = if backend == Backend::Sm {
-            // Proc-state-machine mode: every process is a fiber on *this*
-            // thread. The body closure is byte-for-byte the thread
-            // backend's epilogue (run under catch_unwind, then publish the
-            // final state under the lock); only the initial-grant plumbing
-            // differs — a fiber's first resume simply starts executing the
-            // body, so there is no gate wait at the top.
-            let fs = shared.sm.as_ref().expect("sm backend has a fiber set");
-            for (pid, (_name, body)) in self.bodies.drain(..).enumerate() {
-                let ctx = ProcCtx {
-                    shared: shared.clone(),
-                    pid,
-                    nprocs: n,
-                };
-                let shared2 = shared.clone();
-                fs.set_body(
-                    pid,
-                    Box::new(move || {
-                        let epilogue = ctx.clone();
-                        let result = panic::catch_unwind(AssertUnwindSafe(|| {
-                            body(ctx);
-                            epilogue.retire();
-                        }));
-                        let mut g = shared2.inner.lock();
-                        match result {
-                            Ok(()) => g.procs[pid].state = ProcState::Finished,
-                            Err(payload) => {
-                                g.procs[pid].state = ProcState::Panicked;
-                                if payload.downcast_ref::<SimPoison>().is_none()
-                                    && g.poisoned.is_none()
-                                {
-                                    let msg = panic_message(payload.as_ref());
-                                    let name = g.procs[pid].name.clone();
-                                    g.poisoned = Some((name, msg));
-                                }
+        for (pid, (_name, body)) in self.bodies.into_iter().enumerate() {
+            let ctx = ProcCtx {
+                shared: shared.clone(),
+                pid,
+                nprocs: n,
+            };
+            let shared2 = shared.clone();
+            shared.fibers.set_body(
+                pid,
+                Box::new(move || {
+                    let result = panic::catch_unwind(AssertUnwindSafe(|| body(ctx)));
+                    let mut g = shared2.inner.borrow_mut();
+                    match result {
+                        Ok(()) => g.procs[pid].state = ProcState::Finished,
+                        Err(payload) => {
+                            g.procs[pid].state = ProcState::Panicked;
+                            if payload.downcast_ref::<SimPoison>().is_none() && g.poisoned.is_none()
+                            {
+                                let msg = panic_message(payload.as_ref());
+                                let name = g.procs[pid].name.clone();
+                                g.poisoned = Some((name, msg));
                             }
                         }
-                        g.running = None;
-                        // Returning hands control to the driver context.
-                    }),
-                );
-            }
-            let error = Self::schedule_loop_sm(&shared);
-            // Nothing may outlive the run holding a ProcCtx: drop any body
-            // never started (its closure captured one).
-            fs.clear();
-            error
-        } else {
-            let mut handles = Vec::with_capacity(n);
-            for (pid, (name, body)) in self.bodies.drain(..).enumerate() {
-                let ctx = ProcCtx {
-                    shared: shared.clone(),
-                    pid,
-                    nprocs: n,
-                };
-                let shared2 = shared.clone();
-                let handle = std::thread::Builder::new()
-                    .name(format!("sim-{name}"))
-                    .spawn(move || {
-                        // Wait to be scheduled (or pre-released) the first time.
-                        match shared2.gates[pid].wait() {
-                            GateCmd::Poison => {
-                                let mut g = shared2.inner.lock();
-                                g.procs[pid].state = ProcState::Panicked;
-                                g.running = None;
-                                drop(g);
-                                shared2.engine_cv.notify_one();
-                                return;
-                            }
-                            GateCmd::Run => {}
-                            GateCmd::Pre => shared2.pre_flag[pid].store(true, Ordering::Relaxed),
-                            GateCmd::Hold => unreachable!(),
-                        }
-                        let epilogue = ctx.clone();
-                        let result = panic::catch_unwind(AssertUnwindSafe(|| {
-                            body(ctx);
-                            // Flush deferred compute (and wait for promotion if
-                            // running ahead) so the finish time is authoritative
-                            // and the epilogue below runs as the token holder.
-                            epilogue.retire();
-                        }));
-                        let mut g = shared2.inner.lock();
-                        match result {
-                            Ok(()) => g.procs[pid].state = ProcState::Finished,
-                            Err(payload) => {
-                                g.procs[pid].state = ProcState::Panicked;
-                                if payload.downcast_ref::<SimPoison>().is_none()
-                                    && g.poisoned.is_none()
-                                {
-                                    let msg = panic_message(payload.as_ref());
-                                    let name = g.procs[pid].name.clone();
-                                    g.poisoned = Some((name, msg));
-                                }
-                            }
-                        }
-                        g.running = None;
-                        drop(g);
-                        shared2.engine_cv.notify_one();
-                    })
-                    .expect("spawn simulated process thread");
-                handles.push(handle);
-            }
+                    }
+                    // Returning hands control to the driver context.
+                }),
+            );
+        }
 
-            let error = Self::schedule_loop(&shared);
-
-            for h in handles {
-                let _ = h.join();
-            }
-            error
-        };
-
-        let shared = Arc::try_unwrap(shared)
-            .unwrap_or_else(|_| panic!("simulation threads leaked a ProcCtx"));
-        let coalesce_advances = shared.coalesce_advances.load(Ordering::Relaxed);
-        let coalesce_flushes = shared.coalesce_flushes.load(Ordering::Relaxed);
-        let par_workers = shared.par as u64;
-        let shard_workers = shared.shards as u64;
-        let sm_stats: FiberStats = shared.sm.as_ref().map(|fs| fs.stats()).unwrap_or_default();
+        let error = Self::drive(&shared);
+        // Nothing may outlive the run holding a ProcCtx: drop any body
+        // never started (its closure captured one).
+        shared.fibers.clear();
+        let stack_depth_peak = shared.fibers.stack_depth_peak();
+        let shared = Rc::try_unwrap(shared)
+            .unwrap_or_else(|_| panic!("a simulated process leaked its ProcCtx"));
+        // Dropping the fiber set hands every stack back to this thread's
+        // pool — on the error paths too.
         let inner = shared.inner.into_inner();
 
         if let Some(err) = error {
             return Err(err);
         }
-        let proc_finish: Vec<SimTime> = inner.procs.iter().map(|p| p.clock).collect();
+        let proc_finish: Vec<SimTime> = shared.clocks.iter().map(Cell::get).collect();
         let end_time = proc_finish.iter().copied().max().unwrap_or(SimTime::ZERO);
         TOTAL_RUNS.fetch_add(1, Ordering::Relaxed);
         TOTAL_EVENTS.fetch_add(inner.events_processed, Ordering::Relaxed);
         TOTAL_FAST_RESUMES.fetch_add(inner.fast_resumes, Ordering::Relaxed);
-        TOTAL_COALESCED_ADVANCES.fetch_add(coalesce_advances, Ordering::Relaxed);
-        TOTAL_COMPUTE_FLUSHES.fetch_add(coalesce_flushes, Ordering::Relaxed);
         let metrics = {
             use crate::metrics::engine as em;
+            let ws = inner.queue.wheel_stats();
             let mut reg = em::registry();
             reg.add(em::HANDOFFS, inner.pass);
             reg.add(em::EVENTS, inner.events_processed);
             reg.add(em::FAST_RESUMES, inner.fast_resumes);
-            // In sharded mode the per-shard wheels are authoritative: fold
-            // their stats component-wise and take the global seq counter as
-            // the scheduled-events total.
-            let (scheduled, ws, queue_peak, ready_peak) = match &inner.shard {
-                Some(ss) => {
-                    let mut ws = crate::queue::WheelStats::default();
-                    let mut peak = 0usize;
-                    for wq in &ss.wheels {
-                        let s = wq.wheel_stats();
-                        ws.push_due += s.push_due;
-                        ws.push_l0 += s.push_l0;
-                        ws.push_l1 += s.push_l1;
-                        ws.push_overflow += s.push_overflow;
-                        ws.cascades += s.cascades;
-                        peak += wq.peak();
-                    }
-                    (ss.next_seq, ws, peak, ss.ready_peak)
-                }
-                None => (
-                    inner.queue.scheduled_total(),
-                    inner.queue.wheel_stats(),
-                    inner.queue.peak(),
-                    inner.ready.peak,
-                ),
-            };
-            reg.add(em::EVENTS_SCHEDULED, scheduled);
-            reg.add(em::COALESCE_ADVANCES, coalesce_advances);
-            reg.add(em::COALESCE_FLUSHES, coalesce_flushes);
+            reg.add(em::EVENTS_SCHEDULED, inner.queue.scheduled_total());
             reg.add(em::DIRECT_HANDOFFS, inner.direct_handoffs);
             reg.add(em::DIRECT_SELF, inner.direct_self);
-            reg.add(em::PAR_PRE_RELEASES, inner.pre_releases);
-            reg.add(em::PAR_PROMOTIONS, inner.promotions);
-            reg.add(em::SM_POLLS, inner.sm_polls);
-            reg.add(em::SM_PARKS, sm_stats.parks);
-            reg.add(em::SM_RESUMES, sm_stats.starts + sm_stats.resumes);
-            if let Some(ss) = &inner.shard {
-                reg.add(em::SHARD_LBTS_ROUNDS, ss.lbts_rounds);
-                reg.add(em::SHARD_CROSS_SENDS, ss.cross_sends);
-                reg.add(em::SHARD_STALLS, ss.stalls);
-                reg.gauge_max(em::SHARD_MAILBOX_PEAK, ss.mailbox_peak as u64);
-            }
             reg.add(em::WHEEL_DUE, ws.push_due);
             reg.add(em::WHEEL_L0, ws.push_l0);
             reg.add(em::WHEEL_L1, ws.push_l1);
             reg.add(em::WHEEL_OVERFLOW, ws.push_overflow);
             reg.add(em::WHEEL_CASCADES, ws.cascades);
-            reg.gauge_max(em::READY_PEAK, ready_peak as u64);
-            reg.gauge_max(em::QUEUE_PEAK, queue_peak as u64);
-            reg.gauge_max(em::PAR_WORKERS, par_workers);
-            reg.gauge_max(em::SHARD_WORKERS, shard_workers);
-            reg.gauge_max(em::SM_RANK_MEM_PEAK, sm_stats.stack_bytes_peak);
+            reg.gauge_max(em::READY_PEAK, inner.ready.peak as u64);
+            reg.gauge_max(em::QUEUE_PEAK, inner.queue.peak() as u64);
             reg.snapshot()
         };
         Ok((
@@ -1726,161 +751,72 @@ impl<W: World> Engine<W> {
                 end_time,
                 events_processed: inner.events_processed,
                 fast_resumes: inner.fast_resumes,
+                stack_depth_peak,
                 metrics,
             },
         ))
     }
 
-    /// Coordinator loop. With direct handoff active, processes pass the
-    /// token among themselves and this thread sleeps; it is woken only for
-    /// startup, termination, deadlock, and poison (and performs every
-    /// decision itself when `VIAMPI_NO_FASTPATH=1` disables direct
-    /// handoff). Returns `Some(error)` if the simulation was torn down
-    /// abnormally (after poisoning every live process).
-    fn schedule_loop(shared: &Arc<Shared<W>>) -> Option<SimError> {
-        let mut g = shared.inner.lock();
+    /// The driver context's loop — the only schedule loop there is. Control
+    /// is here before the first process starts, whenever a process body
+    /// returns, and whenever an inline decision found nothing runnable; no
+    /// process is ever mid-step at that point. Returns `Some(error)` if the
+    /// simulation ended abnormally (after unwinding every live process).
+    fn drive(shared: &Shared<W>) -> Option<SimError> {
         loop {
-            if let Some((name, message)) = g.poisoned.clone() {
-                Self::teardown(shared, &mut g);
-                return Some(SimError::ProcPanic { name, message });
-            }
-            if g.running.is_some() {
-                shared.engine_cv.wait(&mut g);
+            let mut g = shared.inner.borrow_mut();
+            if let Some(pid) = g.decide() {
+                drop(g);
+                shared.fibers.resume(pid);
                 continue;
             }
-            match decide(&mut g, shared) {
-                Decision::Run(pid) => {
-                    drop(g);
-                    shared.gates[pid].open(GateCmd::Run);
-                    g = shared.inner.lock();
+            let error = if let Some((name, message)) = g.poisoned.clone() {
+                SimError::ProcPanic { name, message }
+            } else {
+                // No due events, no ready processes: every process
+                // finished, or the survivors are blocked forever.
+                let blocked: Vec<BlockedProc> = (g.procs.iter().zip(shared.clocks.iter()))
+                    .filter(|(p, _)| p.state == ProcState::Blocked)
+                    .map(|(p, clock)| BlockedProc {
+                        name: p.name.clone(),
+                        blocked_at: clock.get(),
+                    })
+                    .collect();
+                if blocked.is_empty() {
+                    return None;
                 }
-                Decision::Idle => {
-                    if g.poisoned.is_some() {
-                        continue;
-                    }
-                    // No due events, no ready processes: every process
-                    // finished, or the survivors are blocked forever.
-                    let blocked: Vec<BlockedProc> = g
-                        .procs
-                        .iter()
-                        .filter(|p| p.state == ProcState::Blocked)
-                        .map(|p| BlockedProc {
-                            name: p.name.clone(),
-                            blocked_at: p.clock,
-                        })
-                        .collect();
-                    if blocked.is_empty() {
-                        return None; // all processes finished
-                    }
-                    let at = g
-                        .procs
-                        .iter()
-                        .map(|p| p.clock)
-                        .max()
-                        .unwrap_or(SimTime::ZERO);
-                    Self::teardown(shared, &mut g);
-                    return Some(SimError::Deadlock { at, blocked });
-                }
-            }
+                let at = shared
+                    .clocks
+                    .iter()
+                    .map(Cell::get)
+                    .max()
+                    .unwrap_or(SimTime::ZERO);
+                SimError::Deadlock { at, blocked }
+            };
+            g.teardown = true;
+            drop(g);
+            Self::teardown(shared);
+            return Some(error);
         }
     }
 
-    /// sm-backend coordinator: the same loop shape as [`Self::schedule_loop`]
-    /// run on the calling thread, with fiber switches in place of gate
-    /// opens. Whenever this loop executes, no process is mid-step (a fiber
-    /// hands control back only after clearing `running`), so the
-    /// `running.is_some()` wait of the thread backend has no analogue.
-    fn schedule_loop_sm(shared: &Arc<Shared<W>>) -> Option<SimError> {
-        let fs = shared.sm.as_ref().expect("sm backend has a fiber set");
-        let mut g = shared.inner.lock();
-        loop {
-            if let Some((name, message)) = g.poisoned.clone() {
-                Self::teardown_sm(shared, &mut g);
-                return Some(SimError::ProcPanic { name, message });
+    /// Unwind every process that is still parked: resume its fiber, which
+    /// raises [`SimPoison`] at its park site (`Inner::teardown` is set) and
+    /// comes back here once its body epilogue has run. Processes that never
+    /// started are dropped without ever getting a stack.
+    fn teardown(shared: &Shared<W>) {
+        for pid in 0..shared.clocks.len() {
+            let mut g = shared.inner.borrow_mut();
+            if !matches!(g.procs[pid].state, ProcState::Ready | ProcState::Blocked) {
+                continue;
             }
-            debug_assert!(
-                g.running.is_none(),
-                "driver resumed with a process mid-step"
-            );
-            g.sm_polls += 1;
-            match decide(&mut g, shared) {
-                Decision::Run(pid) => {
-                    // Mirror the thread backend's drop-before-open: the
-                    // resumed fiber re-takes the lock itself.
-                    MutexGuard::unlocked(&mut g, || fs.resume(pid));
-                }
-                Decision::Idle => {
-                    if g.poisoned.is_some() {
-                        continue;
-                    }
-                    let blocked: Vec<BlockedProc> = g
-                        .procs
-                        .iter()
-                        .filter(|p| p.state == ProcState::Blocked)
-                        .map(|p| BlockedProc {
-                            name: p.name.clone(),
-                            blocked_at: p.clock,
-                        })
-                        .collect();
-                    if blocked.is_empty() {
-                        return None; // all processes finished
-                    }
-                    let at = g
-                        .procs
-                        .iter()
-                        .map(|p| p.clock)
-                        .max()
-                        .unwrap_or(SimTime::ZERO);
-                    Self::teardown_sm(shared, &mut g);
-                    return Some(SimError::Deadlock { at, blocked });
-                }
-            }
-        }
-    }
-
-    /// sm-backend teardown: unwind every parked fiber (resume it with the
-    /// poison flag set, so it raises [`SimPoison`] at its park site), and
-    /// drop never-started processes without giving them a stack — the
-    /// analogue of the thread backend's initial-grant poison handler.
-    fn teardown_sm(shared: &Arc<Shared<W>>, g: &mut MutexGuard<'_, Inner<W>>) {
-        let fs = shared.sm.as_ref().expect("sm backend has a fiber set");
-        loop {
-            let victim = g
-                .procs
-                .iter()
-                .position(|p| matches!(p.state, ProcState::Ready | ProcState::Blocked));
-            let Some(pid) = victim else { break };
-            if fs.not_started(pid) {
+            if shared.fibers.abandon(pid) {
                 g.procs[pid].state = ProcState::Panicked;
-                fs.abandon(pid);
                 continue;
             }
             g.procs[pid].state = ProcState::Running;
-            g.running = Some(pid);
-            shared.sm_poison[pid].store(true, Ordering::Relaxed);
-            // The resume returns only once the fiber has fully unwound and
-            // handed control back (its body epilogue clears `running`).
-            MutexGuard::unlocked(g, || fs.resume(pid));
-            debug_assert!(g.running.is_none(), "poisoned fiber did not unwind");
-        }
-    }
-
-    /// Poison every process that is still parked so its thread unwinds.
-    fn teardown(shared: &Arc<Shared<W>>, g: &mut MutexGuard<'_, Inner<W>>) {
-        loop {
-            let victim = g
-                .procs
-                .iter()
-                .position(|p| matches!(p.state, ProcState::Ready | ProcState::Blocked));
-            let Some(pid) = victim else { break };
-            g.procs[pid].state = ProcState::Running;
-            g.running = Some(pid);
-            MutexGuard::unlocked(g, || {
-                shared.gates[pid].open(GateCmd::Poison);
-            });
-            while g.running.is_some() {
-                shared.engine_cv.wait(g);
-            }
+            drop(g);
+            shared.fibers.resume(pid);
         }
     }
 }
@@ -1894,10 +830,10 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         "<non-string panic payload>".to_string()
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fiber::tests::on_fresh_thread;
     use std::collections::VecDeque;
 
     /// Minimal mailbox world used by the engine unit tests.
@@ -1921,12 +857,6 @@ mod tests {
                         api.wake(pid);
                     }
                 }
-            }
-        }
-
-        fn event_dst(ev: &MailEvent) -> Option<ProcId> {
-            match ev {
-                MailEvent::Deliver { to, .. } => Some(*to),
             }
         }
     }
@@ -2200,23 +1130,15 @@ mod tests {
         });
         let (_, out) = eng.run().unwrap();
         assert_eq!(out.end_time, SimTime(1_000));
-        if std::env::var_os("VIAMPI_NO_FASTPATH").is_none() {
-            if std::env::var_os("VIAMPI_NO_COALESCE").is_none() {
-                // 100 advances coalesce into one flush at the first yield,
-                // then each of the 50 yields self-resumes.
-                assert_eq!(
-                    out.fast_resumes, 51,
-                    "one flushed advance + every yield takes the fast path"
-                );
-                assert_eq!(out.metrics.get("sim.coalesce.advances"), Some(100));
-                assert_eq!(out.metrics.get("sim.coalesce.flushes"), Some(1));
-            } else {
-                assert_eq!(
-                    out.fast_resumes, 150,
-                    "every advance/yield of a lone process takes the fast path"
-                );
-            }
-        }
+        assert_eq!(
+            out.fast_resumes, 150,
+            "every advance/yield of a lone process takes the fast path"
+        );
+        // The initial grant is the only one that was not a self-resume,
+        // and it came from the driver, not from a yielding process.
+        assert_eq!(out.metrics.get("sim.handoffs"), Some(151));
+        assert_eq!(out.metrics.get("sim.direct.handoffs"), Some(0));
+        assert_eq!(out.metrics.get("sim.direct.self_resumes"), Some(0));
     }
 
     #[test]
@@ -2351,45 +1273,17 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Compute coalescing + parallel pre-release
+    // A mixed workload: every observable pinned, and replayable
     // ------------------------------------------------------------------
 
-    /// A mixed compute/communication workload, run under an explicit
-    /// engine configuration; returns every virtual-time observable.
-    fn modes_workload(
-        coalesce: Option<bool>,
-        par: Option<usize>,
-        lookahead: SimDuration,
-    ) -> (Vec<String>, SimTime, u64, Vec<SimTime>) {
-        modes_workload_on(None, coalesce, par, lookahead)
-    }
-
-    fn modes_workload_on(
-        backend: Option<Backend>,
-        coalesce: Option<bool>,
-        par: Option<usize>,
-        lookahead: SimDuration,
-    ) -> (Vec<String>, SimTime, u64, Vec<SimTime>) {
-        modes_workload_full(backend, coalesce, par, None, lookahead)
-    }
-
-    fn modes_workload_full(
-        backend: Option<Backend>,
-        coalesce: Option<bool>,
-        par: Option<usize>,
-        shards: Option<usize>,
-        lookahead: SimDuration,
-    ) -> (Vec<String>, SimTime, u64, Vec<SimTime>) {
+    /// A mixed compute/communication workload; returns every virtual-time
+    /// observable.
+    fn mixed_workload() -> (Vec<String>, SimTime, u64, Vec<SimTime>) {
         let mut eng = Engine::new(MailWorld::new(5));
-        eng.set_backend(backend);
-        eng.set_coalesce(coalesce);
-        eng.set_par(par);
-        eng.set_shards(shards);
-        eng.set_lookahead(lookahead);
         for s in 0..4usize {
             eng.spawn(format!("s{s}"), move |ctx| {
                 for i in 0..12u64 {
-                    // Fragmented compute stretch: coalescing folds it.
+                    // Fragmented compute stretch.
                     for _ in 0..8 {
                         ctx.advance(SimDuration::nanos(25 * (s as u64 + 1)));
                     }
@@ -2414,60 +1308,27 @@ mod tests {
     }
 
     #[test]
-    fn coalescing_on_and_off_are_bit_identical() {
-        let lazy = modes_workload(Some(true), None, SimDuration::ZERO);
-        let eager = modes_workload(Some(false), None, SimDuration::ZERO);
-        assert_eq!(lazy, eager, "lazy vs eager compute charging must agree");
+    fn mixed_workload_replays_and_matches_the_pinned_schedule() {
+        let a = mixed_workload();
+        assert_eq!(a, mixed_workload(), "repeat runs must agree bit for bit");
+        // Pinned from the engine that still had a thread backend, sharding,
+        // pre-release and lazy compute charging — all of which produced
+        // exactly this, so the one engine left must too.
+        assert_eq!(a.0[..8], ["0", "100", "1", "200", "2", "300", "3", "101"]);
+        assert_eq!(a.1, SimTime(10_600));
+        assert_eq!(a.2, 48);
+        assert_eq!(a.3, [2_400, 4_800, 7_200, 9_600, 10_600].map(SimTime));
     }
 
     #[test]
-    fn parallel_mode_matches_serial_at_any_width() {
-        let serial = modes_workload(None, Some(1), SimDuration::ZERO);
-        for n in [2usize, 4, 8] {
-            let par = modes_workload(None, Some(n), SimDuration::micros(5));
-            assert_eq!(par, serial, "VIAMPI_PAR={n} must be byte-identical");
-        }
-    }
-
-    #[test]
-    fn parallel_mode_actually_pre_releases() {
-        let mut eng = Engine::new(MailWorld::new(4));
-        eng.set_par(Some(4));
-        eng.set_lookahead(SimDuration::micros(100));
-        for pid in 0..4usize {
-            eng.spawn(format!("p{pid}"), move |ctx| {
-                for _ in 0..50 {
-                    ctx.advance(SimDuration::nanos(40));
-                    ctx.with_world(|_, _| {});
-                }
-            });
-        }
-        let (_, out) = eng.run().unwrap();
-        assert!(
-            out.metrics.get("sim.par.pre_releases").unwrap_or(0) > 0,
-            "equal-clock compute-parked peers should overlap"
-        );
-        assert_eq!(
-            out.metrics.get("sim.par.pre_releases"),
-            out.metrics.get("sim.par.promotions"),
-            "every pre-released process is promoted exactly once"
-        );
-        assert_eq!(out.metrics.get("sim.par.workers"), Some(4));
-    }
-
-    #[test]
-    fn deferred_now_is_exact_mid_stretch() {
+    fn now_is_exact_after_every_advance() {
         let mut eng = Engine::new(MailWorld::new(1));
         eng.spawn("p", |ctx| {
             let mut expect = 0u64;
             for i in 1..=64u64 {
                 ctx.advance(SimDuration::nanos(i));
                 expect += i;
-                assert_eq!(
-                    ctx.now(),
-                    SimTime(expect),
-                    "now() reads through the deferred clock"
-                );
+                assert_eq!(ctx.now(), SimTime(expect));
             }
         });
         let (_, out) = eng.run().unwrap();
@@ -2475,346 +1336,256 @@ mod tests {
     }
 
     #[test]
-    fn outcome_identical_with_and_without_fast_resumes() {
-        // The deterministic-ordering workload again, but checked against
-        // the exact values the pre-fast-path engine produced (committed
-        // here as constants) — fast_resumes only changes wall clock.
-        let mut eng = Engine::new(MailWorld::new(4));
-        for s in 0..3usize {
-            eng.spawn(format!("s{s}"), move |ctx| {
-                for i in 0..10u64 {
-                    ctx.advance(SimDuration::nanos(100 * (s as u64 + 1)));
-                    send(&ctx, 3, (s as u64) * 100 + i, SimDuration::micros(2));
-                }
-            });
-        }
-        eng.spawn("sink", |ctx| {
-            for _ in 0..30 {
-                recv(&ctx);
-            }
+    fn now_is_readable_inside_with_world() {
+        let mut eng = Engine::new(MailWorld::new(1));
+        eng.spawn("p", |ctx| {
+            ctx.advance(SimDuration::micros(2));
+            let inner = ctx.clone();
+            let (seen, api_now) = ctx.with_world(move |_, api| (inner.now(), api.now()));
+            assert_eq!(seen, SimTime(2_000));
+            assert_eq!(api_now, seen);
         });
-        let (_, out) = eng.run().unwrap();
-        assert_eq!(out.events_processed, 30);
-        assert_eq!(out.end_time, SimTime(5_000), "sink wakes at last delivery");
-    }
-
-    // ------------------------------------------------------------------
-    // Sharded conservative mode
-    // ------------------------------------------------------------------
-
-    #[test]
-    fn sharded_matches_serial_at_any_width() {
-        let serial = modes_workload_full(None, None, None, Some(1), SimDuration::ZERO);
-        for w in [2usize, 3, 4, 8] {
-            let sharded = modes_workload_full(None, None, None, Some(w), SimDuration::micros(4));
-            assert_eq!(sharded, serial, "VIAMPI_SHARDS={w} must be byte-identical");
-        }
+        eng.run().unwrap();
     }
 
     #[test]
-    fn sharded_composes_with_coalescing_and_par() {
-        let serial = modes_workload_full(None, Some(true), Some(1), Some(1), SimDuration::ZERO);
-        let legs = [
-            modes_workload_full(None, Some(false), Some(1), Some(2), SimDuration::micros(4)),
-            modes_workload_full(None, Some(true), Some(2), Some(2), SimDuration::micros(4)),
-            modes_workload_full(None, Some(false), Some(4), Some(4), SimDuration::micros(4)),
-        ];
-        for (i, leg) in legs.iter().enumerate() {
-            assert_eq!(leg, &serial, "composition leg {i} must be byte-identical");
-        }
-    }
-
-    #[test]
-    fn shard_counters_populate_and_serial_stays_zero() {
-        let run = |shards: usize| {
-            let mut eng = Engine::new(MailWorld::new(4));
-            eng.set_shards(Some(shards));
-            eng.set_lookahead(SimDuration::micros(2));
-            for pid in 0..3usize {
-                eng.spawn(format!("p{pid}"), move |ctx| {
-                    for i in 0..10u64 {
-                        ctx.advance(SimDuration::nanos(70 * (pid as u64 + 1)));
-                        send(&ctx, 3, pid as u64 * 100 + i, SimDuration::micros(1));
-                    }
-                });
-            }
-            eng.spawn("sink", |ctx| {
-                for _ in 0..30 {
-                    recv(&ctx);
-                }
-            });
-            eng.run().unwrap().1
-        };
-        let sharded = run(2);
-        assert!(sharded.metrics.get("sim.shard.lbts_rounds").unwrap() > 0);
-        assert!(
-            sharded.metrics.get("sim.shard.cross_sends").unwrap() > 0,
-            "pids 0–1 live on shard 0 and the sink on shard 1, so deliveries cross"
-        );
-        assert!(sharded.metrics.get("sim.shard.mailbox_peak").unwrap() > 0);
-        assert_eq!(sharded.metrics.get("sim.shard.workers"), Some(2));
-        let serial = run(1);
-        assert_eq!(serial.metrics.get("sim.shard.lbts_rounds"), Some(0));
-        assert_eq!(serial.metrics.get("sim.shard.cross_sends"), Some(0));
-        assert_eq!(serial.metrics.get("sim.shard.stalls"), Some(0));
-        assert_eq!(serial.metrics.get("sim.shard.mailbox_peak"), Some(0));
-        assert_eq!(serial.metrics.get("sim.shard.workers"), Some(1));
-        // The scheduler-proper observables are shard-independent.
-        assert_eq!(sharded.end_time, serial.end_time);
-        assert_eq!(sharded.events_processed, serial.events_processed);
-        assert_eq!(sharded.proc_finish, serial.proc_finish);
-        assert_eq!(
-            sharded.metrics.get("sim.events_scheduled"),
-            serial.metrics.get("sim.events_scheduled"),
-            "global sequence counter must reproduce the serial insertion count"
-        );
-    }
-
-    #[test]
-    fn sharding_alone_enables_pre_release_under_threads() {
-        let mut eng = Engine::new(MailWorld::new(4));
-        eng.set_backend(Some(Backend::Threads));
-        eng.set_shards(Some(4));
-        eng.set_par(Some(1));
-        eng.set_lookahead(SimDuration::micros(100));
-        for pid in 0..4usize {
-            eng.spawn(format!("p{pid}"), move |ctx| {
-                for _ in 0..50 {
-                    ctx.advance(SimDuration::nanos(40));
-                    ctx.with_world(|_, _| {});
-                }
-            });
-        }
-        let (_, out) = eng.run().unwrap();
-        assert!(
-            out.metrics.get("sim.par.pre_releases").unwrap_or(0) > 0,
-            "effective width is max(par, shards) = 4"
-        );
-        assert_eq!(
-            out.metrics.get("sim.par.pre_releases"),
-            out.metrics.get("sim.par.promotions"),
-        );
-        assert_eq!(out.metrics.get("sim.shard.workers"), Some(4));
-    }
-
-    #[test]
-    fn sharded_deadlock_and_panic_teardown() {
-        let mut eng = Engine::new(MailWorld::new(2));
-        eng.set_shards(Some(2));
-        eng.spawn("a", |ctx| {
-            recv(&ctx); // nobody ever sends
-        });
-        eng.spawn("b", |ctx| {
-            ctx.advance(SimDuration::micros(1));
-        });
-        match eng.run() {
-            Err(SimError::Deadlock { blocked, .. }) => {
-                assert_eq!(blocked.len(), 1);
-                assert_eq!(blocked[0].name, "a");
-            }
-            other => panic!("expected deadlock, got {:?}", other.map(|(_, o)| o)),
-        }
-
+    fn panic_on_the_first_grant_drops_never_started_processes() {
         let mut eng = Engine::new(MailWorld::new(3));
-        eng.set_shards(Some(3));
         eng.spawn("victim", |ctx| {
-            ctx.advance(SimDuration::micros(1));
-            panic!("boom in shard");
+            let _ = &ctx;
+            panic!("boom in fiber");
         });
         eng.spawn("waiter", |ctx| {
             recv(&ctx);
         });
-        eng.spawn("sleeper", |ctx| {
+        eng.spawn("late", |ctx| {
+            // Never scheduled: the victim panics on the very first
+            // grant, so this body must be dropped unstarted.
             ctx.advance(SimDuration::millis(1000));
         });
         match eng.run() {
             Err(SimError::ProcPanic { name, message }) => {
                 assert_eq!(name, "victim");
-                assert!(message.contains("boom in shard"), "got {message:?}");
+                assert!(message.contains("boom in fiber"), "got {message:?}");
             }
             other => panic!("expected panic error, got {:?}", other.map(|(_, o)| o)),
         }
     }
 
     #[test]
-    fn shard_request_is_clamped_to_world_size() {
-        let mut eng = Engine::new(MailWorld::new(1));
-        eng.set_shards(Some(8));
-        eng.spawn("lone", |ctx| ctx.advance(SimDuration::micros(1)));
+    fn large_world_runs_in_one_thread() {
+        // A np=512 ring: one OS thread, 512 fibers.
+        let n = 512usize;
+        let mut eng = Engine::new(MailWorld::new(n));
+        for pid in 0..n {
+            eng.spawn(format!("r{pid}"), move |ctx| {
+                let next = (pid + 1) % ctx.nprocs();
+                ctx.advance(SimDuration::nanos(10 * (pid as u64 % 7 + 1)));
+                send(&ctx, next, pid as u64, SimDuration::micros(1));
+                let (v, _) = recv(&ctx);
+                assert_eq!(v as usize, (pid + ctx.nprocs() - 1) % ctx.nprocs());
+            });
+        }
         let (_, out) = eng.run().unwrap();
-        assert_eq!(
-            out.metrics.get("sim.shard.workers"),
-            Some(1),
-            "a single-process world cannot shard"
+        assert_eq!(out.proc_finish.len(), n);
+        assert!(out.metrics.get("sim.direct.handoffs").unwrap_or(0) > 0);
+        assert!(
+            out.stack_depth_peak > 0,
+            "fibers parked, so a depth was seen"
         );
     }
 
     // ------------------------------------------------------------------
-    // Proc-state-machine (sm) backend
+    // Fiber stack size knob and the per-thread stack pool
     // ------------------------------------------------------------------
 
-    #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
-    mod sm_backend {
-        use super::*;
-
-        #[test]
-        fn matches_threads_bit_for_bit() {
-            let threads = modes_workload_on(Some(Backend::Threads), None, None, SimDuration::ZERO);
-            let sm = modes_workload_on(Some(Backend::Sm), None, None, SimDuration::ZERO);
-            assert_eq!(sm, threads, "sm backend must be byte-identical");
-        }
-
-        #[test]
-        fn matches_threads_with_coalescing_off() {
-            let threads =
-                modes_workload_on(Some(Backend::Threads), Some(false), None, SimDuration::ZERO);
-            let sm = modes_workload_on(Some(Backend::Sm), Some(false), None, SimDuration::ZERO);
-            assert_eq!(sm, threads, "sm × eager compute must be byte-identical");
-        }
-
-        #[test]
-        fn sharded_sm_matches_serial_and_threads() {
-            let serial = modes_workload_full(
-                Some(Backend::Threads),
-                None,
-                None,
-                Some(1),
-                SimDuration::ZERO,
-            );
-            for w in [2usize, 4] {
-                let sm = modes_workload_full(
-                    Some(Backend::Sm),
-                    None,
-                    None,
-                    Some(w),
-                    SimDuration::micros(4),
-                );
-                assert_eq!(sm, serial, "sm × shards={w} must be byte-identical");
-            }
-        }
-
-        #[test]
-        fn par_request_is_clamped_without_changing_results() {
-            let serial = modes_workload_on(Some(Backend::Sm), None, Some(1), SimDuration::ZERO);
-            let par = modes_workload_on(Some(Backend::Sm), None, Some(4), SimDuration::micros(5));
-            assert_eq!(par, serial, "sm clamps par to 1; results must not move");
-        }
-
-        #[test]
-        fn sm_counters_populate_and_thread_counters_stay_zero() {
-            let run = |backend| {
-                let mut eng = Engine::new(MailWorld::new(3));
-                eng.set_backend(Some(backend));
-                eng.spawn("sender", |ctx| {
-                    for i in 0..20u64 {
-                        ctx.advance(SimDuration::nanos(50));
-                        send(&ctx, 1, i, SimDuration::micros(1));
-                    }
-                });
-                eng.spawn("receiver", |ctx| {
-                    for _ in 0..20 {
-                        recv(&ctx);
-                    }
-                });
-                eng.spawn("bystander", |ctx| {
-                    ctx.advance(SimDuration::micros(3));
-                    ctx.yield_now();
-                });
-                let (_, out) = eng.run().unwrap();
-                out
-            };
-            let sm = run(Backend::Sm);
-            assert!(sm.metrics.get("sim.sm.polls").unwrap_or(0) > 0);
-            assert!(sm.metrics.get("sim.sm.parks").unwrap_or(0) > 0);
-            assert!(sm.metrics.get("sim.sm.resumes").unwrap_or(0) > 0);
-            assert!(
-                sm.metrics.get("sim.sm.rank_mem_peak").unwrap_or(0) > 0,
-                "fibers ran, so some stack depth was observed"
-            );
-            let th = run(Backend::Threads);
-            assert_eq!(th.metrics.get("sim.sm.polls"), Some(0));
-            assert_eq!(th.metrics.get("sim.sm.parks"), Some(0));
-            assert_eq!(th.metrics.get("sim.sm.resumes"), Some(0));
-            assert_eq!(th.metrics.get("sim.sm.rank_mem_peak"), Some(0));
-            // The scheduler-proper counters are substrate-independent.
-            assert_eq!(
-                sm.metrics.get("sim.handoffs"),
-                th.metrics.get("sim.handoffs")
-            );
-            assert_eq!(sm.metrics.get("sim.events"), th.metrics.get("sim.events"));
-            assert_eq!(
-                sm.metrics.get("sim.fast_resumes"),
-                th.metrics.get("sim.fast_resumes")
-            );
-            assert_eq!(
-                sm.metrics.get("sim.direct.handoffs"),
-                th.metrics.get("sim.direct.handoffs")
-            );
-        }
-
-        #[test]
-        fn deadlock_is_detected_and_torn_down() {
-            let mut eng = Engine::new(MailWorld::new(2));
-            eng.set_backend(Some(Backend::Sm));
-            eng.spawn("a", |ctx| {
-                recv(&ctx); // nobody ever sends
-            });
-            eng.spawn("b", |ctx| {
-                ctx.advance(SimDuration::micros(1));
-            });
-            match eng.run() {
-                Err(SimError::Deadlock { blocked, .. }) => {
-                    assert_eq!(blocked.len(), 1);
-                    assert_eq!(blocked[0].name, "a");
+    #[test]
+    fn stack_size_knob_is_parsed_or_rejected() {
+        assert_eq!(stack_size(None).unwrap(), 1 << 20);
+        assert_eq!(stack_size(Some("")).unwrap(), 1 << 20);
+        assert_eq!(stack_size(Some(" 262144 ")).unwrap(), 262_144);
+        // Rounded up to whole pages, floored at 32 KiB.
+        assert_eq!(stack_size(Some("262145")).unwrap() % 4096, 0);
+        assert!(stack_size(Some("262145")).unwrap() > 262_145);
+        assert!(stack_size(Some("1")).unwrap() >= 32 << 10);
+        for bad in [
+            "64k",
+            "1MiB",
+            "-4096",
+            "0x10000",
+            "lots",
+            "1073741825",
+            "18446744073709551615",
+        ] {
+            match stack_size(Some(bad)) {
+                Err(SimError::BadKnob { name, value }) => {
+                    assert_eq!(name, "VIAMPI_SM_STACK");
+                    assert_eq!(value, bad);
                 }
-                other => panic!("expected deadlock, got {:?}", other.map(|(_, o)| o)),
+                other => panic!("{bad:?} must be rejected, got {other:?}"),
             }
         }
+    }
 
-        #[test]
-        fn proc_panic_unwinds_every_fiber_including_never_started() {
-            let mut eng = Engine::new(MailWorld::new(3));
-            eng.set_backend(Some(Backend::Sm));
-            eng.spawn("victim", |ctx| {
-                let _ = &ctx;
-                panic!("boom in fiber");
-            });
-            eng.spawn("waiter", |ctx| {
+    /// Child half of `malformed_stack_knob_fails_the_run`: the environment
+    /// is process-global, so the knob is only ever set on a re-executed
+    /// copy of this test binary. Inert otherwise.
+    #[test]
+    #[ignore = "child process of malformed_stack_knob_fails_the_run"]
+    fn child_runs_with_a_malformed_stack_knob() {
+        if std::env::var_os("ENGINE_TEST_CHILD").is_none() {
+            return;
+        }
+        let mut eng = Engine::new(MailWorld::new(1));
+        eng.spawn("p", |ctx| ctx.advance(SimDuration::micros(1)));
+        match eng.run() {
+            Err(e @ SimError::BadKnob { .. }) => {
+                assert_eq!(
+                    e.to_string(),
+                    "VIAMPI_SM_STACK=\"64k\" is not a usable size in bytes"
+                );
+            }
+            other => panic!("expected BadKnob, got {:?}", other.map(|(_, o)| o)),
+        }
+    }
+
+    #[test]
+    fn malformed_stack_knob_fails_the_run() {
+        let out = std::process::Command::new(std::env::current_exe().expect("test binary"))
+            .args([
+                "--exact",
+                "engine::tests::child_runs_with_a_malformed_stack_knob",
+            ])
+            .args(["--ignored", "--test-threads=1"])
+            .env("ENGINE_TEST_CHILD", "1")
+            .env("VIAMPI_SM_STACK", "64k")
+            .output()
+            .expect("re-execute the test binary");
+        assert!(
+            out.status.success(),
+            "child failed:\n{}{}",
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+
+    fn pool_metric(name: &str) -> u64 {
+        crate::stack_pool_metrics()
+            .get(name)
+            .expect("sim.fiber.* metric published")
+    }
+
+    /// An `n`-process world in which everyone posts to its right-hand
+    /// neighbour and waits for its left-hand one: every fiber starts, parks
+    /// and finishes.
+    fn ring_world(n: usize) -> Engine<MailWorld> {
+        let mut eng = Engine::new(MailWorld::new(n));
+        for pid in 0..n {
+            eng.spawn(format!("r{pid}"), move |ctx| {
+                send(
+                    &ctx,
+                    (pid + 1) % ctx.nprocs(),
+                    pid as u64,
+                    SimDuration::micros(1),
+                );
                 recv(&ctx);
             });
-            eng.spawn("late", |ctx| {
-                // Never scheduled: the victim panics on the very first
-                // grant, so this body must be dropped unstarted.
-                ctx.advance(SimDuration::millis(1000));
-            });
-            match eng.run() {
-                Err(SimError::ProcPanic { name, message }) => {
-                    assert_eq!(name, "victim");
-                    assert!(message.contains("boom in fiber"), "got {message:?}");
-                }
-                other => panic!("expected panic error, got {:?}", other.map(|(_, o)| o)),
-            }
         }
+        eng
+    }
 
-        #[test]
-        fn large_world_runs_in_one_thread() {
-            // A np=512 ring of yields: far beyond what the thread backend
-            // is asked to do in unit tests, trivial for fibers.
-            let n = 512usize;
-            let mut eng = Engine::new(MailWorld::new(n));
-            eng.set_backend(Some(Backend::Sm));
-            for pid in 0..n {
-                eng.spawn(format!("r{pid}"), move |ctx| {
-                    let next = (pid + 1) % ctx.nprocs();
-                    ctx.advance(SimDuration::nanos(10 * (pid as u64 % 7 + 1)));
-                    send(&ctx, next, pid as u64, SimDuration::micros(1));
-                    let (v, _) = recv(&ctx);
-                    assert_eq!(v as usize, (pid + ctx.nprocs() - 1) % ctx.nprocs());
+    #[test]
+    fn back_to_back_worlds_reuse_the_same_stacks() {
+        on_fresh_thread(|| {
+            for _ in 0..50 {
+                ring_world(128).run().unwrap();
+            }
+            assert_eq!(pool_metric("sim.fiber.stacks_mapped"), 128);
+            assert_eq!(pool_metric("sim.fiber.stacks_reused"), 49 * 128);
+            assert_eq!(pool_metric("sim.fiber.stacks_live"), 0);
+            assert_eq!(pool_metric("sim.fiber.pool_free"), 128);
+        });
+    }
+
+    #[test]
+    fn free_list_stays_within_its_cap_after_a_huge_world() {
+        on_fresh_thread(|| {
+            ring_world(4096).run().unwrap();
+            assert_eq!(pool_metric("sim.fiber.stacks_mapped"), 4096);
+            assert_eq!(pool_metric("sim.fiber.stacks_live"), 0);
+            assert_eq!(
+                pool_metric("sim.fiber.pool_free"),
+                crate::STACK_POOL_CAP as u64,
+                "everything beyond the cap was unmapped"
+            );
+            // The next world is served from the list first.
+            ring_world(300).run().unwrap();
+            assert_eq!(
+                pool_metric("sim.fiber.stacks_reused"),
+                crate::STACK_POOL_CAP as u64
+            );
+            assert!(pool_metric("sim.fiber.pool_free") <= crate::STACK_POOL_CAP as u64);
+        });
+    }
+
+    #[test]
+    fn failed_worlds_return_every_stack() {
+        on_fresh_thread(|| {
+            // Deadlock: 8 started and parked forever, none finishes alone.
+            let mut eng = Engine::new(MailWorld::new(8));
+            for pid in 0..8 {
+                eng.spawn(format!("d{pid}"), |ctx| {
+                    recv(&ctx);
                 });
             }
-            let (_, out) = eng.run().unwrap();
-            assert_eq!(out.proc_finish.len(), n);
-            assert!(out.metrics.get("sim.sm.resumes").unwrap_or(0) > 0);
+            assert!(matches!(eng.run(), Err(SimError::Deadlock { .. })));
+            assert_eq!(pool_metric("sim.fiber.stacks_mapped"), 8);
+            assert_eq!(pool_metric("sim.fiber.stacks_live"), 0);
+            assert_eq!(pool_metric("sim.fiber.pool_free"), 8);
+
+            // Panic: the victim runs last (latest clock), so the other
+            // seven are parked mid-body when the world is torn down.
+            let mut eng = Engine::new(MailWorld::new(8));
+            for pid in 0..7 {
+                eng.spawn(format!("w{pid}"), |ctx| {
+                    recv(&ctx);
+                });
+            }
+            eng.spawn("victim", |ctx| {
+                ctx.advance(SimDuration::micros(1));
+                panic!("boom");
+            });
+            assert!(matches!(eng.run(), Err(SimError::ProcPanic { .. })));
+            assert_eq!(pool_metric("sim.fiber.stacks_mapped"), 8, "all reused");
+            assert_eq!(pool_metric("sim.fiber.stacks_live"), 0);
+            assert_eq!(pool_metric("sim.fiber.pool_free"), 8);
+        });
+    }
+
+    #[test]
+    fn concurrent_workers_do_not_share_a_pool() {
+        // Two `--jobs`-style workers, alive at the same time (the barrier):
+        // with a shared list the second world of one would reuse stacks
+        // the other released, and the per-thread counts would not add up.
+        let gate = std::sync::Arc::new(std::sync::Barrier::new(2));
+        let workers: Vec<_> = (0..2)
+            .map(|_| {
+                let gate = gate.clone();
+                std::thread::spawn(move || {
+                    ring_world(16).run().unwrap();
+                    gate.wait();
+                    ring_world(16).run().unwrap();
+                    gate.wait();
+                    (
+                        pool_metric("sim.fiber.stacks_mapped"),
+                        pool_metric("sim.fiber.stacks_reused"),
+                        pool_metric("sim.fiber.pool_free"),
+                    )
+                })
+            })
+            .collect();
+        for w in workers {
+            assert_eq!(w.join().expect("worker"), (16, 16, 16));
         }
     }
 }

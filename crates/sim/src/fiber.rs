@@ -1,13 +1,43 @@
-//! Stackful-coroutine substrate for the engine's `sm` backend.
+//! Stackful fibers: the execution substrate of every simulated process.
 //!
 //! A *fiber* is a suspended computation: a privately owned stack plus a
 //! saved stack pointer. Switching fibers saves the callee-saved register
 //! file on the current stack, stores the stack pointer, and restores the
-//! target's — a user-space context switch that costs tens of nanoseconds
-//! instead of the microseconds of a futex round trip. The `sm` engine
-//! backend hosts every simulated process on a fiber multiplexed onto the
-//! *one* OS thread that called `Engine::run`, which is what lets
-//! np = 1024–4096 worlds run where thread-per-rank cannot.
+//! target's — a user-space context switch that costs tens of nanoseconds.
+//! The engine hosts every simulated process on a fiber multiplexed onto the
+//! *one* OS thread that called `Engine::run`; there is no other substrate.
+//!
+//! ## Supported targets
+//!
+//! The switch is hand-written assembly against the System V AMD64 and
+//! AAPCS64 calling conventions and stacks come straight from `mmap`, so the
+//! supported set is **x86_64 and aarch64 on Linux and macOS** (the macOS
+//! constants are the platform's documented values; CI runs Linux). Any
+//! other target fails to build with a `compile_error!` — there is no
+//! thread fallback.
+//!
+//! ## Stacks and the per-thread pool
+//!
+//! A stack is one anonymous private mapping (`MAP_NORESERVE | MAP_STACK`):
+//! a `PROT_NONE` guard page at the low end, then the usable stack. The
+//! kernel commits pages lazily, so 4096 one-MiB stacks reserve 4 GiB of
+//! address space but only the pages a rank actually touches become
+//! resident, and running off the low end faults at the offending store
+//! instead of silently corrupting a neighbouring allocation.
+//!
+//! Finished fibers hand their stacks to a **thread-local free list** that
+//! outlives the [`FiberSet`] — and therefore `Engine::run` — that mapped
+//! them. Back-to-back worlds on one thread (every experiment sweep, every
+//! `--jobs` worker) reuse the same stacks, last-released first, so they
+//! keep touching the same few already-resident pages and never pay
+//! `mmap`/`munmap`/first-touch faults again. The list is bounded at
+//! [`STACK_POOL_CAP`] stacks; anything released beyond that is unmapped on
+//! the spot, so after an np = 4096 world a thread retains at most
+//! `STACK_POOL_CAP` mappings (their touched pages resident, the rest
+//! address space only). The list is per thread because fibers never
+//! migrate: `--jobs` workers share nothing, and a worker's stacks are
+//! unmapped when it exits. [`stack_pool_metrics`] publishes the pool's
+//! counters (`sim.fiber.*`) for the calling thread.
 //!
 //! This is the only module in the crate that uses `unsafe`; the rest of
 //! the workspace keeps `deny(unsafe_code)`. The unsafety is confined to
@@ -19,32 +49,50 @@
 //! 2. the entry trampoline — a prepared initial stack frame whose return
 //!    address is a naked shim that forwards a payload pointer into
 //!    [`fiber_entry`];
-//! 3. raw stack allocation — stacks come from `std::alloc::alloc`
-//!    **uninitialized**, so the pages are lazily committed by the kernel:
-//!    4096 one-MiB stacks reserve 4 GiB of address space but only the
-//!    pages a rank actually touches become resident. (`vec![0; n]` would
-//!    defeat exactly that.)
+//! 3. raw stack mapping — `mmap`/`mprotect`/`munmap` declared `extern "C"`
+//!    below (no `libc` crate: the build is offline).
 //!
 //! Floating-point *control* state (`mxcsr`/x87 on x86-64, `fpcr` on
 //! aarch64) is not switched: nothing in this workspace changes rounding
 //! or exception modes, so every fiber shares the process default.
 //!
 //! Safety protocol for the callers in `engine.rs`: all fibers of one
-//! [`FiberSet`] are driven from a single OS thread; a switch is only
-//! performed with no borrows of the set's interior outstanding; and a
-//! fiber's stack is only freed after the fiber has run to completion
-//! (its entry function returned control for the last time).
+//! [`FiberSet`] are driven from a single OS thread (the set is neither
+//! `Send` nor `Sync`); a switch is only performed with no borrows of the
+//! set's interior outstanding; and a fiber's stack is only released after
+//! the fiber has run to completion (its entry function returned control
+//! for the last time).
 
 #![allow(unsafe_code)]
 
-use std::alloc::{alloc, dealloc, Layout};
+use crate::metrics::{fiber as fm, MetricsSnapshot, Registry};
+use std::cell::RefCell;
 
-/// Magic word written at the low end of every stack; overwritten means the
-/// fiber overflowed its stack.
+#[cfg(not(all(
+    any(target_arch = "x86_64", target_arch = "aarch64"),
+    any(target_os = "linux", target_os = "android", target_os = "macos")
+)))]
+compile_error!(
+    "viampi-sim runs simulated processes as stackful fibers on mmap'd stacks: \
+     only x86_64 and aarch64 on Linux/macOS are supported (see crates/sim/src/fiber.rs)"
+);
+
+/// Magic word written at the low end of every stack (just above the guard
+/// page); overwritten means the fiber came within a word of overflowing.
 const CANARY: u64 = 0x5AFE_57AC_F1BE_55AA;
 
-/// Architectures with a [`raw_switch`] implementation.
-pub const SUPPORTED: bool = cfg!(any(target_arch = "x86_64", target_arch = "aarch64"));
+/// Smallest stack a fiber is given, whatever was asked for.
+const MIN_STACK: usize = 32 << 10;
+
+/// Largest stack that can be asked for. Far beyond any rank's need; the
+/// bound keeps every size computation below clear of overflow and turns an
+/// absurd request into an error before anything is mapped.
+const MAX_STACK: usize = 1 << 30;
+
+/// Most stacks a thread keeps on its free list between runs (see the
+/// module docs): enough for every np ≤ 256 world to be fully recycled,
+/// small enough that a thread which once ran np = 4096 gives the rest back.
+pub const STACK_POOL_CAP: usize = 256;
 
 // ---------------------------------------------------------------------------
 // The context switch.
@@ -58,6 +106,13 @@ pub const SUPPORTED: bool = cfg!(any(target_arch = "x86_64", target_arch = "aarc
 // to take a long time to return; caller-saved registers are dead across
 // any call per the ABI, and callee-saved registers are restored from the
 // save area, so no register state leaks between fibers.
+//
+// # Safety (both architectures)
+//
+// `save` must be valid for a pointer write, and `load` must be a stack
+// pointer this function stored earlier for a context that is still
+// suspended, or a frame `prepare_frame` built on a live stack. The
+// trampolines are only ever entered through such a prepared frame.
 
 #[cfg(target_arch = "x86_64")]
 #[unsafe(naked)]
@@ -147,54 +202,213 @@ unsafe extern "C" fn fiber_trampoline() {
     )
 }
 
-#[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-unsafe extern "C" fn raw_switch(_save: *mut *mut u8, _load: *mut u8) {
-    unreachable!("sm backend is gated on SUPPORTED");
+// ---------------------------------------------------------------------------
+// Stacks, the per-thread pool, and entry payloads.
+// ---------------------------------------------------------------------------
+
+/// The handful of libc symbols and constants the stack mapping needs,
+/// declared here because the build has no `libc` crate.
+mod sys {
+    use std::ffi::{c_int, c_long, c_void};
+
+    pub const PROT_NONE: c_int = 0;
+    pub const PROT_READ: c_int = 1;
+    pub const PROT_WRITE: c_int = 2;
+    pub const MAP_PRIVATE: c_int = 0x02;
+    pub const MAP_FAILED: *mut c_void = usize::MAX as *mut c_void;
+
+    #[cfg(any(target_os = "linux", target_os = "android"))]
+    mod os {
+        use std::ffi::c_int;
+        pub const MAP_ANONYMOUS: c_int = 0x20;
+        pub const MAP_NORESERVE: c_int = 0x4000;
+        pub const MAP_STACK: c_int = 0x2_0000;
+        pub const SC_PAGESIZE: c_int = 30;
+    }
+    #[cfg(target_os = "macos")]
+    mod os {
+        use std::ffi::c_int;
+        pub const MAP_ANONYMOUS: c_int = 0x1000;
+        pub const MAP_NORESERVE: c_int = 0x40;
+        pub const MAP_STACK: c_int = 0; // no such flag
+        pub const SC_PAGESIZE: c_int = 29;
+    }
+    pub use os::*;
+
+    extern "C" {
+        pub fn mmap(
+            addr: *mut c_void,
+            len: usize,
+            prot: c_int,
+            flags: c_int,
+            fd: c_int,
+            offset: i64,
+        ) -> *mut c_void;
+        pub fn mprotect(addr: *mut c_void, len: usize, prot: c_int) -> c_int;
+        pub fn munmap(addr: *mut c_void, len: usize) -> c_int;
+        pub fn sysconf(name: c_int) -> c_long;
+    }
 }
 
-// ---------------------------------------------------------------------------
-// Stacks and entry payloads.
-// ---------------------------------------------------------------------------
+/// The host page size (the guard-page length and the stack-size quantum).
+fn page_size() -> usize {
+    static PAGE: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *PAGE.get_or_init(|| {
+        // SAFETY: `sysconf` takes no pointers; `_SC_PAGESIZE` is always valid.
+        let n = unsafe { sys::sysconf(sys::SC_PAGESIZE) };
+        usize::try_from(n)
+            .ok()
+            .filter(|n| n.is_power_of_two())
+            .unwrap_or(4096)
+    })
+}
 
-/// A raw, lazily committed fiber stack.
+/// Usable stack bytes a fiber gets for a request of `bytes`: at least
+/// [`MIN_STACK`], rounded up to whole pages; `None` above [`MAX_STACK`].
+pub fn round_stack_size(bytes: usize) -> Option<usize> {
+    (bytes <= MAX_STACK).then(|| bytes.max(MIN_STACK).next_multiple_of(page_size()))
+}
+
+/// One mapped fiber stack: `[guard page | usable stack]`, growing down
+/// from `top()` towards the guard.
 struct Stack {
+    /// Start of the mapping (the guard page).
     base: *mut u8,
+    guard: usize,
+    /// Usable bytes above the guard.
     size: usize,
 }
 
 impl Stack {
-    fn layout(size: usize) -> Layout {
-        Layout::from_size_align(size, 16).expect("stack layout")
-    }
-
-    fn new(size: usize) -> Self {
-        // Deliberately *uninitialized*: committing pages up front would
-        // make every np=4096 world pay 4096 full stacks of resident
-        // memory before a single rank runs.
-        let base = unsafe { alloc(Self::layout(size)) };
-        assert!(!base.is_null(), "fiber stack allocation failed");
-        // The canary is the single low-end word we do initialize.
-        unsafe { (base as *mut u64).write(CANARY) };
-        Stack { base, size }
+    /// Map a fresh stack with `size` usable bytes (a page multiple).
+    fn map(size: usize) -> Self {
+        let guard = page_size();
+        let len = guard + size;
+        // SAFETY: an anonymous private mapping at a kernel-chosen address
+        // aliases nothing; the result is checked against MAP_FAILED.
+        let base = unsafe {
+            sys::mmap(
+                std::ptr::null_mut(),
+                len,
+                sys::PROT_READ | sys::PROT_WRITE,
+                sys::MAP_PRIVATE | sys::MAP_ANONYMOUS | sys::MAP_NORESERVE | sys::MAP_STACK,
+                -1,
+                0,
+            )
+        };
+        assert!(
+            base != sys::MAP_FAILED,
+            "mmap of a {len}-byte fiber stack failed: {}",
+            std::io::Error::last_os_error()
+        );
+        // SAFETY: `[base, base + guard)` is the first page of the mapping
+        // just created, which nothing references yet.
+        let rc = unsafe { sys::mprotect(base, guard, sys::PROT_NONE) };
+        assert!(
+            rc == 0,
+            "mprotect of a fiber stack guard page failed: {}",
+            std::io::Error::last_os_error()
+        );
+        let stack = Stack {
+            base: base as *mut u8,
+            guard,
+            size,
+        };
+        // The canary is the single low-end word we touch up front (it
+        // stays intact across reuse, or `note_park` would have panicked).
+        // SAFETY: the word lies in the writable part of the mapping and is
+        // page-aligned.
+        unsafe { stack.canary().write(CANARY) };
+        stack
     }
 
     #[inline]
+    fn canary(&self) -> *mut u64 {
+        // SAFETY: `guard < guard + size`, so the offset stays in bounds.
+        unsafe { self.base.add(self.guard) as *mut u64 }
+    }
+
+    /// One past the highest usable byte; page-aligned, so 16-aligned.
+    #[inline]
     fn top(&self) -> *mut u8 {
-        // Keep the top 16-aligned (alloc guarantees base alignment and
-        // size is a multiple of 16 by construction in FiberSet::new).
-        unsafe { self.base.add(self.size) }
+        // SAFETY: one-past-the-end of the mapping.
+        unsafe { self.base.add(self.guard + self.size) }
     }
 
     #[inline]
     fn canary_intact(&self) -> bool {
-        unsafe { (self.base as *const u64).read() == CANARY }
+        // SAFETY: see `map` — the word is readable for the mapping's life.
+        unsafe { self.canary().read() == CANARY }
     }
 }
 
 impl Drop for Stack {
     fn drop(&mut self) {
-        unsafe { dealloc(self.base, Self::layout(self.size)) };
+        // SAFETY: `base`/`guard + size` describe exactly the mapping made
+        // in `map`, and a stack is only dropped once no fiber stands on it.
+        // A failing munmap leaks address space; nothing useful can be done
+        // about it in a destructor.
+        unsafe { sys::munmap(self.base as *mut _, self.guard + self.size) };
     }
+}
+
+/// A thread's free list of mapped stacks plus its `sim.fiber.*` metrics.
+struct StackPool {
+    free: Vec<Stack>,
+    metrics: Registry,
+}
+
+thread_local! {
+    static POOL: RefCell<StackPool> = RefCell::new(StackPool {
+        free: Vec::new(),
+        metrics: fm::registry(),
+    });
+}
+
+impl StackPool {
+    /// A stack with `size` usable bytes: the most recently released one if
+    /// it fits (its top pages are the likeliest to be resident and cached),
+    /// else a fresh mapping. Pooled stacks of another size — the stack-size
+    /// knob changed between runs — are unmapped as they surface.
+    fn acquire(size: usize) -> Stack {
+        POOL.with(|p| {
+            let p = &mut *p.borrow_mut();
+            p.metrics.gauge_add(fm::STACKS_LIVE, 1);
+            while let Some(stack) = p.free.pop() {
+                p.metrics.gauge_set(fm::POOL_FREE, p.free.len() as u64);
+                if stack.size == size {
+                    p.metrics.inc(fm::STACKS_REUSED);
+                    return stack;
+                }
+            }
+            p.metrics.inc(fm::STACKS_MAPPED);
+            Stack::map(size)
+        })
+    }
+
+    /// Return a stack no fiber stands on: kept for reuse while the free
+    /// list is below [`STACK_POOL_CAP`], unmapped otherwise (and always
+    /// during thread teardown, once the pool itself is gone).
+    fn release(stack: Stack) {
+        let _ = POOL.try_with(|p| {
+            let p = &mut *p.borrow_mut();
+            p.metrics.gauge_sub(fm::STACKS_LIVE, 1);
+            if p.free.len() < STACK_POOL_CAP {
+                p.free.push(stack);
+                p.metrics.gauge_set(fm::POOL_FREE, p.free.len() as u64);
+            }
+        });
+    }
+}
+
+/// The calling thread's stack-pool metrics ([`crate::metrics::fiber`]):
+/// stacks mapped and reused since the thread started, stacks currently
+/// checked out by live fibers, and the free-list length. They describe the
+/// *thread*, not a run — which run maps a stack and which reuses it
+/// depends on what the thread ran before — so they are deliberately not
+/// part of the deterministic per-run [`crate::Outcome::metrics`].
+pub fn stack_pool_metrics() -> MetricsSnapshot {
+    POOL.with(|p| p.borrow().metrics.snapshot())
 }
 
 /// Payload handed to [`fiber_entry`] on a fiber's first activation. Boxed
@@ -208,7 +422,14 @@ struct Entry {
 
 /// Rust-side first activation of a fiber: run the body, then hand control
 /// back to the driver forever.
+///
+/// # Safety
+///
+/// Only reachable through the frame [`prepare_frame`] built: `payload` is
+/// the fiber's own boxed [`Entry`], whose `set` outlives every fiber in it.
 unsafe extern "C" fn fiber_entry(payload: *mut Entry) {
+    // SAFETY: per the contract above, `payload` is live and unaliased (the
+    // set does not touch a started fiber's entry until it is done).
     let (set, index, func) = unsafe {
         let e = &mut *payload;
         (e.set, e.index, e.func.take().expect("fiber body present"))
@@ -216,6 +437,7 @@ unsafe extern "C" fn fiber_entry(payload: *mut Entry) {
     func();
     // The body returned: mark this fiber completed and switch to the
     // driver context, never to run again.
+    // SAFETY: `set` is live (see above) and `index` is this fiber.
     unsafe { (*set).finish(index) };
     unreachable!("a completed fiber was resumed");
 }
@@ -232,7 +454,7 @@ enum FiberState {
     Parked,
     /// Currently executing (control is on its stack).
     Active,
-    /// Body returned; stack freed or about to be.
+    /// Body returned (or the fiber was abandoned unstarted).
     Done,
 }
 
@@ -242,62 +464,42 @@ struct FiberSlot {
     /// Saved stack pointer while parked (or the prepared initial frame).
     sp: *mut u8,
     entry: Option<Box<Entry>>,
-    /// High-water stack usage in bytes, sampled at every switch out.
-    peak: usize,
-}
-
-/// Deterministic wall-clock statistics of one driver run.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FiberStats {
-    /// Fibers activated for the first time.
-    pub starts: u64,
-    /// Switches into an already-started fiber.
-    pub resumes: u64,
-    /// Switches out of a fiber at a suspension point.
-    pub parks: u64,
-    /// Peak concurrently allocated stacks.
-    pub stacks_peak: u64,
-    /// Largest observed per-fiber stack usage, bytes.
-    pub stack_bytes_peak: u64,
 }
 
 /// A fixed-size set of fibers driven from one OS thread.
 ///
 /// Exactly one context of {driver, fibers} executes at any instant; the
 /// driver context is the thread that calls [`FiberSet::resume`] from
-/// outside any fiber. All methods must be called on that thread.
+/// outside any fiber. The raw pointers inside make the set neither `Send`
+/// nor `Sync`, which is the safety protocol's first rule enforced by type.
 pub struct FiberSet {
     inner: std::cell::UnsafeCell<SetInner>,
 }
-
-// One FiberSet is confined to one OS thread by the safety protocol above;
-// the markers exist only so the engine's `Shared` (which is `Sync` for the
-// thread backend's sake) can hold an `Option<FiberSet>`.
-unsafe impl Send for FiberSet {}
-unsafe impl Sync for FiberSet {}
 
 struct SetInner {
     slots: Vec<FiberSlot>,
     /// Saved driver-context stack pointer while a fiber runs.
     driver_sp: *mut u8,
-    /// Index of the executing fiber, or `usize::MAX` for the driver.
+    /// Index of the executing fiber, or [`DRIVER`].
     current: usize,
     stack_size: usize,
-    stacks_live: u64,
-    stats: FiberStats,
+    /// Deepest stack usage seen at any suspension point, bytes.
+    stack_depth_peak: usize,
 }
 
 const DRIVER: usize = usize::MAX;
 
 impl FiberSet {
-    /// A set of `n` fibers with `stack_size`-byte stacks (rounded up to a
-    /// multiple of 16, floored at 32 KiB). Bodies are registered with
-    /// [`FiberSet::set_body`]; stacks are allocated lazily at first resume.
+    /// A set of `n` fibers with `stack_size` usable stack bytes each — a
+    /// value [`round_stack_size`] returned. Bodies are registered with
+    /// [`FiberSet::set_body`]; a stack is taken from the thread's pool at
+    /// first resume and handed back when the set is dropped.
     pub fn new(n: usize, stack_size: usize) -> Self {
-        if !SUPPORTED {
-            panic!("fiber backend unsupported on this architecture");
-        }
-        let stack_size = stack_size.max(32 << 10).next_multiple_of(16);
+        // The frame builder and the guard arithmetic rely on this.
+        assert!(
+            (MIN_STACK..=MAX_STACK).contains(&stack_size) && stack_size.is_multiple_of(page_size()),
+            "fiber stack size {stack_size} did not come from round_stack_size"
+        );
         FiberSet {
             inner: std::cell::UnsafeCell::new(SetInner {
                 slots: (0..n)
@@ -306,24 +508,30 @@ impl FiberSet {
                         stack: None,
                         sp: std::ptr::null_mut(),
                         entry: None,
-                        peak: 0,
                     })
                     .collect(),
                 driver_sp: std::ptr::null_mut(),
                 current: DRIVER,
                 stack_size,
-                stacks_live: 0,
-                stats: FiberStats::default(),
+                stack_depth_peak: 0,
             }),
         }
     }
 
+    /// The set's interior. Every caller ends the borrow before it switches
+    /// contexts (the resumed context re-borrows), and the set is confined
+    /// to one thread, so no two borrows are ever live at once.
+    #[allow(clippy::mut_from_ref)]
+    #[inline]
+    fn inner(&self) -> &mut SetInner {
+        // SAFETY: see above — single thread, borrows never span a switch.
+        unsafe { &mut *self.inner.get() }
+    }
+
     /// Register fiber `i`'s body. Must be called before its first resume.
     pub fn set_body(&self, i: usize, f: Box<dyn FnOnce()>) {
-        let inner = unsafe { &mut *self.inner.get() };
-        let set_ptr = self as *const FiberSet;
-        inner.slots[i].entry = Some(Box::new(Entry {
-            set: set_ptr,
+        self.inner().slots[i].entry = Some(Box::new(Entry {
+            set: self as *const FiberSet,
             index: i,
             func: Some(f),
         }));
@@ -332,52 +540,37 @@ impl FiberSet {
     /// True when fiber `i` has run to completion.
     #[cfg(test)]
     pub fn is_done(&self, i: usize) -> bool {
-        let inner = unsafe { &*self.inner.get() };
-        inner.slots[i].state == FiberState::Done
+        self.inner().slots[i].state == FiberState::Done
     }
 
-    /// True when fiber `i` has never run.
-    pub fn not_started(&self, i: usize) -> bool {
-        let inner = unsafe { &*self.inner.get() };
-        inner.slots[i].state == FiberState::NotStarted
-    }
-
-    /// Abandon fiber `i` without ever starting it (drops its body). Only
-    /// legal while `not_started`.
-    pub fn abandon(&self, i: usize) {
-        let inner = unsafe { &mut *self.inner.get() };
-        let slot = &mut inner.slots[i];
-        assert_eq!(
-            slot.state,
-            FiberState::NotStarted,
-            "abandon a started fiber"
-        );
-        slot.state = FiberState::Done;
-        slot.entry = None;
+    /// If fiber `i` has never run, drop its body so it never will and
+    /// return `true`; a started fiber is left alone (`false`).
+    pub fn abandon(&self, i: usize) -> bool {
+        let slot = &mut self.inner().slots[i];
+        let unstarted = slot.state == FiberState::NotStarted;
+        if unstarted {
+            slot.state = FiberState::Done;
+            slot.entry = None;
+        }
+        unstarted
     }
 
     /// Transfer control to fiber `to`, suspending the calling context
-    /// (driver or another fiber) until something switches back. Allocates
-    /// `to`'s stack on first activation; frees stacks of completed fibers
-    /// whenever the driver context is the caller.
+    /// (driver or another fiber) until something switches back. Takes
+    /// `to`'s stack from the thread's pool on first activation.
     pub fn resume(&self, to: usize) {
         let (save, load) = {
-            let inner = unsafe { &mut *self.inner.get() };
+            let inner = self.inner();
             let from = inner.current;
-            if from == DRIVER {
-                // Cheap housekeeping point: completed fibers' stacks are
-                // only freed from the driver, never from a fiber that
-                // might be standing on one.
-                Self::sweep(inner);
-            } else {
+            if from != DRIVER {
                 Self::note_park(inner, from);
             }
             let to_slot = &mut inner.slots[to];
             match to_slot.state {
                 FiberState::NotStarted => {
-                    let stack = Stack::new(inner.stack_size);
+                    let stack = StackPool::acquire(inner.stack_size);
                     to_slot.sp = prepare_frame(
-                        stack.top(),
+                        &stack,
                         to_slot
                             .entry
                             .as_mut()
@@ -385,20 +578,14 @@ impl FiberSet {
                             .as_mut(),
                     );
                     to_slot.stack = Some(stack);
-                    to_slot.state = FiberState::Active;
-                    inner.stacks_live += 1;
-                    inner.stats.stacks_peak = inner.stats.stacks_peak.max(inner.stacks_live);
-                    inner.stats.starts += 1;
                 }
-                FiberState::Parked => {
-                    to_slot.state = FiberState::Active;
-                    inner.stats.resumes += 1;
-                }
+                FiberState::Parked => {}
                 FiberState::Active | FiberState::Done => {
                     panic!("resume of a {:?} fiber", to_slot.state)
                 }
             }
-            let load = inner.slots[to].sp;
+            to_slot.state = FiberState::Active;
+            let load = to_slot.sp;
             inner.current = to;
             let save: *mut *mut u8 = if from == DRIVER {
                 &mut inner.driver_sp
@@ -407,9 +594,10 @@ impl FiberSet {
                 &mut inner.slots[from].sp
             };
             (save, load)
-            // Borrow of `inner` ends here; the switch below must not hold
-            // one (the resumed context will re-borrow).
         };
+        // SAFETY: `load` is either a frame `prepare_frame` built on a live
+        // stack or the stack pointer `raw_switch` stored when `to` parked;
+        // `save` points into the set, which outlives the switch.
         unsafe { raw_switch(save, load) };
         // Control returned to this context: someone set `current` back to
         // us before switching. Nothing to do — the caller continues.
@@ -419,7 +607,7 @@ impl FiberSet {
     /// context.
     pub fn yield_to_driver(&self) {
         let (save, load) = {
-            let inner = unsafe { &mut *self.inner.get() };
+            let inner = self.inner();
             let from = inner.current;
             assert_ne!(from, DRIVER, "yield_to_driver from the driver");
             Self::note_park(inner, from);
@@ -428,84 +616,89 @@ impl FiberSet {
             let save: *mut *mut u8 = &mut inner.slots[from].sp;
             (save, inner.driver_sp)
         };
+        // SAFETY: a fiber is running, so the driver is suspended inside
+        // `resume` and `driver_sp` is the pointer `raw_switch` stored then.
         unsafe { raw_switch(save, load) };
     }
 
     /// Called by [`fiber_entry`] when a fiber's body returns: mark it done
     /// and hand control to the driver forever.
+    ///
+    /// # Safety
+    ///
+    /// Must be called on fiber `i`'s own stack, as its last act.
     unsafe fn finish(&self, i: usize) {
         let (save, load) = {
-            let inner = unsafe { &mut *self.inner.get() };
+            let inner = self.inner();
             debug_assert_eq!(inner.current, i);
             Self::note_park(inner, i);
             inner.slots[i].state = FiberState::Done;
             inner.slots[i].entry = None;
             inner.current = DRIVER;
-            // The stack we are standing on is freed later, by the driver
-            // (see `sweep`).
+            // The stack we are standing on goes back to the pool when the
+            // set is dropped, never from under our feet.
             let save: *mut *mut u8 = &mut inner.slots[i].sp;
             (save, inner.driver_sp)
         };
+        // SAFETY: as in `yield_to_driver`; the saved pointer is never
+        // loaded again because the fiber is `Done`.
         unsafe { raw_switch(save, load) };
         unreachable!("a completed fiber was resumed");
     }
 
-    /// Record the outgoing fiber's stack depth and check its canary.
+    /// Record the outgoing fiber's stack depth and check its canary. The
+    /// guard page catches an overflow at the faulting store; the canary is
+    /// the cheap assert that a fiber did not come within a word of it.
     fn note_park(inner: &mut SetInner, i: usize) {
-        inner.stats.parks += 1;
-        let slot = &mut inner.slots[i];
-        if let Some(stack) = &slot.stack {
-            // Approximate the live depth with the address of a local.
-            let probe = 0u8;
-            let depth = (stack.top() as usize).saturating_sub(&probe as *const u8 as usize);
-            if depth > slot.peak {
-                slot.peak = depth;
-                let d = depth as u64;
-                if d > inner.stats.stack_bytes_peak {
-                    inner.stats.stack_bytes_peak = d;
-                }
-            }
-            assert!(
-                stack.canary_intact(),
-                "fiber {i} overflowed its {}-byte stack; raise VIAMPI_SM_STACK",
-                stack.size,
-            );
-        }
+        let stack = inner.slots[i]
+            .stack
+            .as_ref()
+            .expect("running fiber has a stack");
+        // Approximate the live depth with the address of a local.
+        let probe = 0u8;
+        let depth = (stack.top() as usize).saturating_sub(&probe as *const u8 as usize);
+        inner.stack_depth_peak = inner.stack_depth_peak.max(depth);
+        assert!(
+            stack.canary_intact(),
+            "fiber {i} overflowed its {}-byte stack; raise VIAMPI_SM_STACK",
+            stack.size,
+        );
     }
 
-    /// Free the stacks of completed fibers (driver context only).
-    fn sweep(inner: &mut SetInner) {
-        for slot in &mut inner.slots {
-            if slot.state == FiberState::Done && slot.stack.is_some() {
-                slot.stack = None;
-                inner.stacks_live -= 1;
-            }
-        }
+    /// Deepest stack usage observed at any suspension point so far, bytes.
+    /// A host-side measurement: it moves with the compiler and with every
+    /// edit to the frames under a park site.
+    pub fn stack_depth_peak(&self) -> u64 {
+        self.inner().stack_depth_peak as u64
     }
 
-    /// Statistics of the run so far.
-    pub fn stats(&self) -> FiberStats {
-        let inner = unsafe { &*self.inner.get() };
-        inner.stats
-    }
-
-    /// Drop every remaining body and stack. Must be called from the driver
-    /// context with no fiber active; used before tearing the set down so
-    /// no `Entry` (and nothing it captured) outlives the run.
+    /// Drop every body that never started. Must be called from the driver
+    /// context once every started fiber has run to completion (the engine's
+    /// teardown unwinds them all), so that no `Entry` — and nothing its
+    /// closure captured — outlives the run.
     pub fn clear(&self) {
-        let inner = unsafe { &mut *self.inner.get() };
+        let inner = self.inner();
         assert_eq!(inner.current, DRIVER, "clear with a fiber active");
         for slot in &mut inner.slots {
-            assert_ne!(slot.state, FiberState::Active);
-            if slot.state == FiberState::Parked {
-                // A parked fiber would leak its stack contents' owners;
-                // the engine guarantees teardown unwinds every fiber
-                // before clearing.
-                panic!("clear with a parked fiber");
-            }
+            // A parked fiber would leak everything its frames own.
+            assert!(
+                matches!(slot.state, FiberState::NotStarted | FiberState::Done),
+                "clear with a {:?} fiber",
+                slot.state
+            );
             slot.entry = None;
-            if slot.stack.take().is_some() {
-                inner.stacks_live -= 1;
+        }
+    }
+}
+
+impl Drop for FiberSet {
+    /// Hand every stack back to the thread's pool. (A set dropped with a
+    /// fiber still parked — only possible when the driver itself is
+    /// unwinding — leaks what that fiber's frames own, nothing more.)
+    fn drop(&mut self) {
+        for slot in &mut self.inner.get_mut().slots {
+            if let Some(stack) = slot.stack.take() {
+                StackPool::release(stack);
             }
         }
     }
@@ -515,9 +708,11 @@ impl FiberSet {
 /// [`raw_switch`] into it lands in [`fiber_trampoline`] with the payload
 /// pointer in the designated callee-saved register.
 #[cfg(target_arch = "x86_64")]
-fn prepare_frame(top: *mut u8, entry: &mut Entry) -> *mut u8 {
+fn prepare_frame(stack: &Stack, entry: &mut Entry) -> *mut u8 {
+    // SAFETY: the eight words written lie just below `top()` of a live
+    // mapping of at least `MIN_STACK` bytes that no fiber runs on yet.
     unsafe {
-        let mut sp = top as *mut u64;
+        let mut sp = stack.top() as *mut u64;
         // Slot for alignment + a null "return address" above the
         // trampoline (never used; `fiber_trampoline` realigns and traps).
         sp = sp.sub(1);
@@ -541,10 +736,12 @@ fn prepare_frame(top: *mut u8, entry: &mut Entry) -> *mut u8 {
 }
 
 #[cfg(target_arch = "aarch64")]
-fn prepare_frame(top: *mut u8, entry: &mut Entry) -> *mut u8 {
+fn prepare_frame(stack: &Stack, entry: &mut Entry) -> *mut u8 {
+    // SAFETY: the 160 bytes written lie just below `top()` of a live
+    // mapping of at least `MIN_STACK` bytes that no fiber runs on yet.
     unsafe {
         // One 160-byte register frame, laid out as `raw_switch` expects.
-        let sp = top.sub(160);
+        let sp = stack.top().sub(160);
         std::ptr::write_bytes(sp, 0, 160);
         let words = sp as *mut u64;
         words.write(entry as *mut Entry as usize as u64); // x19 = payload
@@ -553,20 +750,48 @@ fn prepare_frame(top: *mut u8, entry: &mut Entry) -> *mut u8 {
     }
 }
 
-#[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-fn prepare_frame(_top: *mut u8, _entry: &mut Entry) -> *mut u8 {
-    unreachable!("fiber backend unsupported on this architecture");
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::cell::RefCell;
     use std::rc::Rc;
 
+    /// 64 KiB: a whole number of pages on every supported host (4, 16 and
+    /// 64 KiB pages), so usable as a stack size as is.
+    const KIB64: usize = 64 << 10;
+
+    /// Run `f` on a thread of its own, so its stack pool starts empty and
+    /// the `sim.fiber.*` counters can be asserted exactly.
+    pub(crate) fn on_fresh_thread<R: Send + 'static>(f: impl FnOnce() -> R + Send + 'static) -> R {
+        std::thread::spawn(f).join().expect("test thread panicked")
+    }
+
+    /// `(stacks_mapped, stacks_reused, stacks_live, pool_free)` of this thread.
+    fn pool() -> (u64, u64, u64, u64) {
+        let m = stack_pool_metrics();
+        let get = |name| m.get(name).expect("sim.fiber.* metric published");
+        (
+            get("sim.fiber.stacks_mapped"),
+            get("sim.fiber.stacks_reused"),
+            get("sim.fiber.stacks_live"),
+            get("sim.fiber.pool_free"),
+        )
+    }
+
+    /// A set of `n` trivial fibers with `stack`-byte stacks, each run to
+    /// completion.
+    fn run_trivial_set(n: usize, stack: usize) {
+        let set = FiberSet::new(n, stack);
+        for i in 0..n {
+            set.set_body(i, Box::new(|| {}));
+            set.resume(i);
+        }
+        set.clear();
+    }
+
     #[test]
     fn ping_pong_between_two_fibers() {
-        let set = Rc::new(FiberSet::new(2, 64 << 10));
+        let set = Rc::new(FiberSet::new(2, KIB64));
         let log = Rc::new(RefCell::new(Vec::new()));
         for i in 0..2 {
             let set2 = set.clone();
@@ -593,15 +818,12 @@ mod tests {
             *log.borrow(),
             vec![(0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2)]
         );
-        let st = set.stats();
-        assert_eq!(st.starts, 2);
-        assert_eq!(st.resumes, 6, "three yields each; the last resume finishes");
         set.clear();
     }
 
     #[test]
     fn fiber_to_fiber_direct_handoff() {
-        let set = Rc::new(FiberSet::new(2, 64 << 10));
+        let set = Rc::new(FiberSet::new(2, KIB64));
         let log = Rc::new(RefCell::new(Vec::new()));
         let (s0, l0) = (set.clone(), log.clone());
         set.set_body(
@@ -630,24 +852,29 @@ mod tests {
 
     #[test]
     fn lazy_stacks_and_abandon() {
-        let set = FiberSet::new(3, 64 << 10);
-        set.set_body(0, Box::new(|| {}));
-        set.set_body(1, Box::new(|| {}));
-        set.set_body(2, Box::new(|| {}));
-        assert!(set.not_started(2));
-        set.abandon(2);
-        assert!(set.is_done(2));
-        set.resume(0);
-        set.resume(1);
-        let st = set.stats();
-        assert_eq!(st.starts, 2, "abandoned fiber never got a stack");
-        assert!(st.stack_bytes_peak > 0);
-        set.clear();
+        on_fresh_thread(|| {
+            let set = FiberSet::new(3, KIB64);
+            for i in 0..3 {
+                set.set_body(i, Box::new(|| {}));
+            }
+            assert!(set.abandon(2), "an unstarted fiber can be abandoned");
+            assert!(set.is_done(2));
+            set.resume(0);
+            set.resume(1);
+            assert!(!set.abandon(1), "a started fiber cannot");
+            assert_eq!(
+                pool(),
+                (2, 0, 2, 0),
+                "the abandoned fiber never got a stack"
+            );
+            assert!(set.stack_depth_peak() > 0);
+            set.clear();
+        });
     }
 
     #[test]
     fn panics_unwind_inside_the_fiber() {
-        let set = Rc::new(FiberSet::new(1, 64 << 10));
+        let set = Rc::new(FiberSet::new(1, KIB64));
         let caught = Rc::new(RefCell::new(false));
         let c2 = caught.clone();
         set.set_body(
@@ -663,21 +890,22 @@ mod tests {
         set.clear();
     }
 
+    fn burn(set: &FiberSet, n: usize) -> u64 {
+        let pad = [n as u64; 32];
+        if n == 0 {
+            set.yield_to_driver();
+            pad.iter().sum()
+        } else {
+            burn(set, n - 1) + std::hint::black_box(pad)[0]
+        }
+    }
+
     #[test]
     fn deep_call_chains_record_stack_usage() {
         // Depth is sampled at suspension points, so park at the bottom of
         // the recursion (exactly how engine ranks park deep inside call
         // stacks).
-        fn burn(set: &FiberSet, n: usize) -> u64 {
-            let pad = [n as u64; 32];
-            if n == 0 {
-                set.yield_to_driver();
-                pad.iter().sum()
-            } else {
-                burn(set, n - 1) + std::hint::black_box(pad)[0]
-            }
-        }
-        let set = Rc::new(FiberSet::new(1, 256 << 10));
+        let set = Rc::new(FiberSet::new(1, 4 * KIB64));
         let s2 = set.clone();
         set.set_body(
             0,
@@ -687,12 +915,128 @@ mod tests {
         );
         set.resume(0); // runs to the bottom, parks
         set.resume(0); // unwinds and finishes
-        let st = set.stats();
         assert!(
-            st.stack_bytes_peak >= 64 * 32 * 8,
+            set.stack_depth_peak() >= 64 * 32 * 8,
             "peak {} must reflect the recursion",
-            st.stack_bytes_peak
+            set.stack_depth_peak()
         );
         set.clear();
+    }
+
+    // ------------------------------------------------------------------
+    // The per-thread stack pool
+    // ------------------------------------------------------------------
+
+    #[test]
+    fn stack_sizes_are_whole_pages_with_a_floor() {
+        let page = page_size();
+        assert_eq!(round_stack_size(0), Some(MIN_STACK.next_multiple_of(page)));
+        let odd = round_stack_size(MIN_STACK + 1).unwrap();
+        assert!(odd > MIN_STACK && odd.is_multiple_of(page));
+        assert_eq!(round_stack_size(1 << 20), Some(1 << 20));
+        assert_eq!(round_stack_size(MAX_STACK), Some(MAX_STACK));
+        assert_eq!(round_stack_size(MAX_STACK + 1), None);
+        assert_eq!(round_stack_size(usize::MAX), None);
+    }
+
+    #[test]
+    fn stacks_are_recycled_across_sets() {
+        on_fresh_thread(|| {
+            run_trivial_set(4, KIB64);
+            assert_eq!(pool(), (4, 0, 0, 4), "a dropped set returns every stack");
+            for _ in 0..10 {
+                run_trivial_set(4, KIB64);
+            }
+            assert_eq!(pool(), (4, 40, 0, 4), "later sets map nothing new");
+            // A larger set tops the pool up; a smaller one leaves it alone.
+            run_trivial_set(6, KIB64);
+            assert_eq!(pool(), (6, 44, 0, 6));
+        });
+    }
+
+    #[test]
+    fn free_list_is_bounded() {
+        on_fresh_thread(|| {
+            let n = STACK_POOL_CAP + 40;
+            run_trivial_set(n, KIB64);
+            let (mapped, reused, live, free) = pool();
+            assert_eq!((mapped, reused, live), (n as u64, 0, 0));
+            assert_eq!(free, STACK_POOL_CAP as u64, "the excess was unmapped");
+        });
+    }
+
+    #[test]
+    fn a_changed_stack_size_replaces_pooled_stacks() {
+        on_fresh_thread(|| {
+            run_trivial_set(3, KIB64);
+            run_trivial_set(3, 2 * KIB64);
+            // The three 64 KiB stacks surfaced, did not fit, and were
+            // unmapped; three 128 KiB ones took their place.
+            assert_eq!(pool(), (6, 0, 0, 3));
+            run_trivial_set(3, 2 * KIB64);
+            assert_eq!(pool(), (6, 3, 0, 3));
+        });
+    }
+
+    #[test]
+    fn pools_are_per_thread() {
+        // Both threads are alive at once (the barrier), so a shared list
+        // would let one reuse what the other released.
+        let gate = std::sync::Arc::new(std::sync::Barrier::new(2));
+        let workers: Vec<_> = (0..2)
+            .map(|_| {
+                let gate = gate.clone();
+                std::thread::spawn(move || {
+                    run_trivial_set(5, KIB64);
+                    gate.wait();
+                    run_trivial_set(5, KIB64);
+                    gate.wait();
+                    pool()
+                })
+            })
+            .collect();
+        for w in workers {
+            assert_eq!(w.join().expect("worker"), (5, 5, 0, 5));
+        }
+    }
+
+    /// Child half of `overflow_faults_on_the_guard_page`: recurse until the
+    /// stack runs out. Inert unless that test re-executes this binary.
+    #[test]
+    #[ignore = "child process of overflow_faults_on_the_guard_page"]
+    fn child_overflows_its_stack() {
+        if std::env::var_os("FIBER_TEST_CHILD").is_none() {
+            return;
+        }
+        let set = Rc::new(FiberSet::new(1, KIB64));
+        let s2 = set.clone();
+        set.set_body(
+            0,
+            Box::new(move || {
+                std::hint::black_box(burn(&s2, 1 << 20));
+            }),
+        );
+        set.resume(0);
+        unreachable!("a 64 KiB stack held a million 256-byte frames");
+    }
+
+    #[test]
+    fn overflow_faults_on_the_guard_page() {
+        use std::os::unix::process::ExitStatusExt;
+        let out = std::process::Command::new(std::env::current_exe().expect("test binary"))
+            .args(["--exact", "fiber::tests::child_overflows_its_stack"])
+            .args(["--ignored", "--test-threads=1"])
+            .env("FIBER_TEST_CHILD", "1")
+            .output()
+            .expect("re-execute the test binary");
+        // The store into the PROT_NONE page kills the process on the spot
+        // (SIGSEGV; SIGBUS on macOS) — it never reaches the canary check,
+        // let alone `unreachable!`.
+        assert!(
+            matches!(out.status.signal(), Some(11) | Some(10)),
+            "expected a guard-page fault, got {:?}\n{}",
+            out.status,
+            String::from_utf8_lossy(&out.stderr)
+        );
     }
 }

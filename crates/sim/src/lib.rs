@@ -3,14 +3,13 @@
 //! The substrate under the whole `viampi` stack. It provides:
 //!
 //! * [`SimTime`] / [`SimDuration`] — integer-nanosecond virtual time;
-//! * [`EventQueue`] — a `(time, sequence)`-ordered event heap;
+//! * [`EventQueue`] — a `(time, sequence)`-ordered hierarchical timing wheel;
 //! * [`Engine`] / [`ProcCtx`] / [`World`] — a cooperative scheduler where
-//!   every simulated process runs as its own suspendable context — an OS
-//!   thread under the default `threads` backend, or a stackful coroutine
-//!   multiplexed onto the driving thread under the `sm` backend
-//!   ([`Backend`], `VIAMPI_ENGINE=threads|sm`) — but only one runs at a
-//!   real instant, picked by smallest virtual clock; hardware activity is
-//!   expressed as timestamped events handled by the [`World`];
+//!   every simulated process runs as a stackful fiber on the thread that
+//!   called [`Engine::run`] (pooled, guard-paged stacks; x86_64/aarch64
+//!   only) and only one runs at a real instant, picked by smallest virtual
+//!   clock; hardware activity is expressed as timestamped events handled
+//!   by the [`World`];
 //! * deadlock detection (the original paper's correctness arguments about
 //!   connection progress are exercised by tests that *expect* deadlocks when
 //!   the rules are broken);
@@ -47,10 +46,10 @@
 //! ```
 
 #![warn(missing_docs)]
-// `deny`, not `forbid`: the `fiber` module (the sm backend's stackful
-// coroutine substrate) carries the crate's only `allow(unsafe_code)`,
-// with the safety protocol documented at the top of that file. Every
-// other module remains unsafe-free.
+// `deny`, not `forbid`: the `fiber` module (context switch + stack mapping)
+// carries the crate's only `allow(unsafe_code)`, with the safety protocol
+// documented at the top of that file. Every other module remains
+// unsafe-free.
 #![deny(unsafe_code)]
 
 mod engine;
@@ -63,10 +62,9 @@ mod rng;
 pub mod sync;
 mod time;
 
-pub use engine::{
-    engine_totals, Api, Backend, Engine, EngineTotals, Outcome, ProcCtx, ProcId, World,
-};
+pub use engine::{engine_totals, Api, Engine, EngineTotals, Outcome, ProcCtx, ProcId, World};
 pub use error::{BlockedProc, SimError};
+pub use fiber::{stack_pool_metrics, STACK_POOL_CAP};
 pub use metrics::{MetricEntry, MetricsSnapshot, Registry};
 pub use pool::{BufferPool, PoolStats, PooledBuf, Slab};
 pub use queue::{EventQueue, WheelStats};

@@ -130,7 +130,8 @@ macro_rules! metric_defs {
 }
 
 /// The engine's own metric set (`crates/sim` publishes here at the end of
-/// every run; see `Outcome::metrics`).
+/// every run; see `Outcome::metrics`). Every entry is a pure function of
+/// the simulated configuration.
 pub mod engine {
     crate::metric_defs! {
         counters {
@@ -138,18 +139,8 @@ pub mod engine {
             EVENTS => "sim.events": "World events processed",
             FAST_RESUMES => "sim.fast_resumes": "Token passes short-circuited by the self-resume fast path",
             EVENTS_SCHEDULED => "sim.events_scheduled": "Events ever pushed on the event queue",
-            COALESCE_ADVANCES => "sim.coalesce.advances": "advance() calls absorbed into deferred compute clocks",
-            COALESCE_FLUSHES => "sim.coalesce.flushes": "Deferred compute stretches flushed as one authoritative advance",
-            DIRECT_HANDOFFS => "sim.direct.handoffs": "Token grants performed inline by the yielding process",
+            DIRECT_HANDOFFS => "sim.direct.handoffs": "Token grants that switched straight from the yielding process's fiber to the next one",
             DIRECT_SELF => "sim.direct.self_resumes": "Inline decisions that returned the token to the caller after event processing",
-            PAR_PRE_RELEASES => "sim.par.pre_releases": "Processes released to run ahead inside the lookahead window",
-            PAR_PROMOTIONS => "sim.par.promotions": "Pre-released processes promoted to token holder",
-            SM_POLLS => "sim.sm.polls": "Scheduling decisions taken by the state-machine backend's driver paths",
-            SM_PARKS => "sim.sm.parks": "Fiber suspensions under the state-machine backend",
-            SM_RESUMES => "sim.sm.resumes": "Fiber activations (first starts and resumes) under the state-machine backend",
-            SHARD_LBTS_ROUNDS => "sim.shard.lbts_rounds": "Lower-bound-timestamp merge rounds taken by the sharded scheduler",
-            SHARD_CROSS_SENDS => "sim.shard.cross_sends": "Events routed across shards through SPSC mailboxes",
-            SHARD_STALLS => "sim.shard.stalls": "Shards observed blocked past the lookahead horizon during LBTS rounds",
             WHEEL_DUE => "sim.wheel.push_due": "Events merged straight into the sorted due buffer",
             WHEEL_L0 => "sim.wheel.push_l0": "Events filed in a level-0 wheel slot",
             WHEEL_L1 => "sim.wheel.push_l1": "Events filed in a level-1 wheel slot",
@@ -159,10 +150,24 @@ pub mod engine {
         gauges {
             READY_PEAK => "sim.ready_peak": "Peak ready-heap depth",
             QUEUE_PEAK => "sim.queue_peak": "Peak event-queue occupancy",
-            PAR_WORKERS => "sim.par.workers": "Configured maximum concurrently-executing processes",
-            SHARD_MAILBOX_PEAK => "sim.shard.mailbox_peak": "Peak number of in-flight cross-shard mailbox events",
-            SHARD_WORKERS => "sim.shard.workers": "Effective shard count of the run (1 when serial)",
-            SM_RANK_MEM_PEAK => "sim.sm.rank_mem_peak": "Largest per-rank fiber stack usage in bytes (state-machine backend)",
+        }
+        hists {}
+    }
+}
+
+/// The per-thread fiber stack pool's metric set (see
+/// [`crate::stack_pool_metrics`]). These describe a *thread's* history —
+/// which run maps a stack and which reuses it depends on what ran before —
+/// so they are never merged into a run's deterministic snapshot.
+pub mod fiber {
+    crate::metric_defs! {
+        counters {
+            STACKS_MAPPED => "sim.fiber.stacks_mapped": "Fiber stacks mmap'd by this thread",
+            STACKS_REUSED => "sim.fiber.stacks_reused": "Fiber starts served from this thread's free list",
+        }
+        gauges {
+            STACKS_LIVE => "sim.fiber.stacks_live": "Stacks currently checked out by fiber sets on this thread",
+            POOL_FREE => "sim.fiber.pool_free": "Stacks on this thread's free list (bounded by STACK_POOL_CAP)",
         }
         hists {}
     }

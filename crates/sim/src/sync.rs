@@ -1,16 +1,14 @@
-//! Minimal mutex/condvar wrappers over `std::sync`.
+//! Minimal non-poisoning mutex over `std::sync`.
 //!
 //! The build environment for this repository is fully offline (no crates.io
-//! registry), so the usual `parking_lot` dependency is replaced by these
-//! shims. They expose the subset of the `parking_lot` API the engine uses —
-//! non-poisoning `lock()` that returns the guard directly, `Condvar::wait`
-//! on a guard, and `MutexGuard::unlocked` — implemented on `std::sync`
-//! primitives. Poison errors are swallowed (`PoisonError::into_inner`):
-//! simulated-process panics are already captured and rethrown as
-//! [`crate::SimError::ProcPanic`], so a poisoned lock carries no extra
-//! information here.
+//! registry), so the usual `parking_lot` dependency is replaced by this
+//! shim: a `lock()` that returns the guard directly. Poison errors are
+//! swallowed (`PoisonError::into_inner`): simulated-process panics are
+//! already captured and rethrown as [`crate::SimError::ProcPanic`], so a
+//! poisoned lock carries no extra information here. The engine itself is
+//! single-threaded and takes no locks; the users are the wire-buffer pool
+//! (whose handles are `Send`) and the SPMD runner's result store.
 
-use std::ops::{Deref, DerefMut};
 use std::sync::PoisonError;
 
 /// A non-poisoning mutual-exclusion lock.
@@ -28,10 +26,7 @@ impl<T> Mutex<T> {
 
     /// Acquire the lock, blocking the current thread until it is available.
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        MutexGuard {
-            lock: self,
-            guard: Some(self.inner.lock().unwrap_or_else(PoisonError::into_inner)),
-        }
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Consume the mutex, returning the inner value.
@@ -55,69 +50,7 @@ impl<T: std::fmt::Debug> std::fmt::Debug for Mutex<T> {
 }
 
 /// RAII guard for [`Mutex`]; unlocks on drop.
-pub struct MutexGuard<'a, T> {
-    lock: &'a Mutex<T>,
-    /// `None` only transiently inside [`MutexGuard::unlocked`] / `Condvar::wait`.
-    guard: Option<std::sync::MutexGuard<'a, T>>,
-}
-
-impl<'a, T> MutexGuard<'a, T> {
-    /// Temporarily release the lock while running `f`, then reacquire it.
-    pub fn unlocked<U>(s: &mut Self, f: impl FnOnce() -> U) -> U {
-        s.guard = None;
-        let r = f();
-        s.guard = Some(s.lock.inner.lock().unwrap_or_else(PoisonError::into_inner));
-        r
-    }
-}
-
-impl<T> Deref for MutexGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        self.guard.as_ref().expect("guard present")
-    }
-}
-
-impl<T> DerefMut for MutexGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        self.guard.as_mut().expect("guard present")
-    }
-}
-
-/// A condition variable usable with [`MutexGuard`].
-#[derive(Default)]
-pub struct Condvar {
-    inner: std::sync::Condvar,
-}
-
-impl Condvar {
-    /// Create a new condition variable.
-    pub const fn new() -> Self {
-        Condvar {
-            inner: std::sync::Condvar::new(),
-        }
-    }
-
-    /// Atomically release the guard's lock and block until notified.
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        let inner = guard.guard.take().expect("guard present");
-        guard.guard = Some(
-            self.inner
-                .wait(inner)
-                .unwrap_or_else(PoisonError::into_inner),
-        );
-    }
-
-    /// Wake one waiting thread.
-    pub fn notify_one(&self) {
-        self.inner.notify_one();
-    }
-
-    /// Wake all waiting threads.
-    pub fn notify_all(&self) {
-        self.inner.notify_all();
-    }
-}
+pub type MutexGuard<'a, T> = std::sync::MutexGuard<'a, T>;
 
 #[cfg(test)]
 mod tests {
@@ -130,42 +63,6 @@ mod tests {
         *m.lock() += 41;
         assert_eq!(*m.lock(), 42);
         assert_eq!(m.into_inner(), 42);
-    }
-
-    #[test]
-    fn unlocked_releases_and_reacquires() {
-        let m = Arc::new(Mutex::new(0u32));
-        let mut g = m.lock();
-        *g = 1;
-        let m2 = m.clone();
-        let got = MutexGuard::unlocked(&mut g, move || {
-            // The lock must be free here.
-            let v = *m2.lock();
-            v + 1
-        });
-        assert_eq!(got, 2);
-        *g += 1;
-        drop(g);
-        assert_eq!(*m.lock(), 2);
-    }
-
-    #[test]
-    fn condvar_handoff() {
-        let shared = Arc::new((Mutex::new(false), Condvar::new()));
-        let s2 = shared.clone();
-        let t = std::thread::spawn(move || {
-            let (m, cv) = &*s2;
-            let mut g = m.lock();
-            while !*g {
-                cv.wait(&mut g);
-            }
-        });
-        {
-            let (m, cv) = &*shared;
-            *m.lock() = true;
-            cv.notify_one();
-        }
-        t.join().unwrap();
     }
 
     #[test]

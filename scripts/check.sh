@@ -6,39 +6,32 @@
 # Usage:
 #   scripts/check.sh                       # the full gate (default)
 #   scripts/check.sh determinism [MODE]    # just the determinism suite,
-#                                          # MODE ∈ {fastpath (default),
-#                                          #         no-fastpath, par2, sm,
-#                                          #         shard, multivi}
+#                                          # MODE ∈ {default, multivi}
 #   scripts/check.sh campaign [SECS]       # long timeboxed simcheck
 #                                          # campaign (default 600 s),
 #                                          # resuming the committed state
 #
 # The determinism and campaign stages are what CI's jobs call, so the
-# exact commands — and the engine-mode environment they run under — live
-# here and can never drift from the workflows.
+# exact commands live here and can never drift from the workflows.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 determinism_suite() {
     # Test-name filter for the cargo test invocation; empty runs the
     # whole suite. The multivi leg runs only the multi-VI striping tests
-    # (repeat, cross-backend, jobs-count and counter-name byte-equality
-    # at vis_per_peer ∈ {1,4}) — they pin their own backends internally,
-    # so the leg needs no mode environment.
+    # (repeat, jobs-count and counter-name byte-equality at
+    # vis_per_peer ∈ {1,4}). There is one engine, so there is no mode
+    # environment to set.
     filter=""
-    case "${1:-fastpath}" in
-        fastpath) ;;
-        no-fastpath) export VIAMPI_NO_FASTPATH=1 ;;
-        par2) export VIAMPI_PAR=2 ;;
-        sm) export VIAMPI_ENGINE=sm ;;
-        shard) export VIAMPI_SHARDS=2 ;;
+    case "${1:-default}" in
+        default) ;;
         multivi) filter="multivi" ;;
         *)
             echo "check.sh: unknown determinism mode '${1}'" >&2
             exit 2
             ;;
     esac
-    echo "== determinism suite (mode: ${1:-fastpath})"
+    echo "== determinism suite (mode: ${1:-default})"
     # shellcheck disable=SC2086  # $filter is an optional bare test filter
     cargo test --release --offline --locked -p viampi-bench --test determinism $filter
 }
@@ -60,7 +53,7 @@ campaign_stage() {
 }
 
 if [[ "${1:-all}" == "determinism" ]]; then
-    determinism_suite "${2:-fastpath}"
+    determinism_suite "${2:-default}"
     exit 0
 fi
 
@@ -81,16 +74,6 @@ cargo build --release --offline --locked
 
 echo "== tier-1: cargo test -q (offline, full workspace)"
 cargo test -q --offline --locked --workspace
-
-echo "== determinism suite under the parallel engine (VIAMPI_PAR=2)"
-# Subshell: the mode's exported environment must not leak into later stages.
-(determinism_suite par2)
-
-echo "== determinism suite under the state-machine backend (VIAMPI_ENGINE=sm)"
-(determinism_suite sm)
-
-echo "== determinism suite under the sharded engine (VIAMPI_SHARDS=2)"
-(determinism_suite shard)
 
 echo "== simcheck campaign frontier (timeboxed, resumes committed coverage)"
 campaign_stage 20

@@ -9,23 +9,17 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "== measuring hot paths (bench_hotpaths -> bench_hotpaths_current)"
-echo "   engine mode: ${VIAMPI_ENGINE:-threads}" \
-     "par=${VIAMPI_PAR:-1} shards=${VIAMPI_SHARDS:-1}" \
-     "coalesce=$([ -n "${VIAMPI_NO_COALESCE:-}" ] && echo off || echo on)"
 cargo bench -q --offline --locked -p viampi-bench --bench hotpaths -- \
     --json-out bench_hotpaths_current
 
 echo "== checking required benches are present"
-for b in eager_pingpong_pooled queue_wheel_1k compute_coalesce_1m par_ring_np8 \
-         shard_ring_np64 shard_lbts_round; do
+for b in eager_pingpong_pooled queue_wheel_1k engine_1k_advances \
+         engine_1k_token_passes; do
     grep -q "\"$b\"" results/bench_hotpaths_current.json || {
         echo "perf_gate: required bench '$b' missing from current record" >&2
         exit 1
     }
 done
-
-echo "== engine modes recorded in results/perf.json"
-grep -o '"engine_mode": "[^"]*"' results/perf.json | sort | uniq -c
 
 echo "== comparing against the committed baseline"
 cargo run -q --release --offline --locked -p viampi-bench --bin perf_gate -- \
