@@ -132,7 +132,12 @@ fn pooled_exchange_is_bit_identical_across_repeats() {
     );
     let ra = a.metrics.render();
     assert_eq!(ra, b.metrics.render(), "pool/wheel counters must replay");
-    for name in ["nic.pool.hits", "nic.pool.recycled", "sim.wheel.push_l0"] {
+    for name in [
+        "nic.pool.hits",
+        "nic.pool.recycled",
+        "nic.pool.bytes_copied",
+        "sim.wheel.push_l0",
+    ] {
         assert!(ra.contains(name), "snapshot is missing {name}:\n{ra}");
     }
 }

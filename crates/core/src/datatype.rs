@@ -16,8 +16,8 @@ pub enum ReduceOp {
 pub trait Scalar: Copy + PartialEq + std::fmt::Debug + Send + 'static {
     /// Wire width in bytes.
     const WIDTH: usize;
-    /// Serialize one value.
-    fn write(self, out: &mut Vec<u8>);
+    /// Serialize one value into exactly `WIDTH` bytes.
+    fn write(self, out: &mut [u8]);
     /// Deserialize one value from exactly `WIDTH` bytes.
     fn read(buf: &[u8]) -> Self;
     /// Apply a reduction operator.
@@ -26,12 +26,15 @@ pub trait Scalar: Copy + PartialEq + std::fmt::Debug + Send + 'static {
 
 impl Scalar for f64 {
     const WIDTH: usize = 8;
-    fn write(self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
+    #[inline]
+    fn write(self, out: &mut [u8]) {
+        out.copy_from_slice(&self.to_le_bytes());
     }
+    #[inline]
     fn read(buf: &[u8]) -> Self {
-        f64::from_le_bytes(buf[..8].try_into().unwrap())
+        f64::from_le_bytes(buf.try_into().expect("WIDTH bytes"))
     }
+    #[inline]
     fn reduce(op: ReduceOp, a: Self, b: Self) -> Self {
         match op {
             ReduceOp::Sum => a + b,
@@ -43,12 +46,15 @@ impl Scalar for f64 {
 
 impl Scalar for i64 {
     const WIDTH: usize = 8;
-    fn write(self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
+    #[inline]
+    fn write(self, out: &mut [u8]) {
+        out.copy_from_slice(&self.to_le_bytes());
     }
+    #[inline]
     fn read(buf: &[u8]) -> Self {
-        i64::from_le_bytes(buf[..8].try_into().unwrap())
+        i64::from_le_bytes(buf.try_into().expect("WIDTH bytes"))
     }
+    #[inline]
     fn reduce(op: ReduceOp, a: Self, b: Self) -> Self {
         match op {
             ReduceOp::Sum => a.wrapping_add(b),
@@ -60,12 +66,15 @@ impl Scalar for i64 {
 
 impl Scalar for u32 {
     const WIDTH: usize = 4;
-    fn write(self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
+    #[inline]
+    fn write(self, out: &mut [u8]) {
+        out.copy_from_slice(&self.to_le_bytes());
     }
+    #[inline]
     fn read(buf: &[u8]) -> Self {
-        u32::from_le_bytes(buf[..4].try_into().unwrap())
+        u32::from_le_bytes(buf.try_into().expect("WIDTH bytes"))
     }
+    #[inline]
     fn reduce(op: ReduceOp, a: Self, b: Self) -> Self {
         match op {
             ReduceOp::Sum => a.wrapping_add(b),
@@ -75,11 +84,12 @@ impl Scalar for u32 {
     }
 }
 
-/// Serialize a typed slice.
+/// Serialize a typed slice: one sized buffer filled chunk by chunk, which
+/// compiles to a block copy on little-endian targets.
 pub fn to_bytes<T: Scalar>(vals: &[T]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(vals.len() * T::WIDTH);
-    for &v in vals {
-        v.write(&mut out);
+    let mut out = vec![0; vals.len() * T::WIDTH];
+    for (chunk, &v) in out.chunks_exact_mut(T::WIDTH).zip(vals) {
+        v.write(chunk);
     }
     out
 }
@@ -124,6 +134,30 @@ mod tests {
     fn u32_roundtrip() {
         let v = vec![0u32, 1, u32::MAX];
         assert_eq!(from_bytes::<u32>(&to_bytes(&v)), v);
+    }
+
+    #[test]
+    fn roundtrip_at_every_length_and_width() {
+        // Empty, one element, an odd count, and a block large enough that
+        // the bulk path runs many vector widths.
+        for n in [0usize, 1, 1023, 1 << 20] {
+            let f: Vec<f64> = (0..n).map(|i| i as f64 * -0.75 + 1e-300).collect();
+            let i: Vec<i64> = (0..n)
+                .map(|i| (i as i64).wrapping_mul(i64::MAX / 7))
+                .collect();
+            let u: Vec<u32> = (0..n)
+                .map(|i| (i as u32).wrapping_mul(0x9E37_79B9))
+                .collect();
+            let (fb, ib, ub) = (to_bytes(&f), to_bytes(&i), to_bytes(&u));
+            assert_eq!((fb.len(), ib.len(), ub.len()), (n * 8, n * 8, n * 4));
+            assert_eq!(from_bytes::<f64>(&fb), f);
+            assert_eq!(from_bytes::<i64>(&ib), i);
+            assert_eq!(from_bytes::<u32>(&ub), u);
+            // The wire format is little-endian, element by element.
+            if let Some(&last) = u.last() {
+                assert_eq!(ub[ub.len() - 4..], last.to_le_bytes());
+            }
+        }
     }
 
     #[test]

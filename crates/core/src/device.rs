@@ -1154,13 +1154,13 @@ impl Device {
         let peer = self.reqs[&sreq].peer;
         debug_assert_eq!(self.channels[slot].peer, peer, "CTS arrived off-pair");
         let data = self.reqs.get_mut(&sreq).unwrap().data.take().unwrap();
+        let len = data.len();
         // Register the user buffer (MVICH's dynamic registration), RDMA it,
         // then a FIN control message completes the receiver. In-order VI
-        // delivery guarantees FIN arrives after the data.
-        let mem = self.port.register(data.len().max(1)).expect("pin send buf");
-        self.port
-            .mem_fill(mem, 0, data.as_slice())
-            .expect("zero-copy fill");
+        // delivery guarantees FIN arrives after the data. The region adopts
+        // the request's pooled buffer — the payload's one copy — and the
+        // RDMA write carries a view of it.
+        let mem = self.port.register_buf(data).expect("pin send buf");
         let vi = self.channels[slot].vi.unwrap();
         let stripe = self.channels[slot].stripe;
         let desc = self
@@ -1169,7 +1169,7 @@ impl Device {
                 vi,
                 mem,
                 0,
-                data.len(),
+                len,
                 MemHandle(remote_mem),
                 0,
                 self.cur_thread as u32,
@@ -1558,12 +1558,12 @@ impl Device {
                     let r = self.reqs.get(&rreq).expect("FIN for live request");
                     (r.rndv_mem.unwrap(), r.rndv_len)
                 };
-                // Zero-copy: the landing region *is* the user buffer.
+                // Zero-copy: the landing region *is* the user buffer, and
+                // unpinning it hands over the buffer the RDMA write landed.
                 let data = self
                     .port
-                    .mem_peek_pooled(mem, 0, mlen)
-                    .expect("read rndv data");
-                self.port.deregister(mem).expect("deregister rndv buf");
+                    .deregister_take(mem, mlen)
+                    .expect("deregister rndv buf");
                 let r = self.reqs.get_mut(&rreq).unwrap();
                 r.data = Some(data);
                 r.done = true;

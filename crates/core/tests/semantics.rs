@@ -491,3 +491,31 @@ fn all_policies_and_devices_run_a_workload() {
         }
     }
 }
+
+#[test]
+fn a_payload_is_written_once_on_its_way_to_the_receiver() {
+    // `nic.pool.bytes_copied` counts every byte the data plane writes into
+    // a pooled buffer or a registered region. One message, one pass over
+    // its payload: the user buffer into the pooled buffer that then travels
+    // by reference — sender request → pinned region → RDMA packet → landing
+    // region → receive request for rendezvous, wire frame → completion →
+    // receive request for eager — plus the wire headers built around it.
+    use viampi_core::protocol::HEADER_LEN;
+    let copied = |len: usize| {
+        let report = uni(2, ConnMode::OnDemand)
+            .run(move |mpi| {
+                if mpi.rank() == 0 {
+                    mpi.send(&vec![0xA5u8; len], 1, 3);
+                } else {
+                    let (d, _) = mpi.recv(Some(0), Some(3));
+                    assert!(d.len() == len && d.iter().all(|&b| b == 0xA5));
+                }
+            })
+            .unwrap();
+        report.metrics.get("nic.pool.bytes_copied").unwrap()
+    };
+    // Eager: one frame, header and payload together.
+    assert_eq!(copied(4 << 10), (4 << 10) + HEADER_LEN as u64);
+    // Rendezvous: the payload, and the RTS, CTS and FIN control frames.
+    assert_eq!(copied(1 << 20), (1 << 20) + 3 * HEADER_LEN as u64);
+}

@@ -172,6 +172,123 @@ fn is_sorts_and_is_np_invariant() {
     assert_eq!(r4.results[0].checksum, r8.results[0].checksum);
 }
 
+/// The IS timed loop as first written — `Vec<Vec<u32>>` partition, typed
+/// codecs, `sort_unstable` — kept here as the reference the kernel's
+/// counting-sort path is checked against. Returns this rank's sorted keys,
+/// the timed section's virtual seconds and the global key sum.
+fn is_reference(mpi: &viampi_core::Mpi, class: Class) -> (Vec<u32>, f64, f64) {
+    use viampi_core::{from_bytes, to_bytes, ReduceOp};
+    const BUCKETS: usize = 1 << 10;
+    let (total_keys, max_key, iterations) = match class {
+        Class::S => (1u64 << 14, 1u32 << 11, 4),
+        Class::A => (1 << 20, 1 << 15, 10),
+        _ => unreachable!("reference runs the small classes only"),
+    };
+    let (rank, np) = (mpi.rank(), mpi.size());
+    let per = total_keys / np as u64;
+    let lo = rank as u64 * per;
+    let hi = if rank == np - 1 { total_keys } else { lo + per };
+    let keys: Vec<u32> = (lo..hi)
+        .map(|idx| {
+            let mut rng = viampi_sim::SplitMix64::new(0x1234_5678 ^ (idx * 0x9E37_79B9));
+            (0..4)
+                .map(|_| rng.next_below(max_key as u64 / 4) as u32)
+                .sum()
+        })
+        .collect();
+    mpi.barrier();
+    let t0 = mpi.now();
+    let shift = (max_key as usize / BUCKETS).max(1);
+    let mut sorted: Vec<u32> = Vec::new();
+    for iter in 0..iterations {
+        let mut hist = vec![0i64; BUCKETS];
+        for &k in &keys {
+            hist[(k as usize / shift).min(BUCKETS - 1)] += 1;
+        }
+        mpi.compute(keys.len() as f64 * 2.0);
+        let global = mpi.allreduce(&hist, ReduceOp::Sum);
+        let target = global.iter().sum::<i64>() / np as i64 + 1;
+        let mut owner = vec![0usize; BUCKETS];
+        let (mut acc, mut cur) = (0i64, 0usize);
+        for b in 0..BUCKETS {
+            owner[b] = cur;
+            acc += global[b];
+            if acc >= target && cur + 1 < np {
+                cur += 1;
+                acc = 0;
+            }
+        }
+        mpi.compute(BUCKETS as f64 * 2.0);
+        let mut outgoing: Vec<Vec<u32>> = vec![Vec::new(); np];
+        for &k in &keys {
+            outgoing[owner[(k as usize / shift).min(BUCKETS - 1)]].push(k);
+        }
+        mpi.compute(keys.len() as f64);
+        let send: Vec<Vec<u8>> = outgoing.iter().map(|v| to_bytes(v)).collect();
+        let mut mine: Vec<u32> = Vec::new();
+        for block in mpi.alltoallv(&send) {
+            mine.extend(from_bytes::<u32>(&block));
+        }
+        // Every iteration sorted; only the last one's order is ever read,
+        // and a debug-build sort of a class A rank is not cheap.
+        if iter + 1 == iterations {
+            mine.sort_unstable();
+        }
+        mpi.compute(mine.len() as f64 * 8.0);
+        sorted = mine;
+    }
+    mpi.barrier();
+    let time = mpi.now().since(t0).as_secs_f64();
+    // What a rank does next reaches ranks still inside the timed section,
+    // so the reference also keeps the original verification's traffic.
+    if np > 1 {
+        let top = sorted.last().copied().unwrap_or(0);
+        let (next, prev) = ((rank + 1) % np, (rank + np - 1) % np);
+        mpi.sendrecv(&top.to_le_bytes(), next, 77, Some(prev), Some(77));
+    }
+    mpi.allreduce(&[sorted.len() as i64], ReduceOp::Sum);
+    let sum = mpi.allreduce(
+        &[sorted.iter().map(|&k| k as i64).sum::<i64>()],
+        ReduceOp::Sum,
+    );
+    (sorted, time, sum[0] as f64)
+}
+
+/// Sorted keys, checksum and — because every modelled charge and message
+/// size is unchanged — the virtual time, bit for bit, against the reference.
+/// np = 7 exercises the non-power-of-two allreduce and an uneven last rank.
+fn is_matches_reference(class: Class) {
+    for np in [1usize, 2, 4, 7, 8] {
+        let want = uni(np).run(move |mpi| is_reference(mpi, class)).unwrap();
+        let got = uni(np)
+            .run(move |mpi| viampi_npb::is::sort(mpi, class))
+            .unwrap();
+        for (rank, ((res, keys), (ref_keys, ref_time, ref_sum))) in
+            got.results.iter().zip(&want.results).enumerate()
+        {
+            let at = format!("IS.{class}.{np} rank {rank}");
+            assert!(res.verified, "{at}");
+            assert_eq!(keys, ref_keys, "{at}: sorted keys");
+            assert_eq!(res.checksum, *ref_sum, "{at}: checksum");
+            assert_eq!(
+                res.time_secs.to_bits(),
+                ref_time.to_bits(),
+                "{at}: virtual time"
+            );
+        }
+    }
+}
+
+#[test]
+fn is_class_s_matches_the_sort_unstable_reference() {
+    is_matches_reference(Class::S);
+}
+
+#[test]
+fn is_class_a_matches_the_sort_unstable_reference() {
+    is_matches_reference(Class::A);
+}
+
 #[test]
 fn is_uses_full_connectivity() {
     // Table 2: IS → all N-1 VIs, utilization 1.0 under both managers.

@@ -1,11 +1,14 @@
 //! Size-classed, recycle-on-drop buffer pool and a descriptor slab.
 //!
-//! The simulated data path used to materialize every eager payload as a
-//! fresh `Vec<u8>` at the send, wire, unexpected-queue, and delivery stages.
 //! [`PooledBuf`] is a cheap ref-counted handle over a pooled allocation: a
-//! message body is copied exactly once (user buffer → pooled wire buffer)
-//! and handed by reference thereafter; when the last handle drops, the
-//! backing allocation returns to its [`BufferPool`] free list for reuse.
+//! message body is copied exactly once (user buffer → pooled buffer) and
+//! handed by reference thereafter — an eager frame through the NIC, the
+//! completion and the unexpected queue; a rendezvous payload through the
+//! sender's pinned region, the RDMA packet and the receiver's landing
+//! region. When the last handle drops, the backing allocation returns to
+//! its [`BufferPool`] free list for reuse. [`PoolStats::bytes_copied`]
+//! counts what the pool writes, so "exactly once" is checked by `==`
+//! (`crates/core/tests/semantics.rs`), not by reading the code.
 //!
 //! Everything here is deterministic: free lists are LIFO vectors, size
 //! classes are fixed powers of two, and no addresses or wall-clock time
@@ -53,6 +56,9 @@ pub struct PoolStats {
     pub live: u64,
     /// High-water mark of `live`.
     pub live_peak: u64,
+    /// Bytes written into pooled buffers as they were built: copied
+    /// payload and zero-filled header placeholders.
+    pub bytes_copied: u64,
 }
 
 struct PoolInner {
@@ -83,8 +89,11 @@ impl BufferPool {
         }
     }
 
+    /// Take an empty buffer that the caller is about to fill with `len`
+    /// bytes.
     fn take(&self, len: usize) -> Vec<u8> {
         let mut g = self.inner.lock();
+        g.stats.bytes_copied += len as u64;
         let v = match class_of(len) {
             Some(c) => g.free[c].pop(),
             None => None,
@@ -438,6 +447,22 @@ mod tests {
         assert_eq!(b2.len(), 48);
         assert!(b2.iter().all(|&x| x == 0));
         assert_eq!(p.stats().hits, 1);
+    }
+
+    #[test]
+    fn bytes_copied_counts_what_each_constructor_writes() {
+        let p = BufferPool::new();
+        let a = p.from_slice(&[1; 100]);
+        let b = p.prefixed(32, &[2; 10]);
+        let c = p.alloc(8);
+        assert_eq!(p.stats().bytes_copied, 100 + 42 + 8);
+        // Sharing a buffer, narrowing the view and copying *out* of it are
+        // not writes into the pool.
+        let mut d = a.clone();
+        d.advance(10);
+        drop((a, b, c));
+        assert_eq!(d.into_vec().len(), 90);
+        assert_eq!(p.stats().bytes_copied, 150);
     }
 
     #[test]

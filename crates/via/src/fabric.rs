@@ -171,7 +171,7 @@ pub struct Fabric {
     /// reliable connection path — the behaviour of every experiment run.
     faults: Option<FaultInjector>,
     /// Shared wire-buffer pool for the zero-copy data plane.
-    pool: BufferPool,
+    pub(crate) pool: BufferPool,
 }
 
 impl Fabric {
@@ -206,6 +206,7 @@ impl Fabric {
         reg.add(nic_metrics::POOL_MISSES, s.misses);
         reg.add(nic_metrics::POOL_RECYCLED, s.recycled);
         reg.add(nic_metrics::POOL_DISCARDED, s.discarded);
+        reg.add(nic_metrics::POOL_BYTES_COPIED, s.bytes_copied);
         reg.gauge_set(nic_metrics::POOL_LIVE, s.live);
         reg.gauge_set(nic_metrics::POOL_LIVE_PEAK, s.live_peak);
         reg.snapshot()
@@ -405,9 +406,9 @@ impl Fabric {
             }
             v.peer.expect("connected VI has a peer")
         };
-        let data = self
-            .pool
-            .from_slice(&self.nics[node].regions[mem.0 as usize].bytes()[off..off + len]);
+        // The region is the pinned user buffer: the NIC reads it in place,
+        // so the packet carries a view of it, not a copy.
+        let data = self.nics[node].regions[mem.0 as usize].window(off, len);
         let desc = self.nics[node].alloc_desc();
         self.launch(
             api,
@@ -898,8 +899,7 @@ impl World for Fabric {
                         }
                         vi.recv_q.pop_front();
                         vi.msgs_recvd += 1;
-                        nic.regions[rd.mem.0 as usize].bytes()[rd.off..rd.off + data.len()]
-                            .copy_from_slice(&data);
+                        nic.write_region(&self.pool, rd.mem, rd.off, &data);
                         nic.metrics.inc(nic_metrics::MSGS_RX);
                         nic.metrics.add(nic_metrics::BYTES_RX, data.len() as u64);
                         nic.cq.push_back(Completion {
@@ -959,11 +959,9 @@ impl World for Fabric {
                             nic.metrics.inc(nic_metrics::DROPS_RDMA);
                             return;
                         }
-                        nic.regions[remote_mem.0 as usize].bytes()
-                            [remote_off..remote_off + data.len()]
-                            .copy_from_slice(&data);
                         nic.metrics.inc(nic_metrics::MSGS_RX);
                         nic.metrics.add(nic_metrics::BYTES_RX, data.len() as u64);
+                        nic.land_rdma(&self.pool, remote_mem, remote_off, data);
                         // One-sided: no completion, no activity (invisible to
                         // the target process, as in the VI Architecture).
                     }

@@ -1,12 +1,13 @@
 //! Per-node NIC state: VI endpoints, registered memory, completion queue,
 //! pending connection requests, and resource accounting.
 
+use crate::fabric::Bytes;
 use crate::types::{
     Completion, CsRequest, DescId, Discriminator, MemHandle, NodeId, PeerRequest, ViId, ViState,
     ViaError,
 };
 use std::collections::VecDeque;
-use viampi_sim::{ProcId, Registry, SimTime};
+use viampi_sim::{BufferPool, ProcId, Registry, SimTime};
 
 /// The NIC metric set (see [`viampi_sim::metrics`]). Every fabric-level
 /// counter lives here; [`NicStats`] is a compatibility view built from a
@@ -32,6 +33,7 @@ pub mod nic_metrics {
             POOL_MISSES => "nic.pool.misses": "Wire-buffer allocations that touched the system allocator",
             POOL_RECYCLED => "nic.pool.recycled": "Wire buffers returned to a free list on final drop",
             POOL_DISCARDED => "nic.pool.discarded": "Wire buffers not retained (oversize, full list, or exported)",
+            POOL_BYTES_COPIED => "nic.pool.bytes_copied": "Bytes written building pooled buffers (fabric-wide) plus bytes copied into this NIC's registered regions",
             VI_PRODUCER_SWITCHES => "nic.vi.producer_switches": "Posts to a VI whose previous post came from a different producer thread",
             VI_CONVOY_NS => "nic.vi.convoy_ns": "Virtual nanoseconds of lock-convoy charge on shared VIs",
         }
@@ -113,10 +115,20 @@ impl Vi {
 /// memory is allocated until the first simulated DMA or host access. Large
 /// worlds pre-post thousands of eager pools that are mostly never touched —
 /// those cost bookkeeping only, which is what keeps np=4096 runs resident.
+///
+/// The backing store is a ref-counted [`Bytes`], so a payload buffer can be
+/// handed through a region instead of copied through it: a region may
+/// *adopt* the buffer it is registered over ([`Nic::register_buf`]), lend a
+/// window of it to an in-flight RDMA write ([`Region::window`]), have an
+/// arriving RDMA buffer *installed* as its backing ([`Nic::land_rdma`]),
+/// and give the buffer up on deregistration ([`Nic::deregister_take`]).
+/// Writes ([`Nic::write_region`]) are copy-on-write, so a window lent
+/// earlier keeps the bytes it had.
 #[derive(Debug)]
 pub struct Region {
-    /// Backing storage; empty until [`Region::bytes`] first materializes it.
-    data: Vec<u8>,
+    /// Backing storage, exactly `len` bytes once present; `None` until the
+    /// first access materializes it or a buffer is adopted or installed.
+    data: Option<Bytes>,
     /// Registered length (the accounting unit; `data` commits lazily).
     len: usize,
     /// False once deregistered (slot retained so handles stay unique).
@@ -134,13 +146,41 @@ impl Region {
         self.len == 0
     }
 
-    /// The backing bytes, materialized (zero-filled) on first access —
-    /// simulated DMA reads/writes and host copies address this directly.
-    pub fn bytes(&mut self) -> &mut [u8] {
-        if self.data.is_empty() && self.len > 0 {
-            self.data = vec![0; self.len];
+    fn backing(&mut self) -> &mut Bytes {
+        let len = self.len;
+        self.data
+            .get_or_insert_with(|| Bytes::from_vec(vec![0; len]))
+    }
+
+    /// The region's bytes, materialized (zero-filled) on first access.
+    pub fn bytes(&mut self) -> &[u8] {
+        self.backing().as_slice()
+    }
+
+    /// A ref-counted view of `len` bytes at `off` — what a simulated DMA
+    /// read puts on the wire, without copying. Later writes to the region
+    /// do not show through it.
+    pub fn window(&mut self, off: usize, len: usize) -> Bytes {
+        let mut w = self.backing().clone();
+        w.advance(off);
+        w.truncate(len);
+        w
+    }
+
+    /// Copy `src` into the region at `off`. If a window of the backing
+    /// buffer is still held elsewhere (an RDMA write in flight), the region
+    /// moves to a private copy, so the window keeps its snapshot.
+    fn write(&mut self, pool: &BufferPool, off: usize, src: &[u8]) {
+        let buf = self.backing();
+        match buf.unique_mut() {
+            Some(dst) => dst[off..off + src.len()].copy_from_slice(src),
+            None => {
+                let mut private = pool.from_slice(buf);
+                private.unique_mut().expect("fresh buffer has one handle")[off..off + src.len()]
+                    .copy_from_slice(src);
+                *buf = private;
+            }
         }
-        &mut self.data
     }
 }
 
@@ -330,7 +370,7 @@ impl Nic {
         }
         let h = MemHandle(self.regions.len() as u32);
         self.regions.push(Region {
-            data: Vec::new(),
+            data: None,
             len,
             active: true,
         });
@@ -340,21 +380,61 @@ impl Nic {
         Ok(h)
     }
 
+    /// Register (pin) the buffer `data` itself: the region adopts it as its
+    /// backing store, so an RDMA write out of the region sends these bytes
+    /// with no staging copy. A zero-length buffer pins one byte, as the
+    /// smallest registration does.
+    pub fn register_buf(&mut self, data: Bytes, max_pinned: usize) -> Result<MemHandle, ViaError> {
+        let h = self.register(data.len().max(1), max_pinned)?;
+        if !data.is_empty() {
+            self.regions[h.0 as usize].data = Some(data);
+        }
+        Ok(h)
+    }
+
     /// Deregister a region, releasing its pinned bytes.
     pub fn deregister(&mut self, h: MemHandle) -> Result<(), ViaError> {
-        let r = self
-            .regions
-            .get_mut(h.0 as usize)
-            .ok_or(ViaError::InvalidMem)?;
-        if !r.active {
-            return Err(ViaError::InvalidMem);
-        }
+        self.deregister_take(h, 0).map(drop)
+    }
+
+    /// Deregister a region and take its first `len` bytes with it — the
+    /// backing buffer itself, not a copy.
+    pub fn deregister_take(&mut self, h: MemHandle, len: usize) -> Result<Bytes, ViaError> {
+        self.check_bounds(h, 0, len)?;
+        let r = &mut self.regions[h.0 as usize];
         r.active = false;
+        // An untouched region reads as zeros, here as everywhere.
+        let mut data = r
+            .data
+            .take()
+            .unwrap_or_else(|| Bytes::from_vec(vec![0; len]));
+        data.truncate(len);
         self.metrics
             .gauge_sub(nic_metrics::PINNED_NOW, r.len as u64);
-        let freed = std::mem::take(&mut r.data);
-        drop(freed);
-        Ok(())
+        Ok(data)
+    }
+
+    /// Copy `src` into region `mem` at `off` — a host store or a simulated
+    /// DMA write. The caller has checked bounds. Counted in
+    /// `nic.pool.bytes_copied`, as is the private copy a region makes first
+    /// when a window of its buffer is still in flight.
+    pub fn write_region(&mut self, pool: &BufferPool, mem: MemHandle, off: usize, src: &[u8]) {
+        self.regions[mem.0 as usize].write(pool, off, src);
+        self.metrics
+            .add(nic_metrics::POOL_BYTES_COPIED, src.len() as u64);
+    }
+
+    /// Land an arriving RDMA payload in region `mem` at `off` (bounds
+    /// checked by the caller). A payload that covers the whole of a region
+    /// nothing has touched yet becomes the region's backing store as it is;
+    /// any other write is copied in.
+    pub fn land_rdma(&mut self, pool: &BufferPool, mem: MemHandle, off: usize, data: Bytes) {
+        let r = &mut self.regions[mem.0 as usize];
+        if r.data.is_none() && off == 0 && data.len() == r.len {
+            r.data = Some(data);
+        } else {
+            self.write_region(pool, mem, off, &data);
+        }
     }
 
     /// Validate a `(mem, off, len)` triple against a live region.

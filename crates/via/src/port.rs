@@ -90,11 +90,34 @@ impl ViaPort {
             .with_world(|f, _| f.nics[node].register(len, f.profile.max_pinned))
     }
 
+    /// `VipRegisterMem` over the buffer `data` itself (the rendezvous
+    /// sender pinning the user buffer): the region adopts it, so an RDMA
+    /// write out of the region involves no staging copy. Charges the pin
+    /// cost of the buffer's length.
+    pub fn register_buf(&self, data: crate::fabric::Bytes) -> Result<MemHandle, ViaError> {
+        self.ctx.advance(self.profile.reg_time(data.len().max(1)));
+        let node = self.node;
+        self.ctx
+            .with_world(|f, _| f.nics[node].register_buf(data, f.profile.max_pinned))
+    }
+
     /// `VipDeregisterMem`.
     pub fn deregister(&self, h: MemHandle) -> Result<(), ViaError> {
+        self.deregister_take(h, 0).map(drop)
+    }
+
+    /// `VipDeregisterMem` that hands back the region's first `len` bytes
+    /// (the rendezvous receiver unpinning the user buffer the data landed
+    /// in) — the backing buffer itself, no copy and no copy charge.
+    pub fn deregister_take(
+        &self,
+        h: MemHandle,
+        len: usize,
+    ) -> Result<crate::fabric::Bytes, ViaError> {
         self.ctx.advance(self.profile.reg_mem_base / 2);
         let node = self.node;
-        self.ctx.with_world(|f, _| f.nics[node].deregister(h))
+        self.ctx
+            .with_world(|f, _| f.nics[node].deregister_take(h, len))
     }
 
     /// Copy host data **into** a registered region, charging memcpy time
@@ -117,7 +140,7 @@ impl ViaPort {
         let node = self.node;
         self.ctx.with_world(|f, _| {
             f.nics[node].check_bounds(h, off, data.len())?;
-            f.nics[node].regions[h.0 as usize].bytes()[off..off + data.len()].copy_from_slice(data);
+            f.nics[node].write_region(&f.pool, h, off, data);
             Ok(())
         })
     }
@@ -128,54 +151,6 @@ impl ViaPort {
         self.ctx.with_world(|f, _| {
             f.nics[node].check_bounds(h, off, len)?;
             Ok(f.nics[node].regions[h.0 as usize].bytes()[off..off + len].to_vec())
-        })
-    }
-
-    /// Borrow variant of [`ViaPort::mem_peek`]: run `f` over the region
-    /// bytes in place, with no intermediate `Vec` and no copy charge.
-    pub fn mem_peek_with<R>(
-        &self,
-        h: MemHandle,
-        off: usize,
-        len: usize,
-        f: impl FnOnce(&[u8]) -> R,
-    ) -> Result<R, ViaError> {
-        let node = self.node;
-        self.ctx.with_world(|w, _| {
-            w.nics[node].check_bounds(h, off, len)?;
-            Ok(f(
-                &w.nics[node].regions[h.0 as usize].bytes()[off..off + len]
-            ))
-        })
-    }
-
-    /// Borrow variant of [`ViaPort::mem_read`]: charges memcpy time (the
-    /// host really does copy), then hands the region bytes to `f` in place
-    /// so the destination can be written directly.
-    pub fn mem_read_with<R>(
-        &self,
-        h: MemHandle,
-        off: usize,
-        len: usize,
-        f: impl FnOnce(&[u8]) -> R,
-    ) -> Result<R, ViaError> {
-        self.ctx.advance(self.profile.copy_time(len));
-        self.mem_peek_with(h, off, len, f)
-    }
-
-    /// Copy a registered region's bytes into a pooled buffer (no copy
-    /// charge; the caller charges protocol costs as appropriate).
-    pub fn mem_peek_pooled(
-        &self,
-        h: MemHandle,
-        off: usize,
-        len: usize,
-    ) -> Result<crate::fabric::Bytes, ViaError> {
-        let node = self.node;
-        self.ctx.with_world(|w, _| {
-            w.nics[node].check_bounds(h, off, len)?;
-            let pool = w.pool();
-            Ok(pool.from_slice(&w.nics[node].regions[h.0 as usize].bytes()[off..off + len]))
         })
     }
 

@@ -1,7 +1,10 @@
 //! VIA-layer edge cases: descriptor limits, oversized arrivals, RDMA
-//! addressing errors, endpoint teardown, and NIC transmit serialization.
+//! addressing errors, endpoint teardown, NIC transmit serialization, and
+//! the buffer hand-off through registered regions (an RDMA write shares
+//! the sender's buffer with the packet and, when it can, with the target
+//! region — none of which may be observable as aliasing).
 
-use viampi_sim::SimDuration;
+use viampi_sim::{PooledBuf, SimDuration};
 use viampi_via::{
     fabric_engine, CompletionKind, DeviceProfile, Discriminator, MemHandle, ViaError, ViaPort,
 };
@@ -225,4 +228,210 @@ fn oob_messages_preserve_pairwise_order() {
         }
     });
     eng.run().unwrap();
+}
+
+/// Run `src` on node 0 and `dst` on node 1 over one connected VI pair.
+/// `dst` registers before it connects, so its first region is
+/// `MemHandle(0)` by the time `src` can post; after `dst` returns the
+/// harness checks nothing — each body asserts for itself.
+fn rdma_pair(
+    disc: u64,
+    src: impl FnOnce(&ViaPort, viampi_via::ViId) + Send + 'static,
+    dst_setup: impl FnOnce(&ViaPort) + Send + 'static,
+    dst_check: impl FnOnce(&ViaPort) + Send + 'static,
+) {
+    let mut eng = fabric_engine(DeviceProfile::clan(), 2);
+    eng.spawn("src", move |ctx| {
+        let port = ViaPort::open(ctx, 0);
+        let vi = connect_pair(&port, 1, disc);
+        src(&port, vi);
+        port.charge(SimDuration::millis(2));
+    });
+    eng.spawn("dst", move |ctx| {
+        let port = ViaPort::open(ctx, 1);
+        let vi = port.create_vi().unwrap();
+        dst_setup(&port);
+        port.connect_peer(vi, 0, Discriminator(disc)).unwrap();
+        port.connect_wait(vi).unwrap();
+        // One-sided: no completion will ever arrive; give the writes time.
+        port.charge(SimDuration::millis(1));
+        dst_check(&port);
+    });
+    eng.run().unwrap();
+}
+
+#[test]
+fn write_after_post_does_not_change_the_bytes_that_land() {
+    rdma_pair(
+        20,
+        |port, vi| {
+            // The region adopts the buffer; the packet shares it.
+            let mem = port.register_buf(PooledBuf::from(vec![0xAB; 64])).unwrap();
+            port.post_rdma_write(vi, mem, 0, 64, MemHandle(0), 0)
+                .unwrap();
+            // Both kinds of host write, while the packet is in flight.
+            port.mem_fill(mem, 0, &[0xCD; 32]).unwrap();
+            port.mem_write(mem, 32, &[0xEF; 32]).unwrap();
+            let mut now = vec![0xCD; 32];
+            now.extend([0xEF; 32]);
+            assert_eq!(port.mem_peek(mem, 0, 64).unwrap(), now);
+        },
+        |port| {
+            port.register(64).unwrap();
+        },
+        |port| {
+            assert_eq!(port.mem_peek(MemHandle(0), 0, 64).unwrap(), vec![0xAB; 64]);
+        },
+    );
+}
+
+#[test]
+fn whole_region_rdma_is_handed_over_not_copied() {
+    rdma_pair(
+        21,
+        |port, vi| {
+            let mem = port
+                .register_buf(PooledBuf::from(vec![0x5A; 4096]))
+                .unwrap();
+            let before = port.pool().stats().bytes_copied;
+            port.post_rdma_write(vi, mem, 0, 4096, MemHandle(0), 0)
+                .unwrap();
+            // Landed by now, and the target has not written yet (the pool
+            // and its counter are fabric-wide).
+            port.charge(SimDuration::micros(500));
+            assert_eq!(port.pool().stats().bytes_copied, before, "no staging copy");
+            // The target's later write must not reach back into this buffer.
+            port.charge(SimDuration::micros(1500));
+            assert_eq!(port.mem_peek(mem, 0, 4096).unwrap(), vec![0x5A; 4096]);
+        },
+        |port| {
+            port.register(4096).unwrap();
+        },
+        |port| {
+            let region_copies =
+                |port: &ViaPort| port.metrics_snapshot().get("nic.pool.bytes_copied");
+            assert_eq!(region_copies(port), Some(0), "installed, not copied in");
+            let before = port.pool().stats().bytes_copied;
+            // A partial host write on top: the region moves to a private
+            // copy (a pool allocation, counted there) and leaves the
+            // sender's buffer alone.
+            port.mem_fill(MemHandle(0), 8, &[0x11; 16]).unwrap();
+            assert_eq!(port.pool().stats().bytes_copied, before + 4096);
+            assert_eq!(region_copies(port), Some(16));
+            let got = port.deregister_take(MemHandle(0), 4096).unwrap();
+            assert_eq!(&got[..8], &[0x5A; 8]);
+            assert_eq!(&got[8..24], &[0x11; 16]);
+            assert_eq!(&got[24..], &[0x5A; 4096 - 24][..]);
+            assert_eq!(
+                port.mem_peek(MemHandle(0), 0, 1),
+                Err(ViaError::InvalidMem),
+                "the region is gone with its buffer"
+            );
+        },
+    );
+}
+
+#[test]
+fn rdma_at_an_offset_into_a_fresh_region_is_copied_in() {
+    rdma_pair(
+        22,
+        |port, vi| {
+            let mem = port.register_buf(PooledBuf::from(vec![0xAB; 64])).unwrap();
+            port.post_rdma_write(vi, mem, 0, 64, MemHandle(0), 16)
+                .unwrap();
+        },
+        |port| {
+            port.register(128).unwrap();
+        },
+        |port| {
+            let mut want = vec![0u8; 16];
+            want.extend([0xAB; 64]);
+            want.extend([0u8; 48]);
+            assert_eq!(port.mem_peek(MemHandle(0), 0, 128).unwrap(), want);
+            assert_eq!(port.stats().msgs_rx, 1);
+        },
+    );
+}
+
+#[test]
+fn two_disjoint_rdma_writes_share_one_region() {
+    rdma_pair(
+        23,
+        |port, vi| {
+            let mem = port.register(64).unwrap();
+            port.mem_fill(mem, 0, &[0x11; 32]).unwrap();
+            port.mem_fill(mem, 32, &[0x22; 32]).unwrap();
+            // Second half first: neither write covers the region.
+            port.post_rdma_write(vi, mem, 32, 32, MemHandle(0), 32)
+                .unwrap();
+            port.post_rdma_write(vi, mem, 0, 32, MemHandle(0), 0)
+                .unwrap();
+        },
+        |port| {
+            port.register(64).unwrap();
+        },
+        |port| {
+            let mut want = vec![0x11; 32];
+            want.extend([0x22; 32]);
+            assert_eq!(port.mem_peek(MemHandle(0), 0, 64).unwrap(), want);
+            assert_eq!(port.stats().msgs_rx, 2);
+        },
+    );
+}
+
+#[test]
+fn rdma_into_a_region_the_host_already_wrote_keeps_the_rest() {
+    rdma_pair(
+        24,
+        |port, vi| {
+            let mem = port.register_buf(PooledBuf::from(vec![0xAB; 64])).unwrap();
+            // Whole-region write into a materialized region, then a partial
+            // one into a second region the host filled.
+            port.post_rdma_write(vi, mem, 0, 64, MemHandle(0), 0)
+                .unwrap();
+            port.post_rdma_write(vi, mem, 0, 32, MemHandle(1), 0)
+                .unwrap();
+        },
+        |port| {
+            for _ in 0..2 {
+                let mem = port.register(64).unwrap();
+                port.mem_write(mem, 0, &[0x77; 64]).unwrap();
+            }
+        },
+        |port| {
+            assert_eq!(port.mem_peek(MemHandle(0), 0, 64).unwrap(), vec![0xAB; 64]);
+            let mut want = vec![0xAB; 32];
+            want.extend([0x77; 32]);
+            assert_eq!(port.mem_peek(MemHandle(1), 0, 64).unwrap(), want);
+        },
+    );
+}
+
+#[test]
+fn deregister_with_an_rdma_in_flight_drops_or_lands_cleanly() {
+    rdma_pair(
+        25,
+        |port, vi| {
+            let mem = port.register_buf(PooledBuf::from(vec![0xAB; 64])).unwrap();
+            port.post_rdma_write(vi, mem, 0, 64, MemHandle(0), 0)
+                .unwrap();
+            port.post_rdma_write(vi, mem, 0, 64, MemHandle(1), 0)
+                .unwrap();
+            // The source unpins with both packets still on the wire: they
+            // keep the buffer alive.
+            port.deregister(mem).unwrap();
+            assert_eq!(port.stats().pinned_now, 0);
+        },
+        |port| {
+            port.register(64).unwrap();
+            let gone = port.register(64).unwrap();
+            port.deregister(gone).unwrap();
+        },
+        |port| {
+            assert_eq!(port.mem_peek(MemHandle(0), 0, 64).unwrap(), vec![0xAB; 64]);
+            let stats = port.stats();
+            assert_eq!(stats.drops_rdma, 1, "write into the unpinned region");
+            assert_eq!(stats.msgs_rx, 1);
+        },
+    );
 }

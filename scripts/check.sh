@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# Pre-PR gate: formatting, lints, and the tier-1 build/test pair, all
-# offline (the build environment has no crate registry — see DESIGN.md §3)
-# and --locked, so a drifted Cargo.lock fails loudly instead of resolving.
+# Pre-PR gate: formatting, lints, the tier-1 build/test pair, the campaign
+# frontier and a smoke run of the repo benchmark, all offline (the build
+# environment has no crate registry — see DESIGN.md §3) and, for the
+# workspace, --locked, so a drifted Cargo.lock fails loudly instead of
+# resolving.
 #
 # Usage:
 #   scripts/check.sh                       # the full gate (default)
@@ -77,5 +79,12 @@ cargo test -q --offline --locked --workspace
 
 echo "== simcheck campaign frontier (timeboxed, resumes committed coverage)"
 campaign_stage 20
+
+# The repo benchmark is a package of its own that the workspace neither
+# sees nor builds, so nothing above notices a change that breaks the API
+# surface it is frozen against (benchmark/README.md). Build it and run one
+# unit of every workload, each checked for correctness (< 15 s).
+echo "== repo benchmark: offline build + smoke run"
+bash benchmark/run.sh --smoke
 
 echo "all checks passed"
