@@ -1,6 +1,6 @@
 //! Microbenchmarks of the protocol hot paths: wire-header codec, matching
-//! queues, the event queue, and the engine's self-resume and fiber-switch
-//! costs.
+//! queues, the event queue, and the engine's compute-charge and
+//! fiber-switch costs.
 
 use viampi_bench::micro;
 use viampi_bench::minibench::{black_box, Bench};
@@ -139,8 +139,10 @@ impl viampi_sim::World for Nop {
 }
 
 fn bench_engine(b: &mut Bench) {
-    // Cost of one advance() through the scheduler: a lone process
-    // self-resumes every time.
+    // Cost of one advance(): arithmetic on the process's own clock. The
+    // scheduler is not involved — a charge is only settled at the next
+    // world access, and this body makes none — so this times the world's
+    // set-up plus 1000 clock additions.
     b.run("engine_1k_advances", || {
         let mut eng = Engine::new(Nop);
         eng.spawn("p", |ctx| {
@@ -150,16 +152,18 @@ fn bench_engine(b: &mut Bench) {
         });
         eng.run().unwrap()
     });
-    // Token passing between two runnable processes: the fast path cannot
-    // apply (the peer is always earlier), so this isolates the inline
-    // decision plus fiber-to-fiber switch that repro_all pays inside every
-    // multi-rank simulation.
+    // Token passing between two runnable processes: each charges and then
+    // yields, and at every yield the peer is the earlier one, so the fast
+    // path cannot apply. This isolates the inline decision plus
+    // fiber-to-fiber switch that repro_all pays inside every multi-rank
+    // simulation.
     b.run("engine_1k_token_passes", || {
         let mut eng = Engine::new(Nop);
         for p in 0..2 {
             eng.spawn(format!("p{p}"), |ctx| {
                 for _ in 0..500 {
                     ctx.advance(SimDuration::nanos(10));
+                    ctx.yield_now();
                 }
             });
         }

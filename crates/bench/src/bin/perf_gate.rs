@@ -1,5 +1,17 @@
-//! Hot-path performance gate: compare a fresh `bench_hotpaths` record
-//! against the committed baseline and fail on large regressions.
+//! Hot-path performance gate, in two stages.
+//!
+//! The **exact** stage counts scheduling work instead of timing it, so it
+//! means the same on any machine: it runs two small worlds, reads the
+//! engine's own counters and compares them with `==` to the committed
+//! record. A change that adds a token switch per message or a world access
+//! per provisioned channel fails it; one that removes some re-blesses it.
+//!
+//! ```text
+//! perf_gate --exact results/perf_exact.json [--bless]
+//! ```
+//!
+//! The **timed** stage compares a fresh `bench_hotpaths` record against the
+//! committed baseline and fails on large regressions.
 //!
 //! ```text
 //! perf_gate --baseline results/bench_hotpaths_baseline.json \
@@ -15,12 +27,128 @@
 //! shared CI runners, tight enough to catch a real hot-path regression).
 //! Speedups and newly added benchmarks only update the table.
 
+use viampi_bench::json::{self, to_string_pretty};
 use viampi_bench::report::{fmt, table};
+use viampi_core::{ConnMode, Device, RunReport, Universe, WaitPolicy};
+use viampi_npb::llc;
 
-struct Args {
-    baseline: String,
-    current: String,
-    max_regress: f64,
+enum Args {
+    /// The exact stage against the record at `path`.
+    Exact { path: String, bless: bool },
+    /// The timed stage.
+    Timed {
+        baseline: String,
+        current: String,
+        max_regress: f64,
+    },
+}
+
+/// One exact work count: `count` units of scheduling work for `per` units
+/// of modelled work, both read from a finished world's metrics.
+struct ExactCount {
+    name: String,
+    count: u64,
+    per: u64,
+}
+viampi_bench::impl_json!(ExactCount { name, count, per });
+
+fn metric<R>(report: &RunReport<R>, name: &str) -> u64 {
+    report
+        .metrics
+        .get(name)
+        .unwrap_or_else(|| die(&format!("the run published no `{name}`")))
+}
+
+/// Run the exact stage's two worlds and count.
+fn measure_exact() -> Vec<ExactCount> {
+    let world = |np, conn| Universe::new(np, Device::Clan, conn, WaitPolicy::Polling);
+    // fig4's largest cLAN point: token switches per wire message.
+    let barrier = world(16, ConnMode::OnDemand)
+        .run(|mpi| llc::barrier_latency(mpi, 300))
+        .unwrap_or_else(|e| die(&format!("barrier world: {e}")));
+    let switches = metric(&barrier, "sim.handoffs")
+        - metric(&barrier, "sim.fast_resumes")
+        - metric(&barrier, "sim.direct.self_resumes");
+    // fig8's static wiring: world accesses per provisioned channel.
+    let wiring = world(32, ConnMode::StaticPeerToPeer)
+        .run(|_| ())
+        .unwrap_or_else(|e| die(&format!("static world: {e}")));
+    vec![
+        ExactCount {
+            name: "switches_per_message.barrier_np16_clan".into(),
+            count: switches,
+            per: metric(&barrier, "nic.msgs_tx"),
+        },
+        ExactCount {
+            name: "world_accesses_per_channel.static_np32_clan".into(),
+            count: metric(&wiring, "sim.world_accesses"),
+            per: metric(&wiring, "nic.vis_created"),
+        },
+    ]
+}
+
+fn read_exact(path: &str) -> Vec<ExactCount> {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("read {path}: {e}")));
+    let doc = json::parse(&text).unwrap_or_else(|e| die(&format!("{path}: {e}")));
+    let field = |v: &json::Value, k: &str| {
+        v.get(k)
+            .and_then(json::Value::as_u64)
+            .unwrap_or_else(|| die(&format!("{path}: record without an integer `{k}`")))
+    };
+    doc.as_arr()
+        .unwrap_or_else(|| die(&format!("{path}: expected an array of records")))
+        .iter()
+        .map(|v| ExactCount {
+            name: v
+                .get("name")
+                .and_then(json::Value::as_str)
+                .unwrap_or_else(|| die(&format!("{path}: record without a `name`")))
+                .to_string(),
+            count: field(v, "count"),
+            per: field(v, "per"),
+        })
+        .collect()
+}
+
+/// The exact stage: measure, then compare with `==` (or rewrite the
+/// record when blessing).
+fn exact_stage(path: &str, bless: bool) {
+    let now = measure_exact();
+    if bless {
+        std::fs::write(path, to_string_pretty(&now))
+            .unwrap_or_else(|e| die(&format!("write {path}: {e}")));
+        println!("perf gate: exact record written to {path}");
+    }
+    let committed = read_exact(path);
+    let mut rows = Vec::new();
+    let mut failed = committed.len() != now.len();
+    for m in &now {
+        let c = committed.iter().find(|c| c.name == m.name);
+        let same = c.is_some_and(|c| (c.count, c.per) == (m.count, m.per));
+        failed |= !same;
+        rows.push(vec![
+            m.name.clone(),
+            c.map_or("-".into(), |c| format!("{} / {}", c.count, c.per)),
+            format!("{} / {}", m.count, m.per),
+            fmt(m.count as f64 / m.per as f64),
+            if same { "ok" } else { "MOVED" }.into(),
+        ]);
+    }
+    println!(
+        "{}",
+        table(
+            &["exact count", "committed", "current", "ratio", "status"],
+            &rows
+        )
+    );
+    if failed {
+        eprintln!(
+            "perf_gate: FAIL exact counts differ from {path}; if the change is \
+             deliberate, re-run with --bless and commit the record"
+        );
+        std::process::exit(1);
+    }
+    println!("perf gate passed: {} exact counts equal", now.len());
 }
 
 fn die(msg: &str) -> ! {
@@ -30,6 +158,8 @@ fn die(msg: &str) -> ! {
 
 fn parse_args() -> Args {
     let argv: Vec<String> = std::env::args().collect();
+    let mut exact = None;
+    let mut bless = false;
     let mut baseline = None;
     let mut current = None;
     let mut max_regress = 25.0;
@@ -55,14 +185,28 @@ fn parse_args() -> Args {
                     .unwrap_or_else(|_| die("--max-regress expects a percentage"));
                 i += 2;
             }
+            "--exact" => {
+                exact = Some(value(&argv, i, "--exact"));
+                i += 2;
+            }
+            "--bless" => {
+                bless = true;
+                i += 1;
+            }
             "--help" | "-h" => {
-                println!("usage: perf_gate --baseline FILE --current FILE [--max-regress PCT]");
+                println!(
+                    "usage: perf_gate --exact FILE [--bless]\n       \
+                     perf_gate --baseline FILE --current FILE [--max-regress PCT]"
+                );
                 std::process::exit(0);
             }
             other => die(&format!("unknown argument: {other}")),
         }
     }
-    Args {
+    if let Some(path) = exact {
+        return Args::Exact { path, bless };
+    }
+    Args::Timed {
         baseline: baseline.unwrap_or_else(|| die("--baseline is required")),
         current: current.unwrap_or_else(|| die("--current is required")),
         max_regress,
@@ -104,9 +248,14 @@ fn read_records(path: &str) -> Vec<(String, f64)> {
 }
 
 fn main() {
-    let args = parse_args();
-    let baseline = read_records(&args.baseline);
-    let current = read_records(&args.current);
+    let (baseline, current, max_regress) = match parse_args() {
+        Args::Exact { path, bless } => return exact_stage(&path, bless),
+        Args::Timed {
+            baseline,
+            current,
+            max_regress,
+        } => (read_records(&baseline), read_records(&current), max_regress),
+    };
 
     let mut rows = Vec::new();
     let mut failures = Vec::new();
@@ -125,13 +274,13 @@ fn main() {
             continue;
         };
         let delta_pct = (cur_ns / base_ns - 1.0) * 100.0;
-        let status = if delta_pct > args.max_regress {
+        let status = if delta_pct > max_regress {
             failures.push(format!(
                 "{name}: {} -> {} ns/iter (+{:.1}% > {:.0}% budget)",
                 fmt(*base_ns),
                 fmt(*cur_ns),
                 delta_pct,
-                args.max_regress
+                max_regress
             ));
             "REGRESSED"
         } else {
@@ -169,7 +318,7 @@ fn main() {
         println!(
             "perf gate passed: {} benchmarks within the {:.0}% budget",
             baseline.len(),
-            args.max_regress
+            max_regress
         );
     } else {
         for f in &failures {

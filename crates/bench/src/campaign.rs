@@ -325,7 +325,7 @@ pub fn campaign_metrics(state: &CampaignState) -> Vec<MetricLine> {
         .entries
         .into_iter()
         .map(|e| MetricLine {
-            name: e.name,
+            name: e.name.into_owned(),
             value: e.value,
         })
         .collect()

@@ -537,7 +537,7 @@ fn engine_counter_names_are_pinned() {
         .metrics
         .entries
         .iter()
-        .map(|e| e.name.as_str())
+        .map(|e| e.name.as_ref())
         .filter(|n| n.starts_with("sim."))
         .collect();
     assert_eq!(
@@ -549,6 +549,7 @@ fn engine_counter_names_are_pinned() {
             "sim.events_scheduled",
             "sim.direct.handoffs",
             "sim.direct.self_resumes",
+            "sim.world_accesses",
             "sim.wheel.push_due",
             "sim.wheel.push_l0",
             "sim.wheel.push_l1",

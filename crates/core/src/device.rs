@@ -26,7 +26,8 @@ use crate::matching::{MatchEngine, PostedRecv, Unexpected, UnexpectedBody};
 use crate::protocol::{Header, MsgKind, HEADER_LEN};
 use crate::request::{SendMode, Status};
 use crate::trace::{Span, SpanKind};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use crate::window::IdWindow;
+use std::collections::{BTreeMap, VecDeque};
 use viampi_sim::{BufferPool, Registry, SimDuration, SimTime};
 use viampi_via::fabric::{Bytes, OobBytes};
 use viampi_via::{CompletionKind, Discriminator, MemHandle, ViId, ViState, ViaError, ViaPort};
@@ -132,7 +133,11 @@ pub struct Channel {
     /// Buffer slots in posted order (VIA consumes descriptors FIFO).
     recv_slots: VecDeque<usize>,
     free_send_slots: Vec<usize>,
-    inflight: HashMap<u64, SlotUse>,
+    /// Posted send descriptors awaiting their completion, oldest first. A
+    /// VI completes its descriptors in the order they were posted, so the
+    /// match is at the front; depth is bounded by the staging slots plus
+    /// the rendezvous writes in flight.
+    inflight: VecDeque<(u64, SlotUse)>,
     /// Eager sends we may still issue (free remote buffers).
     pub credits: usize,
     /// Remote buffers we consumed and reposted but have not yet returned.
@@ -223,7 +228,7 @@ impl Channel {
             recvs_since_grow: 0,
             recv_slots: VecDeque::new(),
             free_send_slots: Vec::new(),
-            inflight: HashMap::new(),
+            inflight: VecDeque::new(),
             credits: 0,
             credits_owed: 0,
             outq: VecDeque::new(),
@@ -236,6 +241,12 @@ impl Channel {
     /// Length of the pre-posted/stalled send FIFO (observable in tests).
     pub fn pending_len(&self) -> usize {
         self.outq.len()
+    }
+
+    /// Take the in-flight record of descriptor `desc`.
+    fn take_inflight(&mut self, desc: u64) -> Option<SlotUse> {
+        let at = self.inflight.iter().position(|&(d, _)| d == desc)?;
+        self.inflight.remove(at).map(|(_, u)| u)
     }
 
     /// Resolve a receive slot to `(region, offset)`.
@@ -324,9 +335,13 @@ pub struct Device {
     pub channels: ChannelTable,
     /// Matching queues.
     pub matcher: MatchEngine,
-    reqs: HashMap<u64, ReqState>,
-    next_req: u64,
-    vi_to_slot: HashMap<u32, usize>,
+    /// Live requests by id. Ids are handed out in order from 1 and never
+    /// reused (they travel in wire headers and traces).
+    reqs: IdWindow<ReqState>,
+    /// Channel slot of each VI this device created, indexed by `ViId.0`
+    /// (a NIC numbers its VIs densely from 0); `None` for a VI some other
+    /// user of the port created.
+    vi_to_slot: Vec<Option<usize>>,
     /// Calling producer-thread index (see [`Device::set_thread`]); selects
     /// the stripe `cur_thread % vis_per_peer` for outgoing wire traffic.
     cur_thread: usize,
@@ -382,9 +397,8 @@ impl Device {
             port,
             channels: ChannelTable::new(stripes),
             matcher: MatchEngine::new(),
-            reqs: HashMap::new(),
-            next_req: 1,
-            vi_to_slot: HashMap::new(),
+            reqs: IdWindow::new(1),
+            vi_to_slot: Vec::new(),
             cur_thread: 0,
             next_noise_at: viampi_sim::SimTime::ZERO,
             armed_conn_timer: None,
@@ -687,20 +701,18 @@ impl Device {
         };
         let recv_mem = self.port.register(chunk * bsz).expect("pin recv pool");
         let send_mem = self.port.register(chunk * bsz).expect("pin send pool");
-        let mut recv_slots = VecDeque::with_capacity(chunk);
-        for slot in 0..chunk {
-            self.port
-                .post_recv(vi, recv_mem, slot * bsz, bsz)
-                .expect("pre-post eager buffer");
-            recv_slots.push_back(slot);
-        }
+        // The VI is not connected yet, so nothing can arrive between one
+        // descriptor of the window and the next: post it as a run.
+        self.port
+            .post_recv_run(vi, recv_mem, 0, bsz, chunk)
+            .expect("pre-post eager window");
         let ch = &mut self.channels[slot];
         ch.vi = Some(vi);
         ch.recv_regions = vec![recv_mem];
         ch.send_regions = vec![send_mem];
         ch.chunk = chunk;
         ch.bufs = chunk;
-        ch.recv_slots = recv_slots;
+        ch.recv_slots = (0..chunk).collect();
         ch.free_send_slots = (0..chunk).rev().collect();
         ch.credits = chunk;
         ch.state = ChanState::Connecting;
@@ -711,7 +723,11 @@ impl Device {
         if stripe > 0 {
             self.metrics.inc(mpi_metrics::ENDPOINT_STRIPE_SETUPS);
         }
-        self.vi_to_slot.insert(vi.0, slot);
+        let at = vi.0 as usize;
+        if self.vi_to_slot.len() <= at {
+            self.vi_to_slot.resize(at + 1, None);
+        }
+        self.vi_to_slot[at] = Some(slot);
         Ok(vi)
     }
 
@@ -842,7 +858,7 @@ impl Device {
             // Self-send: loop back through the matcher (always buffered).
             match self.matcher.incoming(context, self.rank as u32, tag) {
                 Some(posted) => {
-                    let r = self.reqs.get_mut(&posted.req).unwrap();
+                    let r = self.reqs.get_mut(posted.req).unwrap();
                     r.status = Status {
                         source: self.rank,
                         tag,
@@ -860,7 +876,7 @@ impl Device {
                     });
                 }
             }
-            self.reqs.get_mut(&req).unwrap().done = true;
+            self.reqs.get_mut(req).unwrap().done = true;
             return req;
         }
         let rendezvous = data.len() > self.cfg.eager_threshold || mode == SendMode::Synchronous;
@@ -873,7 +889,7 @@ impl Device {
                 bytes: data.len(),
             });
             {
-                let r = self.reqs.get_mut(&req).unwrap();
+                let r = self.reqs.get_mut(req).unwrap();
                 r.data = Some(self.pool.from_slice(data));
                 r.rndv_len = data.len();
                 if self.cfg.trace {
@@ -913,7 +929,7 @@ impl Device {
             self.enqueue_wire(dst, self.send_stripe(), header, frame);
             if mode == SendMode::Buffered {
                 // Buffered sends are local: payload captured, complete now.
-                let r = self.reqs.get_mut(&req).unwrap();
+                let r = self.reqs.get_mut(req).unwrap();
                 r.done = true;
             }
         }
@@ -952,7 +968,7 @@ impl Device {
                 // A receive directed at an unreachable peer can never be
                 // satisfied; fail it now rather than leaving a dangling
                 // posted entry in the matcher.
-                let r = self.reqs.get_mut(&req).unwrap();
+                let r = self.reqs.get_mut(req).unwrap();
                 r.done = true;
                 r.failed = true;
                 return req;
@@ -978,7 +994,7 @@ impl Device {
                 // buffer; the copy to the user buffer is charged here.
                 self.port
                     .charge(self.port.profile().copy_time(payload.len()));
-                let r = self.reqs.get_mut(&req).unwrap();
+                let r = self.reqs.get_mut(req).unwrap();
                 r.status = Status {
                     source: u.src as usize,
                     tag: u.tag,
@@ -1010,7 +1026,7 @@ impl Device {
     ) {
         let mem = self.port.register(len.max(1)).expect("pin rendezvous buf");
         {
-            let r = self.reqs.get_mut(&rreq).unwrap();
+            let r = self.reqs.get_mut(rreq).unwrap();
             r.rndv_mem = Some(mem);
             r.rndv_len = len;
             r.status = Status {
@@ -1055,7 +1071,7 @@ impl Device {
             // target a never-connected channel, and for those `aux1` is the
             // local send request id.
             if matches!(header.kind, MsgKind::Eager | MsgKind::Rts) {
-                if let Some(r) = self.reqs.get_mut(&header.aux1) {
+                if let Some(r) = self.reqs.get_mut(header.aux1) {
                     r.done = true;
                     r.failed = true;
                 }
@@ -1143,7 +1159,7 @@ impl Device {
         };
         self.channels[slot]
             .inflight
-            .insert(desc.0, SlotUse::Wire { slot: sslot, sreq });
+            .push_back((desc.0, SlotUse::Wire { slot: sslot, sreq }));
     }
 
     /// Issue the rendezvous RDMA write + FIN after receiving a CTS. `slot`
@@ -1151,9 +1167,9 @@ impl Device {
     /// sides, and posting the RDMA and FIN on the *same* VI preserves the
     /// in-order FIN-after-data guarantee.
     fn rendezvous_send_data(&mut self, sreq: u64, rreq: u64, remote_mem: u32, slot: usize) {
-        let peer = self.reqs[&sreq].peer;
+        let peer = self.reqs.get(sreq).expect("CTS for live request").peer;
         debug_assert_eq!(self.channels[slot].peer, peer, "CTS arrived off-pair");
-        let data = self.reqs.get_mut(&sreq).unwrap().data.take().unwrap();
+        let data = self.reqs.get_mut(sreq).unwrap().data.take().unwrap();
         let len = data.len();
         // Register the user buffer (MVICH's dynamic registration), RDMA it,
         // then a FIN control message completes the receiver. In-order VI
@@ -1177,7 +1193,7 @@ impl Device {
             .expect("post rdma");
         self.channels[slot]
             .inflight
-            .insert(desc.0, SlotUse::Rdma { sreq, mem });
+            .push_back((desc.0, SlotUse::Rdma { sreq, mem }));
         let header = Header {
             kind: MsgKind::Fin,
             credits: 0,
@@ -1204,7 +1220,7 @@ impl Device {
         // Drain the completion queue.
         while let Some(c) = self.port.cq_poll() {
             progress = true;
-            let Some(&slot) = self.vi_to_slot.get(&c.vi.0) else {
+            let Some(&Some(slot)) = self.vi_to_slot.get(c.vi.0 as usize) else {
                 continue;
             };
             match c.kind {
@@ -1392,14 +1408,14 @@ impl Device {
     }
 
     fn on_send_complete(&mut self, slot: usize, desc: u64) {
-        let Some(use_) = self.channels[slot].inflight.remove(&desc) else {
+        let Some(use_) = self.channels[slot].take_inflight(desc) else {
             return;
         };
         match use_ {
             SlotUse::Wire { slot: sslot, sreq } => {
                 self.channels[slot].free_send_slots.push(sslot);
                 if let Some(r) = sreq {
-                    if let Some(req) = self.reqs.get_mut(&r) {
+                    if let Some(req) = self.reqs.get_mut(r) {
                         req.done = true;
                     }
                 }
@@ -1410,13 +1426,13 @@ impl Device {
     }
 
     fn on_rdma_complete(&mut self, slot: usize, desc: u64) {
-        let Some(use_) = self.channels[slot].inflight.remove(&desc) else {
+        let Some(use_) = self.channels[slot].take_inflight(desc) else {
             return;
         };
         match use_ {
             SlotUse::Rdma { sreq, mem } => {
                 self.port.deregister(mem).expect("deregister send buf");
-                let span = match self.reqs.get_mut(&sreq) {
+                let span = match self.reqs.get_mut(sreq) {
                     Some(req) => {
                         req.done = true;
                         req.rndv_begin
@@ -1494,7 +1510,7 @@ impl Device {
                         // copy is gone.
                         self.port
                             .charge(self.port.profile().copy_time(payload.len()));
-                        let r = self.reqs.get_mut(&posted.req).unwrap();
+                        let r = self.reqs.get_mut(posted.req).unwrap();
                         r.status = Status {
                             source: header.src as usize,
                             tag: header.tag,
@@ -1555,7 +1571,7 @@ impl Device {
             MsgKind::Fin => {
                 let rreq = header.aux1;
                 let (mem, mlen) = {
-                    let r = self.reqs.get(&rreq).expect("FIN for live request");
+                    let r = self.reqs.get(rreq).expect("FIN for live request");
                     (r.rndv_mem.unwrap(), r.rndv_len)
                 };
                 // Zero-copy: the landing region *is* the user buffer, and
@@ -1564,7 +1580,7 @@ impl Device {
                     .port
                     .deregister_take(mem, mlen)
                     .expect("deregister rndv buf");
-                let r = self.reqs.get_mut(&rreq).unwrap();
+                let r = self.reqs.get_mut(rreq).unwrap();
                 r.data = Some(data);
                 r.done = true;
             }
@@ -1658,39 +1674,33 @@ impl Device {
     // =====================================================================
 
     fn alloc_req(&mut self, peer: usize) -> u64 {
-        let id = self.next_req;
-        self.next_req += 1;
-        self.reqs.insert(
-            id,
-            ReqState {
-                done: false,
-                failed: false,
-                status: Status::empty(),
-                data: None,
-                rndv_mem: None,
-                rndv_len: 0,
-                peer,
-                rndv_begin: None,
-            },
-        );
-        id
+        self.reqs.push(ReqState {
+            done: false,
+            failed: false,
+            status: Status::empty(),
+            data: None,
+            rndv_mem: None,
+            rndv_len: 0,
+            peer,
+            rndv_begin: None,
+        })
     }
 
     /// Is the request complete?
     pub fn req_done(&self, req: u64) -> bool {
-        self.reqs.get(&req).map(|r| r.done).unwrap_or(true)
+        self.reqs.get(req).map(|r| r.done).unwrap_or(true)
     }
 
     /// Did the request complete with an error (peer unreachable)?
     pub fn req_failed(&self, req: u64) -> bool {
-        self.reqs.get(&req).map(|r| r.failed).unwrap_or(false)
+        self.reqs.get(req).map(|r| r.failed).unwrap_or(false)
     }
 
     /// Consume a completed request, returning its payload (receives) and
     /// status. Panics if not complete or if it failed (use
     /// [`Device::take_req_checked`] to handle connection failures).
     pub fn take_req(&mut self, req: u64) -> (Option<Vec<u8>>, Status) {
-        let r = self.reqs.remove(&req).expect("unknown request");
+        let r = self.reqs.remove(req).expect("unknown request");
         assert!(r.done, "take_req on incomplete request");
         assert!(
             !r.failed,
@@ -1710,7 +1720,7 @@ impl Device {
         &mut self,
         req: u64,
     ) -> Result<(Option<Vec<u8>>, Status), crate::request::MpiError> {
-        let r = self.reqs.remove(&req).expect("unknown request");
+        let r = self.reqs.remove(req).expect("unknown request");
         assert!(r.done, "take_req_checked on incomplete request");
         if r.failed {
             return Err(crate::request::MpiError::PeerUnreachable { peer: r.peer });
@@ -1729,6 +1739,12 @@ impl Device {
     /// with empty queues (consumers substitute that default), so report
     /// size is O(used channels), not O(np²) across the world.
     pub fn channel_snapshots(&self) -> Vec<ChannelSnapshot> {
+        // One pass over the NIC's VI table serves every channel.
+        let remote_of = self.port.connected_remotes();
+        let mut vis_to = vec![0usize; self.size];
+        for &remote in remote_of.iter().flatten() {
+            vis_to[remote] += 1;
+        }
         self.channels
             .iter()
             .filter(|ch| ch.peer != self.rank)
@@ -1741,11 +1757,8 @@ impl Device {
                 bufs: ch.bufs,
                 pending: ch.outq.len(),
                 inflight: ch.inflight.len(),
-                vi_connected: ch
-                    .vi
-                    .map(|v| self.port.vi_state(v) == Ok(ViState::Connected))
-                    .unwrap_or(false),
-                connected_vis_to_peer: self.port.connected_vis_to(ch.peer),
+                vi_connected: ch.vi.is_some_and(|v| remote_of[v.0 as usize].is_some()),
+                connected_vis_to_peer: vis_to[ch.peer],
             })
             .collect()
     }

@@ -50,6 +50,7 @@ pub mod protocol;
 pub mod request;
 pub mod trace;
 pub mod universe;
+mod window;
 
 pub use comm::Comm;
 pub use config::{ConnMode, Device, MpiConfig, WaitPolicy};

@@ -1,0 +1,112 @@
+//! Heap allocations on the paths that are meant to make none, or a bounded
+//! number: an idle pass of the progress engine, and wiring one channel of a
+//! static world. Counted per thread by a wrapping global allocator — a whole
+//! simulation runs on the thread that called `Universe::run`, and the test
+//! harness gives every test its own.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use viampi_core::{ConnMode, Device, Universe, WaitPolicy};
+use viampi_sim::SimDuration;
+
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: the allocator is still called while a thread tears down.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every call is forwarded unchanged to the system allocator.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, l: Layout) -> *mut u8 {
+        count_one();
+        System.alloc(l)
+    }
+    unsafe fn dealloc(&self, p: *mut u8, l: Layout) {
+        System.dealloc(p, l)
+    }
+    unsafe fn realloc(&self, p: *mut u8, l: Layout, n: usize) -> *mut u8 {
+        count_one();
+        System.realloc(p, l, n)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations (and reallocations) this thread has made so far.
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
+
+/// Rank 0 of a connected pair runs 1000 idle progress passes while rank 1
+/// sits parked in a receive; returns what rank 0's passes allocated.
+fn idle_progress_allocs(conn: ConnMode) -> u64 {
+    let report = Universe::new(2, Device::Clan, conn, WaitPolicy::Polling)
+        .run(|mpi| {
+            let other = 1 - mpi.rank();
+            // Bring the channel up and size its queues.
+            mpi.sendrecv(&[7u8; 64], other, 0, Some(other), Some(0));
+            if mpi.rank() == 1 {
+                mpi.recv(Some(0), Some(1));
+                return 0;
+            }
+            // Let everything the exchange left in flight land and be
+            // consumed, so the passes below find nothing to do.
+            mpi.advance(SimDuration::millis(1));
+            for _ in 0..4 {
+                mpi.progress();
+            }
+            let before = allocs();
+            for _ in 0..1000 {
+                mpi.progress();
+            }
+            let made = allocs() - before;
+            mpi.send(&[0], 1, 1);
+            made
+        })
+        .unwrap();
+    report.results[0]
+}
+
+#[test]
+fn an_idle_progress_pass_allocates_nothing() {
+    assert_eq!(idle_progress_allocs(ConnMode::StaticPeerToPeer), 0);
+    assert_eq!(idle_progress_allocs(ConnMode::OnDemand), 0);
+}
+
+#[test]
+fn a_statically_provisioned_channel_costs_a_bounded_number_of_allocations() {
+    const NP: usize = 32;
+    let world = || {
+        Universe::new(
+            NP,
+            Device::Clan,
+            ConnMode::StaticPeerToPeer,
+            WaitPolicy::Polling,
+        )
+        .run(|_| ())
+        .unwrap()
+    };
+    // The first world on a thread also fills the fiber stack pool.
+    world();
+    let before = allocs();
+    let report = world();
+    let made = allocs() - before;
+    let channels = (NP * (NP - 1)) as u64;
+    assert_eq!(report.metrics.get("nic.vis_created"), Some(channels));
+    // Everything the world allocates — engine, ranks and reports included —
+    // divided by the channel endpoints it wires: 8.4 as recorded (13.1
+    // before the queues were sized at provisioning and the hashed tables
+    // went). The bound leaves room for a std or compiler change, not for a
+    // per-descriptor or per-message allocation coming back.
+    let per_channel = made as f64 / channels as f64;
+    assert!(
+        (1.0..=9.0).contains(&per_channel),
+        "{made} allocations for {channels} channels = {per_channel:.2} per channel"
+    );
+}

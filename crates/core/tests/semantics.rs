@@ -396,6 +396,52 @@ fn ready_send_delivers_when_receive_pre_posted() {
 }
 
 #[test]
+fn requests_complete_and_are_collected_in_any_order() {
+    // Request ids are a window over the live ones: waiting newest-first,
+    // with an early receive left outstanding across the whole batch, must
+    // find every request and leave none behind.
+    let report = uni(2, ConnMode::OnDemand)
+        .run(|mpi| {
+            let other = 1 - mpi.rank();
+            let last = mpi.irecv(Some(other), Some(999));
+            for round in 0..50 {
+                let recvs: Vec<_> = (0..8).map(|t| mpi.irecv(Some(other), Some(t))).collect();
+                let sends: Vec<_> = (0..8)
+                    .map(|t| mpi.isend(&[round as u8, t as u8], other, t))
+                    .collect();
+                for (t, r) in recvs.into_iter().enumerate().rev() {
+                    let (d, st) = mpi.wait(r);
+                    assert_eq!(d.unwrap(), [round as u8, t as u8]);
+                    assert_eq!(st.tag, t as i32);
+                }
+                for s in sends.into_iter().rev() {
+                    mpi.wait(s);
+                }
+            }
+            mpi.send(&[42], other, 999);
+            mpi.wait(last).0.unwrap()
+        })
+        .unwrap();
+    assert_eq!(report.results, vec![vec![42], vec![42]]);
+}
+
+#[test]
+fn waiting_twice_on_a_request_is_an_unknown_request() {
+    let err = uni(2, ConnMode::OnDemand)
+        .run(|mpi| {
+            if mpi.rank() == 0 {
+                let s = mpi.isend(&[1], 1, 0);
+                mpi.wait(s);
+                mpi.wait(s);
+            } else {
+                mpi.recv(Some(0), Some(0));
+            }
+        })
+        .unwrap_err();
+    assert!(err.to_string().contains("unknown request"), "got: {err}");
+}
+
+#[test]
 fn deadlock_is_detected_not_hung() {
     let err = uni(2, ConnMode::StaticPeerToPeer)
         .run(|mpi| {

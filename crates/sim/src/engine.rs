@@ -22,21 +22,28 @@
 //! engine resumes the sleeper *at the virtual time of the wake*. Wait-policy
 //! costs (poll-detect vs interrupt wake-up) are charged by the caller on top.
 //!
-//! ## One scheduling decision, taken where the token is given up
+//! ## One scheduling decision, taken where another process could tell
 //!
 //! [`Inner::decide`] is the whole scheduler: apply every event due at or
 //! before the earliest ready process's clock (events win ties), then grant
-//! the token to the head of the ready heap. A process that gives up the
-//! token ([`ProcCtx::advance`], [`ProcCtx::yield_now`], a blocking
-//! [`ProcCtx::block_on`]) runs that decision *inline* and switches straight
-//! to the chosen process's fiber — or simply keeps going when event
+//! the token to the head of the ready heap. The only places a process can
+//! observe or change anything shared are its world accesses, so those are
+//! the only places it offers the token: [`ProcCtx::advance`] is arithmetic
+//! on the process's own clock plus a "charged" flag, and the offer for the
+//! whole stretch of charges is made once, on entry to the next
+//! [`ProcCtx::with_world`] / [`ProcCtx::block_on`] (a compute park at the
+//! summed clock) or folded into the next [`ProcCtx::yield_now`] (one
+//! voluntary park). A body that returns with a charge pending has nothing
+//! left to order itself against; its finish time includes the charge. The
+//! process giving up the token runs the decision *inline* and switches
+//! straight to the chosen process's fiber — or simply keeps going when event
 //! processing made itself the next runnable process. Two shortcuts skip even
 //! the heap traffic, and both stamp `last_run` exactly as a full decision
 //! would, so they can never change a result:
 //!
 //! * **self-resume** (`sim.fast_resumes`): the caller is the unique earliest
 //!   runnable process and no event is due at or before its clock, so the
-//!   decision is already forced and `advance`/`yield_now` just return;
+//!   decision is already forced and the caller just carries on;
 //! * **inline self-grant** (`sim.direct.self_resumes`): the full decision ran
 //!   and popped the caller itself.
 //!
@@ -50,8 +57,10 @@
 //! The unseeded tie-break orders equal-clock processes least-recently-run
 //! first. "Run" counts *voluntary* scheduling points only — `yield_now`,
 //! `block_on` wake-ups and the initial grant — never compute-parked grants
-//! (`advance`). This makes the tie-break independent of how a compute
-//! stretch is segmented into `advance` calls.
+//! (`advance`). This is why settling N charges with one park at their sum
+//! is result-neutral: the parks it replaces stamped nothing and touched
+//! nothing, and everything they would have let run first is still ordered
+//! before the one park that remains.
 
 use crate::error::{BlockedProc, SimError};
 use crate::fiber::{round_stack_size, FiberSet};
@@ -156,8 +165,8 @@ enum ProcState {
 /// not — see the module docs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ParkSite {
-    /// Parked by `advance` (a pure-compute yield). Its grant does not
-    /// update `last_run`.
+    /// Parked to settle `advance` charges before a world access (a
+    /// pure-compute yield). Its grant does not update `last_run`.
     Compute,
     /// Parked by `yield_now`, `block_on`, or not yet run at all. Its grant
     /// stamps `last_run` so equal-clock processes round-robin.
@@ -299,6 +308,9 @@ struct Inner<W: World> {
     /// Inline decisions that handed the token straight back to the
     /// yielding process after event processing (no switch).
     direct_self: u64,
+    /// `with_world` and `block_on` entries: the places a process meets the
+    /// rest of the simulation, and so the places it offers the token.
+    world_accesses: u64,
     /// Reusable wake buffer so `with_world`/`block_on`/event dispatch do not
     /// allocate a fresh `Vec` per call.
     wake_scratch: Vec<ProcId>,
@@ -407,6 +419,10 @@ impl<W: World> Inner<W> {
 struct Shared<W: World> {
     inner: RefCell<Inner<W>>,
     clocks: Rc<[Cell<SimTime>]>,
+    /// The running process has advanced its clock since it last offered the
+    /// token. Only ever set for the token holder and always cleared before
+    /// the token moves, so one flag serves every process.
+    charged: Cell<bool>,
     /// The fibers hosting the processes, one per [`ProcId`].
     fibers: FiberSet,
 }
@@ -458,55 +474,80 @@ impl<W: World> ProcCtx<W> {
         self.shared.clocks[self.pid].get()
     }
 
-    /// Charge `d` of virtual compute time to this process, then yield to
-    /// any event or other process due earlier (usually nothing is, and the
-    /// self-resume fast path returns at once).
+    /// Charge `d` of virtual compute time to this process: arithmetic on its
+    /// own clock, so `now()` is exact at once. Nothing another process does
+    /// can depend on the charge until this one next touches the world, so
+    /// the token is offered there, once for the whole stretch.
+    #[inline]
     pub fn advance(&self, d: SimDuration) {
         if d == SimDuration::ZERO {
             return;
         }
-        let clock = self.now() + d;
-        self.shared.clocks[self.pid].set(clock);
-        self.give_up_token(clock, ParkSite::Compute);
+        let clock = &self.shared.clocks[self.pid];
+        clock.set(clock.get() + d);
+        self.shared.charged.set(true);
     }
 
     /// Yield the token without advancing time. Equal-clock processes are
     /// scheduled least-recently-run-first, so this round-robins fairly
     /// (unless a schedule-exploration seed is set, in which case ties
-    /// resolve in a seed-dependent order). When this process is the only
-    /// runnable entity (no equal-or-earlier Ready process, no due event),
-    /// the fast path returns immediately.
+    /// resolve in a seed-dependent order). A pending charge is settled by
+    /// the same decision. When this process is the only runnable entity (no
+    /// equal-or-earlier Ready process, no due event), the fast path returns
+    /// immediately.
     pub fn yield_now(&self) {
-        self.give_up_token(self.now(), ParkSite::Voluntary);
+        self.shared.charged.set(false);
+        let g = self.shared.inner.borrow_mut();
+        self.give_up_token(g, ParkSite::Voluntary);
     }
 
-    /// Offer the token to whatever is due before `(clock, self)`: keep it
-    /// if nothing is, otherwise queue up as Ready and reschedule.
-    fn give_up_token(&self, clock: SimTime, site: ParkSite) {
-        let mut g = self.shared.inner.borrow_mut();
-        if !g.try_self_resume(self.pid, clock, site) {
-            g.make_ready(self.pid, clock, site);
-            self.relinquish(g);
+    /// Offer the token to whatever is due before `(now, self)`: keep it if
+    /// nothing is, otherwise queue up as Ready and reschedule. Hands back
+    /// the scheduler borrow, retaken if the token went away and came back.
+    fn give_up_token<'a>(
+        &'a self,
+        mut g: RefMut<'a, Inner<W>>,
+        site: ParkSite,
+    ) -> RefMut<'a, Inner<W>> {
+        let clock = self.now();
+        if g.try_self_resume(self.pid, clock, site) {
+            return g;
         }
+        g.make_ready(self.pid, clock, site);
+        self.relinquish(g);
+        self.shared.inner.borrow_mut()
+    }
+
+    /// Borrow the scheduler state for a world access, first settling any
+    /// pending charge with one compute park at the current clock.
+    #[inline]
+    fn enter_world(&self) -> RefMut<'_, Inner<W>> {
+        let mut g = self.shared.inner.borrow_mut();
+        if self.shared.charged.replace(false) {
+            g = self.give_up_token(g, ParkSite::Compute);
+        }
+        g.world_accesses += 1;
+        g
     }
 
     /// Run `f` against the world at the current instant (zero virtual time).
     /// `f` may schedule events and wake blocked processes.
     pub fn with_world<R>(&self, f: impl FnOnce(&mut W, &mut Api<'_, W::Event>) -> R) -> R {
-        self.shared.inner.borrow_mut().with_api(self.now(), f)
+        self.enter_world().with_api(self.now(), f)
     }
 
     /// Park until `f` yields `Some`. `f` is evaluated against the world; if
     /// it returns `None` the process blocks and is re-evaluated after each
     /// [`Api::wake`] targeting it, at the virtual time of that wake.
     pub fn block_on<R>(&self, mut f: impl FnMut(&mut W, &mut Api<'_, W::Event>) -> Option<R>) -> R {
+        let mut g = self.enter_world();
         loop {
-            let mut g = self.shared.inner.borrow_mut();
             if let Some(r) = g.with_api(self.now(), &mut f) {
                 return r;
             }
             g.procs[self.pid].state = ProcState::Blocked;
             self.relinquish(g);
+            g = self.shared.inner.borrow_mut();
         }
     }
 
@@ -670,10 +711,12 @@ impl<W: World> Engine<W> {
                 fast_resumes: 0,
                 direct_handoffs: 0,
                 direct_self: 0,
+                world_accesses: 0,
                 wake_scratch: Vec::with_capacity(8),
                 sched_seed: self.sched_seed,
             }),
             clocks,
+            charged: Cell::new(false),
             fibers: FiberSet::new(n, stack),
         });
 
@@ -688,6 +731,9 @@ impl<W: World> Engine<W> {
                 pid,
                 Box::new(move || {
                     let result = panic::catch_unwind(AssertUnwindSafe(|| body(ctx)));
+                    // A charge the body never settled is already in its
+                    // finish time; the flag must not reach the next process.
+                    shared2.charged.set(false);
                     let mut g = shared2.inner.borrow_mut();
                     match result {
                         Ok(()) => g.procs[pid].state = ProcState::Finished,
@@ -735,6 +781,7 @@ impl<W: World> Engine<W> {
             reg.add(em::EVENTS_SCHEDULED, inner.queue.scheduled_total());
             reg.add(em::DIRECT_HANDOFFS, inner.direct_handoffs);
             reg.add(em::DIRECT_SELF, inner.direct_self);
+            reg.add(em::WORLD_ACCESSES, inner.world_accesses);
             reg.add(em::WHEEL_DUE, ws.push_due);
             reg.add(em::WHEEL_L0, ws.push_l0);
             reg.add(em::WHEEL_L1, ws.push_l1);
@@ -1131,12 +1178,14 @@ mod tests {
         let (_, out) = eng.run().unwrap();
         assert_eq!(out.end_time, SimTime(1_000));
         assert_eq!(
-            out.fast_resumes, 150,
-            "every advance/yield of a lone process takes the fast path"
+            out.fast_resumes, 50,
+            "the 100 charges settle with the first yield; every yield of a \
+             lone process takes the fast path"
         );
         // The initial grant is the only one that was not a self-resume,
         // and it came from the driver, not from a yielding process.
-        assert_eq!(out.metrics.get("sim.handoffs"), Some(151));
+        assert_eq!(out.metrics.get("sim.handoffs"), Some(51));
+        assert_eq!(out.metrics.get("sim.world_accesses"), Some(0));
         assert_eq!(out.metrics.get("sim.direct.handoffs"), Some(0));
         assert_eq!(out.metrics.get("sim.direct.self_resumes"), Some(0));
     }
@@ -1223,6 +1272,116 @@ mod tests {
         let mut sorted = times.clone();
         sorted.sort_unstable();
         assert_eq!(times, sorted, "time order preserved under fast path");
+    }
+
+    // ------------------------------------------------------------------
+    // Lazy charging: how a compute stretch is cut up is unobservable
+    // ------------------------------------------------------------------
+
+    /// Charge `total` as 1..=32 `advance` calls whose lengths `rng` picks
+    /// (zero-length pieces included).
+    fn advance_in_pieces(ctx: &ProcCtx<MailWorld>, total: u64, rng: &mut SplitMix64) {
+        let pieces = 1 + rng.next_u64() % 32;
+        let mut left = total;
+        for i in 0..pieces {
+            let d = if i + 1 == pieces {
+                left
+            } else {
+                rng.next_u64() % (left + 1)
+            };
+            ctx.advance(SimDuration::nanos(d));
+            left -= d;
+        }
+    }
+
+    /// A four-process ring in which every compute stretch is cut up by
+    /// `split_seed` and is followed by each kind of scheduling point in
+    /// turn. Stretch lengths repeat across processes, so equal-clock ties
+    /// are common. Returns the world's log and the whole `Outcome`.
+    fn segmented_ring(split_seed: u64, sched_seed: Option<u64>) -> (Vec<String>, Outcome) {
+        const N: usize = 4;
+        let mut eng = Engine::new(MailWorld::new(N));
+        eng.set_sched_seed(sched_seed);
+        for pid in 0..N {
+            eng.spawn(format!("p{pid}"), move |ctx| {
+                let mut rng = SplitMix64::new(split_seed ^ ((pid as u64) << 32));
+                for round in 0..12u64 {
+                    let stretch = 100 * (1 + (round + pid as u64) % 3);
+                    advance_in_pieces(&ctx, stretch, &mut rng);
+                    send(&ctx, (pid + 1) % N, round, SimDuration::nanos(250));
+                    advance_in_pieces(&ctx, 100, &mut rng);
+                    ctx.yield_now();
+                    advance_in_pieces(&ctx, stretch / 2, &mut rng);
+                    let (v, at) = recv(&ctx);
+                    assert_eq!(v, round);
+                    let now = ctx.now();
+                    ctx.with_world(move |w, _| {
+                        w.log.push(format!("p{pid}:{round}@{at:?}/{now:?}"))
+                    });
+                }
+                // Leave with a charge pending.
+                advance_in_pieces(&ctx, 40 * pid as u64, &mut rng);
+            });
+        }
+        let (w, out) = eng.run().unwrap();
+        (w.log, out)
+    }
+
+    #[test]
+    fn outcome_is_independent_of_how_compute_is_segmented() {
+        for sched_seed in [None, Some(1), Some(0xC0FFEE)] {
+            let (log, base) = segmented_ring(0, sched_seed);
+            assert_eq!(log.len(), 48);
+            for split_seed in 1..40 {
+                let (l, out) = segmented_ring(split_seed, sched_seed);
+                assert_eq!(l, log, "split {split_seed}, sched {sched_seed:?}");
+                assert_eq!(out.proc_finish, base.proc_finish);
+                assert_eq!(out.events_processed, base.events_processed);
+                // Every engine counter, `sim.handoffs` and `sim.direct.*`
+                // included: the split decides nothing.
+                assert_eq!(out.metrics, base.metrics, "split {split_seed}");
+            }
+        }
+        // The seeds do explore: some tie resolves differently.
+        assert_ne!(
+            segmented_ring(0, None).0,
+            segmented_ring(0, Some(0xC0FFEE)).0
+        );
+    }
+
+    #[test]
+    fn body_may_return_with_a_charge_pending() {
+        let mut eng = Engine::new(MailWorld::new(3));
+        eng.spawn("p0", |ctx| {
+            ctx.advance(SimDuration::micros(1));
+            send(&ctx, 1, 10, SimDuration::micros(2));
+            send(&ctx, 2, 20, SimDuration::micros(1));
+            // Never settled: the body returns on it.
+            ctx.advance(SimDuration::micros(5));
+        });
+        for pid in 1..3usize {
+            eng.spawn(format!("p{pid}"), move |ctx| {
+                let (v, at) = recv(&ctx);
+                ctx.with_world(move |w, _| w.log.push(format!("p{pid}:{v}@{}", at.as_nanos())));
+            });
+        }
+        let (w, out) = eng.run().unwrap();
+        assert_eq!(out.proc_finish, [6_000, 3_000, 2_000].map(SimTime));
+        assert_eq!(
+            out.end_time,
+            SimTime(6_000),
+            "the charge is in the makespan"
+        );
+        assert_eq!(
+            w.log,
+            ["p2:20@2000", "p1:10@3000"],
+            "woken in delivery order"
+        );
+        // p0's flag did not outlive it: p1 and p2 enter the world four
+        // times between them without one compute park. Grants: three
+        // initial, one settling p0's first charge, two wake-ups.
+        assert_eq!(out.metrics.get("sim.handoffs"), Some(6));
+        assert_eq!(out.metrics.get("sim.world_accesses"), Some(6));
     }
 
     // ------------------------------------------------------------------

@@ -21,6 +21,8 @@
 //! snapshots fold into the flat per-run snapshot exposed by the `core`
 //! crate's `RunReport`.
 
+use std::borrow::Cow;
+
 /// Static description of one metric, produced by [`metric_defs!`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MetricDef {
@@ -141,6 +143,7 @@ pub mod engine {
             EVENTS_SCHEDULED => "sim.events_scheduled": "Events ever pushed on the event queue",
             DIRECT_HANDOFFS => "sim.direct.handoffs": "Token grants that switched straight from the yielding process's fiber to the next one",
             DIRECT_SELF => "sim.direct.self_resumes": "Inline decisions that returned the token to the caller after event processing",
+            WORLD_ACCESSES => "sim.world_accesses": "with_world and block_on entries: the scheduling points a process's world accesses make",
             WHEEL_DUE => "sim.wheel.push_due": "Events merged straight into the sorted due buffer",
             WHEEL_L0 => "sim.wheel.push_l0": "Events filed in a level-0 wheel slot",
             WHEEL_L1 => "sim.wheel.push_l1": "Events filed in a level-1 wheel slot",
@@ -373,40 +376,21 @@ impl Registry {
     /// values) merge by max; a histogram flattens to `_count`/`_sum`
     /// (summed) and `_max` (maxed) entries.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut entries = Vec::new();
         if !self.enabled {
-            return MetricsSnapshot { entries };
+            return MetricsSnapshot::default();
         }
+        let mut entries =
+            Vec::with_capacity(self.counters.len() + self.gauges.len() + 3 * self.hists.len());
         for (def, &v) in self.counter_defs.iter().zip(&self.counters) {
-            entries.push(MetricEntry {
-                name: def.name.to_string(),
-                op: MergeOp::Add,
-                value: v,
-            });
+            entries.push(MetricEntry::add(def.name, v));
         }
         for (def, &v) in self.gauge_defs.iter().zip(&self.gauges) {
-            entries.push(MetricEntry {
-                name: def.name.to_string(),
-                op: MergeOp::Max,
-                value: v,
-            });
+            entries.push(MetricEntry::max(def.name, v));
         }
         for (def, h) in self.hist_defs.iter().zip(&self.hists) {
-            entries.push(MetricEntry {
-                name: format!("{}_count", def.name),
-                op: MergeOp::Add,
-                value: h.count,
-            });
-            entries.push(MetricEntry {
-                name: format!("{}_sum", def.name),
-                op: MergeOp::Add,
-                value: h.sum,
-            });
-            entries.push(MetricEntry {
-                name: format!("{}_max", def.name),
-                op: MergeOp::Max,
-                value: h.max,
-            });
+            entries.push(MetricEntry::add(format!("{}_count", def.name), h.count));
+            entries.push(MetricEntry::add(format!("{}_sum", def.name), h.sum));
+            entries.push(MetricEntry::max(format!("{}_max", def.name), h.max));
         }
         MetricsSnapshot { entries }
     }
@@ -424,8 +408,9 @@ pub enum MergeOp {
 /// One flattened metric value.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetricEntry {
-    /// Dotted metric name.
-    pub name: String,
+    /// Dotted metric name: borrowed from the definition table for counters
+    /// and gauges, so a snapshot allocates only for histogram suffixes.
+    pub name: Cow<'static, str>,
     /// Cross-snapshot merge rule.
     pub op: MergeOp,
     /// The value.
@@ -434,7 +419,7 @@ pub struct MetricEntry {
 
 impl MetricEntry {
     /// A sum-merged entry (counter semantics).
-    pub fn add(name: impl Into<String>, value: u64) -> Self {
+    pub fn add(name: impl Into<Cow<'static, str>>, value: u64) -> Self {
         MetricEntry {
             name: name.into(),
             op: MergeOp::Add,
@@ -443,7 +428,7 @@ impl MetricEntry {
     }
 
     /// A max-merged entry (gauge semantics).
-    pub fn max(name: impl Into<String>, value: u64) -> Self {
+    pub fn max(name: impl Into<Cow<'static, str>>, value: u64) -> Self {
         MetricEntry {
             name: name.into(),
             op: MergeOp::Max,
@@ -465,14 +450,31 @@ pub struct MetricsSnapshot {
 impl MetricsSnapshot {
     /// Fold `other` into `self`: same-named entries combine under their
     /// [`MergeOp`]; names new to `self` are appended in `other`'s order.
+    ///
+    /// Snapshots of one registry list the same names in the same order, so
+    /// each entry is first looked for right after the previous match and
+    /// only searched for by name when it is not there: folding a world's
+    /// ranks together costs one comparison per entry, not one scan.
     pub fn merge(&mut self, other: &MetricsSnapshot) {
+        let mut next = 0;
         for e in &other.entries {
-            match self.entries.iter_mut().find(|m| m.name == e.name) {
-                Some(m) => match m.op {
-                    MergeOp::Add => m.value += e.value,
-                    MergeOp::Max => m.value = m.value.max(e.value),
-                },
-                None => self.entries.push(e.clone()),
+            let at = match self.entries.get(next) {
+                Some(m) if m.name == e.name => Some(next),
+                _ => self.entries.iter().position(|m| m.name == e.name),
+            };
+            match at {
+                Some(i) => {
+                    let m = &mut self.entries[i];
+                    match m.op {
+                        MergeOp::Add => m.value += e.value,
+                        MergeOp::Max => m.value = m.value.max(e.value),
+                    }
+                    next = i + 1;
+                }
+                None => {
+                    self.entries.push(e.clone());
+                    next = self.entries.len();
+                }
             }
         }
     }
@@ -598,6 +600,66 @@ mod tests {
         });
         assert_eq!(c.get("other.thing"), Some(1));
         assert_eq!(c.entries.last().unwrap().name, "other.thing");
+    }
+
+    /// The merge as it was before the positional shortcut: every entry
+    /// found by name.
+    fn merge_by_lookup(into: &mut MetricsSnapshot, other: &MetricsSnapshot) {
+        for e in &other.entries {
+            match into.entries.iter_mut().find(|m| m.name == e.name) {
+                Some(m) => match m.op {
+                    MergeOp::Add => m.value += e.value,
+                    MergeOp::Max => m.value = m.value.max(e.value),
+                },
+                None => into.entries.push(e.clone()),
+            }
+        }
+    }
+
+    #[test]
+    fn positional_merge_equals_the_lookup_merge() {
+        let full = |seed: u64| {
+            let mut r = demo::registry();
+            r.add(demo::HITS, seed);
+            r.add(demo::BYTES, 10 * seed);
+            r.gauge_set(demo::DEPTH, 7 - seed.min(7));
+            r.gauge_max(demo::PEAK, seed * seed);
+            r.observe(demo::SIZE, seed);
+            r.snapshot()
+        };
+        let identical = full(3);
+        let mut shuffled = full(4);
+        shuffled.entries.reverse();
+        shuffled.entries.swap(1, 4);
+        let mut partial = full(5);
+        partial
+            .entries
+            .retain(|e| e.name.contains("size") || e.name == "demo.bytes");
+        // A foreign prefix, as the engine's `sim.*` entries are to a rank's
+        // `mpi.*`/`nic.*` ones, and foreign names in the middle.
+        let mut prefixed = MetricsSnapshot {
+            entries: vec![MetricEntry::add("sim.a", 1), MetricEntry::max("sim.b", 2)],
+        };
+        prefixed.entries.extend(full(1).entries);
+        let mut interleaved = full(6);
+        interleaved
+            .entries
+            .insert(2, MetricEntry::add("other.x", 9));
+        interleaved.entries.push(MetricEntry::max("other.y", 1));
+
+        let others = [&identical, &shuffled, &partial, &prefixed, &interleaved];
+        for base in [&full(2), &prefixed, &partial, &MetricsSnapshot::default()] {
+            for other in others {
+                let (mut fast, mut slow) = (base.clone(), base.clone());
+                // Twice: the second fold sees the names the first appended.
+                for _ in 0..2 {
+                    fast.merge(other);
+                    merge_by_lookup(&mut slow, other);
+                    assert_eq!(fast, slow);
+                    assert_eq!(fast.render(), slow.render());
+                }
+            }
+        }
     }
 
     #[test]

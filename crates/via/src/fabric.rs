@@ -172,6 +172,9 @@ pub struct Fabric {
     faults: Option<FaultInjector>,
     /// Shared wire-buffer pool for the zero-copy data plane.
     pub(crate) pool: BufferPool,
+    /// Reusable list of processes an event handler wakes, so handling an
+    /// event allocates nothing.
+    wake_scratch: Vec<viampi_sim::ProcId>,
 }
 
 impl Fabric {
@@ -183,6 +186,7 @@ impl Fabric {
             oob_latency: SimDuration::micros(120),
             faults: None,
             pool: BufferPool::new(),
+            wake_scratch: Vec::new(),
         }
     }
 
@@ -504,7 +508,11 @@ impl Fabric {
         api.schedule_at(arrive, FabricEvent::Deliver { pkt });
     }
 
-    /// Post a receive descriptor on `vi`.
+    /// Post `n` receive descriptors on `vi`, over consecutive `len`-byte
+    /// segments of `mem` starting at `off`; returns the first descriptor's
+    /// id (the rest follow consecutively). All or nothing: the whole run is
+    /// validated against the region and the VI's queue limit before
+    /// anything is posted.
     pub fn post_recv(
         &mut self,
         node: NodeId,
@@ -512,21 +520,25 @@ impl Fabric {
         mem: MemHandle,
         off: usize,
         len: usize,
+        n: usize,
     ) -> Result<DescId, ViaError> {
-        self.nics[node].check_bounds(mem, off, len)?;
+        let span = len.checked_mul(n).ok_or(ViaError::OutOfBounds)?;
+        self.nics[node].check_bounds(mem, off, span)?;
         let max = self.profile.max_recv_descs;
         let nic = &mut self.nics[node];
-        if nic.vi(vi)?.recv_q.len() >= max {
+        if nic.vi(vi)?.recv_q.len() + n > max {
             return Err(ViaError::RecvQueueFull);
         }
-        let desc = nic.alloc_desc();
-        nic.vi_mut(vi)?.recv_q.push_back(RecvDesc {
-            desc,
+        let first = nic.alloc_descs(n);
+        let q = &mut nic.vis[vi.0 as usize].recv_q;
+        q.reserve(n);
+        q.extend((0..n).map(|i| RecvDesc {
+            desc: DescId(first.0 + i as u64),
             mem,
-            off,
+            off: off + i * len,
             len,
-        });
-        Ok(desc)
+        }));
+        Ok(first)
     }
 
     /// Issue a peer-to-peer connection request from `(node, vi)` to
@@ -861,7 +873,23 @@ impl World for Fabric {
     type Event = FabricEvent;
 
     fn handle_event(&mut self, event: FabricEvent, api: &mut Api<'_, FabricEvent>) {
-        let mut wake = Vec::new();
+        let mut wake = std::mem::take(&mut self.wake_scratch);
+        self.apply_event(event, api, &mut wake);
+        for pid in wake.drain(..) {
+            api.wake(pid);
+        }
+        self.wake_scratch = wake;
+    }
+}
+
+impl Fabric {
+    /// Apply `event`, collecting the processes it wakes into `wake`.
+    fn apply_event(
+        &mut self,
+        event: FabricEvent,
+        api: &mut Api<'_, FabricEvent>,
+        wake: &mut Vec<viampi_sim::ProcId>,
+    ) {
         match event {
             FabricEvent::TxDone {
                 node,
@@ -878,7 +906,7 @@ impl World for Fabric {
                     imm: 0,
                     payload: None,
                 });
-                nic.bump_activity(&mut wake);
+                nic.bump_activity(wake);
             }
             FabricEvent::Deliver { pkt } => {
                 let (dst_node, dst_vi) = pkt.dst;
@@ -910,7 +938,7 @@ impl World for Fabric {
                             imm,
                             payload: None,
                         });
-                        nic.bump_activity(&mut wake);
+                        nic.bump_activity(wake);
                     }
                     PacketBody::Wire { msg, imm } => {
                         // Zero-copy delivery: the frame consumes a receive
@@ -944,7 +972,7 @@ impl World for Fabric {
                             imm,
                             payload: Some(msg.data),
                         });
-                        nic.bump_activity(&mut wake);
+                        nic.bump_activity(wake);
                     }
                     PacketBody::Rdma {
                         data,
@@ -984,7 +1012,7 @@ impl World for Fabric {
                     {
                         nic.incoming_peer.push(PeerRequest { from, disc });
                     }
-                    nic.bump_activity(&mut wake);
+                    nic.bump_activity(wake);
                 }
             }
             FabricEvent::CsReqArrive { dst, from, disc } => {
@@ -992,7 +1020,7 @@ impl World for Fabric {
                 let id = nic.next_cs_id;
                 nic.next_cs_id += 1;
                 nic.incoming_cs.push(CsRequest { id, from, disc });
-                nic.bump_activity(&mut wake);
+                nic.bump_activity(wake);
             }
             FabricEvent::Established { node, vi, peer } => {
                 let nic = &mut self.nics[node];
@@ -1004,7 +1032,7 @@ impl World for Fabric {
                         v.state = ViState::Connected;
                         v.peer = Some(peer);
                         nic.metrics.inc(nic_metrics::CONNS_ESTABLISHED);
-                        nic.bump_activity(&mut wake);
+                        nic.bump_activity(wake);
                     }
                 }
             }
@@ -1012,7 +1040,7 @@ impl World for Fabric {
                 let nic = &mut self.nics[node];
                 if let Ok(v) = nic.vi_mut(vi) {
                     v.state = ViState::Error;
-                    nic.bump_activity(&mut wake);
+                    nic.bump_activity(wake);
                 }
             }
             FabricEvent::Timer { node } => {
@@ -1023,16 +1051,11 @@ impl World for Fabric {
             FabricEvent::OobDeliver { dst, from, data } => {
                 let nic = &mut self.nics[dst];
                 nic.oob.push_back((from, data));
-                nic.bump_activity(&mut wake);
+                nic.bump_activity(wake);
             }
         }
-        for pid in wake {
-            api.wake(pid);
-        }
     }
-}
 
-impl Fabric {
     /// Does `node` hold a VI already matched/connected to `(from, disc)`?
     /// Used to discard the stale half of simultaneous peer requests.
     fn peer_already_matched(&self, node: NodeId, from: NodeId, disc: Discriminator) -> bool {

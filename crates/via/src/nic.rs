@@ -454,9 +454,14 @@ impl Nic {
 
     /// Allocate the next descriptor id.
     pub fn alloc_desc(&mut self) -> DescId {
+        self.alloc_descs(1)
+    }
+
+    /// Allocate `n` consecutive descriptor ids; returns the first.
+    pub fn alloc_descs(&mut self, n: usize) -> DescId {
         let d = DescId(self.next_desc);
-        self.next_desc += 1;
-        self.metrics.inc(nic_metrics::DESCS_POSTED);
+        self.next_desc += n as u64;
+        self.metrics.add(nic_metrics::DESCS_POSTED, n as u64);
         d
     }
 

@@ -3,8 +3,9 @@
 //!
 //! Every method charges the *host-side* cost of the corresponding VIPL call
 //! to the calling process's virtual clock and then performs the state change
-//! against the shared [`Fabric`]. NIC-side and wire costs are paid by the
-//! events the fabric schedules.
+//! against the shared [`Fabric`] (receive posting does the two in the other
+//! order — see [`ViaPort::post_recv_run`]). NIC-side and wire costs are paid
+//! by the events the fabric schedules.
 //!
 //! One fabric node corresponds to one MPI process. (The paper's testbed had
 //! 4-way SMP nodes, but its Berkeley-VIA experiments — the ones where
@@ -206,7 +207,7 @@ impl ViaPort {
         self.ctx.with_world(|f, _| f.pool())
     }
 
-    /// `VipPostRecv`.
+    /// `VipPostRecv`: the `n = 1` case of [`ViaPort::post_recv_run`].
     pub fn post_recv(
         &self,
         vi: ViId,
@@ -214,10 +215,34 @@ impl ViaPort {
         off: usize,
         len: usize,
     ) -> Result<DescId, ViaError> {
-        self.ctx.advance(self.profile.post_recv);
+        self.post_recv_run(vi, mem, off, len, 1)
+    }
+
+    /// `n` × `VipPostRecv` over consecutive `len`-byte segments of `mem`
+    /// starting at `off`, in one world access; returns the first
+    /// descriptor's id. The run is validated as a whole, so an error posts
+    /// nothing — and charges nothing, which is why this is the one call
+    /// that acts before it charges: the descriptors appear at the start of
+    /// the `n × post_recv` the call costs rather than one by one through
+    /// it. Only the owner posts to a VI and a sender needs a credit that is
+    /// granted after the call returns, so no arrival can tell the
+    /// difference; a caller that does depend on when each descriptor of a
+    /// run appears on a live VI posts them one at a time.
+    pub fn post_recv_run(
+        &self,
+        vi: ViId,
+        mem: MemHandle,
+        off: usize,
+        len: usize,
+        n: usize,
+    ) -> Result<DescId, ViaError> {
         let node = self.node;
+        let first = self
+            .ctx
+            .with_world(|f, _| f.post_recv(node, vi, mem, off, len, n))?;
         self.ctx
-            .with_world(|f, _| f.post_recv(node, vi, mem, off, len))
+            .advance(self.profile.post_recv.saturating_mul(n as u64));
+        Ok(first)
     }
 
     /// RDMA write (`VipPostSend` with `VIP_RDMAWRITE`): one-sided transfer
@@ -350,18 +375,22 @@ impl ViaPort {
         self.ctx.with_world(|f, api| f.retry_connect(api, node, vi))
     }
 
-    /// Number of live `Connected` VIs on this NIC whose remote node is
-    /// `remote` (the `simcheck` exactly-one-VI-per-pair invariant input).
-    pub fn connected_vis_to(&self, remote: NodeId) -> usize {
+    /// The remote node of every VI on this NIC, indexed by `ViId.0`:
+    /// `Some` for a live `Connected` VI, `None` otherwise. One pass over the
+    /// VI table in one world access (the `simcheck` exactly-one-VI-per-pair
+    /// invariant input for a whole rank).
+    pub fn connected_remotes(&self) -> Vec<Option<NodeId>> {
         let node = self.node;
         self.ctx.with_world(|f, _| {
             f.nics[node]
                 .vis
                 .iter()
-                .filter(|v| {
-                    !v.destroyed && v.state == ViState::Connected && v.remote == Some(remote)
+                .map(|v| {
+                    (!v.destroyed && v.state == ViState::Connected)
+                        .then_some(v.remote)
+                        .flatten()
                 })
-                .count()
+                .collect()
         })
     }
 

@@ -33,6 +33,83 @@ fn recv_queue_depth_limit() {
     eng.run().unwrap();
 }
 
+/// Post a 16-descriptor window on a fresh, unconnected VI — as one run or
+/// one descriptor at a time — and report what is left behind: the NIC's
+/// receive queue, its counters, the caller's clock and the next id.
+fn posted_window(as_run: bool) -> (String, u64, u64, u64) {
+    let mut eng = fabric_engine(DeviceProfile::clan(), 1);
+    eng.spawn("p", move |ctx| {
+        let port = ViaPort::open(ctx, 0);
+        let vi = port.create_vi().unwrap();
+        let mem = port.register(16 * 512).unwrap();
+        let first = if as_run {
+            port.post_recv_run(vi, mem, 0, 512, 16).unwrap()
+        } else {
+            let ids: Vec<_> = (0..16)
+                .map(|i| port.post_recv(vi, mem, i * 512, 512).unwrap())
+                .collect();
+            assert!(ids.windows(2).all(|w| w[1].0 == w[0].0 + 1));
+            ids[0]
+        };
+        assert_eq!(first.0, 0);
+        let clock = port.ctx().now().as_nanos();
+        port.oob_send(0, clock.to_le_bytes().to_vec());
+    });
+    let (fabric, out) = eng.run().unwrap();
+    let nic = &fabric.nics[0];
+    let (_, clock) = nic.oob.front().cloned().expect("clock was reported");
+    (
+        format!("{:?}", nic.vis[0].recv_q),
+        nic.stats().descs_posted,
+        u64::from_le_bytes(clock[..].try_into().unwrap()),
+        out.metrics.get("sim.world_accesses").unwrap(),
+    )
+}
+
+#[test]
+fn a_run_leaves_the_nic_as_single_posts_do() {
+    let (run, one_by_one) = (posted_window(true), posted_window(false));
+    assert_eq!(run.0, one_by_one.0, "descriptor ids, order and segments");
+    assert_eq!((run.1, one_by_one.1), (16, 16), "nic.descs_posted");
+    assert_eq!(run.2, one_by_one.2, "16 × post_recv charged either way");
+    assert_eq!(one_by_one.3 - run.3, 15, "one world access instead of 16");
+}
+
+#[test]
+fn a_run_that_does_not_fit_posts_and_charges_nothing() {
+    let mut profile = DeviceProfile::clan();
+    profile.max_recv_descs = 8;
+    let mut eng = fabric_engine(profile, 1);
+    eng.spawn("p", |ctx| {
+        let port = ViaPort::open(ctx, 0);
+        let vi = port.create_vi().unwrap();
+        let mem = port.register(8 * 64).unwrap();
+        port.post_recv_run(vi, mem, 0, 64, 3).unwrap();
+        let (t0, posted) = (port.ctx().now(), port.stats().descs_posted);
+        // Six more would make nine on a queue of eight.
+        assert_eq!(
+            port.post_recv_run(vi, mem, 0, 64, 6),
+            Err(ViaError::RecvQueueFull)
+        );
+        // Five fit the queue, but the last ends past the region.
+        assert_eq!(
+            port.post_recv_run(vi, mem, 4 * 64, 64, 5),
+            Err(ViaError::OutOfBounds)
+        );
+        assert_eq!(
+            port.post_recv_run(vi, mem, 0, usize::MAX, 2),
+            Err(ViaError::OutOfBounds),
+            "a run whose length overflows is out of bounds"
+        );
+        assert_eq!(port.ctx().now(), t0, "a rejected run charges nothing");
+        assert_eq!(port.stats().descs_posted, posted, "and posts nothing");
+        // Exactly what is left still fits, and the ids carry on.
+        assert_eq!(port.post_recv_run(vi, mem, 3 * 64, 64, 5).unwrap().0, 3);
+        assert_eq!(port.post_recv(vi, mem, 0, 64), Err(ViaError::RecvQueueFull));
+    });
+    eng.run().unwrap();
+}
+
 #[test]
 fn oversized_arrival_is_dropped_with_counter() {
     let mut eng = fabric_engine(DeviceProfile::clan(), 2);
