@@ -126,7 +126,6 @@ pub fn credits() -> (String, Vec<AblationPoint>) {
         runner::par_map(vec![2usize, 4, 8, 15, 32, 64], |nbufs| {
             let mut uni = Universe::new(2, Device::Clan, ConnMode::OnDemand, WaitPolicy::Polling);
             uni.config_mut().num_bufs = nbufs;
-            uni.config_mut().credit_return_threshold = (nbufs / 2).max(1);
             let report = uni
                 .run(|mpi| {
                     let buf = vec![1u8; 4096];

@@ -26,7 +26,6 @@ pub mod campaign;
 pub mod experiments;
 pub mod json;
 pub mod micro;
-pub mod minibench;
 pub mod profile;
 pub mod report;
 pub mod runner;

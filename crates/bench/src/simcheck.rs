@@ -797,7 +797,7 @@ fn check_invariants(sc: &Scenario, report: &RunReport<Vec<RecvRecord>>) -> Vec<S
     //    leftover queued sends or in-flight descriptors.
     for i in 0..np {
         for c in &report.ranks[i].channels {
-            if !matches!(c.state, ChanState::Unconnected | ChanState::Connected) {
+            if !c.state.is_settled() {
                 v.push(format!(
                     "rank {i} -> {}: non-terminal channel state {:?}",
                     c.peer, c.state

@@ -92,6 +92,26 @@ impl WaitPolicy {
     }
 }
 
+/// Size of an eager buffer in bytes (header + payload) at the default
+/// eager threshold: MVICH associates ~120 KiB with each VI, 15 × 8 KiB.
+pub const EAGER_BUF_SIZE: usize = 8192;
+/// Host compute rate used by `Mpi::compute`, flops per microsecond (~280
+/// for the testbed's 700 MHz Pentium III Xeon).
+pub const FLOPS_PER_US: f64 = 280.0;
+/// Per-MPI-call software overhead (argument checking, queue walks).
+pub const CALL_OVERHEAD: SimDuration = SimDuration::nanos(400);
+/// Mean interval between modelled OS preemptions per rank, µs (see
+/// [`MpiConfig::os_noise`]).
+pub const NOISE_INTERVAL_US: u64 = 1200;
+/// Duration of one modelled OS preemption, µs.
+pub const NOISE_DURATION_US: u64 = 60;
+/// Starting buffers per VI under dynamic flow control.
+pub const INITIAL_BUFS: usize = 4;
+/// Base connection retry timeout, µs. Comfortably above a fault-free
+/// establishment (~205 µs on cLAN, ~390 µs on Berkeley VIA), so a retry
+/// only ever fires on an actually-lost packet. Doubles on each attempt.
+pub const CONN_RETRY_TIMEOUT_US: u64 = 2000;
+
 /// Full configuration of an MPI run.
 #[derive(Debug, Clone)]
 pub struct MpiConfig {
@@ -106,37 +126,17 @@ pub struct MpiConfig {
     /// Pre-posted eager receive buffers per VI (also the initial credit
     /// count). MVICH associates ~120 KiB with each VI: 15 × 8 KiB.
     pub num_bufs: usize,
-    /// Size of each eager buffer in bytes (header + payload).
-    pub buf_size: usize,
-    /// Return credits explicitly once this many have accumulated with no
-    /// traffic to piggyback on.
-    pub credit_return_threshold: usize,
-    /// Host compute rate used by `Mpi::compute` (flops per microsecond —
-    /// ~280 for the testbed's 700 MHz Pentium III Xeon).
-    pub flops_per_us: f64,
-    /// Per-MPI-call software overhead (argument checking, queue walks).
-    pub call_overhead: SimDuration,
     /// Model OS preemption noise (timer ticks / daemons on the testbed's
     /// Linux 2.2 SMP nodes). Deterministic; disable for exact-equality
     /// timing tests.
     pub os_noise: bool,
-    /// Mean interval between preemptions per rank, µs.
-    pub noise_interval_us: u64,
-    /// Preemption duration, µs.
-    pub noise_duration_us: u64,
     /// Enable the paper's *future work*: dynamic per-VI flow control.
-    /// Channels start with `initial_bufs` buffers and grow toward
+    /// Channels start with [`INITIAL_BUFS`] buffers and grow toward
     /// `num_bufs` under traffic pressure, so pinned memory follows actual
     /// per-peer intensity instead of the worst case.
     pub dynamic_credits: bool,
-    /// Starting buffers per VI under dynamic flow control.
-    pub initial_bufs: usize,
     /// Record a per-rank protocol trace (see [`crate::trace`]).
     pub trace: bool,
-    /// Base connection retry timeout, µs. Comfortably above a fault-free
-    /// establishment (~205 µs on cLAN, ~390 µs on Berkeley VIA), so a retry
-    /// only ever fires on an actually-lost packet. Doubles on each attempt.
-    pub conn_retry_timeout_us: u64,
     /// Retry budget per connection: after this many retransmissions the
     /// channel is failed and pending requests error out.
     pub conn_retry_max: u32,
@@ -170,17 +170,9 @@ impl MpiConfig {
             wait,
             eager_threshold: 5000,
             num_bufs: 15,
-            buf_size: 8192,
-            credit_return_threshold: 7,
-            flops_per_us: 280.0,
-            call_overhead: SimDuration::nanos(400),
             os_noise: true,
-            noise_interval_us: 1200,
-            noise_duration_us: 60,
             dynamic_credits: false,
-            initial_bufs: 4,
             trace: false,
-            conn_retry_timeout_us: 2000,
             conn_retry_max: 10,
             faults: None,
             sched_seed: None,
@@ -188,24 +180,32 @@ impl MpiConfig {
         }
     }
 
+    /// Size of each eager buffer in bytes (header + payload):
+    /// [`EAGER_BUF_SIZE`], grown to the next power of two that fits an
+    /// `eager_threshold`-byte payload behind its header.
+    pub fn buf_size(&self) -> usize {
+        let need = self.eager_threshold + crate::protocol::HEADER_LEN;
+        if EAGER_BUF_SIZE < need {
+            need.next_power_of_two()
+        } else {
+            EAGER_BUF_SIZE
+        }
+    }
+
     /// Largest eager payload a single buffer can carry.
     pub fn max_eager_payload(&self) -> usize {
-        self.buf_size - crate::protocol::HEADER_LEN
+        self.buf_size() - crate::protocol::HEADER_LEN
     }
 
     /// Bytes of pinned memory each fully provisioned VI consumes (receive
     /// pool + send staging pool), the quantity behind the paper's "120 kB
     /// per VI" resource argument.
     pub fn per_vi_buffer_bytes(&self) -> usize {
-        2 * self.num_bufs * self.buf_size
+        2 * self.num_bufs * self.buf_size()
     }
 
-    /// Validate and normalize (e.g. grow buffers to fit the threshold).
-    pub fn normalized(mut self) -> Self {
-        let need = self.eager_threshold + crate::protocol::HEADER_LEN;
-        if self.buf_size < need {
-            self.buf_size = need.next_power_of_two();
-        }
+    /// Validate the configuration.
+    pub fn normalized(self) -> Self {
         assert!(self.num_bufs >= 2, "need at least 2 credits for progress");
         assert!(
             (1..=16).contains(&self.vis_per_peer),
@@ -224,7 +224,7 @@ mod tests {
         let c = MpiConfig::new(Device::Clan, ConnMode::OnDemand, WaitPolicy::Polling);
         assert_eq!(c.eager_threshold, 5000);
         // 15 × 8 KiB = 120 KiB receive pool per VI, as in MVICH.
-        assert_eq!(c.num_bufs * c.buf_size, 120 << 10);
+        assert_eq!(c.num_bufs * c.buf_size(), 120 << 10);
         assert!(c.max_eager_payload() >= c.eager_threshold);
     }
 

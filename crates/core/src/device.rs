@@ -1,36 +1,39 @@
-//! The ADI-layer device: per-rank protocol state over a [`ViaPort`].
+//! The ADI-layer device: per-rank data-path state over a [`ViaPort`].
 //!
-//! This is the reproduction of MVICH's VIA device, §4 of the paper:
+//! This is the reproduction of MVICH's VIA device, §4 of the paper, minus
+//! the connection manager, which lives in [`crate::conn`] and is called
+//! from here at the points where the paper calls it (a send's or receive's
+//! first use of a peer, and the top of the progress loop). What is left:
 //!
-//! * per-peer **channels**, each owning one VI, a pre-posted eager receive
-//!   pool, a send staging pool, a credit counter, and the **pre-posted send
-//!   FIFO** that holds sends issued before the connection exists (§3.4);
-//!   with `vis_per_peer > 1` a pair holds several independent *stripe*
-//!   channels (the Zambre et al. endpoint model): sends pick the stripe
+//! * per-peer **channels**, each owning a pre-posted eager receive pool, a
+//!   send staging pool, a credit counter, and the **pre-posted send FIFO**
+//!   that holds sends issued before the connection exists (§3.4); with
+//!   `vis_per_peer > 1` a pair holds several independent *stripe* channels
+//!   (the Zambre et al. endpoint model): sends pick the stripe
 //!   `thread % vis_per_peer`, per-VI FIFO is preserved per stripe, and
 //!   cross-stripe ordering is relaxed;
-//! * the **eager** protocol (≤ threshold, staged copies, credits) and the
-//!   **rendezvous** protocol (RTS → CTS → RDMA write → FIN, zero-copy);
-//! * the polling **progress engine** `device_check`, the analogue of
-//!   MVICH's `MPID_DeviceCheck`, which also progresses connections (§3.3):
-//!   a peer-to-peer connection request is treated exactly like another
-//!   nonblocking communication and completed from the progress loop;
-//! * three **connection managers**: static client/server (serialized, as in
-//!   MVICH), static peer-to-peer, and the paper's on-demand mechanism;
+//! * the **eager** protocol (≤ threshold, staged copies, credits, dynamic
+//!   pool growth) and the **rendezvous** protocol (RTS → CTS → RDMA write →
+//!   FIN, zero-copy);
+//! * the polling **progress engine** `check_once`, the analogue of MVICH's
+//!   `MPID_DeviceCheck`: connection progress first (§3.3), then
+//!   completions, stalled FIFOs and credit returns;
 //! * the **wait policies** of §5.3: `Polling` vs `SpinWait` (spin
 //!   `spincount` polls, then a kernel wait that pays an interrupt wake-up
-//!   on cLAN; on Berkeley VIA wait is itself a poll loop).
+//!   on cLAN; on Berkeley VIA wait is itself a poll loop);
+//! * the request table, the process-manager bootstrap and `MPI_Finalize`.
 
-use crate::config::{ConnMode, MpiConfig, WaitPolicy};
+use crate::config::{MpiConfig, WaitPolicy, INITIAL_BUFS, NOISE_DURATION_US, NOISE_INTERVAL_US};
+use crate::conn::{ChanState, Conn, ConnAction};
 use crate::matching::{MatchEngine, PostedRecv, Unexpected, UnexpectedBody};
 use crate::protocol::{Header, MsgKind, HEADER_LEN};
 use crate::request::{SendMode, Status};
-use crate::trace::{Span, SpanKind};
+use crate::trace::{Span, SpanKind, TraceKind};
 use crate::window::IdWindow;
 use std::collections::{BTreeMap, VecDeque};
 use viampi_sim::{BufferPool, Registry, SimDuration, SimTime};
 use viampi_via::fabric::{Bytes, OobBytes};
-use viampi_via::{CompletionKind, Discriminator, MemHandle, ViId, ViState, ViaError, ViaPort};
+use viampi_via::{CompletionKind, MemHandle, ViId, ViaPort};
 
 /// The MPI device's metric set (`mpi.*` entries of the cross-layer
 /// registry). Counter semantics match the fields of [`MpiStats`], which is
@@ -66,20 +69,6 @@ pub mod mpi_metrics {
     }
 }
 
-/// Channel connection state (mirrors the per-peer FSM of §4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChanState {
-    /// No VI exists for this peer yet.
-    Unconnected,
-    /// VI created, buffers posted, peer-to-peer request issued.
-    Connecting,
-    /// Fully connected; the FIFO has been drained into the VI.
-    Connected,
-    /// The connection retry budget was exhausted (fault injection only);
-    /// queued and future requests toward this peer fail.
-    Failed,
-}
-
 /// What an in-flight send descriptor was carrying.
 #[derive(Debug)]
 enum SlotUse {
@@ -96,7 +85,7 @@ enum SlotUse {
 /// bytes (encoded late, so piggybacked credits are current at transmit
 /// time) followed by the payload, already copied exactly once.
 #[derive(Debug)]
-struct OutMsg {
+pub(crate) struct OutMsg {
     header: Header,
     frame: Bytes,
     /// Producer thread that issued the message — stamped at post time, so
@@ -113,10 +102,8 @@ pub struct Channel {
     /// Stripe index within the pair, `0..vis_per_peer`. Always 0 at the
     /// default configuration (one VI per pair, as in the paper).
     pub stripe: usize,
-    /// FSM state.
-    pub state: ChanState,
-    /// The VI, once created.
-    pub vi: Option<ViId>,
+    /// Connection state machine and VI (see [`crate::conn`]).
+    pub(crate) conn: Conn,
     /// Receive-pool regions; slot `s` lives in region `s / chunk` at
     /// offset `(s % chunk) * buf_size`. One region in static flow control;
     /// grown incrementally under dynamic flow control (the paper's stated
@@ -142,15 +129,7 @@ pub struct Channel {
     pub credits: usize,
     /// Remote buffers we consumed and reposted but have not yet returned.
     pub credits_owed: usize,
-    outq: VecDeque<OutMsg>,
-    /// Virtual time at which the pending connect is retried (armed only
-    /// while `Connecting` and only under fault injection).
-    conn_deadline: SimTime,
-    /// Retransmissions issued for the pending connect.
-    conn_attempts: u32,
-    /// When tracing, the time the channel was provisioned (start of the
-    /// connection-setup span closed by `finish_connect`).
-    conn_begin: SimTime,
+    pub(crate) outq: VecDeque<OutMsg>,
 }
 
 /// Sparse channel table, keyed by **slot** `peer * vis_per_peer + stripe`
@@ -191,11 +170,6 @@ impl ChannelTable {
     pub fn iter_entries(&self) -> impl Iterator<Item = (usize, &Channel)> {
         self.map.iter().map(|(&p, c)| (p, c))
     }
-
-    /// Number of materialized channels (the O(used) bound under test).
-    pub fn touched(&self) -> usize {
-        self.map.len()
-    }
 }
 
 impl std::ops::Index<usize> for ChannelTable {
@@ -219,8 +193,7 @@ impl Channel {
         Channel {
             peer,
             stripe,
-            state: ChanState::Unconnected,
-            vi: None,
+            conn: Conn::default(),
             recv_regions: Vec::new(),
             send_regions: Vec::new(),
             chunk: 0,
@@ -232,15 +205,7 @@ impl Channel {
             credits: 0,
             credits_owed: 0,
             outq: VecDeque::new(),
-            conn_deadline: SimTime::ZERO,
-            conn_attempts: 0,
-            conn_begin: SimTime::ZERO,
         }
-    }
-
-    /// Length of the pre-posted/stalled send FIFO (observable in tests).
-    pub fn pending_len(&self) -> usize {
-        self.outq.len()
     }
 
     /// Take the in-flight record of descriptor `desc`.
@@ -278,6 +243,14 @@ struct ReqState {
     /// When tracing, the time the rendezvous was started (RTS posted) —
     /// the start of the span closed when the transfer completes.
     rndv_begin: Option<SimTime>,
+}
+
+impl ReqState {
+    /// Complete with the peer-unreachable error.
+    fn fail(&mut self) {
+        self.done = true;
+        self.failed = true;
+    }
 }
 
 /// Per-rank MPI-level statistics.
@@ -349,39 +322,17 @@ pub struct Device {
     next_noise_at: viampi_sim::SimTime,
     /// Latest connection-retry deadline a timer event has been scheduled
     /// for (deduplicates timer arming; `None` when no timer is pending).
-    armed_conn_timer: Option<SimTime>,
+    pub(crate) armed_conn_timer: Option<SimTime>,
     /// Recorded protocol events (empty unless `cfg.trace`).
     pub trace: Vec<crate::trace::TraceEvent>,
     /// Recorded spans (empty unless `cfg.trace`).
     pub spans: Vec<Span>,
-    /// MPI-level counters (`mpi.*`). Always enabled: the device reads its
-    /// own accounting back through [`Device::stats`].
+    /// MPI-level counters (`mpi.*`); the device reads its own accounting
+    /// back through [`Device::stats`].
     pub metrics: Registry,
     /// Handle to the fabric's shared wire-buffer pool (cached so hot paths
     /// don't take the world lock just to allocate a frame).
     pool: BufferPool,
-}
-
-/// Staging slots currently in flight (capacity minus free).
-fn cap_in_use(ch: &Channel) -> usize {
-    ch.send_regions.len() * ch.chunk - ch.free_send_slots.len()
-}
-
-fn pair_disc(a: usize, b: usize) -> Discriminator {
-    let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-    Discriminator(((lo as u64) << 32) | hi as u64)
-}
-
-/// Discriminator for one stripe of a pair: the classic pair discriminator
-/// with the stripe index in bits 48+. Stripe 0 reproduces [`pair_disc`]
-/// bit-for-bit, so single-VI runs are wire-identical with older revisions.
-fn pair_disc_stripe(a: usize, b: usize, stripe: usize) -> Discriminator {
-    Discriminator(pair_disc(a, b).0 | ((stripe as u64) << 48))
-}
-
-/// Recover the stripe index a peer encoded in its connect discriminator.
-fn disc_stripe(d: Discriminator) -> usize {
-    (d.0 >> 48) as usize
 }
 
 impl Device {
@@ -411,19 +362,19 @@ impl Device {
 
     /// Stripes (VIs) per peer pair.
     #[inline]
-    fn nstripes(&self) -> usize {
+    pub(crate) fn nstripes(&self) -> usize {
         self.cfg.vis_per_peer.max(1)
     }
 
     /// The stripe the calling producer thread sends on.
     #[inline]
-    fn send_stripe(&self) -> usize {
+    pub(crate) fn send_stripe(&self) -> usize {
         self.cur_thread % self.nstripes()
     }
 
     /// Channel-table slot for `(peer, stripe)`.
     #[inline]
-    fn slot_of(&self, peer: usize, stripe: usize) -> usize {
+    pub(crate) fn slot_of(&self, peer: usize, stripe: usize) -> usize {
         peer * self.nstripes() + stripe
     }
 
@@ -467,7 +418,7 @@ impl Device {
     }
 
     #[inline]
-    fn trace(&mut self, kind: crate::trace::TraceKind) {
+    pub(crate) fn trace(&mut self, kind: TraceKind) {
         if self.cfg.trace {
             self.trace.push(crate::trace::TraceEvent {
                 t: self.port.ctx().now(),
@@ -488,43 +439,19 @@ impl Device {
         }
         let now = self.port.ctx().now();
         if now >= self.next_noise_at {
-            let interval =
-                SimDuration::micros(self.cfg.noise_interval_us + 97 * self.rank as u64 % 541);
+            let interval = SimDuration::micros(NOISE_INTERVAL_US + 97 * self.rank as u64 % 541);
             self.next_noise_at = now + interval;
-            self.port
-                .charge(SimDuration::micros(self.cfg.noise_duration_us));
+            self.port.charge(SimDuration::micros(NOISE_DURATION_US));
         }
     }
 
     // =====================================================================
-    // MPI_Init: bootstrap + connection setup per mode
+    // Process-manager bootstrap (MPI_Init's address exchange, init/finalize sync)
     // =====================================================================
-
-    /// The `MPID_Init` analogue: out-of-band bootstrap, then connection
-    /// setup according to the configured [`ConnMode`].
-    pub fn init(&mut self) {
-        let t0 = self.port.ctx().now();
-        self.metrics
-            .gauge_set(mpi_metrics::ENDPOINT_VIS_PER_PEER, self.nstripes() as u64);
-        self.bootstrap_exchange();
-        match self.cfg.conn {
-            ConnMode::OnDemand => {} // the whole point: no connections here
-            ConnMode::StaticPeerToPeer => self.init_static_p2p(),
-            ConnMode::StaticClientServer => self.init_static_cs(),
-        }
-        self.bootstrap_sync();
-        let init_time = self.port.ctx().now().since(t0);
-        self.metrics
-            .gauge_set(mpi_metrics::INIT_TIME_NS, init_time.as_nanos());
-        self.metrics.gauge_set(
-            mpi_metrics::CONNS_AT_INIT,
-            self.port.stats().conns_established,
-        );
-    }
 
     /// Process-manager address exchange: everyone sends its NIC address to
     /// rank 0, which gathers and rebroadcasts the table.
-    fn bootstrap_exchange(&mut self) {
+    pub(crate) fn bootstrap_exchange(&mut self) {
         if self.size == 1 {
             return;
         }
@@ -552,7 +479,7 @@ impl Device {
     }
 
     /// Final init sync so no rank leaves `MPI_Init` before all are ready.
-    fn bootstrap_sync(&mut self) {
+    pub(crate) fn bootstrap_sync(&mut self) {
         if self.size == 1 {
             return;
         }
@@ -569,136 +496,22 @@ impl Device {
         }
     }
 
-    /// Static peer-to-peer: issue every connect concurrently, then progress
-    /// until the process network is fully connected.
-    fn init_static_p2p(&mut self) {
-        for peer in 0..self.size {
-            if peer != self.rank {
-                for stripe in 0..self.nstripes() {
-                    self.setup_channel(peer, stripe);
-                }
-            }
-        }
-        while self
-            .channels
-            .iter()
-            .any(|c| c.state == ChanState::Connecting)
-        {
-            let stamp = self.port.activity_stamp();
-            if !self.conn_progress() {
-                self.conn_idle_wait(stamp);
-            }
-        }
-        if let Some(c) = self.channels.iter().find(|c| c.state == ChanState::Failed) {
-            panic!(
-                "static peer-to-peer init: connection to rank {} failed \
-                 after exhausting the retry budget",
-                c.peer
-            );
-        }
-    }
+    // =====================================================================
+    // Buffer pools
+    // =====================================================================
 
-    /// Static client/server, serialized exactly as MVICH's implementation:
-    /// every rank walks the global pair list `(i, j), i < j` in the same
-    /// order; the lower rank acts as server, the higher as client, and each
-    /// pair completes before the next is attempted (paper §5.6).
-    fn init_static_cs(&mut self) {
-        // In the global pair list `(i, j), i < j` every pair not involving
-        // this rank is a pure no-op for it, so each rank only needs its own
-        // pairs, in the same relative order the global walk visits them:
-        // `(0, rank) .. (rank-1, rank)` with this rank as client, then
-        // `(rank, rank+1) .. (rank, size-1)` with this rank as server. The
-        // global serialization is enforced by the blocking `connect_wait`
-        // handshakes, not by walking the whole O(N²) list on every rank.
-        for server in 0..self.rank {
-            // With multi-VI endpoints every stripe of the pair is brought up
-            // in stripe order, each fully serialized like the pair itself.
-            for stripe in 0..self.nstripes() {
-                let vi = self
-                    .provision_channel(server, stripe)
-                    .unwrap_or_else(|e| panic!("provision channel to rank {server}: {e}"));
-                self.port
-                    .connect_request(vi, server, pair_disc_stripe(server, self.rank, stripe))
-                    .expect("issue client request");
-                let st = self.port.connect_wait(vi).expect("valid VI");
-                assert_eq!(st, ViState::Connected);
-                self.finish_connect(self.slot_of(server, stripe));
-            }
-        }
-        for client in (self.rank + 1)..self.size {
-            // Server: wait for the client's request, accept on a fresh VI.
-            // The client issues its stripe requests strictly in order (each
-            // blocks on connect_wait), so matching the next request from
-            // that client per stripe preserves the stripe pairing.
-            for stripe in 0..self.nstripes() {
-                let req = loop {
-                    let stamp = self.port.activity_stamp();
-                    if let Some(r) = self
-                        .port
-                        .cs_requests()
-                        .iter()
-                        .find(|r| r.from == client)
-                        .copied()
-                    {
-                        break r;
-                    }
-                    self.port.wait_activity(stamp);
-                };
-                let vi = self
-                    .provision_channel(client, stripe)
-                    .unwrap_or_else(|e| panic!("provision channel to rank {client}: {e}"));
-                self.port
-                    .accept_cs(req.id, vi)
-                    .expect("accept pending request");
-                let st = self.port.connect_wait(vi).expect("valid VI");
-                assert_eq!(st, ViState::Connected);
-                self.finish_connect(self.slot_of(client, stripe));
-            }
-        }
-    }
-
-    /// True when the connection retry machinery is armed. Gated on fault
-    /// injection so fault-free runs schedule no extra timer events and stay
-    /// bit-identical with earlier revisions.
-    fn retries_enabled(&self) -> bool {
-        self.cfg.faults.is_some()
-    }
-
-    /// Create the VI + buffer pools for `peer` and pre-post the receive
-    /// descriptors, but do not connect (shared by all managers; descriptors
-    /// must be in place *before* the connection completes or early arrivals
-    /// would be dropped). Transient VI-creation failures (fault injection)
-    /// are retried up to the configured budget; only an exhausted budget
-    /// surfaces as an error.
-    fn provision_channel(&mut self, peer: usize, stripe: usize) -> Result<ViId, ViaError> {
-        let slot = self.slot_of(peer, stripe);
-        debug_assert_eq!(self.channels[slot].state, ChanState::Unconnected);
+    /// Pin the buffer pools of `slot`'s freshly created `vi` and pre-post
+    /// its eager receive window, so completions on `vi` route to `slot`.
+    pub(crate) fn attach_pools(&mut self, slot: usize, vi: ViId) {
         // Under dynamic flow control (the paper's future-work extension)
         // each side starts with a small chunk and grows under pressure;
         // both sides compute the same initial size so credits agree.
         let chunk = if self.cfg.dynamic_credits {
-            self.cfg.initial_bufs.min(self.cfg.num_bufs).max(2)
+            INITIAL_BUFS.min(self.cfg.num_bufs).max(2)
         } else {
             self.cfg.num_bufs
         };
-        let bsz = self.cfg.buf_size;
-        let mut attempt = 0u32;
-        let vi = loop {
-            match self.port.create_vi() {
-                Ok(vi) => break vi,
-                Err(ViaError::TransientFailure) => {
-                    attempt += 1;
-                    self.metrics.inc(mpi_metrics::CONN_RETRIES);
-                    self.metrics
-                        .gauge_max(mpi_metrics::CONN_RETRY_DEPTH_MAX, attempt as u64);
-                    self.trace(crate::trace::TraceKind::ConnRetry { peer, attempt });
-                    if attempt > self.cfg.conn_retry_max {
-                        return Err(ViaError::TransientFailure);
-                    }
-                }
-                Err(e) => panic!("create VI for peer {peer}: {e}"),
-            }
-        };
+        let bsz = self.cfg.buf_size();
         let recv_mem = self.port.register(chunk * bsz).expect("pin recv pool");
         let send_mem = self.port.register(chunk * bsz).expect("pin send pool");
         // The VI is not connected yet, so nothing can arrive between one
@@ -707,7 +520,6 @@ impl Device {
             .post_recv_run(vi, recv_mem, 0, bsz, chunk)
             .expect("pre-post eager window");
         let ch = &mut self.channels[slot];
-        ch.vi = Some(vi);
         ch.recv_regions = vec![recv_mem];
         ch.send_regions = vec![send_mem];
         ch.chunk = chunk;
@@ -715,29 +527,20 @@ impl Device {
         ch.recv_slots = (0..chunk).collect();
         ch.free_send_slots = (0..chunk).rev().collect();
         ch.credits = chunk;
-        ch.state = ChanState::Connecting;
-        ch.conn_attempts = 0;
-        if self.cfg.trace {
-            self.channels[slot].conn_begin = self.port.ctx().now();
-        }
-        if stripe > 0 {
-            self.metrics.inc(mpi_metrics::ENDPOINT_STRIPE_SETUPS);
-        }
         let at = vi.0 as usize;
         if self.vi_to_slot.len() <= at {
             self.vi_to_slot.resize(at + 1, None);
         }
         self.vi_to_slot[at] = Some(slot);
-        Ok(vi)
     }
 
     /// Dynamic flow control: grow a channel's receive pool by one chunk and
     /// grant the new buffers to the sender through the credit-return path.
     fn grow_recv_pool(&mut self, slot: usize) {
-        let bsz = self.cfg.buf_size;
+        let bsz = self.cfg.buf_size();
         let (chunk, vi) = {
             let ch = &self.channels[slot];
-            (ch.chunk, ch.vi.unwrap())
+            (ch.chunk, ch.conn.vi().unwrap())
         };
         let mem = self.port.register(chunk * bsz).expect("pin grown pool");
         let base = self.channels[slot].recv_regions.len() * chunk;
@@ -758,13 +561,13 @@ impl Device {
         let bufs = ch.bufs;
         let peer = ch.peer;
         self.metrics.inc(mpi_metrics::CREDIT_GROWTHS);
-        self.trace(crate::trace::TraceKind::PoolGrown { peer, bufs });
+        self.trace(TraceKind::PoolGrown { peer, bufs });
     }
 
     /// Dynamic flow control, sender side: the peer granted more credits
     /// than we have staging slots; grow the staging pool to use them.
     fn grow_send_pool(&mut self, slot: usize) {
-        let bsz = self.cfg.buf_size;
+        let bsz = self.cfg.buf_size();
         let chunk = self.channels[slot].chunk;
         let mem = self.port.register(chunk * bsz).expect("pin grown staging");
         let ch = &mut self.channels[slot];
@@ -775,65 +578,15 @@ impl Device {
         }
     }
 
-    /// Provision + issue a peer-to-peer connect (the on-demand path of §4,
-    /// also used for static peer-to-peer init). One stripe of the pair.
-    pub fn setup_channel(&mut self, peer: usize, stripe: usize) {
-        let slot = self.slot_of(peer, stripe);
-        if self.channels[slot].state != ChanState::Unconnected {
-            return;
-        }
-        let vi = match self.provision_channel(peer, stripe) {
-            Ok(vi) => vi,
-            Err(_) => {
-                // VI creation failed past the transient-retry budget.
-                self.fail_channel(slot);
-                return;
-            }
-        };
-        self.port
-            .connect_peer(vi, peer, pair_disc_stripe(self.rank, peer, stripe))
-            .expect("issue peer connect");
-        if self.retries_enabled() {
-            let timeout = SimDuration::micros(self.cfg.conn_retry_timeout_us);
-            self.channels[slot].conn_deadline = self.port.ctx().now() + timeout;
-        }
-        self.trace(crate::trace::TraceKind::ConnIssued { peer });
-    }
-
-    /// Give up on the connection behind `slot`: drop its queued sends and
-    /// fail every live request bound to its peer (the clean error path a
-    /// deliberately exhausted retry budget must take instead of hanging
-    /// `finalize`).
-    fn fail_channel(&mut self, slot: usize) {
-        let peer = self.channels[slot].peer;
-        let attempts = self.channels[slot].conn_attempts;
-        self.metrics.inc(mpi_metrics::CONN_FAILURES);
-        self.trace(crate::trace::TraceKind::ConnFailed { peer, attempts });
+    /// Drop the sends queued behind `slot` and fail every live request bound
+    /// to its peer (the connection manager gave up on the peer).
+    pub(crate) fn fail_requests(&mut self, slot: usize) {
         let ch = &mut self.channels[slot];
-        ch.state = ChanState::Failed;
         ch.outq.clear();
-        for r in self.reqs.values_mut() {
-            if r.peer == peer && !r.done {
-                r.done = true;
-                r.failed = true;
-            }
+        let peer = ch.peer;
+        for r in self.reqs.values_mut().filter(|r| r.peer == peer && !r.done) {
+            r.fail();
         }
-    }
-
-    /// Mark `slot` connected and drain its pre-posted send FIFO in order.
-    fn finish_connect(&mut self, slot: usize) {
-        self.channels[slot].state = ChanState::Connected;
-        let peer = self.channels[slot].peer;
-        let deferred = self.channels[slot].outq.len();
-        self.trace(crate::trace::TraceKind::ConnEstablished { peer, deferred });
-        if self.cfg.trace {
-            self.spans.push(Span {
-                begin: self.channels[slot].conn_begin,
-                end: self.port.ctx().now(),
-                kind: SpanKind::ConnSetup { peer },
-            });
-        }
-        self.try_drain(slot);
     }
 
     // =====================================================================
@@ -858,14 +611,8 @@ impl Device {
             // Self-send: loop back through the matcher (always buffered).
             match self.matcher.incoming(context, self.rank as u32, tag) {
                 Some(posted) => {
-                    let r = self.reqs.get_mut(posted.req).unwrap();
-                    r.status = Status {
-                        source: self.rank,
-                        tag,
-                        len: data.len(),
-                    };
-                    r.data = Some(self.pool.from_slice(data));
-                    r.done = true;
+                    let payload = self.pool.from_slice(data);
+                    self.complete_recv(posted.req, self.rank, tag, payload);
                 }
                 None => {
                     self.matcher.push_unexpected(Unexpected {
@@ -884,7 +631,7 @@ impl Device {
             self.metrics.inc(mpi_metrics::RENDEZVOUS_SENT);
             self.metrics
                 .observe(mpi_metrics::RNDV_BYTES, data.len() as u64);
-            self.trace(crate::trace::TraceKind::RndvStarted {
+            self.trace(TraceKind::RndvStarted {
                 peer: dst,
                 bytes: data.len(),
             });
@@ -936,43 +683,20 @@ impl Device {
         req
     }
 
-    /// Post a receive; the `MPID_VIA_Irecv` analogue. With
-    /// `src == None` (`MPI_ANY_SOURCE`) under on-demand management, issue
-    /// connection requests to **all** peers (§3.5).
+    /// Post a receive; the `MPID_VIA_Irecv` analogue. A receive is a first
+    /// use of the connection(s) it names (§3.5).
     pub fn post_recv_msg(&mut self, src: Option<usize>, context: u16, tag: Option<i32>) -> u64 {
+        if let Some(s) = src {
+            assert!(s < self.size, "invalid source rank {s}");
+        }
         self.metrics.inc(mpi_metrics::RECVS);
         let req = self.alloc_req(src.unwrap_or(usize::MAX));
-        if self.cfg.conn == ConnMode::OnDemand {
-            // Pre-connect on the calling thread's stripe: the stripe a
-            // symmetric peer thread will send on (§3.5 for ANY_SOURCE).
-            let stripe = self.send_stripe();
-            match src {
-                Some(s) => {
-                    if s != self.rank {
-                        self.setup_channel(s, stripe);
-                    }
-                }
-                None => {
-                    for peer in 0..self.size {
-                        if peer != self.rank {
-                            self.setup_channel(peer, stripe);
-                        }
-                    }
-                }
-            }
-        }
-        if let Some(s) = src {
-            if s != self.rank
-                && self.channels[self.slot_of(s, self.send_stripe())].state == ChanState::Failed
-            {
-                // A receive directed at an unreachable peer can never be
-                // satisfied; fail it now rather than leaving a dangling
-                // posted entry in the matcher.
-                let r = self.reqs.get_mut(req).unwrap();
-                r.done = true;
-                r.failed = true;
-                return req;
-            }
+        if !self.recv_first_use(src) {
+            // A receive directed at an unreachable peer can never be
+            // satisfied; fail it now rather than leaving a dangling
+            // posted entry in the matcher.
+            self.reqs.get_mut(req).unwrap().fail();
+            return req;
         }
         let entry = PostedRecv {
             req,
@@ -986,6 +710,18 @@ impl Device {
         req
     }
 
+    /// Complete receive `req` with `payload` from `source`.
+    fn complete_recv(&mut self, req: u64, source: usize, tag: i32, payload: Bytes) {
+        let r = self.reqs.get_mut(req).unwrap();
+        r.status = Status {
+            source,
+            tag,
+            len: payload.len(),
+        };
+        r.data = Some(payload);
+        r.done = true;
+    }
+
     /// Handle an unexpected message that matched a newly posted receive.
     fn deliver_matched(&mut self, req: u64, u: Unexpected) {
         match u.body {
@@ -994,14 +730,7 @@ impl Device {
                 // buffer; the copy to the user buffer is charged here.
                 self.port
                     .charge(self.port.profile().copy_time(payload.len()));
-                let r = self.reqs.get_mut(req).unwrap();
-                r.status = Status {
-                    source: u.src as usize,
-                    tag: u.tag,
-                    len: payload.len(),
-                };
-                r.data = Some(payload);
-                r.done = true;
+                self.complete_recv(req, u.src as usize, u.tag, payload);
             }
             UnexpectedBody::Rts { sreq, len, stripe } => {
                 self.begin_rendezvous_recv(req, u.src as usize, u.tag, sreq, len, stripe);
@@ -1035,16 +764,12 @@ impl Device {
                 len,
             };
         }
-        let header = Header {
-            kind: MsgKind::Cts,
-            credits: 0,
-            context: 0,
-            src: self.rank as u32,
-            tag: 0,
-            aux1: sreq,
-            aux2: Header::pack_cts(rreq, mem.0),
-            len: 0,
-        };
+        let header = Header::control(
+            MsgKind::Cts,
+            self.rank as u32,
+            sreq,
+            Header::pack_cts(rreq, mem.0),
+        );
         let frame = self.pool.alloc(HEADER_LEN);
         self.enqueue_wire(src, stripe, header, frame);
     }
@@ -1058,28 +783,21 @@ impl Device {
     /// bytes + payload.
     fn enqueue_wire(&mut self, peer: usize, stripe: usize, header: Header, frame: Bytes) {
         let slot = self.slot_of(peer, stripe);
-        if self.channels[slot].state == ChanState::Unconnected {
-            if self.cfg.conn == ConnMode::OnDemand {
-                self.setup_channel(peer, stripe);
-            } else {
-                panic!("static connection mode but channel to {peer} unconnected");
-            }
-        }
-        if self.channels[slot].state == ChanState::Failed {
-            // Peer unreachable: fail the owning request instead of queueing
-            // (a queued message would wedge `finalize`). Only Eager/Rts can
-            // target a never-connected channel, and for those `aux1` is the
-            // local send request id.
-            if matches!(header.kind, MsgKind::Eager | MsgKind::Rts) {
-                if let Some(r) = self.reqs.get_mut(header.aux1) {
-                    r.done = true;
-                    r.failed = true;
+        match self.admit_send(slot) {
+            ConnAction::Reject => {
+                // Peer unreachable: fail the owning request instead of
+                // queueing (a queued message would wedge `finalize`). Only
+                // Eager/Rts can target a never-connected channel, and for
+                // those `aux1` is the local send request id.
+                if matches!(header.kind, MsgKind::Eager | MsgKind::Rts) {
+                    if let Some(r) = self.reqs.get_mut(header.aux1) {
+                        r.fail();
+                    }
                 }
+                return;
             }
-            return;
-        }
-        if self.channels[slot].state != ChanState::Connected {
-            self.metrics.inc(mpi_metrics::FIFO_DEFERRED_SENDS);
+            ConnAction::Defer => self.metrics.inc(mpi_metrics::FIFO_DEFERRED_SENDS),
+            _ => {}
         }
         let producer = self.cur_thread as u32;
         self.channels[slot].outq.push_back(OutMsg {
@@ -1093,8 +811,8 @@ impl Device {
     /// Push queued messages into the VI while the connection is up and
     /// credits + staging slots allow. Preserves FIFO order (§3.4) per
     /// stripe channel.
-    fn try_drain(&mut self, slot: usize) {
-        if self.channels[slot].state != ChanState::Connected {
+    pub(crate) fn try_drain(&mut self, slot: usize) {
+        if !self.channels[slot].conn.is_connected() {
             return;
         }
         loop {
@@ -1103,14 +821,14 @@ impl Device {
             // Reserve the last credit for explicit credit returns.
             if ch.credits < 2 {
                 let peer = ch.peer;
-                self.trace(crate::trace::TraceKind::CreditStall { peer });
+                self.trace(TraceKind::CreditStall { peer });
                 break;
             }
             if ch.free_send_slots.is_empty() {
-                // Under dynamic flow control the peer may have granted more
-                // credits than we have staging; grow to match.
-                let cap = ch.send_regions.len() * ch.chunk;
-                if self.cfg.dynamic_credits && ch.credits > cap.saturating_sub(cap_in_use(ch)) {
+                // Credits in hand but every staging slot in flight: under
+                // dynamic flow control the peer granted more credits than we
+                // have staging; grow to match.
+                if self.cfg.dynamic_credits {
                     self.grow_send_pool(slot);
                     continue;
                 }
@@ -1127,16 +845,16 @@ impl Device {
     fn send_wire(&mut self, slot: usize, mut header: Header, mut frame: Bytes, producer: u32) {
         let (vi, peer, stripe, sslot, piggy) = {
             let ch = &mut self.channels[slot];
-            debug_assert_eq!(ch.state, ChanState::Connected);
+            debug_assert!(ch.conn.is_connected());
             let sslot = ch.free_send_slots.pop().expect("caller checked slots");
             let piggy = ch.credits_owed.min(255);
             ch.credits_owed -= piggy;
             ch.credits -= 1;
-            (ch.vi.unwrap(), ch.peer, ch.stripe, sslot, piggy)
+            (ch.conn.vi().unwrap(), ch.peer, ch.stripe, sslot, piggy)
         };
         header.credits = piggy as u8;
         let total = frame.len();
-        debug_assert!(total <= self.cfg.buf_size, "wire message exceeds buffer");
+        debug_assert!(total <= self.cfg.buf_size(), "wire message exceeds buffer");
         // Late header encode, in place in the pooled frame (credits are
         // piggybacked at transmit time, so this cannot happen at enqueue).
         header.encode(frame.unique_mut().expect("queued frame is sole handle"));
@@ -1152,7 +870,7 @@ impl Device {
         if stripe > 0 {
             self.metrics.inc(mpi_metrics::ENDPOINT_STRIPED_SENDS);
         }
-        self.trace(crate::trace::TraceKind::WireSent { peer, bytes: total });
+        self.trace(TraceKind::WireSent { peer, bytes: total });
         let sreq = match header.kind {
             MsgKind::Eager => Some(header.aux1),
             _ => None,
@@ -1177,7 +895,7 @@ impl Device {
         // the request's pooled buffer — the payload's one copy — and the
         // RDMA write carries a view of it.
         let mem = self.port.register_buf(data).expect("pin send buf");
-        let vi = self.channels[slot].vi.unwrap();
+        let vi = self.channels[slot].conn.vi().unwrap();
         let stripe = self.channels[slot].stripe;
         let desc = self
             .port
@@ -1194,16 +912,7 @@ impl Device {
         self.channels[slot]
             .inflight
             .push_back((desc.0, SlotUse::Rdma { sreq, mem }));
-        let header = Header {
-            kind: MsgKind::Fin,
-            credits: 0,
-            context: 0,
-            src: self.rank as u32,
-            tag: 0,
-            aux1: rreq,
-            aux2: 0,
-            len: 0,
-        };
+        let header = Header::control(MsgKind::Fin, self.rank as u32, rreq, 0);
         let frame = self.pool.alloc(HEADER_LEN);
         self.enqueue_wire(peer, stripe, header, frame);
     }
@@ -1215,7 +924,7 @@ impl Device {
     /// One non-blocking pass of the progress engine. Returns true if any
     /// visible progress was made.
     pub fn check_once(&mut self) -> bool {
-        let mut progress = self.conn_progress();
+        let mut progress = self.conn_poll();
 
         // Drain the completion queue.
         while let Some(c) = self.port.cq_poll() {
@@ -1224,8 +933,9 @@ impl Device {
                 continue;
             };
             match c.kind {
-                CompletionKind::Send => self.on_send_complete(slot, c.desc.0),
-                CompletionKind::RdmaWrite => self.on_rdma_complete(slot, c.desc.0),
+                CompletionKind::Send | CompletionKind::RdmaWrite => {
+                    self.on_send_complete(slot, c.desc.0)
+                }
                 CompletionKind::Recv => {
                     let frame = c.payload.expect("wire recv carries its pooled frame");
                     self.on_recv_complete(slot, frame);
@@ -1240,7 +950,7 @@ impl Device {
         let pending: Vec<usize> = self
             .channels
             .iter_entries()
-            .filter(|(_, c)| !c.outq.is_empty() && c.state == ChanState::Connected)
+            .filter(|(_, c)| !c.outq.is_empty() && c.conn.is_connected())
             .map(|(p, _)| p)
             .collect();
         for slot in pending {
@@ -1255,119 +965,6 @@ impl Device {
         progress
     }
 
-    /// Connection progress: answer incoming peer requests (on-demand),
-    /// promote `Connecting` channels whose VI reached `Connected`, and —
-    /// under fault injection — retransmit connects whose deadline passed,
-    /// failing the channel once the retry budget is spent.
-    fn conn_progress(&mut self) -> bool {
-        let mut progress = false;
-        if self.cfg.conn == ConnMode::OnDemand {
-            for req in self.port.peer_requests() {
-                let peer = req.from;
-                // The requester encodes its stripe in the discriminator;
-                // answer on the same stripe so the pairing lines up.
-                let stripe = disc_stripe(req.disc);
-                if stripe >= self.nstripes() {
-                    continue;
-                }
-                if self.channels[self.slot_of(peer, stripe)].state == ChanState::Unconnected {
-                    self.setup_channel(peer, stripe);
-                    progress = true;
-                }
-            }
-        }
-        // Collected after the request-answering pass above so channels it
-        // just set up are promoted this round, exactly like the old dense
-        // scan. Only materialized channels can be `Connecting`.
-        let connecting: Vec<usize> = self
-            .channels
-            .iter_entries()
-            .filter(|(_, c)| c.state == ChanState::Connecting)
-            .map(|(p, _)| p)
-            .collect();
-        for slot in connecting {
-            if self.channels[slot].state != ChanState::Connecting {
-                continue;
-            }
-            let peer = self.channels[slot].peer;
-            let vi = self.channels[slot].vi.unwrap();
-            if self.port.vi_state(vi) == Ok(ViState::Connected) {
-                // The promotion check comes first so a connection that
-                // completed just before its deadline never retries.
-                self.finish_connect(slot);
-                progress = true;
-            } else if self.retries_enabled()
-                && self.port.ctx().now() >= self.channels[slot].conn_deadline
-            {
-                if self.channels[slot].conn_attempts >= self.cfg.conn_retry_max {
-                    self.fail_channel(slot);
-                } else {
-                    let attempt = self.channels[slot].conn_attempts + 1;
-                    self.channels[slot].conn_attempts = attempt;
-                    self.metrics
-                        .gauge_max(mpi_metrics::CONN_RETRY_DEPTH_MAX, attempt as u64);
-                    match self.port.retry_connect(vi) {
-                        Ok(true) => {
-                            self.metrics.inc(mpi_metrics::CONN_RETRIES);
-                            self.trace(crate::trace::TraceKind::ConnRetry { peer, attempt });
-                        }
-                        // Already connected (or no longer retryable): the
-                        // next pass promotes the channel.
-                        Ok(false) => {}
-                        Err(e) => panic!("retry connect to rank {peer}: {e}"),
-                    }
-                    // Exponential backoff: double the timeout per attempt.
-                    let backoff = SimDuration::micros(self.cfg.conn_retry_timeout_us)
-                        .saturating_mul(1u64 << attempt.min(20));
-                    self.channels[slot].conn_deadline = self.port.ctx().now() + backoff;
-                }
-                progress = true;
-            }
-        }
-        progress
-    }
-
-    /// Earliest pending connection-retry deadline, if any (armed only
-    /// under fault injection).
-    fn earliest_conn_deadline(&self) -> Option<SimTime> {
-        if !self.retries_enabled() {
-            return None;
-        }
-        self.channels
-            .iter()
-            .filter(|c| c.state == ChanState::Connecting)
-            .map(|c| c.conn_deadline)
-            .min()
-    }
-
-    /// Block for NIC activity, but — when a connection retry is pending —
-    /// also schedule a timer at its deadline so a rank whose connect
-    /// packets were all dropped still wakes up to retransmit.
-    fn conn_idle_wait(&mut self, stamp: u64) {
-        match self.earliest_conn_deadline() {
-            Some(deadline) => {
-                let now = self.port.ctx().now();
-                let covered = self
-                    .armed_conn_timer
-                    .is_some_and(|t| t > now && t <= deadline);
-                if !covered {
-                    let delay = if deadline > now {
-                        deadline.since(now)
-                    } else {
-                        SimDuration::ZERO
-                    };
-                    self.port.schedule_timer(delay);
-                    self.armed_conn_timer = Some(now + delay);
-                }
-                let t = self.port.timer_stamp();
-                self.port.wait_activity_or_timer(stamp, t);
-            }
-            None => {
-                self.port.wait_activity(stamp);
-            }
-        }
-    }
-
     /// Send explicit `Credit` messages for channels whose owed count crossed
     /// the threshold (the piggyback path has stalled). Uses the reserved
     /// last credit, so it can always make progress.
@@ -1379,10 +976,11 @@ impl Device {
             .channels
             .iter_entries()
             .filter(|(_, ch)| {
-                // The return threshold scales with the current window so a
-                // small dynamic window still returns credits promptly.
-                let threshold = self.cfg.credit_return_threshold.min((ch.bufs / 2).max(1));
-                ch.state == ChanState::Connected
+                // Half the window — the current one, so a small dynamic
+                // window still returns credits promptly, and never more
+                // than half the configured one.
+                let threshold = (ch.bufs.min(self.cfg.num_bufs) / 2).max(1);
+                ch.conn.is_connected()
                     && ch.credits_owed >= threshold
                     && ch.credits >= 1
                     && !ch.free_send_slots.is_empty()
@@ -1390,16 +988,7 @@ impl Device {
             .map(|(p, _)| p)
             .collect();
         for slot in owing {
-            let header = Header {
-                kind: MsgKind::Credit,
-                credits: 0,
-                context: 0,
-                src: self.rank as u32,
-                tag: 0,
-                aux1: 0,
-                aux2: 0,
-                len: 0,
-            };
+            let header = Header::control(MsgKind::Credit, self.rank as u32, 0, 0);
             self.metrics.inc(mpi_metrics::CREDIT_MSGS);
             let frame = self.pool.alloc(HEADER_LEN);
             let producer = self.cur_thread as u32;
@@ -1407,41 +996,24 @@ impl Device {
         }
     }
 
+    /// A send descriptor of `slot` completed: release what it was carrying.
     fn on_send_complete(&mut self, slot: usize, desc: u64) {
-        let Some(use_) = self.channels[slot].take_inflight(desc) else {
-            return;
-        };
-        match use_ {
-            SlotUse::Wire { slot: sslot, sreq } => {
+        match self.channels[slot].take_inflight(desc) {
+            Some(SlotUse::Wire { slot: sslot, sreq }) => {
                 self.channels[slot].free_send_slots.push(sslot);
-                if let Some(r) = sreq {
-                    if let Some(req) = self.reqs.get_mut(r) {
-                        req.done = true;
-                    }
+                if let Some(req) = sreq.and_then(|r| self.reqs.get_mut(r)) {
+                    req.done = true;
                 }
                 self.try_drain(slot);
             }
-            SlotUse::Rdma { .. } => unreachable!("rdma uses RdmaWrite completions"),
-        }
-    }
-
-    fn on_rdma_complete(&mut self, slot: usize, desc: u64) {
-        let Some(use_) = self.channels[slot].take_inflight(desc) else {
-            return;
-        };
-        match use_ {
-            SlotUse::Rdma { sreq, mem } => {
+            Some(SlotUse::Rdma { sreq, mem }) => {
                 self.port.deregister(mem).expect("deregister send buf");
-                let span = match self.reqs.get_mut(sreq) {
-                    Some(req) => {
-                        req.done = true;
-                        req.rndv_begin
-                            .take()
-                            .map(|begin| (begin, req.peer, req.rndv_len))
-                    }
-                    None => None,
+                let Some(req) = self.reqs.get_mut(sreq) else {
+                    return;
                 };
-                if let Some((begin, peer, bytes)) = span {
+                req.done = true;
+                if let Some(begin) = req.rndv_begin.take() {
+                    let (peer, bytes) = (req.peer, req.rndv_len);
                     self.spans.push(Span {
                         begin,
                         end: self.port.ctx().now(),
@@ -1449,7 +1021,7 @@ impl Device {
                     });
                 }
             }
-            SlotUse::Wire { .. } => unreachable!("wire uses Send completions"),
+            None => {}
         }
     }
 
@@ -1457,7 +1029,7 @@ impl Device {
     /// frame is the pooled wire buffer the sender transmitted, delivered by
     /// reference — no copy out of the VI buffer is needed.
     fn on_recv_complete(&mut self, slot: usize, frame: Bytes) {
-        let bsz = self.cfg.buf_size;
+        let bsz = self.cfg.buf_size();
         let (recv_mem, recv_off, vi, rslot) = {
             let ch = &mut self.channels[slot];
             let rslot = ch
@@ -1465,7 +1037,7 @@ impl Device {
                 .pop_front()
                 .expect("completion implies a posted slot");
             let (mem, off) = ch.recv_slot(rslot, bsz);
-            (mem, off, ch.vi.unwrap(), rslot)
+            (mem, off, ch.conn.vi().unwrap(), rslot)
         };
         // Repost the buffer immediately (MVICH does this before protocol
         // processing so the credit can be returned).
@@ -1501,7 +1073,7 @@ impl Device {
                     .incoming(header.context, header.src, header.tag)
                 {
                     Some(posted) => {
-                        self.trace(crate::trace::TraceKind::Delivered {
+                        self.trace(TraceKind::Delivered {
                             src: header.src as usize,
                             bytes: payload.len(),
                         });
@@ -1510,14 +1082,7 @@ impl Device {
                         // copy is gone.
                         self.port
                             .charge(self.port.profile().copy_time(payload.len()));
-                        let r = self.reqs.get_mut(posted.req).unwrap();
-                        r.status = Status {
-                            source: header.src as usize,
-                            tag: header.tag,
-                            len: payload.len(),
-                        };
-                        r.data = Some(payload);
-                        r.done = true;
+                        self.complete_recv(posted.req, header.src as usize, header.tag, payload);
                     }
                     None => {
                         self.metrics.inc(mpi_metrics::UNEXPECTED_MSGS);
@@ -1613,43 +1178,38 @@ impl Device {
     /// Idle-wait for NIC activity, charging wait-policy costs.
     fn wait_for_activity(&mut self, stamp: u64) {
         let profile = self.port.profile().clone();
-        match self.cfg.wait {
-            WaitPolicy::Polling => {
-                self.conn_idle_wait(stamp);
+        let spincount = match self.cfg.wait {
+            WaitPolicy::SpinWait { spincount } if !profile.wait_is_polling => spincount,
+            // Polling — or Berkeley VIA, whose wait is itself a poll loop.
+            _ => {
+                self.conn_wait(stamp);
                 self.port.charge(profile.cq_poll);
+                return;
             }
-            WaitPolicy::SpinWait { spincount } => {
-                if profile.wait_is_polling {
-                    // Berkeley VIA: wait is an infinite poll loop.
-                    self.conn_idle_wait(stamp);
-                    self.port.charge(profile.cq_poll);
-                    return;
-                }
-                let window = profile.spin_iter.saturating_mul(spincount as u64);
-                let deadline = self.port.ctx().now() + window;
-                self.port.schedule_timer(window);
-                let mut t = self.port.timer_stamp();
-                loop {
-                    let (a2, t2) = self.port.wait_activity_or_timer(stamp, t);
-                    if a2 != stamp {
-                        // Completed during the spin window: cheap detection.
-                        self.port.charge(profile.cq_poll);
-                        return;
-                    }
-                    if self.port.ctx().now() >= deadline {
-                        break;
-                    }
-                    // A stale timer from an earlier (already satisfied)
-                    // episode fired; our spin window is still open.
-                    t = t2;
-                }
-                // Spin exhausted: fall into the kernel wait and pay the
-                // interrupt wake-up on resume — the spinwait penalty the
-                // paper measures on cLAN (§5.4).
-                self.conn_idle_wait(stamp);
-                self.port.charge(profile.wakeup);
+        };
+        let window = profile.spin_iter.saturating_mul(spincount as u64);
+        let deadline = self.port.ctx().now() + window;
+        self.port.schedule_timer(window);
+        let mut t = self.port.timer_stamp();
+        loop {
+            let (a2, t2) = self.port.wait_activity_or_timer(stamp, t);
+            if a2 != stamp {
+                // Completed during the spin window: cheap detection.
+                self.port.charge(profile.cq_poll);
+                return;
             }
+            if self.port.ctx().now() >= deadline {
+                break;
+            }
+            // A stale timer from an earlier (already satisfied) episode
+            // fired; our spin window is still open.
+            t = t2;
         }
+        // Spin exhausted: fall into the kernel wait and pay the interrupt
+        // wake-up on resume — the spinwait penalty the paper measures on
+        // cLAN (§5.4).
+        self.conn_wait(stamp);
+        self.port.charge(profile.wakeup);
     }
 
     /// The `MPI_Finalize` analogue: flush every channel's outgoing queue and
@@ -1691,27 +1251,13 @@ impl Device {
         self.reqs.get(req).map(|r| r.done).unwrap_or(true)
     }
 
-    /// Did the request complete with an error (peer unreachable)?
-    pub fn req_failed(&self, req: u64) -> bool {
-        self.reqs.get(req).map(|r| r.failed).unwrap_or(false)
-    }
-
     /// Consume a completed request, returning its payload (receives) and
     /// status. Panics if not complete or if it failed (use
     /// [`Device::take_req_checked`] to handle connection failures).
     pub fn take_req(&mut self, req: u64) -> (Option<Vec<u8>>, Status) {
-        let r = self.reqs.remove(req).expect("unknown request");
-        assert!(r.done, "take_req on incomplete request");
-        assert!(
-            !r.failed,
-            "request to rank {} failed: connection retry budget exhausted \
-             (use wait_checked to handle this error)",
-            r.peer
-        );
-        // A uniquely-held full-range frame gives up its allocation without
-        // copying; a windowed view (eager payload past its header) copies
-        // exactly once here — the user-buffer copy already charged.
-        (r.data.map(Bytes::into_vec), r.status)
+        self.take_req_checked(req).unwrap_or_else(|e| {
+            panic!("request failed: {e} (use wait_checked to handle this error)")
+        })
     }
 
     /// Consume a completed request, surfacing a connection failure as an
@@ -1721,10 +1267,13 @@ impl Device {
         req: u64,
     ) -> Result<(Option<Vec<u8>>, Status), crate::request::MpiError> {
         let r = self.reqs.remove(req).expect("unknown request");
-        assert!(r.done, "take_req_checked on incomplete request");
+        assert!(r.done, "take_req on incomplete request");
         if r.failed {
             return Err(crate::request::MpiError::PeerUnreachable { peer: r.peer });
         }
+        // A uniquely-held full-range frame gives up its allocation without
+        // copying; a windowed view (eager payload past its header) copies
+        // exactly once here — the user-buffer copy already charged.
         Ok((r.data.map(Bytes::into_vec), r.status))
     }
 
@@ -1751,13 +1300,16 @@ impl Device {
             .map(|ch| ChannelSnapshot {
                 peer: ch.peer,
                 stripe: ch.stripe,
-                state: ch.state,
+                state: ch.conn.state(),
                 credits: ch.credits,
                 credits_owed: ch.credits_owed,
                 bufs: ch.bufs,
                 pending: ch.outq.len(),
                 inflight: ch.inflight.len(),
-                vi_connected: ch.vi.is_some_and(|v| remote_of[v.0 as usize].is_some()),
+                vi_connected: ch
+                    .conn
+                    .vi()
+                    .is_some_and(|v| remote_of[v.0 as usize].is_some()),
                 connected_vis_to_peer: vis_to[ch.peer],
             })
             .collect()

@@ -42,6 +42,7 @@
 pub mod collective;
 pub mod comm;
 pub mod config;
+pub mod conn;
 pub mod datatype;
 pub mod device;
 pub mod matching;
@@ -54,8 +55,9 @@ mod window;
 
 pub use comm::Comm;
 pub use config::{ConnMode, Device, MpiConfig, WaitPolicy};
+pub use conn::ChanState;
 pub use datatype::{from_bytes, reduce_into, to_bytes, ReduceOp, Scalar};
-pub use device::{ChanState, ChannelSnapshot, MpiStats};
+pub use device::{ChannelSnapshot, MpiStats};
 pub use mpi::{Mpi, ANY_SOURCE, ANY_TAG};
 pub use request::{MpiError, Request, SendMode, Status};
 pub use trace::{render_timeline, Span, SpanKind, TraceEvent, TraceKind};

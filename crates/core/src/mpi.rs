@@ -6,7 +6,7 @@
 //! wildcard receives, probe, and (in [`crate::collective`]) the collective
 //! operations the paper benchmarks.
 
-use crate::config::MpiConfig;
+use crate::config::{MpiConfig, CALL_OVERHEAD, FLOPS_PER_US};
 use crate::device::{Device, MpiStats};
 use crate::request::{MpiError, Request, SendMode, Status};
 use std::cell::RefCell;
@@ -71,13 +71,9 @@ impl Mpi {
     }
 
     /// Charge virtual compute time for `flops` floating-point operations at
-    /// the configured host rate.
+    /// the modelled host rate ([`FLOPS_PER_US`]).
     pub fn compute(&self, flops: f64) {
-        let d = {
-            let dev = self.dev.borrow();
-            SimDuration::micros_f64(flops / dev.cfg.flops_per_us)
-        };
-        self.advance(d);
+        self.advance(SimDuration::micros_f64(flops / FLOPS_PER_US));
     }
 
     /// Charge an explicit virtual duration.
@@ -98,8 +94,7 @@ impl Mpi {
     fn charge_call(&self) {
         let mut dev = self.dev.borrow_mut();
         dev.maybe_noise();
-        let d = dev.cfg.call_overhead;
-        dev.port.charge(d);
+        dev.port.charge(CALL_OVERHEAD);
     }
 
     // ---- nonblocking point-to-point ----------------------------------------
@@ -329,12 +324,7 @@ impl Mpi {
     /// quiesce a rank before `MPI_Finalize`, so retransmissions triggered by
     /// injected faults can complete while the rank still drives progress.
     pub fn pending_connections(&self) -> usize {
-        self.dev
-            .borrow()
-            .channels
-            .iter()
-            .filter(|c| c.state == crate::device::ChanState::Connecting)
-            .count()
+        self.dev.borrow().pending_connections()
     }
 
     /// Count a collective operation (called at the top of every collective

@@ -67,6 +67,21 @@ pub struct Header {
 }
 
 impl Header {
+    /// A control message (`Cts`, `Fin`, `Credit`): no matching envelope and
+    /// no payload, only the two kind-specific words.
+    pub fn control(kind: MsgKind, src: u32, aux1: u64, aux2: u64) -> Header {
+        Header {
+            kind,
+            credits: 0,
+            context: 0,
+            src,
+            tag: 0,
+            aux1,
+            aux2,
+            len: 0,
+        }
+    }
+
     /// Encode into the first [`HEADER_LEN`] bytes of `out`.
     pub fn encode(&self, out: &mut [u8]) {
         assert!(out.len() >= HEADER_LEN);

@@ -481,3 +481,135 @@ fn spinwait_matches_polling_for_pingpong_latency() {
         "spinwait pingpong latency ({spinwait}ns) must match polling ({polling}ns)"
     );
 }
+
+/// How a rank first touches its peer in the first-contact enumeration.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum FirstUse {
+    Send,
+    DirectedRecv,
+    AnySourceRecv,
+}
+
+/// What one rank of a first-contact world reports: the payloads of its
+/// receives in posting order, and `(dst, issue time)` of every send.
+type FirstContact = (Vec<Vec<u8>>, Vec<(usize, viampi_sim::SimTime)>);
+
+/// One first-contact world. Ranks 0 and 1 open their pair with `kinds[rank]`
+/// — rank 1 `skew` later — then trickle `K` sends at each other with
+/// progress in between, so some go out before the connection is up and some
+/// after. With three ranks, rank 2 meanwhile sends to both (its requests
+/// reach them mid-handshake, or cross their `ANY_SOURCE` fan-out) and
+/// everyone exchanges one message with it.
+fn first_contact(
+    np: usize,
+    device: Device,
+    kinds: [FirstUse; 2],
+    skew: SimDuration,
+    gap: SimDuration,
+) -> viampi_core::RunReport<FirstContact> {
+    const K: u8 = 6;
+    let mut uni = uni(np, device, ConnMode::OnDemand);
+    uni.config_mut().os_noise = false;
+    uni.config_mut().trace = true;
+    uni.run(move |mpi| {
+        let me = mpi.rank();
+        let mut sends = Vec::new();
+        let mut reqs = Vec::new();
+        let mut recvs = Vec::new();
+        let mut isend = |buf: &[u8], dst: usize, tag: i32| {
+            sends.push((dst, mpi.now()));
+            mpi.isend(buf, dst, tag)
+        };
+        if me < 2 {
+            let peer = 1 - me;
+            mpi.advance(skew * me as u64);
+            match kinds[me] {
+                FirstUse::Send => {}
+                FirstUse::DirectedRecv => recvs.push(mpi.irecv(Some(peer), Some(0))),
+                FirstUse::AnySourceRecv => recvs.push(mpi.irecv(None, Some(0))),
+            }
+            for seq in 0..K {
+                reqs.push(isend(&[me as u8, seq], peer, 0));
+                mpi.advance(gap);
+                mpi.progress();
+            }
+            while recvs.len() < K as usize {
+                recvs.push(mpi.irecv(Some(peer), Some(0)));
+            }
+        }
+        for other in (0..np).filter(|&r| r != me && (me == 2 || r == 2)) {
+            reqs.push(isend(&[me as u8, K], other, 1));
+            recvs.push(mpi.irecv(Some(other), Some(1)));
+        }
+        mpi.waitall(&reqs);
+        let got = mpi.waitall(&recvs);
+        (got.into_iter().map(|(d, _)| d.unwrap()).collect(), sends)
+    })
+    .unwrap()
+}
+
+/// Small-scope exhaustive check of the first contact of a pair — what the
+/// simcheck campaign samples, enumerated: who initiates and how, on both
+/// sides, with the second rank's start swept across twice the handshake so
+/// the two requests cross on the wire, arrive before the local connect, and
+/// arrive after it.
+#[test]
+fn first_contact_enumeration_converges_to_one_connection_per_pair() {
+    use viampi_core::{ChanState, TraceKind};
+    use FirstUse::{AnySourceRecv, DirectedRecv, Send};
+    const GRID: u64 = 32;
+    for (np, device) in [2, 3]
+        .into_iter()
+        .flat_map(|np| [(np, Device::Clan), (np, Device::Berkeley)])
+    {
+        let profile = device.profile();
+        let handshake = profile.conn_wire + profile.conn_establish;
+        for a in [Send, DirectedRecv, AnySourceRecv] {
+            for b in [Send, DirectedRecv, AnySourceRecv] {
+                for step in 0..GRID {
+                    let skew = handshake * 2 * step / (GRID - 1);
+                    let run = || first_contact(np, device, [a, b], skew, handshake / 2);
+                    let report = run();
+                    let case = format!("np={np} {device:?} {a:?}/{b:?} skew={skew}");
+                    let mut deferred_before_connected = 0;
+                    for (r, (got, sends)) in report.ranks.iter().zip(&report.results) {
+                        // One connected VI per pair and side, none abandoned.
+                        assert_eq!(r.channels.len(), np - 1, "{case}: rank {}", r.rank);
+                        for ch in &r.channels {
+                            assert_eq!(ch.state, ChanState::Connected, "{case}: {ch:?}");
+                            assert!(ch.vi_connected, "{case}: {ch:?}");
+                            assert_eq!(ch.connected_vis_to_peer, 1, "{case}: {ch:?}");
+                        }
+                        assert_eq!(r.nic.vis_created, (np - 1) as u64, "{case}");
+                        assert_eq!(r.vis_live, np - 1, "{case}");
+                        // Receives complete in posting order: the pair's K
+                        // messages by sequence number, then rank 2's (or,
+                        // on rank 2, one from each of the others).
+                        let want: Vec<Vec<u8>> = if r.rank < 2 {
+                            let pair = (0..6).map(|seq| vec![1 - r.rank as u8, seq]);
+                            pair.chain((np == 3).then(|| vec![2, 6])).collect()
+                        } else {
+                            vec![vec![0, 6], vec![1, 6]]
+                        };
+                        assert_eq!(got, &want, "{case}: rank {}", r.rank);
+                        // A send is deferred exactly when it was issued
+                        // before its channel was promoted.
+                        let up_at = |peer| {
+                            let up = |e: &&viampi_core::TraceEvent| matches!(e.kind, TraceKind::ConnEstablished { peer: p, .. } if p == peer);
+                            r.trace.iter().find(up).expect("promoted").t
+                        };
+                        let early = sends.iter().filter(|&&(dst, at)| at < up_at(dst)).count();
+                        assert_eq!(r.mpi.fifo_deferred_sends, early as u64, "{case}");
+                        deferred_before_connected += early;
+                    }
+                    assert!(deferred_before_connected >= 2, "{case}: first sends wait");
+                    // Identical on repeat, to the last counter.
+                    let again = run();
+                    assert_eq!(again.results, report.results, "{case}");
+                    assert_eq!(again.end_time, report.end_time, "{case}");
+                    assert_eq!(again.metrics, report.metrics, "{case}");
+                }
+            }
+        }
+    }
+}

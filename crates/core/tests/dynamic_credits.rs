@@ -3,6 +3,7 @@
 //! grow toward the configured maximum under traffic pressure, so pinned
 //! memory tracks per-peer intensity instead of the worst case.
 
+use viampi_core::config::INITIAL_BUFS;
 use viampi_core::{ConnMode, Device, Universe, WaitPolicy};
 
 fn uni(dynamic: bool) -> Universe {
@@ -156,7 +157,7 @@ fn growth_is_per_channel_not_global() {
     assert_eq!(growths2, 0, "whispered channel must not grow");
     // Rank 2 holds one initial-window pair only.
     let cfg = report.config.clone().normalized();
-    assert_eq!(pinned2, 2 * cfg.initial_bufs * cfg.buf_size);
+    assert_eq!(pinned2, 2 * INITIAL_BUFS * cfg.buf_size());
 }
 
 #[test]
@@ -180,7 +181,7 @@ fn dynamic_composes_with_static_managers_too() {
     for &(sum, pinned) in &report.results {
         assert_eq!(sum, 6);
         // 3 channels × initial window on both sides, far below 3 × full.
-        assert!(pinned <= 3 * 2 * cfg.initial_bufs * cfg.buf_size);
+        assert!(pinned <= 3 * 2 * INITIAL_BUFS * cfg.buf_size());
         assert!(pinned < 3 * cfg.per_vi_buffer_bytes());
     }
 }

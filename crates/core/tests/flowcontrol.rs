@@ -88,7 +88,6 @@ fn many_to_one_incast_is_delivered() {
 fn tiny_credit_window_still_works() {
     let mut uni = Universe::new(2, Device::Clan, ConnMode::OnDemand, WaitPolicy::Polling);
     uni.config_mut().num_bufs = 2; // minimum legal window
-    uni.config_mut().credit_return_threshold = 1;
     uni.config_mut().os_noise = false;
     let report = uni
         .run(|mpi| {

@@ -470,6 +470,46 @@ fn rank_panic_surfaces_as_error() {
     assert!(err.to_string().contains("numerical blow-up"));
 }
 
+/// A receive naming a rank outside the world is rejected in the caller,
+/// like a send to one, before a VI is created or a request leaves the NIC.
+fn recv_from_a_missing_rank_is_rejected(conn: ConnMode) {
+    use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+    use std::sync::{Arc, Mutex};
+    let vis = Arc::new(Mutex::new(None));
+    let seen = vis.clone();
+    let err = uni(2, conn)
+        .run(move |mpi| {
+            if mpi.rank() == 0 {
+                let before = mpi.nic_stats().vis_created;
+                let panic = catch_unwind(AssertUnwindSafe(|| mpi.irecv(Some(7), Some(0))))
+                    .expect_err("an out-of-range source must be rejected");
+                *seen.lock().unwrap() = Some((before, mpi.nic_stats().vis_created));
+                resume_unwind(panic);
+            }
+        })
+        .unwrap_err()
+        .to_string();
+    assert!(err.contains("'rank0'"), "blamed on the caller: {err}");
+    assert!(err.contains("invalid source rank 7"), "got: {err}");
+    let (before, after) = vis.lock().unwrap().expect("rank 0 ran");
+    assert_eq!(before, after, "no VI was provisioned for the missing rank");
+}
+
+#[test]
+fn recv_from_a_missing_rank_is_rejected_on_demand() {
+    recv_from_a_missing_rank_is_rejected(ConnMode::OnDemand);
+}
+
+#[test]
+fn recv_from_a_missing_rank_is_rejected_static_p2p() {
+    recv_from_a_missing_rank_is_rejected(ConnMode::StaticPeerToPeer);
+}
+
+#[test]
+fn recv_from_a_missing_rank_is_rejected_static_cs() {
+    recv_from_a_missing_rank_is_rejected(ConnMode::StaticClientServer);
+}
+
 #[test]
 fn sendrecv_bidirectional_exchange() {
     let report = uni(2, ConnMode::OnDemand)

@@ -66,7 +66,7 @@ pub use engine::{engine_totals, Api, Engine, EngineTotals, Outcome, ProcCtx, Pro
 pub use error::{BlockedProc, SimError};
 pub use fiber::{stack_pool_metrics, STACK_POOL_CAP};
 pub use metrics::{MetricEntry, MetricsSnapshot, Registry};
-pub use pool::{BufferPool, PoolStats, PooledBuf, Slab};
+pub use pool::{BufferPool, PoolStats, PooledBuf};
 pub use queue::{EventQueue, WheelStats};
 pub use rng::SplitMix64;
 pub use time::{SimDuration, SimTime};

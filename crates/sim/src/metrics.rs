@@ -12,9 +12,7 @@
 //! Everything is virtual-time aware by construction: values are only ever
 //! driven by simulation activity, so a [`MetricsSnapshot`] is as
 //! deterministic as the run that produced it — identical across repeat
-//! runs, worker counts, and the engine's fast-path setting. A registry
-//! built with [`Registry::disabled`] turns every update into an early-out
-//! no-op and holds no storage at all.
+//! runs, worker counts, and the engine's fast-path setting.
 //!
 //! Snapshots from different layers (and different ranks) compose: each
 //! entry carries its cross-registry merge rule ([`MergeOp`]), so per-rank
@@ -124,7 +122,7 @@ macro_rules! metric_defs {
             $($crate::metrics::MetricDef { name: $hname, help: $hhelp }),*
         ];
 
-        /// A fresh enabled registry over this metric set.
+        /// A fresh registry over this metric set.
         pub fn registry() -> $crate::metrics::Registry {
             $crate::metrics::Registry::new(COUNTER_DEFS, GAUGE_DEFS, HIST_DEFS)
         }
@@ -229,12 +227,9 @@ impl Hist {
 /// An index-addressed store of one layer's metrics.
 ///
 /// Built from the static definition tables of a [`metric_defs!`] set;
-/// updates go through the typed handles the same macro produced. A
-/// disabled registry ([`Registry::disabled`]) allocates nothing and makes
-/// every update a no-op.
+/// updates go through the typed handles the same macro produced.
 #[derive(Debug, Clone)]
 pub struct Registry {
-    enabled: bool,
     counter_defs: &'static [MetricDef],
     gauge_defs: &'static [MetricDef],
     hist_defs: &'static [MetricDef],
@@ -244,14 +239,13 @@ pub struct Registry {
 }
 
 impl Registry {
-    /// An enabled registry with one slot per definition, all zero.
+    /// A registry with one slot per definition, all zero.
     pub fn new(
         counter_defs: &'static [MetricDef],
         gauge_defs: &'static [MetricDef],
         hist_defs: &'static [MetricDef],
     ) -> Self {
         Registry {
-            enabled: true,
             counter_defs,
             gauge_defs,
             hist_defs,
@@ -259,30 +253,6 @@ impl Registry {
             gauges: vec![0; gauge_defs.len()],
             hists: hist_defs.iter().map(|_| Hist::new()).collect(),
         }
-    }
-
-    /// A disabled registry: no storage, every update an early-out no-op,
-    /// every read zero, and an empty snapshot.
-    pub fn disabled(
-        counter_defs: &'static [MetricDef],
-        gauge_defs: &'static [MetricDef],
-        hist_defs: &'static [MetricDef],
-    ) -> Self {
-        Registry {
-            enabled: false,
-            counter_defs,
-            gauge_defs,
-            hist_defs,
-            counters: Vec::new(),
-            gauges: Vec::new(),
-            hists: Vec::new(),
-        }
-    }
-
-    /// Whether updates are recorded.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Increment a counter by one.
@@ -294,81 +264,57 @@ impl Registry {
     /// Increment a counter by `n`.
     #[inline]
     pub fn add(&mut self, c: CounterId, n: u64) {
-        if self.enabled {
-            self.counters[c.0 as usize] += n;
-        }
+        self.counters[c.0 as usize] += n;
     }
 
-    /// Current counter value (zero when disabled).
+    /// Current counter value.
     #[inline]
     pub fn counter(&self, c: CounterId) -> u64 {
-        if self.enabled {
-            self.counters[c.0 as usize]
-        } else {
-            0
-        }
+        self.counters[c.0 as usize]
     }
 
     /// Set a gauge to `v`.
     #[inline]
     pub fn gauge_set(&mut self, g: GaugeId, v: u64) {
-        if self.enabled {
-            self.gauges[g.0 as usize] = v;
-        }
+        self.gauges[g.0 as usize] = v;
     }
 
     /// Add `n` to a gauge.
     #[inline]
     pub fn gauge_add(&mut self, g: GaugeId, n: u64) {
-        if self.enabled {
-            self.gauges[g.0 as usize] += n;
-        }
+        self.gauges[g.0 as usize] += n;
     }
 
     /// Subtract `n` from a gauge.
     #[inline]
     pub fn gauge_sub(&mut self, g: GaugeId, n: u64) {
-        if self.enabled {
-            self.gauges[g.0 as usize] -= n;
-        }
+        self.gauges[g.0 as usize] -= n;
     }
 
     /// Raise a gauge to `v` if `v` is larger (high-water marks).
     #[inline]
     pub fn gauge_max(&mut self, g: GaugeId, v: u64) {
-        if self.enabled {
-            let slot = &mut self.gauges[g.0 as usize];
-            if v > *slot {
-                *slot = v;
-            }
+        let slot = &mut self.gauges[g.0 as usize];
+        if v > *slot {
+            *slot = v;
         }
     }
 
-    /// Current gauge value (zero when disabled).
+    /// Current gauge value.
     #[inline]
     pub fn gauge(&self, g: GaugeId) -> u64 {
-        if self.enabled {
-            self.gauges[g.0 as usize]
-        } else {
-            0
-        }
+        self.gauges[g.0 as usize]
     }
 
     /// Record one observation in a histogram.
     #[inline]
     pub fn observe(&mut self, h: HistId, v: u64) {
-        if self.enabled {
-            self.hists[h.0 as usize].observe(v);
-        }
+        self.hists[h.0 as usize].observe(v);
     }
 
-    /// The histogram behind a handle (`None` when disabled).
-    pub fn hist(&self, h: HistId) -> Option<&Hist> {
-        if self.enabled {
-            Some(&self.hists[h.0 as usize])
-        } else {
-            None
-        }
+    /// The histogram behind a handle.
+    pub fn hist(&self, h: HistId) -> &Hist {
+        &self.hists[h.0 as usize]
     }
 
     /// Flatten the registry into a snapshot, in registration order.
@@ -376,9 +322,6 @@ impl Registry {
     /// values) merge by max; a histogram flattens to `_count`/`_sum`
     /// (summed) and `_max` (maxed) entries.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        if !self.enabled {
-            return MetricsSnapshot::default();
-        }
         let mut entries =
             Vec::with_capacity(self.counters.len() + self.gauges.len() + 3 * self.hists.len());
         for (def, &v) in self.counter_defs.iter().zip(&self.counters) {
@@ -536,7 +479,7 @@ mod tests {
         assert_eq!(r.counter(demo::BYTES), 100);
         assert_eq!(r.gauge(demo::DEPTH), 2);
         assert_eq!(r.gauge(demo::PEAK), 3);
-        let h = r.hist(demo::SIZE).unwrap();
+        let h = r.hist(demo::SIZE);
         assert_eq!((h.count, h.sum, h.max), (2, 9, 9));
         assert_eq!(h.buckets[0], 1, "zero lands in bucket 0");
         assert_eq!(h.buckets[4], 1, "9 has 4 significant bits");
@@ -559,25 +502,6 @@ mod tests {
         assert_eq!(demo::COUNTER_DEFS[1].name, "demo.bytes");
         assert_eq!(demo::GAUGE_DEFS[1].name, "demo.peak");
         assert_eq!(demo::HIST_DEFS[0].name, "demo.size");
-    }
-
-    #[test]
-    fn disabled_registry_is_a_no_op_without_storage() {
-        let mut r = Registry::disabled(demo::COUNTER_DEFS, demo::GAUGE_DEFS, demo::HIST_DEFS);
-        assert!(!r.is_enabled());
-        r.inc(demo::HITS);
-        r.add(demo::BYTES, 1 << 40);
-        r.gauge_add(demo::DEPTH, 5);
-        r.gauge_max(demo::PEAK, 5);
-        r.observe(demo::SIZE, 12345);
-        assert_eq!(r.counter(demo::HITS), 0);
-        assert_eq!(r.gauge(demo::DEPTH), 0);
-        assert!(r.hist(demo::SIZE).is_none());
-        assert_eq!(r.snapshot().entries.len(), 0);
-        // No storage was ever allocated for the disabled registry.
-        assert_eq!(r.counters.capacity(), 0);
-        assert_eq!(r.gauges.capacity(), 0);
-        assert_eq!(r.hists.capacity(), 0);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Size-classed, recycle-on-drop buffer pool and a descriptor slab.
+//! Size-classed, recycle-on-drop buffer pool.
 //!
 //! [`PooledBuf`] is a cheap ref-counted handle over a pooled allocation: a
 //! message body is copied exactly once (user buffer → pooled buffer) and
@@ -348,85 +348,6 @@ impl From<&[u8]> for PooledBuf {
     }
 }
 
-/// A vector-backed slab with free-list key reuse — stable `usize` keys for
-/// in-flight wire descriptors without per-descriptor allocation.
-pub struct Slab<T> {
-    entries: Vec<Option<T>>,
-    free: Vec<usize>,
-    len: usize,
-}
-
-impl<T> Default for Slab<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> Slab<T> {
-    /// An empty slab.
-    pub fn new() -> Self {
-        Slab {
-            entries: Vec::new(),
-            free: Vec::new(),
-            len: 0,
-        }
-    }
-
-    /// An empty slab with room for `cap` entries before reallocating.
-    pub fn with_capacity(cap: usize) -> Self {
-        Slab {
-            entries: Vec::with_capacity(cap),
-            free: Vec::new(),
-            len: 0,
-        }
-    }
-
-    /// Store `value`, returning its key. Keys of removed entries are reused
-    /// LIFO, so key assignment is deterministic.
-    pub fn insert(&mut self, value: T) -> usize {
-        self.len += 1;
-        match self.free.pop() {
-            Some(k) => {
-                debug_assert!(self.entries[k].is_none());
-                self.entries[k] = Some(value);
-                k
-            }
-            None => {
-                self.entries.push(Some(value));
-                self.entries.len() - 1
-            }
-        }
-    }
-
-    /// Remove and return the entry at `key`, if occupied.
-    pub fn remove(&mut self, key: usize) -> Option<T> {
-        let v = self.entries.get_mut(key)?.take()?;
-        self.free.push(key);
-        self.len -= 1;
-        Some(v)
-    }
-
-    /// Borrow the entry at `key`.
-    pub fn get(&self, key: usize) -> Option<&T> {
-        self.entries.get(key)?.as_ref()
-    }
-
-    /// Mutably borrow the entry at `key`.
-    pub fn get_mut(&mut self, key: usize) -> Option<&mut T> {
-        self.entries.get_mut(key)?.as_mut()
-    }
-
-    /// Number of occupied entries.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when no entries are occupied.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -555,20 +476,5 @@ mod tests {
         let b = PooledBuf::from_vec(vec![1, 2]);
         assert_eq!(&*b, &[1, 2][..]);
         assert_eq!(b.clone().into_vec(), vec![1, 2]);
-    }
-
-    #[test]
-    fn slab_reuses_keys_lifo() {
-        let mut s = Slab::new();
-        let a = s.insert("a");
-        let b = s.insert("b");
-        assert_eq!((a, b), (0, 1));
-        assert_eq!(s.remove(a), Some("a"));
-        assert_eq!(s.remove(a), None, "double remove is None");
-        assert_eq!(s.insert("c"), a, "freed key is reused");
-        assert_eq!(s.get(b), Some(&"b"));
-        *s.get_mut(b).unwrap() = "B";
-        assert_eq!(s.remove(b), Some("B"));
-        assert_eq!(s.len(), 1);
     }
 }

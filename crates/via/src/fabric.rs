@@ -317,22 +317,11 @@ impl Fabric {
     /// As with `post_send`, a frame posted on an unconnected VI is
     /// discarded: the call succeeds, no completion is ever generated, and
     /// `drops_unconnected` is incremented.
-    pub fn post_send_pooled(
-        &mut self,
-        api: &mut Api<'_, FabricEvent>,
-        node: NodeId,
-        vi: ViId,
-        data: Bytes,
-        imm: u32,
-    ) -> Result<DescId, ViaError> {
-        self.post_send_pooled_as(api, node, vi, data, imm, 0)
-    }
-
-    /// [`Fabric::post_send_pooled`] with an explicit posting producer
-    /// thread. A post whose producer differs from the VI's previous post
-    /// pays the [`DeviceProfile::vi_lock_convoy`] charge — the shared-VI
-    /// contention of multithreaded ranks. Producer 0 (the legacy entry
-    /// points) on a single-producer VI never pays it.
+    ///
+    /// `producer` is the posting thread. A post whose producer differs from
+    /// the VI's previous post pays the [`DeviceProfile::vi_lock_convoy`]
+    /// charge — the shared-VI contention of multithreaded ranks. Producer 0
+    /// (the legacy entry points) on a single-producer VI never pays it.
     pub fn post_send_pooled_as(
         &mut self,
         api: &mut Api<'_, FabricEvent>,

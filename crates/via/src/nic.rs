@@ -262,8 +262,8 @@ pub struct Nic {
     pub next_cs_id: u64,
     /// Out-of-band (process-manager) mailbox: `(from, payload)`.
     pub oob: VecDeque<(NodeId, crate::fabric::OobBytes)>,
-    /// Resource counters ([`nic_metrics`] set). Always enabled: the pin
-    /// limit and the live-VI limit read their own accounting back.
+    /// Resource counters ([`nic_metrics`] set); the pin limit and the
+    /// live-VI limit read their own accounting back.
     pub metrics: Registry,
 }
 

@@ -75,12 +75,6 @@ impl ViaPort {
         self.ctx.with_world(|f, _| Ok(f.nics[node].vi(vi)?.state))
     }
 
-    /// Remote endpoint of a connected `vi`.
-    pub fn vi_peer(&self, vi: ViId) -> Result<Option<(NodeId, ViId)>, ViaError> {
-        let node = self.node;
-        self.ctx.with_world(|f, _| Ok(f.nics[node].vi(vi)?.peer))
-    }
-
     // ---- memory registration ------------------------------------------------
 
     /// `VipRegisterMem`: pin a region of `len` bytes. Charges the pin cost.
@@ -176,19 +170,9 @@ impl ViaPort {
     /// `VipPostSend` on the zero-copy wire path: the pooled frame travels
     /// by reference and surfaces in [`Completion::payload`] at the
     /// receiver. Charges exactly what [`ViaPort::post_send`] charges.
-    pub fn post_send_pooled(
-        &self,
-        vi: ViId,
-        data: crate::fabric::Bytes,
-        imm: u32,
-    ) -> Result<DescId, ViaError> {
-        self.post_send_pooled_as(vi, data, imm, 0)
-    }
-
-    /// [`ViaPort::post_send_pooled`] with an explicit posting producer
-    /// thread: a post whose producer differs from the VI's previous post
-    /// pays the device's shared-VI lock-convoy charge (see
-    /// [`crate::DeviceProfile::vi_lock_convoy`]).
+    /// `producer` is the posting thread: a post whose producer differs from
+    /// the VI's previous post pays the device's shared-VI lock-convoy charge
+    /// (see [`crate::DeviceProfile::vi_lock_convoy`]).
     pub fn post_send_pooled_as(
         &self,
         vi: ViId,
@@ -460,17 +444,6 @@ impl ViaPort {
             .with_world(|f, api| f.oob_send_shared(api, node, to, data));
     }
 
-    /// Non-blocking OOB receive.
-    pub fn oob_try_recv(&self) -> Option<(NodeId, Vec<u8>)> {
-        self.oob_try_recv_shared().map(|(n, d)| (n, d.to_vec()))
-    }
-
-    /// Non-blocking OOB receive of the shared payload (no copy).
-    pub fn oob_try_recv_shared(&self) -> Option<(NodeId, crate::fabric::OobBytes)> {
-        let node = self.node;
-        self.ctx.with_world(|f, _| f.nics[node].oob.pop_front())
-    }
-
     /// Blocking OOB receive.
     pub fn oob_recv(&self) -> (NodeId, Vec<u8>) {
         let (n, d) = self.oob_recv_shared();
@@ -680,8 +653,7 @@ mod tests {
                 let vi = port.create_vi().unwrap();
                 port.connect_peer(vi, other, disc).unwrap();
                 assert_eq!(port.connect_wait(vi).unwrap(), ViState::Connected);
-                let peer = port.vi_peer(vi).unwrap().unwrap();
-                assert_eq!(peer.0, other);
+                assert_eq!(port.connected_remotes()[vi.0 as usize], Some(other));
                 assert!(port.peer_requests().is_empty());
             });
         }
