@@ -1,10 +1,11 @@
 //! Hot-path performance gate.
 //!
 //! The gate counts scheduling work instead of timing it, so it means the
-//! same on any machine: it runs two small worlds, reads the engine's own
-//! counters and compares them with `==` to the committed record. A change
-//! that adds a token switch per message or a world access per provisioned
-//! channel fails it; one that removes some re-blesses it. (Wall-clock
+//! same on any machine: it runs two small worlds, reads the engine's and
+//! the device's own counters and compares them with `==` to the committed
+//! record. A change that adds a token switch or a channel-table walk per
+//! message, or a world access per provisioned channel, fails it; one that
+//! removes some re-blesses it. (Wall-clock
 //! regressions are the repo benchmark's job: `benchmark/run.sh`.)
 //!
 //! ```text
@@ -56,6 +57,18 @@ fn measure_exact() -> Vec<ExactCount> {
             name: "world_accesses_per_channel.static_np32_clan".into(),
             count: metric(&wiring, "sim.world_accesses"),
             per: metric(&wiring, "nic.vis_created"),
+        },
+        // The §3.3 property: progress passes are many per message, so an
+        // idle one must not walk the channel table.
+        ExactCount {
+            name: "progress_passes_per_message.barrier_np16_clan".into(),
+            count: metric(&barrier, "mpi.progress_passes"),
+            per: metric(&barrier, "nic.msgs_tx"),
+        },
+        ExactCount {
+            name: "table_walks_per_message.barrier_np16_clan".into(),
+            count: metric(&barrier, "mpi.table_walks"),
+            per: metric(&barrier, "nic.msgs_tx"),
         },
     ]
 }

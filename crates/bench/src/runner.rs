@@ -203,8 +203,6 @@ pub struct PerfRecord {
     pub events: u64,
     /// Engine events per wall-clock second (all workers combined).
     pub events_per_sec: f64,
-    /// Scheduler round trips skipped by the self-resume fast path.
-    pub fast_resumes: u64,
 }
 
 crate::impl_json!(PerfRecord {
@@ -215,7 +213,6 @@ crate::impl_json!(PerfRecord {
     runs,
     events,
     events_per_sec,
-    fast_resumes,
 });
 
 static PERF_LOG: Mutex<Vec<PerfRecord>> = Mutex::new(Vec::new());
@@ -244,7 +241,6 @@ pub fn timed<R>(name: &str, f: impl FnOnce() -> R) -> R {
         } else {
             0.0
         },
-        fast_resumes: after.fast_resumes - before.fast_resumes,
     };
     PERF_LOG
         .lock()

@@ -215,6 +215,8 @@ fn metrics_snapshot_is_byte_identical_across_repeats() {
         "sim.handoffs",
         "mpi.collectives",
         "mpi.sends",
+        "mpi.progress_passes",
+        "mpi.table_walks",
         "nic.msgs_tx",
         "nic.conns_established",
         "fault.conn_dropped",

@@ -109,6 +109,18 @@ impl<'a> Group<'a> {
         self.mpi.sendrecv_ctx(buf, w, self.context, tag, w, tag)
     }
 
+    /// A rooted collective names a member of the group. Checked in the
+    /// caller, before anything is sent: past this point a root outside the
+    /// group is a wrapped subtraction at best.
+    fn check_root(&self, op: &str, root: usize) {
+        assert!(
+            root < self.size(),
+            "{op}: invalid root rank {root} (called by rank {} of a group of {})",
+            self.me,
+            self.size()
+        );
+    }
+
     // ---- the algorithms -------------------------------------------------
 
     pub(crate) fn barrier(&self) {
@@ -140,6 +152,7 @@ impl<'a> Group<'a> {
     }
 
     pub(crate) fn bcast(&self, root: usize, data: Option<&[u8]>) -> Vec<u8> {
+        self.check_root("bcast", root);
         let _span = self.mpi.count_collective("bcast");
         let (rank, size) = (self.me, self.size());
         let mut buf: Vec<u8> = if rank == root {
@@ -181,6 +194,7 @@ impl<'a> Group<'a> {
         data: &[T],
         op: ReduceOp,
     ) -> Option<Vec<T>> {
+        self.check_root("reduce", root);
         let _span = self.mpi.count_collective("reduce");
         let (rank, size) = (self.me, self.size());
         let mut acc = data.to_vec();
@@ -307,6 +321,7 @@ impl<'a> Group<'a> {
     }
 
     pub(crate) fn gather(&self, root: usize, data: &[u8]) -> Option<Vec<Vec<u8>>> {
+        self.check_root("gather", root);
         let _span = self.mpi.count_collective("gather");
         let (rank, size) = (self.me, self.size());
         if rank == root {
@@ -324,6 +339,7 @@ impl<'a> Group<'a> {
     }
 
     pub(crate) fn scatter(&self, root: usize, blocks: Option<&[Vec<u8>]>) -> Vec<u8> {
+        self.check_root("scatter", root);
         let _span = self.mpi.count_collective("scatter");
         let (rank, size) = (self.me, self.size());
         if rank == root {

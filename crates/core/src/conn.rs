@@ -256,7 +256,7 @@ impl Device {
     /// it (the client's request or the server's accept), wait for the VI.
     fn cs_handshake(&mut self, peer: usize, stripe: usize, open: impl FnOnce(&ViaPort, ViId)) {
         let slot = self.slot_of(peer, stripe);
-        let action = self.channels[slot].conn.on(ConnEvent::Wanted);
+        let action = self.conn_on(slot, ConnEvent::Wanted);
         debug_assert_eq!(action, ConnAction::Provision);
         let vi = self
             .provision(slot)
@@ -281,7 +281,7 @@ impl Device {
             );
             self.conn_event(slot, ConnEvent::Wanted);
         }
-        self.channels[slot].conn.on(ConnEvent::Send)
+        self.conn_on(slot, ConnEvent::Send)
     }
 
     /// Receive-side entry, the `MPID_VIA_Irecv` point of §3.5: under
@@ -324,9 +324,14 @@ impl Device {
                 }
             }
         }
+        if !self.conn_dirty {
+            return progress;
+        }
+        self.metrics.inc(mpi_metrics::TABLE_WALKS);
         // Collected after the pass above so channels it just set up are
         // promoted this round.
         let connecting: Vec<usize> = self.connecting().collect();
+        self.conn_dirty = !connecting.is_empty();
         for slot in connecting {
             let conn = &self.channels[slot].conn;
             let (vi, deadline, attempts) = (conn.vi.unwrap(), conn.deadline, conn.attempts);
@@ -394,9 +399,19 @@ impl Device {
 
     // ---- the machine's driver -------------------------------------------
 
+    /// Feed `event` to the machine of `slot`: the only caller of
+    /// [`Conn::on`], so the only place a channel can become `Connecting` —
+    /// which is what `conn_dirty` tells the progress loop to look for.
+    fn conn_on(&mut self, slot: usize, event: ConnEvent) -> ConnAction {
+        let conn = &mut self.channels[slot].conn;
+        let action = conn.on(event);
+        self.conn_dirty |= conn.state == ChanState::Connecting;
+        action
+    }
+
     /// Feed `event` to the machine of `slot` and carry out what it asks.
     fn conn_event(&mut self, slot: usize, event: ConnEvent) -> ConnAction {
-        let action = self.channels[slot].conn.on(event);
+        let action = self.conn_on(slot, event);
         match action {
             ConnAction::Provision => self.issue_peer_connect(slot),
             ConnAction::Drain => self.promote(slot),

@@ -28,9 +28,10 @@ use crate::conn::{ChanState, Conn, ConnAction};
 use crate::matching::{MatchEngine, PostedRecv, Unexpected, UnexpectedBody};
 use crate::protocol::{Header, MsgKind, HEADER_LEN};
 use crate::request::{SendMode, Status};
+pub use crate::table::ChannelTable;
 use crate::trace::{Span, SpanKind, TraceKind};
 use crate::window::IdWindow;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use viampi_sim::{BufferPool, Registry, SimDuration, SimTime};
 use viampi_via::fabric::{Bytes, OobBytes};
 use viampi_via::{CompletionKind, MemHandle, ViId, ViaPort};
@@ -54,6 +55,8 @@ pub mod mpi_metrics {
             CONN_FAILURES => "mpi.conn_failures": "Channels failed after exhausting the retry budget",
             ENDPOINT_STRIPE_SETUPS => "mpi.endpoint.stripe_setups": "Non-zero stripe channels provisioned (multi-VI endpoints)",
             ENDPOINT_STRIPED_SENDS => "mpi.endpoint.striped_sends": "Wire messages sent on a non-zero stripe (multi-VI endpoints)",
+            PROGRESS_PASSES => "mpi.progress_passes": "Passes of the progress engine (check_once calls)",
+            TABLE_WALKS => "mpi.table_walks": "Channel-table walks made by progress passes (connecting, queued-send and credit-return scans)",
         }
         gauges {
             INIT_TIME_NS => "mpi.init_time_ns": "Virtual time spent inside MPI_Init, in nanoseconds",
@@ -132,64 +135,8 @@ pub struct Channel {
     pub(crate) outq: VecDeque<OutMsg>,
 }
 
-/// Sparse channel table, keyed by **slot** `peer * vis_per_peer + stripe`
-/// (with the default `vis_per_peer = 1` a slot *is* the peer rank, so keys,
-/// iteration order and behaviour are exactly the old per-peer table). A
-/// channel materializes on first *mutable* access (`&mut table[slot]`), so a
-/// rank's footprint is O(channels it actually touched) instead of O(world
-/// size) — the property that lets np=4096 on-demand worlds fit in memory.
-/// Immutable indexing of a never-touched slot yields a shared default
-/// `Unconnected` view, and iteration visits materialized channels in
-/// ascending slot order — exactly the order the old dense table walked
-/// them, with the untouched no-op entries (empty queues, `Unconnected`
-/// state) skipped.
-pub struct ChannelTable {
-    map: BTreeMap<usize, Channel>,
-    /// Stripes per peer pair (`cfg.vis_per_peer`), for slot decoding.
-    stripes: usize,
-    /// Read-only stand-in for never-touched slots. Its `peer` field is a
-    /// sentinel and never read: every consumer carries the index separately.
-    empty: Channel,
-}
-
-impl ChannelTable {
-    fn new(stripes: usize) -> Self {
-        ChannelTable {
-            map: BTreeMap::new(),
-            stripes,
-            empty: Channel::new(usize::MAX, 0),
-        }
-    }
-
-    /// Materialized channels, ascending by slot.
-    pub fn iter(&self) -> impl Iterator<Item = &Channel> {
-        self.map.values()
-    }
-
-    /// `(slot, channel)` pairs over materialized channels, ascending.
-    pub fn iter_entries(&self) -> impl Iterator<Item = (usize, &Channel)> {
-        self.map.iter().map(|(&p, c)| (p, c))
-    }
-}
-
-impl std::ops::Index<usize> for ChannelTable {
-    type Output = Channel;
-    fn index(&self, slot: usize) -> &Channel {
-        self.map.get(&slot).unwrap_or(&self.empty)
-    }
-}
-
-impl std::ops::IndexMut<usize> for ChannelTable {
-    fn index_mut(&mut self, slot: usize) -> &mut Channel {
-        let stripes = self.stripes;
-        self.map
-            .entry(slot)
-            .or_insert_with(|| Channel::new(slot / stripes, slot % stripes))
-    }
-}
-
 impl Channel {
-    fn new(peer: usize, stripe: usize) -> Self {
+    pub(crate) fn new(peer: usize, stripe: usize) -> Self {
         Channel {
             peer,
             stripe,
@@ -212,6 +159,19 @@ impl Channel {
     fn take_inflight(&mut self, desc: u64) -> Option<SlotUse> {
         let at = self.inflight.iter().position(|&(d, _)| d == desc)?;
         self.inflight.remove(at).map(|(_, u)| u)
+    }
+
+    /// Owed credits at which an explicit return is due: half the window —
+    /// the current one, so a small dynamic window still returns credits
+    /// promptly, and never more than half the configured one.
+    fn owes_credits(&self, num_bufs: usize) -> bool {
+        self.credits_owed >= (self.bufs.min(num_bufs) / 2).max(1)
+    }
+
+    /// Whether an explicit credit message can go out now: it spends the
+    /// reserved last credit and needs a staging slot.
+    fn can_return_credits(&self) -> bool {
+        self.conn.is_connected() && self.credits >= 1 && !self.free_send_slots.is_empty()
     }
 
     /// Resolve a receive slot to `(region, offset)`.
@@ -323,6 +283,17 @@ pub struct Device {
     /// Latest connection-retry deadline a timer event has been scheduled
     /// for (deduplicates timer arming; `None` when no timer is pending).
     pub(crate) armed_conn_timer: Option<SimTime>,
+    /// Some channel may be `Connecting`: set by every transition that
+    /// leaves one so, cleared by a `conn_poll` walk that finds none. While
+    /// clear, a progress pass does not walk the table for handshakes.
+    pub(crate) conn_dirty: bool,
+    /// Some channel may hold queued sends (set where a send stays queued,
+    /// cleared by a walk that finds none).
+    outq_dirty: bool,
+    /// Some channel may owe an explicit credit return (set where
+    /// `credits_owed` reaches the threshold, cleared by a walk that finds
+    /// none).
+    owed_dirty: bool,
     /// Recorded protocol events (empty unless `cfg.trace`).
     pub trace: Vec<crate::trace::TraceEvent>,
     /// Recorded spans (empty unless `cfg.trace`).
@@ -353,6 +324,9 @@ impl Device {
             cur_thread: 0,
             next_noise_at: viampi_sim::SimTime::ZERO,
             armed_conn_timer: None,
+            conn_dirty: false,
+            outq_dirty: false,
+            owed_dirty: false,
             trace: Vec::new(),
             spans: Vec::new(),
             metrics: mpi_metrics::registry(),
@@ -558,6 +532,7 @@ impl Device {
         // Grant the new window to the peer.
         ch.credits_owed += chunk;
         ch.recvs_since_grow = 0;
+        self.owed_dirty |= ch.owes_credits(self.cfg.num_bufs);
         let bufs = ch.bufs;
         let peer = ch.peer;
         self.metrics.inc(mpi_metrics::CREDIT_GROWTHS);
@@ -806,23 +781,24 @@ impl Device {
             producer,
         });
         self.try_drain(slot);
+        // Whatever did not go out at once is for the progress passes.
+        self.outq_dirty |= !self.channels[slot].outq.is_empty();
     }
 
     /// Push queued messages into the VI while the connection is up and
     /// credits + staging slots allow. Preserves FIFO order (§3.4) per
     /// stripe channel.
     pub(crate) fn try_drain(&mut self, slot: usize) {
-        if !self.channels[slot].conn.is_connected() {
-            return;
-        }
         loop {
             let ch = &self.channels[slot];
-            let Some(_head) = ch.outq.front() else { break };
+            if ch.outq.is_empty() || !ch.conn.is_connected() {
+                return;
+            }
             // Reserve the last credit for explicit credit returns.
             if ch.credits < 2 {
                 let peer = ch.peer;
                 self.trace(TraceKind::CreditStall { peer });
-                break;
+                return;
             }
             if ch.free_send_slots.is_empty() {
                 // Credits in hand but every staging slot in flight: under
@@ -832,26 +808,29 @@ impl Device {
                     self.grow_send_pool(slot);
                     continue;
                 }
-                break;
+                return;
             }
-            let msg = self.channels[slot].outq.pop_front().unwrap();
-            self.send_wire(slot, msg.header, msg.frame, msg.producer);
+            self.send_wire(slot, None);
         }
     }
 
-    /// Transmit one wire message on the channel behind `slot`, consuming a
-    /// credit and a staging slot, and piggybacking owed credit returns.
-    /// `producer` is the thread that posted the message (see [`OutMsg`]).
-    fn send_wire(&mut self, slot: usize, mut header: Header, mut frame: Bytes, producer: u32) {
-        let (vi, peer, stripe, sslot, piggy) = {
-            let ch = &mut self.channels[slot];
-            debug_assert!(ch.conn.is_connected());
-            let sslot = ch.free_send_slots.pop().expect("caller checked slots");
-            let piggy = ch.credits_owed.min(255);
-            ch.credits_owed -= piggy;
-            ch.credits -= 1;
-            (ch.conn.vi().unwrap(), ch.peer, ch.stripe, sslot, piggy)
-        };
+    /// Transmit one wire message on the channel behind `slot` — `msg`, or
+    /// with `None` the head of its queue — consuming a credit and a staging
+    /// slot, and piggybacking owed credit returns.
+    fn send_wire(&mut self, slot: usize, msg: Option<OutMsg>) {
+        let ch = &mut self.channels[slot];
+        debug_assert!(ch.conn.is_connected());
+        let OutMsg {
+            mut header,
+            mut frame,
+            producer,
+        } = msg
+            .or_else(|| ch.outq.pop_front())
+            .expect("caller checked the queue");
+        let sslot = ch.free_send_slots.pop().expect("caller checked slots");
+        let piggy = ch.credits_owed.min(255);
+        ch.credits_owed -= piggy;
+        ch.credits -= 1;
         header.credits = piggy as u8;
         let total = frame.len();
         debug_assert!(total <= self.cfg.buf_size(), "wire message exceeds buffer");
@@ -863,21 +842,22 @@ impl Device {
         // already happened once at enqueue; only its time is charged here.
         self.port
             .charge(self.port.profile().copy_time(total - HEADER_LEN));
+        let vi = ch.conn.vi().unwrap();
         let desc = self
             .port
             .post_send_pooled_as(vi, frame, 0, producer)
             .expect("post send");
-        if stripe > 0 {
-            self.metrics.inc(mpi_metrics::ENDPOINT_STRIPED_SENDS);
-        }
-        self.trace(TraceKind::WireSent { peer, bytes: total });
         let sreq = match header.kind {
             MsgKind::Eager => Some(header.aux1),
             _ => None,
         };
-        self.channels[slot]
-            .inflight
+        ch.inflight
             .push_back((desc.0, SlotUse::Wire { slot: sslot, sreq }));
+        let (peer, stripe) = (ch.peer, ch.stripe);
+        if stripe > 0 {
+            self.metrics.inc(mpi_metrics::ENDPOINT_STRIPED_SENDS);
+        }
+        self.trace(TraceKind::WireSent { peer, bytes: total });
     }
 
     /// Issue the rendezvous RDMA write + FIN after receiving a CTS. `slot`
@@ -923,7 +903,14 @@ impl Device {
 
     /// One non-blocking pass of the progress engine. Returns true if any
     /// visible progress was made.
+    ///
+    /// A pass walks the channel table only for what one of the three dirty
+    /// bits says may be there — handshakes in progress, queued sends, owed
+    /// credit returns — so in the steady state it costs the completion-queue
+    /// poll and nothing per channel (§3.3: connection progress can live in
+    /// the polling loop because an idle pass is free).
     pub fn check_once(&mut self) -> bool {
+        self.metrics.inc(mpi_metrics::PROGRESS_PASSES);
         let mut progress = self.conn_poll();
 
         // Drain the completion queue.
@@ -943,25 +930,28 @@ impl Device {
             }
         }
 
-        // Drain any unblocked outgoing queues. Only materialized channels
-        // can hold queued messages, and draining one channel never affects
-        // another, so the sparse walk is behaviour-identical to the old
-        // dense 0..size scan.
-        let pending: Vec<usize> = self
-            .channels
-            .iter_entries()
-            .filter(|(_, c)| !c.outq.is_empty() && c.conn.is_connected())
-            .map(|(p, _)| p)
-            .collect();
-        for slot in pending {
-            let before = self.channels[slot].outq.len();
-            self.try_drain(slot);
-            progress |= self.channels[slot].outq.len() != before;
+        // Drain any unblocked outgoing queues. Draining one channel never
+        // affects another, so deciding the set up front is exact (and
+        // `try_drain` leaves a channel that is not connected yet alone).
+        if self.outq_dirty {
+            self.metrics.inc(mpi_metrics::TABLE_WALKS);
+            let queued: Vec<usize> = (self.channels.iter_entries())
+                .filter(|(_, c)| !c.outq.is_empty())
+                .map(|(slot, _)| slot)
+                .collect();
+            self.outq_dirty = !queued.is_empty();
+            for slot in queued {
+                let before = self.channels[slot].outq.len();
+                self.try_drain(slot);
+                progress |= self.channels[slot].outq.len() != before;
+            }
         }
 
         // Explicit credit returns where piggybacking has stalled.
         self.return_credits();
 
+        #[cfg(debug_assertions)]
+        self.assert_clean_bits_mean_empty_walks();
         progress
     }
 
@@ -969,38 +959,67 @@ impl Device {
     /// the threshold (the piggyback path has stalled). Uses the reserved
     /// last credit, so it can always make progress.
     fn return_credits(&mut self) {
+        if !self.owed_dirty {
+            return;
+        }
+        self.metrics.inc(mpi_metrics::TABLE_WALKS);
         // Sending a credit message never changes another channel's owed
-        // count, so deciding every peer up front over the sparse table
-        // matches the old dense per-peer re-check.
+        // count, so every peer is decided up front.
+        let num_bufs = self.cfg.num_bufs;
+        let mut owed = false;
         let owing: Vec<usize> = self
             .channels
             .iter_entries()
             .filter(|(_, ch)| {
-                // Half the window — the current one, so a small dynamic
-                // window still returns credits promptly, and never more
-                // than half the configured one.
-                let threshold = (ch.bufs.min(self.cfg.num_bufs) / 2).max(1);
-                ch.conn.is_connected()
-                    && ch.credits_owed >= threshold
-                    && ch.credits >= 1
-                    && !ch.free_send_slots.is_empty()
+                let owes = ch.owes_credits(num_bufs);
+                owed |= owes;
+                owes && ch.can_return_credits()
             })
-            .map(|(p, _)| p)
+            .map(|(slot, _)| slot)
             .collect();
+        self.owed_dirty = owed;
         for slot in owing {
-            let header = Header::control(MsgKind::Credit, self.rank as u32, 0, 0);
             self.metrics.inc(mpi_metrics::CREDIT_MSGS);
-            let frame = self.pool.alloc(HEADER_LEN);
-            let producer = self.cur_thread as u32;
-            self.send_wire(slot, header, frame, producer);
+            let credit = OutMsg {
+                header: Header::control(MsgKind::Credit, self.rank as u32, 0, 0),
+                frame: self.pool.alloc(HEADER_LEN),
+                producer: self.cur_thread as u32,
+            };
+            self.send_wire(slot, Some(credit));
+        }
+    }
+
+    /// Recount the three walks: a clean bit must mean an empty walk. Run at
+    /// the end of every pass of a debug build, so every test and every
+    /// replayed scenario checks the bits against the tables they summarize.
+    #[cfg(debug_assertions)]
+    fn assert_clean_bits_mean_empty_walks(&self) {
+        let num_bufs = self.cfg.num_bufs;
+        for (slot, ch) in self.channels.iter_entries() {
+            assert!(
+                self.conn_dirty || ch.conn.state() != ChanState::Connecting,
+                "rank {}: slot {slot} is connecting behind a clean bit",
+                self.rank
+            );
+            assert!(
+                self.outq_dirty || ch.outq.is_empty(),
+                "rank {}: slot {slot} holds queued sends behind a clean bit",
+                self.rank
+            );
+            assert!(
+                self.owed_dirty || !ch.owes_credits(num_bufs),
+                "rank {}: slot {slot} owes a credit return behind a clean bit",
+                self.rank
+            );
         }
     }
 
     /// A send descriptor of `slot` completed: release what it was carrying.
     fn on_send_complete(&mut self, slot: usize, desc: u64) {
-        match self.channels[slot].take_inflight(desc) {
+        let ch = &mut self.channels[slot];
+        match ch.take_inflight(desc) {
             Some(SlotUse::Wire { slot: sslot, sreq }) => {
-                self.channels[slot].free_send_slots.push(sslot);
+                ch.free_send_slots.push(sslot);
                 if let Some(req) = sreq.and_then(|r| self.reqs.get_mut(r)) {
                     req.done = true;
                 }
@@ -1030,30 +1049,26 @@ impl Device {
     /// reference — no copy out of the VI buffer is needed.
     fn on_recv_complete(&mut self, slot: usize, frame: Bytes) {
         let bsz = self.cfg.buf_size();
-        let (recv_mem, recv_off, vi, rslot) = {
-            let ch = &mut self.channels[slot];
-            let rslot = ch
-                .recv_slots
-                .pop_front()
-                .expect("completion implies a posted slot");
-            let (mem, off) = ch.recv_slot(rslot, bsz);
-            (mem, off, ch.conn.vi().unwrap(), rslot)
-        };
+        let ch = &mut self.channels[slot];
+        let rslot = ch
+            .recv_slots
+            .pop_front()
+            .expect("completion implies a posted slot");
+        let (recv_mem, recv_off) = ch.recv_slot(rslot, bsz);
         // Repost the buffer immediately (MVICH does this before protocol
         // processing so the credit can be returned).
         self.port
-            .post_recv(vi, recv_mem, recv_off, bsz)
+            .post_recv(ch.conn.vi().unwrap(), recv_mem, recv_off, bsz)
             .expect("repost eager buffer");
-        let want_grow = {
-            let ch = &mut self.channels[slot];
-            ch.recv_slots.push_back(rslot);
-            ch.credits_owed += 1;
-            ch.recvs_since_grow += 1;
-            self.cfg.dynamic_credits
-                && ch.bufs < self.cfg.num_bufs
-                && ch.recvs_since_grow >= ch.bufs as u64
-        };
-        if want_grow {
+        ch.recv_slots.push_back(rslot);
+        ch.credits_owed += 1;
+        ch.recvs_since_grow += 1;
+        self.owed_dirty |= ch.owes_credits(self.cfg.num_bufs);
+        let stripe = ch.stripe;
+        if self.cfg.dynamic_credits
+            && ch.bufs < self.cfg.num_bufs
+            && ch.recvs_since_grow >= ch.bufs as u64
+        {
             self.grow_recv_pool(slot);
         }
         let header = Header::decode(&frame).expect("valid wire header");
@@ -1101,7 +1116,6 @@ impl Device {
             }
             MsgKind::Rts => {
                 let mlen = header.aux2 as usize;
-                let stripe = self.channels[slot].stripe;
                 match self
                     .matcher
                     .incoming(header.context, header.src, header.tag)

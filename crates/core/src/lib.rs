@@ -49,6 +49,7 @@ pub mod matching;
 pub mod mpi;
 pub mod protocol;
 pub mod request;
+mod table;
 pub mod trace;
 pub mod universe;
 mod window;

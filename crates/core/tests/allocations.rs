@@ -44,8 +44,9 @@ fn allocs() -> u64 {
 }
 
 /// Rank 0 of a connected pair runs 1000 idle progress passes while rank 1
-/// sits parked in a receive; returns what rank 0's passes allocated.
-fn idle_progress_allocs(conn: ConnMode) -> u64 {
+/// sits parked in a receive; returns what rank 0's passes allocated and how
+/// many times they walked the channel table.
+fn idle_progress_allocs_and_walks(conn: ConnMode) -> (u64, u64) {
     let report = Universe::new(2, Device::Clan, conn, WaitPolicy::Polling)
         .run(|mpi| {
             let other = 1 - mpi.rank();
@@ -53,7 +54,7 @@ fn idle_progress_allocs(conn: ConnMode) -> u64 {
             mpi.sendrecv(&[7u8; 64], other, 0, Some(other), Some(0));
             if mpi.rank() == 1 {
                 mpi.recv(Some(0), Some(1));
-                return 0;
+                return (0, 0);
             }
             // Let everything the exchange left in flight land and be
             // consumed, so the passes below find nothing to do.
@@ -61,22 +62,27 @@ fn idle_progress_allocs(conn: ConnMode) -> u64 {
             for _ in 0..4 {
                 mpi.progress();
             }
+            let count = |name| mpi.metrics_snapshot().get(name).expect("device metric");
+            let (passes, walks) = (count("mpi.progress_passes"), count("mpi.table_walks"));
             let before = allocs();
             for _ in 0..1000 {
                 mpi.progress();
             }
             let made = allocs() - before;
+            assert_eq!(count("mpi.progress_passes") - passes, 1000);
+            let walked = count("mpi.table_walks") - walks;
             mpi.send(&[0], 1, 1);
-            made
+            (made, walked)
         })
         .unwrap();
     report.results[0]
 }
 
 #[test]
-fn an_idle_progress_pass_allocates_nothing() {
-    assert_eq!(idle_progress_allocs(ConnMode::StaticPeerToPeer), 0);
-    assert_eq!(idle_progress_allocs(ConnMode::OnDemand), 0);
+fn an_idle_progress_pass_allocates_nothing_and_walks_no_table() {
+    for conn in [ConnMode::StaticPeerToPeer, ConnMode::OnDemand] {
+        assert_eq!(idle_progress_allocs_and_walks(conn), (0, 0), "{conn:?}");
+    }
 }
 
 #[test]

@@ -1,7 +1,9 @@
 //! MPI point-to-point semantics across connection managers, devices and
 //! wait policies.
 
-use viampi_core::{ConnMode, Device, Universe, WaitPolicy, ANY_SOURCE, ANY_TAG};
+use viampi_core::{
+    Comm, ConnMode, Device, Mpi, ReduceOp, Universe, WaitPolicy, ANY_SOURCE, ANY_TAG,
+};
 
 fn uni(np: usize, conn: ConnMode) -> Universe {
     Universe::new(np, Device::Clan, conn, WaitPolicy::Polling)
@@ -604,4 +606,72 @@ fn a_payload_is_written_once_on_its_way_to_the_receiver() {
     assert_eq!(copied(4 << 10), (4 << 10) + HEADER_LEN as u64);
     // Rendezvous: the payload, and the RTS, CTS and FIN control frames.
     assert_eq!(copied(1 << 20), (1 << 20) + 3 * HEADER_LEN as u64);
+}
+
+/// One rooted collective called with `root`, on the world (`comm` is
+/// `None`) or on a sub-communicator.
+type Rooted = fn(&Mpi, Option<&Comm>, usize);
+
+/// A rooted collective naming a root outside its group fails in the calling
+/// rank — on the world and on a split communicator, whose group is smaller
+/// than the world, so a root that is a valid *world* rank must still be
+/// rejected — with a message naming the caller, the root and the group size.
+fn missing_root_is_rejected(op: &str, call: Rooted) {
+    for (split, root, group) in [(false, 5, 4), (true, 2, 2)] {
+        let err = uni(4, ConnMode::OnDemand)
+            .run(move |mpi| {
+                let comm = split.then(|| mpi.comm_split((mpi.rank() % 2) as i64, 0));
+                call(mpi, comm.as_ref(), root);
+            })
+            .unwrap_err()
+            .to_string();
+        let want = format!("{op}: invalid root rank {root} (called by rank ");
+        assert!(err.contains("simulated process 'rank"), "got: {err}");
+        assert!(err.contains(&want), "split {split}: got: {err}");
+        let size = format!("of a group of {group})");
+        assert!(err.contains(&size), "split {split}: got: {err}");
+    }
+}
+
+#[test]
+fn bcast_from_a_missing_root_is_rejected() {
+    missing_root_is_rejected("bcast", |mpi, comm, root| {
+        // Every rank supplies data: whoever the wrapped tree made root
+        // would otherwise die on its own missing buffer first.
+        let data = Some(&b"payload"[..]);
+        match comm {
+            None => mpi.bcast(root, data),
+            Some(c) => c.bcast(mpi, root, data),
+        };
+    });
+}
+
+#[test]
+fn reduce_to_a_missing_root_is_rejected() {
+    missing_root_is_rejected("reduce", |mpi, comm, root| {
+        match comm {
+            None => mpi.reduce(root, &[1.0f64], ReduceOp::Sum),
+            Some(c) => c.reduce(mpi, root, &[1.0f64], ReduceOp::Sum),
+        };
+    });
+}
+
+#[test]
+fn gather_to_a_missing_root_is_rejected() {
+    missing_root_is_rejected("gather", |mpi, comm, root| {
+        match comm {
+            None => mpi.gather(root, b"x"),
+            Some(c) => c.gather(mpi, root, b"x"),
+        };
+    });
+}
+
+#[test]
+fn scatter_from_a_missing_root_is_rejected() {
+    missing_root_is_rejected("scatter", |mpi, comm, root| {
+        match comm {
+            None => mpi.scatter(root, None),
+            Some(c) => c.scatter(mpi, root, None),
+        };
+    });
 }

@@ -34,18 +34,23 @@
 //! [`ProcCtx::with_world`] / [`ProcCtx::block_on`] (a compute park at the
 //! summed clock) or folded into the next [`ProcCtx::yield_now`] (one
 //! voluntary park). A body that returns with a charge pending has nothing
-//! left to order itself against; its finish time includes the charge. The
-//! process giving up the token runs the decision *inline* and switches
-//! straight to the chosen process's fiber — or simply keeps going when event
-//! processing made itself the next runnable process. Two shortcuts skip even
-//! the heap traffic, and both stamp `last_run` exactly as a full decision
-//! would, so they can never change a result:
+//! left to order itself against; its finish time includes the charge.
 //!
-//! * **self-resume** (`sim.fast_resumes`): the caller is the unique earliest
-//!   runnable process and no event is due at or before its clock, so the
-//!   decision is already forced and the caller just carries on;
-//! * **inline self-grant** (`sim.direct.self_resumes`): the full decision ran
-//!   and popped the caller itself.
+//! A park is [`Inner::reschedule`]: the same decision with the parking
+//! process as one more Ready entry, except that the entry is never filed.
+//! It is held beside the heap while due events are applied, and then the
+//! process either still orders first and simply carries on, or trades
+//! places with the head in one sift ([`ReadyHeap::replace_top`]) and
+//! switches straight to that process's fiber. The order is `(clock, key,
+//! pid)` either way and `last_run` is stamped exactly as a push, a full
+//! decision and a pop would stamp it, so the shortcut can never change a
+//! result. Two counters tell the ways of keeping the token apart:
+//!
+//! * **self-resume** (`sim.fast_resumes`): nothing was due — no event at or
+//!   before the caller's clock, no Ready process ordered before it;
+//! * **inline self-grant** (`sim.direct.self_resumes`): events were
+//!   applied, and afterwards the caller was still (or again, for a
+//!   `block_on` the events woke) the first in line.
 //!
 //! The driver context (the caller of [`Engine::run`]) only starts the
 //! first process, picks the next one when a process body returns, and —
@@ -188,14 +193,41 @@ struct ProcSlot {
     site: ParkSite,
 }
 
+/// A ready-heap entry. Entries order by `(clock, key, pid)`; clock and key
+/// are packed into one word, most significant first, so the comparison that
+/// decides nearly every sift step is a single wide compare instead of a
+/// three-field tuple's chain of branches.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct ReadyEntry {
+    /// `clock << 64 | key`.
+    order: u128,
+    pid: ProcId,
+}
+
+impl ReadyEntry {
+    #[inline]
+    fn new(clock: SimTime, key: u64, pid: ProcId) -> Self {
+        ReadyEntry {
+            order: (clock.0 as u128) << 64 | key as u128,
+            pid,
+        }
+    }
+
+    #[inline]
+    fn clock(self) -> SimTime {
+        SimTime((self.order >> 64) as u64)
+    }
+}
+
 /// Index min-heap over the Ready processes, keyed `(clock, last_run, pid)`.
 ///
-/// Every transition into `ProcState::Ready` pushes exactly one entry; the
-/// scheduler pops the minimum. `(clock, last_run)` are immutable while a
-/// process is Ready (wakes only touch Blocked processes), so entries are
-/// never stale — no lazy-deletion bookkeeping is needed.
+/// Every transition into `ProcState::Ready` files exactly one entry (a
+/// wake pushes it, a park trades it for the minimum); the scheduler pops
+/// the minimum. `(clock, last_run)` are immutable while a process is Ready
+/// (wakes only touch Blocked processes), so entries are never stale — no
+/// lazy-deletion bookkeeping is needed.
 struct ReadyHeap {
-    heap: Vec<(SimTime, u64, ProcId)>,
+    heap: Vec<ReadyEntry>,
     peak: usize,
 }
 
@@ -206,8 +238,8 @@ struct ReadyHeap {
 /// hash of `(seed, pid, clock)`: equal-clock ties then resolve in a
 /// seed-dependent order, which is what the `simcheck` harness uses to
 /// explore different interleavings. The hash must be stateless (not a
-/// shared RNG stream) so the self-resume fast path — which skips Ready
-/// transitions entirely — computes the identical key.
+/// shared RNG stream) so a park that keeps the token — and so never becomes
+/// Ready — is ordered by the identical key.
 #[inline]
 fn sched_key(sched_seed: Option<u64>, last_run: u64, pid: ProcId, clock: SimTime) -> u64 {
     match sched_seed {
@@ -229,12 +261,12 @@ impl ReadyHeap {
     }
 
     #[inline]
-    fn peek(&self) -> Option<(SimTime, u64, ProcId)> {
+    fn peek(&self) -> Option<ReadyEntry> {
         self.heap.first().copied()
     }
 
     fn push(&mut self, clock: SimTime, last_run: u64, pid: ProcId) {
-        self.heap.push((clock, last_run, pid));
+        self.heap.push(ReadyEntry::new(clock, last_run, pid));
         if self.heap.len() > self.peak {
             self.peak = self.heap.len();
         }
@@ -249,7 +281,7 @@ impl ReadyHeap {
         }
     }
 
-    fn pop(&mut self) -> Option<(SimTime, u64, ProcId)> {
+    fn pop(&mut self) -> Option<ReadyEntry> {
         if self.heap.is_empty() {
             return None;
         }
@@ -275,6 +307,45 @@ impl ReadyHeap {
             i = smallest;
         }
         Some(e)
+    }
+
+    /// An entry was Ready beside the heap (a parking process, held out of
+    /// it): the high-water mark counts it as if it had been pushed.
+    fn count_held_out(&mut self) {
+        self.peak = self.peak.max(self.heap.len() + 1);
+    }
+
+    /// Take the minimum and file `e`, which orders after it, in one sift:
+    /// what `push(e)` then `pop()` returns and leaves, without growing the
+    /// heap. Bottom-up — the hole left by the minimum walks down the path
+    /// of smaller children to a leaf (one comparison a level), then `e`
+    /// climbs from there; a process that just ran orders late, so the climb
+    /// is usually nil.
+    fn replace_top(&mut self, e: ReadyEntry) -> ReadyEntry {
+        let n = self.heap.len();
+        let top = self.heap[0];
+        debug_assert!(top < e, "the caller keeps the token when it orders first");
+        let mut i = 0;
+        loop {
+            let l = 2 * i + 1;
+            if l >= n {
+                break;
+            }
+            let r = l + 1;
+            let child = l + usize::from(r < n && self.heap[r] < self.heap[l]);
+            self.heap[i] = self.heap[child];
+            i = child;
+        }
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if self.heap[parent] <= e {
+                break;
+            }
+            self.heap[i] = self.heap[parent];
+            i = parent;
+        }
+        self.heap[i] = e;
+        top
     }
 }
 
@@ -321,30 +392,35 @@ struct Inner<W: World> {
 impl<W: World> Inner<W> {
     /// Run `f` against the world at instant `now`, then file every process
     /// it woke as Ready at `max(its clock, now)`.
+    #[inline]
     fn with_api<R>(
         &mut self,
         now: SimTime,
         f: impl FnOnce(&mut W, &mut Api<'_, W::Event>) -> R,
     ) -> R {
-        let mut wakes = std::mem::take(&mut self.wake_scratch);
-        let r = {
-            let mut api = Api {
-                now,
-                queue: &mut self.queue,
-                wakes: &mut wakes,
-            };
-            f(&mut self.world, &mut api)
+        let mut api = Api {
+            now,
+            queue: &mut self.queue,
+            wakes: &mut self.wake_scratch,
         };
-        for &pid in &wakes {
+        let r = f(&mut self.world, &mut api);
+        if !self.wake_scratch.is_empty() {
+            self.file_wakes(now);
+        }
+        r
+    }
+
+    /// File the processes an access or event handler at `now` woke.
+    fn file_wakes(&mut self, now: SimTime) {
+        for i in 0..self.wake_scratch.len() {
+            let pid = self.wake_scratch[i];
             if self.procs[pid].state == ProcState::Blocked {
                 let clock = self.clocks[pid].get().max(now);
                 self.clocks[pid].set(clock);
                 self.make_ready(pid, clock, ParkSite::Voluntary);
             }
         }
-        wakes.clear();
-        self.wake_scratch = wakes;
-        r
+        self.wake_scratch.clear();
     }
 
     /// File `pid` on the ready heap at `clock`.
@@ -357,28 +433,54 @@ impl<W: World> Inner<W> {
         self.ready.push(clock, key, pid);
     }
 
-    /// Self-resume fast path: when [`Inner::decide`], run right now, would
-    /// hand the token straight back to the still-Running `pid` at `clock` —
-    /// no event due at or before `clock`, and no Ready process ordered
-    /// before it — grant it in place and return `true`. The comparison
-    /// mirrors `decide` exactly: events win ties against processes, and
-    /// processes order by `(clock, key, pid)`.
-    #[inline]
-    fn try_self_resume(&mut self, pid: ProcId, clock: SimTime, site: ParkSite) -> bool {
-        if self.poisoned.is_some() || self.queue.peek_time().is_some_and(|te| te <= clock) {
-            return false;
-        }
+    /// A park of the running process `pid` at `clock`: the scheduling
+    /// decision of [`Inner::decide`] with `pid` as one more Ready entry,
+    /// taken with that entry held *out* of the heap. Events due at or before
+    /// the earlier of `clock` and the heap's head are applied first (events
+    /// win ties); then either `pid` still orders first under `(clock, key,
+    /// pid)` and keeps the token with no heap operation at all, or it trades
+    /// places with the head in one sift. Returns who runs next; `None` only
+    /// while the simulation is being torn down.
+    fn reschedule(&mut self, pid: ProcId, clock: SimTime, site: ParkSite) -> Option<ProcId> {
         let key = sched_key(self.sched_seed, self.procs[pid].last_run, pid, clock);
-        if self
-            .ready
-            .peek()
-            .is_some_and(|head| head <= (clock, key, pid))
-        {
-            return false;
+        let entry = ReadyEntry::new(clock, key, pid);
+        let mut applied = false;
+        let head = loop {
+            if self.poisoned.is_some() || self.teardown {
+                self.make_ready(pid, clock, site);
+                return None;
+            }
+            let head = self.ready.peek();
+            let limit = head.map_or(clock, |head| head.clock().min(clock));
+            let Some((t, ev)) = self.queue.pop_due(limit) else {
+                break head;
+            };
+            self.events_processed += 1;
+            self.with_api(t, |world, api| world.handle_event(ev, api));
+            applied = true;
+        };
+        let keeps = head.is_none_or(|head| entry < head);
+        if keeps && !applied {
+            // Nothing was due: the decision was forced before it was taken.
+            self.grant(pid, site);
+            self.fast_resumes += 1;
+            return Some(pid);
         }
-        self.grant(pid, site);
-        self.fast_resumes += 1;
-        true
+        // From here on `pid` queued, if only behind an event.
+        self.ready.count_held_out();
+        if keeps {
+            self.grant(pid, site);
+            self.direct_self += 1;
+            return Some(pid);
+        }
+        let slot = &mut self.procs[pid];
+        slot.state = ProcState::Ready;
+        slot.site = site;
+        let next = self.ready.replace_top(entry).pid;
+        debug_assert_eq!(self.procs[next].state, ProcState::Ready);
+        self.procs[next].state = ProcState::Running;
+        self.grant(next, self.procs[next].site);
+        Some(next)
     }
 
     /// Count a token grant to `pid` and stamp its recency if the entry it
@@ -401,13 +503,16 @@ impl<W: World> Inner<W> {
             if self.poisoned.is_some() || self.teardown {
                 return None;
             }
-            let limit = self.ready.peek().map_or(SimTime(u64::MAX), |(tp, _, _)| tp);
+            let limit = self
+                .ready
+                .peek()
+                .map_or(SimTime(u64::MAX), ReadyEntry::clock);
             if let Some((t, ev)) = self.queue.pop_due(limit) {
                 self.events_processed += 1;
                 self.with_api(t, |world, api| world.handle_event(ev, api));
                 continue;
             }
-            let (_, _, pid) = self.ready.pop()?;
+            let pid = self.ready.pop()?.pid;
             debug_assert_eq!(self.procs[pid].state, ProcState::Ready);
             self.procs[pid].state = ProcState::Running;
             self.grant(pid, self.procs[pid].site);
@@ -501,20 +606,18 @@ impl<W: World> ProcCtx<W> {
         self.give_up_token(g, ParkSite::Voluntary);
     }
 
-    /// Offer the token to whatever is due before `(now, self)`: keep it if
-    /// nothing is, otherwise queue up as Ready and reschedule. Hands back
+    /// Offer the token to whatever is due before `(now, self)`. Hands back
     /// the scheduler borrow, retaken if the token went away and came back.
     fn give_up_token<'a>(
         &'a self,
         mut g: RefMut<'a, Inner<W>>,
         site: ParkSite,
     ) -> RefMut<'a, Inner<W>> {
-        let clock = self.now();
-        if g.try_self_resume(self.pid, clock, site) {
+        let next = g.reschedule(self.pid, self.now(), site);
+        if next == Some(self.pid) {
             return g;
         }
-        g.make_ready(self.pid, clock, site);
-        self.relinquish(g);
+        self.switch_to(g, next);
         self.shared.inner.borrow_mut()
     }
 
@@ -546,22 +649,23 @@ impl<W: World> ProcCtx<W> {
                 return r;
             }
             g.procs[self.pid].state = ProcState::Blocked;
-            self.relinquish(g);
+            // The decision runs inline, here. A grant straight back (an
+            // event woke this process and left it first in line) is no
+            // switch at all.
+            let next = g.decide();
+            if next == Some(self.pid) {
+                g.direct_self += 1;
+                continue;
+            }
+            self.switch_to(g, next);
             g = self.shared.inner.borrow_mut();
         }
     }
 
-    /// Give up the token and suspend until re-granted. The scheduling
-    /// decision runs inline, here: a grant to another process is one
-    /// fiber-to-fiber switch, a grant back to this process (event
-    /// processing made it the next runnable one) is no switch at all, and
-    /// only "nothing runnable" goes back to the driver.
-    fn relinquish(&self, mut g: RefMut<'_, Inner<W>>) {
-        match g.decide() {
-            Some(next) if next == self.pid => {
-                g.direct_self += 1;
-                return;
-            }
+    /// Suspend until re-granted: one fiber-to-fiber switch to `next`, or
+    /// back to the driver when nothing is runnable.
+    fn switch_to(&self, mut g: RefMut<'_, Inner<W>>, next: Option<ProcId>) {
+        match next {
             Some(next) => {
                 g.direct_handoffs += 1;
                 drop(g);
@@ -587,7 +691,6 @@ impl<W: World> ProcCtx<W> {
 // events/sec across worker threads.
 static TOTAL_RUNS: AtomicU64 = AtomicU64::new(0);
 static TOTAL_EVENTS: AtomicU64 = AtomicU64::new(0);
-static TOTAL_FAST_RESUMES: AtomicU64 = AtomicU64::new(0);
 
 /// Process-wide cumulative totals over every completed [`Engine::run`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -596,8 +699,6 @@ pub struct EngineTotals {
     pub runs: u64,
     /// Events applied, summed over those runs.
     pub events: u64,
-    /// Fast-path self-resumes, summed over those runs.
-    pub fast_resumes: u64,
 }
 
 /// Snapshot the process-wide cumulative engine counters.
@@ -605,7 +706,6 @@ pub fn engine_totals() -> EngineTotals {
     EngineTotals {
         runs: TOTAL_RUNS.load(Ordering::Relaxed),
         events: TOTAL_EVENTS.load(Ordering::Relaxed),
-        fast_resumes: TOTAL_FAST_RESUMES.load(Ordering::Relaxed),
     }
 }
 
@@ -770,7 +870,6 @@ impl<W: World> Engine<W> {
         let end_time = proc_finish.iter().copied().max().unwrap_or(SimTime::ZERO);
         TOTAL_RUNS.fetch_add(1, Ordering::Relaxed);
         TOTAL_EVENTS.fetch_add(inner.events_processed, Ordering::Relaxed);
-        TOTAL_FAST_RESUMES.fetch_add(inner.fast_resumes, Ordering::Relaxed);
         let metrics = {
             use crate::metrics::engine as em;
             let ws = inner.queue.wheel_stats();
@@ -1161,7 +1260,72 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Self-resume fast-path correctness
+    // The ready heap
+    // ------------------------------------------------------------------
+
+    /// Everything left in `h`, in the order the scheduler would take it.
+    fn drain(mut h: ReadyHeap) -> Vec<ReadyEntry> {
+        std::iter::from_fn(|| h.pop()).collect()
+    }
+
+    #[test]
+    fn entries_order_as_clock_key_pid_tuples() {
+        let mut rng = SplitMix64::new(7);
+        // Mostly small values, so ties in every prefix occur, and some with
+        // the top bit set, where a signed or truncated packing would flip.
+        let field = |rng: &mut SplitMix64| match rng.next_u64() % 4 {
+            0 => rng.next_u64() | 1 << 63,
+            _ => rng.next_u64() % 3,
+        };
+        for _ in 0..10_000 {
+            let a = (field(&mut rng), field(&mut rng), field(&mut rng) as usize);
+            let b = (field(&mut rng), field(&mut rng), field(&mut rng) as usize);
+            let packed = |(clock, key, pid)| ReadyEntry::new(SimTime(clock), key, pid);
+            assert_eq!(packed(a).cmp(&packed(b)), a.cmp(&b), "{a:?} vs {b:?}");
+            assert_eq!(packed(a).clock(), SimTime(a.0));
+        }
+    }
+
+    #[test]
+    fn replace_top_is_push_then_pop() {
+        let mut rng = SplitMix64::new(0x5EED);
+        let mut sifted = ReadyHeap::with_capacity(8);
+        let mut model = ReadyHeap::with_capacity(8);
+        // Clocks and keys from small ranges, so equal clocks and equal
+        // (clock, key) pairs are the common case; pids are unique per entry,
+        // as they are in the engine.
+        let mut entry = |pid| (SimTime(rng.next_u64() % 8), rng.next_u64() % 3, pid);
+        let mut replaced = 0;
+        for op in 0..10_000 {
+            let (clock, key, pid) = entry(op);
+            let e = ReadyEntry::new(clock, key, pid);
+            if model.peek().is_some_and(|top| top < e) && op % 4 != 0 {
+                model.push(clock, key, pid);
+                let out = model.pop().expect("just pushed");
+                assert_eq!(sifted.replace_top(e), out, "op {op}");
+                replaced += 1;
+            } else if op % 3 == 0 {
+                assert_eq!(sifted.pop(), model.pop(), "op {op}");
+            } else {
+                sifted.push(clock, key, pid);
+                model.push(clock, key, pid);
+            }
+            assert_eq!(sifted.heap.len(), model.heap.len());
+            if op % 64 == 0 {
+                let copy = |h: &ReadyHeap| ReadyHeap {
+                    heap: h.heap.clone(),
+                    peak: 0,
+                };
+                assert_eq!(drain(copy(&sifted)), drain(copy(&model)), "op {op}");
+            }
+        }
+        assert!(replaced > 2_000, "only {replaced} replacements exercised");
+        assert!(sifted.heap.len() > 100, "the heap stayed trivially small");
+        assert_eq!(drain(sifted), drain(model));
+    }
+
+    // ------------------------------------------------------------------
+    // Parks that keep the token
     // ------------------------------------------------------------------
 
     #[test]
@@ -1438,7 +1602,13 @@ mod tests {
     /// A mixed compute/communication workload; returns every virtual-time
     /// observable.
     fn mixed_workload() -> (Vec<String>, SimTime, u64, Vec<SimTime>) {
+        let (log, out) = mixed_workload_seeded(None);
+        (log, out.end_time, out.events_processed, out.proc_finish)
+    }
+
+    fn mixed_workload_seeded(sched_seed: Option<u64>) -> (Vec<String>, Outcome) {
         let mut eng = Engine::new(MailWorld::new(5));
+        eng.set_sched_seed(sched_seed);
         for s in 0..4usize {
             eng.spawn(format!("s{s}"), move |ctx| {
                 for i in 0..12u64 {
@@ -1463,8 +1633,71 @@ mod tests {
             });
         });
         let (w, out) = eng.run().unwrap();
-        (w.log, out.end_time, out.events_processed, out.proc_finish)
+        (w.log, out)
     }
+
+    /// Sixteen processes in lockstep round a ring: everyone charges the
+    /// same stretch, posts to its right-hand neighbour and waits for its
+    /// left-hand one, so every clock ties at every step.
+    fn lockstep_ring(sched_seed: Option<u64>) -> Outcome {
+        const N: usize = 16;
+        let mut eng = Engine::new(MailWorld::new(N));
+        eng.set_sched_seed(sched_seed);
+        for pid in 0..N {
+            eng.spawn(format!("r{pid}"), move |ctx| {
+                for round in 0..20u64 {
+                    ctx.advance(SimDuration::nanos(100));
+                    send(&ctx, (pid + 1) % N, round, SimDuration::nanos(300));
+                    ctx.advance(SimDuration::nanos(50));
+                    assert_eq!(recv(&ctx).0, round);
+                    if round % 4 == 0 {
+                        ctx.yield_now();
+                    }
+                }
+            });
+        }
+        eng.run().unwrap().1
+    }
+
+    /// The scheduling counters of `out`, in the order the pins list them:
+    /// handoffs, fast resumes, direct handoffs, direct self-resumes, ready
+    /// peak, world accesses.
+    fn sched_counts(out: &Outcome) -> [u64; 6] {
+        [
+            "sim.handoffs",
+            "sim.fast_resumes",
+            "sim.direct.handoffs",
+            "sim.direct.self_resumes",
+            "sim.ready_peak",
+            "sim.world_accesses",
+        ]
+        .map(|name| out.metrics.get(name).expect("engine metric published"))
+    }
+
+    /// Pinned from an engine whose park was two peeks, a push and a pop:
+    /// how a park is carried out may change, how many of each kind there
+    /// are may not. In particular a park that keeps the token after
+    /// applying an event is a direct self-resume, not a fast resume, and the
+    /// ready peak counts the parking process whenever it had to queue.
+    #[test]
+    fn scheduling_counts_are_pinned() {
+        let seeds = [None, Some(1), Some(0xC0FFEE)];
+        let mixed = seeds.map(|s| sched_counts(&mixed_workload_seeded(s).1));
+        let ring = seeds.map(|s| sched_counts(&lockstep_ring(s)));
+        assert_eq!(mixed, MIXED_PINS, "mixed workload");
+        assert_eq!(ring, RING_PINS, "lockstep ring");
+    }
+
+    const MIXED_PINS: [[u64; 6]; 3] = [
+        [98, 16, 70, 7, 5, 97],
+        [98, 17, 69, 7, 5, 97],
+        [98, 16, 69, 8, 5, 97],
+    ];
+    const RING_PINS: [[u64; 6]; 3] = [
+        [1056, 0, 1040, 0, 16, 640],
+        [1056, 83, 957, 0, 16, 640],
+        [1056, 82, 956, 2, 16, 640],
+    ];
 
     #[test]
     fn mixed_workload_replays_and_matches_the_pinned_schedule() {

@@ -545,15 +545,7 @@ impl Fabric {
         remote: NodeId,
         disc: Discriminator,
     ) -> Result<(), ViaError> {
-        {
-            let v = self.nics[node].vi_mut(vi)?;
-            if v.state != ViState::Idle {
-                return Err(ViaError::AlreadyConnected);
-            }
-            v.state = ViState::Connecting;
-            v.remote = Some(remote);
-            v.disc = Some(disc);
-        }
+        self.nics[node].aim_vi(vi, remote, disc, ViState::Connecting)?;
         self.nics[node].metrics.inc(nic_metrics::CONN_REQUESTS);
 
         // Did the remote's request already arrive here?
@@ -629,18 +621,7 @@ impl Fabric {
                 // Our own Established notification was lost. The match was
                 // already made, so the peer endpoint is recoverable from the
                 // far NIC's tables (the connection manager's global view).
-                let peer_vi = self.nics[remote]
-                    .vis
-                    .iter()
-                    .enumerate()
-                    .find(|(_, v)| {
-                        !v.destroyed
-                            && matches!(v.state, ViState::Establishing | ViState::Connected)
-                            && v.remote == Some(node)
-                            && v.disc == Some(disc)
-                    })
-                    .map(|(i, _)| ViId(i as u32));
-                let Some(peer_vi) = peer_vi else {
+                let Some(peer_vi) = self.find_matched(remote, node, disc) else {
                     return Ok(false);
                 };
                 self.nics[node].metrics.inc(nic_metrics::CONN_RETRIES);
@@ -659,19 +640,19 @@ impl Fabric {
         }
     }
 
-    /// Find the unmatched Connecting VI on `node` targeting `(remote, disc)`.
+    /// The unmatched Connecting VI on `node` targeting `(remote, disc)` —
+    /// the lowest-numbered one, should the process have issued several.
     fn find_connecting(&self, node: NodeId, remote: NodeId, disc: Discriminator) -> Option<ViId> {
-        self.nics[node]
-            .vis
-            .iter()
-            .enumerate()
-            .find(|(_, v)| {
-                !v.destroyed
-                    && v.state == ViState::Connecting
-                    && v.remote == Some(remote)
-                    && v.disc == Some(disc)
-            })
-            .map(|(i, _)| ViId(i as u32))
+        (self.nics[node].vis_aimed_at(remote, disc))
+            .find(|(_, v)| v.state == ViState::Connecting)
+            .map(|(id, _)| id)
+    }
+
+    /// The VI on `node` already matched or connected to `(remote, disc)`.
+    fn find_matched(&self, node: NodeId, remote: NodeId, disc: Discriminator) -> Option<ViId> {
+        (self.nics[node].vis_aimed_at(remote, disc))
+            .find(|(_, v)| matches!(v.state, ViState::Establishing | ViState::Connected))
+            .map(|(id, _)| id)
     }
 
     /// Both sides have issued matching requests: move them to `Establishing`
@@ -730,15 +711,7 @@ impl Fabric {
         remote: NodeId,
         disc: Discriminator,
     ) -> Result<(), ViaError> {
-        {
-            let v = self.nics[node].vi_mut(vi)?;
-            if v.state != ViState::Idle {
-                return Err(ViaError::AlreadyConnected);
-            }
-            v.state = ViState::Connecting;
-            v.remote = Some(remote);
-            v.disc = Some(disc);
-        }
+        self.nics[node].aim_vi(vi, remote, disc, ViState::Connecting)?;
         self.nics[node].metrics.inc(nic_metrics::CONN_REQUESTS);
         api.schedule(
             self.profile.conn_wire,
@@ -766,15 +739,7 @@ impl Fabric {
             .position(|r| r.id == req_id)
             .ok_or(ViaError::NoSuchRequest)?;
         let req = self.nics[node].incoming_cs.remove(idx);
-        {
-            let v = self.nics[node].vi_mut(vi)?;
-            if v.state != ViState::Idle {
-                return Err(ViaError::AlreadyConnected);
-            }
-            v.state = ViState::Establishing;
-            v.remote = Some(req.from);
-            v.disc = Some(req.disc);
-        }
+        self.nics[node].aim_vi(vi, req.from, req.disc, ViState::Establishing)?;
         let Some(client_vi) = self.find_connecting(req.from, node, req.disc) else {
             return Err(ViaError::NoSuchRequest);
         };
@@ -988,7 +953,7 @@ impl Fabric {
                 if self.find_connecting(dst, from, disc).is_some() {
                     // Mutual outstanding requests: match here.
                     self.match_peer(api, from, dst, disc, SimDuration::ZERO);
-                } else if self.peer_already_matched(dst, from, disc) {
+                } else if self.find_matched(dst, from, disc).is_some() {
                     // Stale duplicate of a simultaneous connect — both
                     // requests crossed on the wire and the other one already
                     // made the match. Drop.
@@ -1043,17 +1008,6 @@ impl Fabric {
                 nic.bump_activity(wake);
             }
         }
-    }
-
-    /// Does `node` hold a VI already matched/connected to `(from, disc)`?
-    /// Used to discard the stale half of simultaneous peer requests.
-    fn peer_already_matched(&self, node: NodeId, from: NodeId, disc: Discriminator) -> bool {
-        self.nics[node].vis.iter().any(|v| {
-            !v.destroyed
-                && matches!(v.state, ViState::Establishing | ViState::Connected)
-                && v.remote == Some(from)
-                && v.disc == Some(disc)
-        })
     }
 
     /// Snapshot of the pending incoming peer requests on `node`.

@@ -6,7 +6,7 @@ use crate::types::{
     Completion, CsRequest, DescId, Discriminator, MemHandle, NodeId, PeerRequest, ViId, ViState,
     ViaError,
 };
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
 use viampi_sim::{BufferPool, ProcId, Registry, SimTime};
 
 /// The NIC metric set (see [`viampi_sim::metrics`]). Every fabric-level
@@ -237,6 +237,11 @@ pub struct Nic {
     pub node: NodeId,
     /// VI table, indexed by `ViId.0`. Slots are never reused.
     pub vis: Vec<Vi>,
+    /// Every live VI that has named a connection target, as `(remote,
+    /// disc, vi)` — what connection matching looks endpoints up by. Ordered,
+    /// so the VIs of one target come out lowest id first, as a scan of
+    /// `vis` would find them.
+    targets: BTreeSet<(NodeId, Discriminator, ViId)>,
     /// Registered-memory table, indexed by `MemHandle.0`.
     pub regions: Vec<Region>,
     /// The completion queue shared by all of this NIC's work queues.
@@ -273,6 +278,7 @@ impl Nic {
         Nic {
             node,
             vis: Vec::new(),
+            targets: BTreeSet::new(),
             regions: Vec::new(),
             cq: VecDeque::new(),
             waiters: Vec::new(),
@@ -349,12 +355,47 @@ impl Nic {
         }
     }
 
+    /// Start connecting the idle VI `id` to `(remote, disc)`, in `state`
+    /// (`Connecting` for a request, `Establishing` for an accept): the one
+    /// place a VI's target is set, so the one place it is filed under it.
+    pub fn aim_vi(
+        &mut self,
+        id: ViId,
+        remote: NodeId,
+        disc: Discriminator,
+        state: ViState,
+    ) -> Result<(), ViaError> {
+        let v = self.vi_mut(id)?;
+        if v.state != ViState::Idle {
+            return Err(ViaError::AlreadyConnected);
+        }
+        v.state = state;
+        v.remote = Some(remote);
+        v.disc = Some(disc);
+        self.targets.insert((remote, disc, id));
+        Ok(())
+    }
+
+    /// The live VIs aimed at `(remote, disc)`, lowest id first.
+    pub fn vis_aimed_at(
+        &self,
+        remote: NodeId,
+        disc: Discriminator,
+    ) -> impl Iterator<Item = (ViId, &Vi)> {
+        self.targets
+            .range((remote, disc, ViId(0))..=(remote, disc, ViId(u32::MAX)))
+            .map(|&(_, _, id)| (id, &self.vis[id.0 as usize]))
+    }
+
     /// Destroy a VI (its slot id is retired, never reused).
     pub fn destroy_vi(&mut self, id: ViId) -> Result<(), ViaError> {
         let vi = self.vi_mut(id)?;
         vi.destroyed = true;
         vi.state = ViState::Error;
         vi.recv_q.clear();
+        if let (Some(remote), Some(disc)) = (vi.remote, vi.disc) {
+            self.targets.remove(&(remote, disc, id));
+        }
         self.metrics.inc(nic_metrics::VIS_DESTROYED);
         Ok(())
     }

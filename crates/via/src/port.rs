@@ -662,6 +662,47 @@ mod tests {
         assert_eq!(fabric.nics[1].stats().conns_established, 1);
     }
 
+    /// Two `Connecting` VIs of one NIC under one `(remote, disc)`: a match
+    /// takes the lowest-numbered one that is still `Connecting`.
+    #[test]
+    fn a_match_takes_the_lowest_connecting_vi_of_its_target() {
+        let mut eng = engine(2);
+        let disc = Discriminator(17);
+        eng.spawn("twice", move |ctx| {
+            let port = ViaPort::open(ctx, 0);
+            let _idle = port.create_vi().unwrap();
+            let low = port.create_vi().unwrap();
+            let high = port.create_vi().unwrap();
+            // Issued highest first: it is the id that decides, not the order.
+            port.connect_peer(high, 1, disc).unwrap();
+            port.connect_peer(low, 1, disc).unwrap();
+            assert_eq!(port.connect_wait(low).unwrap(), ViState::Connected);
+            assert_eq!(port.vi_state(high).unwrap(), ViState::Connecting);
+            port.oob_send(1, vec![1]);
+            assert_eq!(port.connect_wait(high).unwrap(), ViState::Connected);
+            assert_eq!(port.connected_remotes(), [None, Some(1), Some(1)]);
+        });
+        eng.spawn("once_then_again", move |ctx| {
+            let port = ViaPort::open(ctx, 1);
+            // Let both requests arrive first.
+            port.charge(SimDuration::millis(1));
+            assert_eq!(port.peer_requests().len(), 1, "one request per target");
+            let first = port.create_vi().unwrap();
+            port.connect_peer(first, 0, disc).unwrap();
+            assert_eq!(port.connect_wait(first).unwrap(), ViState::Connected);
+            // The lower VI is matched now; the next match is the other one.
+            port.oob_recv();
+            let second = port.create_vi().unwrap();
+            port.connect_peer(second, 0, disc).unwrap();
+            assert_eq!(port.connect_wait(second).unwrap(), ViState::Connected);
+        });
+        let (fabric, _) = eng.run().unwrap();
+        assert_eq!(fabric.nics[0].vis[1].peer, Some((1, ViId(0))));
+        assert_eq!(fabric.nics[0].vis[2].peer, Some((1, ViId(1))));
+        assert_eq!(fabric.nics[0].stats().conns_established, 2);
+        assert_eq!(fabric.nics[1].stats().conns_established, 2);
+    }
+
     /// Client/server model: server accepts a pending request.
     #[test]
     fn client_server_connect() {

@@ -21,7 +21,7 @@ pub struct DescId(pub u64);
 /// Connection discriminator, as in the VIA connection model: both sides of a
 /// peer-to-peer connection (or the client and the listening server) must use
 /// the same discriminator for their requests to match.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Discriminator(pub u64);
 
 /// Connection state of a VI endpoint (VIA spec §2: Idle → Connect pending →
