@@ -17,14 +17,15 @@ use viampi_bench::report::{fmt, table};
 use viampi_core::{ConnMode, Device, RunReport, Universe, WaitPolicy};
 use viampi_npb::llc;
 
-/// One exact work count: `count` units of scheduling work for `per` units
-/// of modelled work, both read from a finished world's metrics.
-struct ExactCount {
-    name: String,
-    count: u64,
-    per: u64,
+viampi_bench::record! {
+    /// One exact work count: `count` units of scheduling work for `per`
+    /// units of modelled work, both read from a finished world's metrics.
+    struct ExactCount {
+        name: String,
+        count: u64,
+        per: u64,
+    }
 }
-viampi_bench::impl_json!(ExactCount { name, count, per });
 
 fn metric<R>(report: &RunReport<R>, name: &str) -> u64 {
     report

@@ -7,14 +7,14 @@
 //!
 //! ```text
 //! profile [--program cg|mg|is|ep|ft|lu|ring|barrier] [--np N]
-//!         [--device clan|bvia] [--class S|A|B|C] [--out PATH] [--jobs J]
+//!         [--device clan|bvia] [--class S|A|B|C] [--out PATH]
 //! ```
 //!
 //! Defaults: `--program ring --np 4 --device clan --class S`, output to
 //! `results/profile_<program>.json`.
 
 use std::path::PathBuf;
-use viampi_bench::{profile, report, runner};
+use viampi_bench::{profile, report};
 use viampi_core::{ConnMode, Device, RunReport, Universe, WaitPolicy};
 use viampi_npb::{cg, ep, ft, is, llc, lu, mg, ring, Class};
 
@@ -80,12 +80,10 @@ fn parse_args() -> Args {
                 args.out = Some(PathBuf::from(value(&argv, i, "--out")));
                 i += 2;
             }
-            "--jobs" => i += 2, // handled by runner::init_from_args
-            a if a.starts_with("--jobs=") => i += 1,
             "--help" | "-h" => {
                 println!(
                     "usage: profile [--program cg|mg|is|ep|ft|lu|ring|barrier] [--np N] \
-                     [--device clan|bvia] [--class S|A|B|C] [--out PATH] [--jobs J]"
+                     [--device clan|bvia] [--class S|A|B|C] [--out PATH]"
                 );
                 std::process::exit(0);
             }
@@ -123,7 +121,6 @@ fn traced_run(args: &Args) -> RunReport<f64> {
 }
 
 fn main() {
-    runner::init_from_args();
     let args = parse_args();
     let report = traced_run(&args);
 

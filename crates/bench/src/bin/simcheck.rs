@@ -11,8 +11,10 @@
 //!          [--fault ...] [--jobs J] [--corpus FILE] [--summary-out FILE]
 //! ```
 //!
-//! A batch prints every offending seed (replay key) and writes the summary
-//! to `results/simcheck.json`; the exit code is nonzero on any violation.
+//! A batch prints its per-program table, every offending seed (replay key)
+//! and its totals, and writes nothing — the standard batch's record,
+//! `results/simcheck.json`, is the `simcheck` row of `repro_all`. The exit
+//! code is nonzero on any violation.
 //!
 //! Campaign mode runs (or resumes) the coverage-directed engine in
 //! `viampi_bench::campaign`: shards are checkpointed to the state file as
@@ -21,11 +23,14 @@
 
 use viampi_bench::campaign::{default_corpus_path, run_campaign, CampaignConfig};
 use viampi_bench::json::to_string_pretty;
-use viampi_bench::report::{self, fmt};
+use viampi_bench::report::fmt;
 use viampi_bench::runner;
-use viampi_bench::simcheck::{describe_key, run_key, run_seeds, FaultKind, SeedOutcome};
+use viampi_bench::simcheck::{
+    batch_output, describe_key, run_key, run_seeds, FaultKind, SeedOutcome,
+};
 
 struct Args {
+    jobs: usize,
     seeds: Option<u64>,
     start: u64,
     fault: FaultKind,
@@ -37,8 +42,9 @@ struct Args {
 }
 
 fn parse_args() -> Args {
-    let argv: Vec<String> = std::env::args().collect();
+    let mut argv: Vec<String> = std::env::args().collect();
     let mut args = Args {
+        jobs: runner::jobs_from_args(&mut argv).unwrap_or_else(|e| die(&e)),
         seeds: None,
         start: 0,
         fault: FaultKind::Heavy,
@@ -106,8 +112,6 @@ fn parse_args() -> Args {
                 args.summary_out = Some(value(&argv, i, "--summary-out").into());
                 i += 2;
             }
-            "--jobs" => i += 2, // handled by runner::init_from_args
-            a if a.starts_with("--jobs=") => i += 1,
             "--help" | "-h" => {
                 println!(
                     "usage: simcheck [--seeds N] [--start S] \
@@ -151,6 +155,7 @@ fn run_campaign_cli(args: &Args, state_path: std::path::PathBuf) -> ! {
         seeds_budget: args.seeds,
         timebox,
         corpus_path: args.corpus.clone(),
+        jobs: args.jobs,
     };
     let report = match run_campaign(&cfg) {
         Ok(r) => r,
@@ -188,15 +193,7 @@ fn run_campaign_cli(args: &Args, state_path: std::path::PathBuf) -> ! {
             }
             println!("campaign summary: {}", path.display());
         }
-        None => {
-            report::write_json("simcheck_campaign", s);
-            println!(
-                "campaign summary: {}",
-                report::results_dir()
-                    .join("simcheck_campaign.json")
-                    .display()
-            );
-        }
+        None => println!("campaign summary:\n{}", to_string_pretty(s)),
     }
     println!("campaign state: {}", cfg.state_path.display());
     println!(
@@ -213,7 +210,6 @@ fn run_campaign_cli(args: &Args, state_path: std::path::PathBuf) -> ! {
 }
 
 fn main() {
-    runner::init_from_args();
     let args = parse_args();
 
     if let Some(k) = args.replay {
@@ -248,49 +244,10 @@ fn main() {
     }
 
     let seeds = args.seeds.unwrap_or(1000);
-    println!(
-        "simcheck: {} seeds from {} (fault profile: {}, {} jobs)",
-        seeds,
-        args.start,
-        args.fault.name(),
-        runner::jobs()
-    );
-    let (outcomes, summary) =
-        runner::timed("simcheck", || run_seeds(args.start, seeds, args.fault));
-
-    let mut rows = Vec::new();
-    for program in ["ring", "storm", "shift-large", "all-to-all"] {
-        let group: Vec<&SeedOutcome> = outcomes.iter().filter(|o| o.program == program).collect();
-        if group.is_empty() {
-            continue;
-        }
-        rows.push(vec![
-            program.to_string(),
-            group.len().to_string(),
-            group
-                .iter()
-                .map(|o| o.faults_injected)
-                .sum::<u64>()
-                .to_string(),
-            group
-                .iter()
-                .map(|o| o.conn_retries)
-                .sum::<u64>()
-                .to_string(),
-            group
-                .iter()
-                .filter(|o| !o.violations.is_empty())
-                .count()
-                .to_string(),
-        ]);
-    }
-    println!(
-        "{}",
-        report::table(
-            &["program", "seeds", "faults", "retries", "violations"],
-            &rows
-        )
-    );
+    let ((outcomes, summary), perf) = runner::timed("simcheck", args.jobs, || {
+        run_seeds(args.start, seeds, args.fault, args.jobs)
+    });
+    println!("{}", batch_output(&outcomes, &summary).text);
 
     for o in outcomes.iter().filter(|o| !o.violations.is_empty()) {
         println!("FAIL {}", describe(o));
@@ -300,11 +257,11 @@ fn main() {
         println!("  replay: simcheck --replay {} --fault {}", o.seed, o.fault);
     }
 
-    report::write_json("simcheck", &summary);
-    println!("{}", runner::write_perf("simcheck_perf"));
     println!(
-        "{} seeds, {} faults injected, {} retries, {} combos, {} failing",
+        "{} seeds in {:.2}s on {} jobs: {} faults injected, {} retries, {} combos, {} failing",
         summary.seeds,
+        perf.wall_secs,
+        perf.jobs,
         summary.faults_injected,
         summary.conn_retries,
         summary.combos,

@@ -28,7 +28,7 @@
 //! every campaign invocation replays before exploring new keys.
 
 use crate::json::{self, emit_object, to_string_pretty, ToJson, Value};
-use crate::runner::{jobs, par_map, shard_map};
+use crate::runner::{par_map, shard_map};
 use crate::simcheck::{key, run_key, shrink_key, Axis, FaultKind, SeedOutcome};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -257,58 +257,44 @@ impl ToJson for CampaignState {
     }
 }
 
-/// One `sim.campaign.*` metric line of the summary.
-#[derive(Debug, Clone)]
-pub struct MetricLine {
-    /// Dotted metric name.
-    pub name: String,
-    /// Counter value.
-    pub value: u64,
+crate::record! {
+    /// One `sim.campaign.*` metric line of the summary.
+    pub struct MetricLine {
+        /// Dotted metric name.
+        name: String,
+        /// Counter value.
+        value: u64,
+    }
 }
 
-crate::impl_json!(MetricLine { name, value });
-
-/// Summary of one campaign invocation, written to
-/// `results/simcheck_campaign.json` (or `--summary-out`). Wall-clock
-/// fields live here — never in the state file — so the state stays
-/// byte-stable.
-#[derive(Debug, Clone)]
-pub struct CampaignSummary {
-    /// Fault intensity.
-    pub fault: String,
-    /// Worker count in effect.
-    pub jobs: usize,
-    /// Wall-clock seconds of this invocation.
-    pub wall_secs: f64,
-    /// Keys executed by this invocation (including shrink probes).
-    pub seeds_this_run: u64,
-    /// Throughput of this invocation.
-    pub seeds_per_hour: f64,
-    /// Why the invocation stopped (`budget`, `timebox`).
-    pub stopped: String,
-    /// Minimized-corpus keys replayed before exploration.
-    pub corpus_replayed: u64,
-    /// Corpus keys that still violate (open bugs).
-    pub corpus_open: u64,
-    /// Minimized lines appended to the corpus by this invocation.
-    pub corpus_new: u64,
-    /// Cumulative totals as `sim.campaign.*` metric entries (from the
-    /// `metric_defs!` registry, pinned by the determinism suite).
-    pub metrics: Vec<MetricLine>,
+crate::record! {
+    /// Summary of one campaign invocation (`simcheck --summary-out`, or
+    /// stdout). Wall-clock fields live here — never in the state file — so
+    /// the state stays byte-stable.
+    pub struct CampaignSummary {
+        /// Fault intensity.
+        fault: String,
+        /// Worker count in effect.
+        jobs: usize,
+        /// Wall-clock seconds of this invocation.
+        wall_secs: f64,
+        /// Keys executed by this invocation (including shrink probes).
+        seeds_this_run: u64,
+        /// Throughput of this invocation.
+        seeds_per_hour: f64,
+        /// Why the invocation stopped (`budget`, `timebox`).
+        stopped: String,
+        /// Minimized-corpus keys replayed before exploration.
+        corpus_replayed: u64,
+        /// Corpus keys that still violate (open bugs).
+        corpus_open: u64,
+        /// Minimized lines appended to the corpus by this invocation.
+        corpus_new: u64,
+        /// Cumulative totals as `sim.campaign.*` metric entries (from the
+        /// `metric_defs!` registry, pinned by the determinism suite).
+        metrics: Vec<MetricLine>,
+    }
 }
-
-crate::impl_json!(CampaignSummary {
-    fault,
-    jobs,
-    wall_secs,
-    seeds_this_run,
-    seeds_per_hour,
-    stopped,
-    corpus_replayed,
-    corpus_open,
-    corpus_new,
-    metrics,
-});
 
 /// Render the cumulative state counters through the
 /// `viampi_sim::metrics::campaign` registry, so the summary's metric names
@@ -345,6 +331,8 @@ pub struct CampaignConfig {
     pub timebox: Option<f64>,
     /// Minimized-corpus file (default `tests/corpus/minimized.seeds`).
     pub corpus_path: Option<PathBuf>,
+    /// Worker count. The state and corpus bytes do not depend on it.
+    pub jobs: usize,
 }
 
 /// Result of one campaign invocation.
@@ -523,10 +511,11 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Result<CampaignReport, String> {
         })
         .collect();
     let corpus_replayed = corpus_keys.len() as u64;
-    let corpus_open: Vec<SeedOutcome> = par_map(corpus_keys, |(k, kind)| run_key(k, kind))
-        .into_iter()
-        .filter(|o| !o.violations.is_empty())
-        .collect();
+    let corpus_open: Vec<SeedOutcome> =
+        par_map(cfg.jobs, corpus_keys, |(k, kind)| run_key(k, kind))
+            .into_iter()
+            .filter(|o| !o.violations.is_empty())
+            .collect();
 
     // Stage 2: frontier exploration, shard by shard.
     let seeds_at_start = state.seeds_run;
@@ -562,6 +551,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Result<CampaignReport, String> {
         let mut checkpoint_err = None;
         let mut stop_reason = None;
         let committed = shard_map(
+            cfg.jobs,
             chunks,
             |_, keys| keys.iter().map(|&k| run_key(k, kind)).collect::<Vec<_>>(),
             |_, outcomes: Vec<SeedOutcome>| {
@@ -613,7 +603,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Result<CampaignReport, String> {
     let seeds_this_run = state.seeds_run - seeds_at_start;
     let summary = CampaignSummary {
         fault: state.fault.clone(),
-        jobs: jobs(),
+        jobs: cfg.jobs,
         wall_secs: wall,
         seeds_this_run,
         seeds_per_hour: if wall > 0.0 {

@@ -1,134 +1,149 @@
-//! One driver per paper table/figure. Each returns printable text and
-//! writes a JSON record under `results/`.
+//! The experiment table. [`ALL`] is the one list of what this harness
+//! regenerates — every paper table and figure, the ablations, the
+//! beyond-paper series and the standard fault sweep — and `repro_all` is the
+//! one executable that walks it. A row is a record name and a function from
+//! a worker count to an [`Output`]; computing one writes nothing.
 //!
-//! Every driver fans its configuration grid out over [`crate::runner`]'s
-//! worker pool: each grid point is an independent deterministic
+//! Every driver fans its configuration grid out over
+//! [`runner::par_map`]: each grid point is an independent deterministic
 //! simulation, and results are collected by index, so the tables and JSON
-//! records are byte-identical at any `--jobs` setting.
+//! records are byte-identical at any `jobs`.
 
-use crate::impl_json;
-use crate::micro;
-use crate::report::{fmt, table, write_json};
-use crate::runner;
+use crate::report::{kib, milli, table, Output};
+use crate::runner::par_map;
+use crate::{ablation, micro, record, simcheck};
 use viampi_core::{ConnMode, Device, Mpi, Universe, WaitPolicy};
 use viampi_npb::{adi, cg, ep, ft, is, llc, lu, mg, patterns, ring, Class};
 use viampi_via::DeviceProfile;
 
-/// The three cLAN configurations of §5.3.
-pub const CLAN_CONFIGS: [(&str, ConnMode, WaitPolicy); 3] = [
-    (
+/// One row of [`ALL`].
+pub struct Experiment {
+    /// The record's name: `results/<name>.json`.
+    pub name: &'static str,
+    /// Compute the record and its table on `jobs` workers.
+    pub run: fn(jobs: usize) -> Output,
+}
+
+const fn row(name: &'static str, run: fn(usize) -> Output) -> Experiment {
+    Experiment { name, run }
+}
+
+/// Every experiment, in the order `repro_all` runs them: the paper's
+/// evaluation, the DESIGN.md ablations, then what the repo adds. Adding an
+/// experiment is adding a row here and its record under `results/`
+/// (`tests/records.rs` fails until both exist).
+pub const ALL: &[Experiment] = &[
+    row("fig1_vi_scaling", fig1),
+    row("tab1_destinations", tab1),
+    row("tab2_resources", tab2),
+    row("fig2_latency", fig2),
+    row("fig3_bandwidth", fig3),
+    row("fig4_barrier_latency", fig4),
+    row("fig5_allreduce_latency", fig5),
+    row("fig6_npb_clan", fig6),
+    row("fig7_npb_bvia", fig7),
+    row("fig8_init_time", fig8),
+    row("ablation_spincount", ablation::spincount),
+    row("ablation_threshold", ablation::eager_threshold),
+    row("ablation_credits", ablation::credits),
+    row("ablation_pervi", ablation::per_vi_cost),
+    row("ablation_dynamic_window", ablation::dynamic_window),
+    row("ft_lu_supplement", ft_lu_supplement),
+    row("fig9_threads", fig9),
+    row("fig8_largen", fig8_largen),
+    row("tab2_largen", tab2_largen),
+    row("simcheck", simcheck::standard_sweep),
+];
+
+/// The row called `name`.
+pub fn find(name: &str) -> Option<&'static Experiment> {
+    ALL.iter().find(|e| e.name == name)
+}
+
+type Config = (&'static str, ConnMode, WaitPolicy);
+
+/// The configurations of §5.3: three on cLAN, two on Berkeley VIA (where
+/// wait *is* poll, so spinwait and polling coincide).
+fn configs_for(device: Device) -> &'static [Config] {
+    const SPINWAIT: Config = (
         "static-spinwait",
         ConnMode::StaticPeerToPeer,
         WaitPolicy::SpinWait { spincount: 100 },
-    ),
-    (
+    );
+    const POLLING: Config = (
         "static-polling",
         ConnMode::StaticPeerToPeer,
         WaitPolicy::Polling,
-    ),
-    ("on-demand", ConnMode::OnDemand, WaitPolicy::Polling),
-];
+    );
+    const ON_DEMAND: Config = ("on-demand", ConnMode::OnDemand, WaitPolicy::Polling);
+    match device {
+        Device::Clan => &[SPINWAIT, POLLING, ON_DEMAND],
+        Device::Berkeley => &[POLLING, ON_DEMAND],
+    }
+}
 
-/// The two Berkeley-VIA configurations (wait == poll there).
-pub const BVIA_CONFIGS: [(&str, ConnMode, WaitPolicy); 2] = [
-    (
-        "static-polling",
-        ConnMode::StaticPeerToPeer,
-        WaitPolicy::Polling,
-    ),
-    ("on-demand", ConnMode::OnDemand, WaitPolicy::Polling),
-];
+const DEVICES: [Device; 2] = [Device::Clan, Device::Berkeley];
 
 // ========================================================================
 // Figure 1 — BVIA latency vs number of active VIs
 // ========================================================================
 
-/// One Fig. 1 series point.
-#[derive(Debug, Clone)]
-pub struct Fig1Point {
-    /// Device profile name.
-    pub device: String,
-    /// Message size in bytes.
-    pub size: usize,
-    /// Total active VIs on the NIC (idle + the one in use).
-    pub active_vis: usize,
-    /// One-way latency in µs.
-    pub latency_us: f64,
+record! {
+    /// One Fig. 1 series point.
+    pub struct Fig1Point {
+        /// Device profile name.
+        device: String = "device",
+        /// Message size in bytes.
+        size: usize = "bytes",
+        /// Total active VIs on the NIC (idle + the one in use).
+        active_vis: usize = "active VIs",
+        /// One-way latency in µs.
+        latency_us: f64 = "latency (us)",
+    }
 }
 
-impl_json!(Fig1Point {
-    device,
-    size,
-    active_vis,
-    latency_us
-});
-
-/// Reproduce Fig. 1: VIA-level latency as a function of active VIs.
-pub fn fig1() -> (String, Vec<Fig1Point>) {
-    let mut items = Vec::new();
-    for (dev, profile) in [
-        ("bvia", DeviceProfile::berkeley()),
-        ("clan", DeviceProfile::clan()),
-    ] {
-        for &size in &[4usize, 1024, 4096] {
+/// Fig. 1: VIA-level latency as a function of active VIs.
+fn fig1(jobs: usize) -> Output {
+    let mut grid = Vec::new();
+    for profile in [DeviceProfile::berkeley(), DeviceProfile::clan()] {
+        for size in [4usize, 1024, 4096] {
             for idle in [0usize, 1, 3, 7, 11, 15] {
-                items.push((dev, profile.clone(), size, idle));
+                grid.push((profile.clone(), size, idle));
             }
         }
     }
-    let points = runner::timed("fig1_vi_scaling", || {
-        runner::par_map(items, |(dev, profile, size, idle)| Fig1Point {
-            device: dev.into(),
-            size,
-            active_vis: idle + 1,
-            latency_us: micro::via_latency_with_idle_vis(profile, size, idle),
-        })
+    let points = par_map(jobs, grid, |(profile, size, idle)| Fig1Point {
+        device: profile.name.into(),
+        size,
+        active_vis: idle + 1,
+        latency_us: micro::via_latency_with_idle_vis(profile, size, idle),
     });
-    write_json("fig1_vi_scaling", &points);
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|p| {
-            vec![
-                p.device.clone(),
-                p.size.to_string(),
-                p.active_vis.to_string(),
-                fmt(p.latency_us),
-            ]
-        })
-        .collect();
-    let text = format!(
-        "Figure 1 — latency vs number of active VIs (paper: BVIA grows, hardware VIA flat)\n\n{}",
-        table(&["device", "bytes", "active VIs", "latency (us)"], &rows)
-    );
-    (text, points)
+    Output::of(
+        "Figure 1 — latency vs number of active VIs (paper: BVIA grows, hardware VIA flat)",
+        &points,
+    )
 }
 
 // ========================================================================
 // Table 1 — average distinct destinations per process
 // ========================================================================
 
-/// One Table 1 row.
-#[derive(Debug, Clone)]
-pub struct Tab1Row {
-    /// Application model.
-    pub app: String,
-    /// Rank count.
-    pub np: usize,
-    /// Mean distinct destinations per process.
-    pub avg_destinations: f64,
-    /// The paper's value (from Vetter & Mueller), for comparison.
-    pub paper: f64,
+record! {
+    /// One Table 1 row.
+    pub struct Tab1Row {
+        /// Application model.
+        app: String = "app",
+        /// Rank count.
+        np: usize = "procs",
+        /// Mean distinct destinations per process.
+        avg_destinations: f64 = "measured",
+        /// The paper's value (from Vetter & Mueller), for comparison.
+        paper: f64 = "paper",
+    }
 }
 
-impl_json!(Tab1Row {
-    app,
-    np,
-    avg_destinations,
-    paper
-});
-
-/// Reproduce Table 1 from the pattern generators.
-pub fn tab1() -> (String, Vec<Tab1Row>) {
+/// Table 1, from the pattern generators (no simulation, so no workers).
+fn tab1(_jobs: usize) -> Output {
     type PatternGen = fn(usize) -> Vec<std::collections::BTreeSet<usize>>;
     let apps: [(&str, PatternGen, [f64; 2]); 6] = [
         ("sPPM", patterns::sppm, [5.5, 6.0]),
@@ -138,443 +153,241 @@ pub fn tab1() -> (String, Vec<Tab1Row>) {
         ("Samrai4", patterns::samrai, [4.94, 10.0]),
         ("CG", patterns::cg, [6.36, 11.0]),
     ];
-    let mut rows_data = Vec::new();
+    let mut rows = Vec::new();
     for (name, gen, paper) in apps {
-        for (i, np) in [64usize, 1024].into_iter().enumerate() {
-            let avg = patterns::average_destinations(&gen(np));
-            rows_data.push(Tab1Row {
+        for (np, paper) in [64usize, 1024].into_iter().zip(paper) {
+            rows.push(Tab1Row {
                 app: name.into(),
                 np,
-                avg_destinations: avg,
-                paper: paper[i],
+                avg_destinations: patterns::average_destinations(&gen(np)),
+                paper,
             });
         }
     }
-    write_json("tab1_destinations", &rows_data);
-    let rows: Vec<Vec<String>> = rows_data
-        .iter()
-        .map(|r| {
-            vec![
-                r.app.clone(),
-                r.np.to_string(),
-                fmt(r.avg_destinations),
-                fmt(r.paper),
-            ]
-        })
-        .collect();
-    let text = format!(
-        "Table 1 — average number of distinct destinations per process\n\n{}",
-        table(&["app", "procs", "measured", "paper"], &rows)
-    );
-    (text, rows_data)
+    Output::of(
+        "Table 1 — average number of distinct destinations per process",
+        &rows,
+    )
 }
 
 // ========================================================================
 // Table 2 — VIs and resource utilization per workload
 // ========================================================================
 
-/// One Table 2 row.
-#[derive(Debug, Clone)]
-pub struct Tab2Row {
-    /// Workload.
-    pub app: String,
-    /// Ranks.
-    pub np: usize,
-    /// Average live VIs per process, static management.
-    pub static_vis: f64,
-    /// Average live VIs per process, on-demand management.
-    pub ondemand_vis: f64,
-    /// Utilization (used/created), static.
-    pub static_util: f64,
-    /// Utilization, on-demand.
-    pub ondemand_util: f64,
-    /// Peak pinned eager-pool bytes per process, static.
-    pub static_pinned: usize,
-    /// Peak pinned bytes per process, on-demand.
-    pub ondemand_pinned: usize,
-}
-
-impl_json!(Tab2Row {
-    app,
-    np,
-    static_vis,
-    ondemand_vis,
-    static_util,
-    ondemand_util,
-    static_pinned,
-    ondemand_pinned,
-});
-
-type Workload = Box<dyn Fn(&Mpi) + Send + Sync>;
-
-fn tab2_workloads(np: usize) -> Vec<(&'static str, Workload)> {
-    let mut v: Vec<(&'static str, Workload)> = vec![
-        (
-            "Ring",
-            Box::new(|mpi: &Mpi| {
-                ring::run(mpi, 4, 64);
-            }),
-        ),
-        (
-            "Barrier",
-            Box::new(|mpi: &Mpi| {
-                llc::barrier_latency(mpi, 20);
-            }),
-        ),
-        (
-            "Allreduce",
-            Box::new(|mpi: &Mpi| {
-                llc::allreduce_latency(mpi, 20, 4);
-            }),
-        ),
-        (
-            "Alltoall",
-            Box::new(|mpi: &Mpi| {
-                llc::alltoall_latency(mpi, 5, 64);
-            }),
-        ),
-        (
-            "Allgather",
-            Box::new(|mpi: &Mpi| {
-                llc::allgather_latency(mpi, 5, 64);
-            }),
-        ),
-        (
-            "Bcast",
-            Box::new(|mpi: &Mpi| {
-                llc::bcast_latency(mpi, 20, 64);
-            }),
-        ),
-        (
-            "CG",
-            Box::new(|mpi: &Mpi| {
-                cg::run(mpi, Class::S);
-            }),
-        ),
-        (
-            "MG",
-            Box::new(|mpi: &Mpi| {
-                mg::run(mpi, Class::S);
-            }),
-        ),
-        (
-            "IS",
-            Box::new(|mpi: &Mpi| {
-                is::run(mpi, Class::S);
-            }),
-        ),
-        (
-            "EP",
-            Box::new(|mpi: &Mpi| {
-                ep::run(mpi, Class::S);
-            }),
-        ),
-        // FT needs the grid side divisible by np: class S (16³) up to 16
-        // ranks, class A (32³) beyond.
-        (
-            "FT",
-            Box::new(|mpi: &Mpi| {
-                let class = if mpi.size() > 16 { Class::A } else { Class::S };
-                ft::run(mpi, class);
-            }),
-        ),
-    ];
-    // SP/BT need square rank counts: 16 yes, 32 no (paper uses 36).
-    if (np as f64).sqrt().fract() == 0.0 {
-        v.push((
-            "SP",
-            Box::new(|mpi: &Mpi| {
-                adi::run(mpi, adi::App::Sp, Class::S);
-            }),
-        ));
-        v.push((
-            "BT",
-            Box::new(|mpi: &Mpi| {
-                adi::run(mpi, adi::App::Bt, Class::S);
-            }),
-        ));
-        v.push((
-            "LU",
-            Box::new(|mpi: &Mpi| {
-                lu::run(mpi, Class::S);
-            }),
-        ));
-    }
-    v
-}
-
-fn measure_tab2(app: &'static str, np: usize, body: std::sync::Arc<Workload>) -> Tab2Row {
-    let run = |conn: ConnMode| {
-        let body = body.clone();
-        Universe::new(np, Device::Clan, conn, WaitPolicy::Polling)
-            .run(move |mpi| body(mpi))
-            .unwrap()
-    };
-    let st = run(ConnMode::StaticPeerToPeer);
-    let od = run(ConnMode::OnDemand);
-    Tab2Row {
-        app: app.into(),
-        np,
-        static_vis: st.avg_vis(),
-        ondemand_vis: od.avg_vis(),
-        static_util: st.utilization(),
-        ondemand_util: od.utilization(),
-        static_pinned: st.max_pinned(),
-        ondemand_pinned: od.max_pinned(),
+record! {
+    /// One Table 2 row.
+    pub struct Tab2Row {
+        /// Workload.
+        app: String = "app",
+        /// Ranks.
+        np: usize = "size",
+        /// Average live VIs per process, static management.
+        static_vis: f64 = "VIs st",
+        /// Average live VIs per process, on-demand management.
+        ondemand_vis: f64 = "VIs od",
+        /// Utilization (used/created), static.
+        static_util: f64 = "util st",
+        /// Utilization, on-demand.
+        ondemand_util: f64 = "util od",
+        /// Peak pinned eager-pool bytes per process, static.
+        static_pinned: usize = "pin st" => kib,
+        /// Peak pinned bytes per process, on-demand.
+        ondemand_pinned: usize = "pin od" => kib,
     }
 }
 
-/// Reproduce Table 2 at the paper's sizes (16 and 32; SP/BT use 16 and 36).
-pub fn tab2(sizes: &[usize]) -> (String, Vec<Tab2Row>) {
-    let mut items: Vec<(&'static str, usize, std::sync::Arc<Workload>)> = Vec::new();
-    for &np in sizes {
-        for (app, body) in tab2_workloads(np) {
-            items.push((app, np, std::sync::Arc::new(body)));
+/// A named rank body. `_ =` drops each kernel's own result: the resource
+/// tables read the run's report, not what the ranks return.
+type Workload = (&'static str, fn(&Mpi));
+
+/// Table 2's workloads that run at any rank count.
+const TAB2_APPS: [Workload; 11] = [
+    ("Ring", |mpi| _ = ring::run(mpi, 4, 64)),
+    ("Barrier", |mpi| _ = llc::barrier_latency(mpi, 20)),
+    ("Allreduce", |mpi| _ = llc::allreduce_latency(mpi, 20, 4)),
+    ("Alltoall", |mpi| _ = llc::alltoall_latency(mpi, 5, 64)),
+    ("Allgather", |mpi| _ = llc::allgather_latency(mpi, 5, 64)),
+    ("Bcast", |mpi| _ = llc::bcast_latency(mpi, 20, 64)),
+    ("CG", |mpi| _ = cg::run(mpi, Class::S)),
+    ("MG", |mpi| _ = mg::run(mpi, Class::S)),
+    ("IS", |mpi| _ = is::run(mpi, Class::S)),
+    ("EP", |mpi| _ = ep::run(mpi, Class::S)),
+    // FT needs the grid side divisible by np: class S (16³) up to 16
+    // ranks, class A (32³) beyond.
+    ("FT", |mpi| {
+        let class = if mpi.size() > 16 { Class::A } else { Class::S };
+        ft::run(mpi, class);
+    }),
+];
+
+/// The ones that need a square rank count.
+const TAB2_SQUARE_APPS: [Workload; 3] = [
+    ("SP", |mpi| _ = adi::run(mpi, adi::App::Sp, Class::S)),
+    ("BT", |mpi| _ = adi::run(mpi, adi::App::Bt, Class::S)),
+    ("LU", |mpi| _ = lu::run(mpi, Class::S)),
+];
+
+/// Table 2 at the paper's sizes: 16 and 32, with SP/BT/LU at 16 and, 32
+/// not being square, 36.
+fn tab2(jobs: usize) -> Output {
+    let mut grid = Vec::new();
+    for (np, square) in [(16usize, 16usize), (32, 36)] {
+        grid.extend(TAB2_APPS.map(|app| (app, np)));
+        grid.extend(TAB2_SQUARE_APPS.map(|app| (app, square)));
+    }
+    let rows = par_map(jobs, grid, |((app, body), np)| {
+        let run = |conn| {
+            Universe::new(np, Device::Clan, conn, WaitPolicy::Polling)
+                .run(body)
+                .unwrap()
+        };
+        let st = run(ConnMode::StaticPeerToPeer);
+        let od = run(ConnMode::OnDemand);
+        Tab2Row {
+            app: app.into(),
+            np,
+            static_vis: st.avg_vis(),
+            ondemand_vis: od.avg_vis(),
+            static_util: st.utilization(),
+            ondemand_util: od.utilization(),
+            static_pinned: st.max_pinned(),
+            ondemand_pinned: od.max_pinned(),
         }
-        // SP/BT at 36 when the paper's 32 is requested and 32 isn't square.
-        if np == 32 {
-            for (app, sq) in [("SP", 36usize), ("BT", 36), ("LU", 36)] {
-                let body: Workload = match app {
-                    "SP" => Box::new(|mpi: &Mpi| {
-                        adi::run(mpi, adi::App::Sp, Class::S);
-                    }),
-                    "BT" => Box::new(|mpi: &Mpi| {
-                        adi::run(mpi, adi::App::Bt, Class::S);
-                    }),
-                    _ => Box::new(|mpi: &Mpi| {
-                        lu::run(mpi, Class::S);
-                    }),
-                };
-                items.push((app, sq, std::sync::Arc::new(body)));
-            }
-        }
-    }
-    let data = runner::timed("tab2_resources", || {
-        runner::par_map(items, |(app, np, body)| measure_tab2(app, np, body))
     });
-    write_json("tab2_resources", &data);
-    let rows: Vec<Vec<String>> = data
-        .iter()
-        .map(|r| {
-            vec![
-                r.app.clone(),
-                r.np.to_string(),
-                fmt(r.static_vis),
-                fmt(r.ondemand_vis),
-                fmt(r.static_util),
-                fmt(r.ondemand_util),
-                format!("{}K", r.static_pinned >> 10),
-                format!("{}K", r.ondemand_pinned >> 10),
-            ]
-        })
-        .collect();
-    let text = format!(
-        "Table 2 — average VIs and resource utilization per process\n\n{}",
-        table(
-            &["app", "size", "VIs st", "VIs od", "util st", "util od", "pin st", "pin od"],
-            &rows
-        )
-    );
-    (text, data)
+    Output::of(
+        "Table 2 — average VIs and resource utilization per process",
+        &rows,
+    )
 }
 
 // ========================================================================
 // Figures 2 & 3 — latency and bandwidth
 // ========================================================================
 
-/// One latency/bandwidth point.
-#[derive(Debug, Clone)]
-pub struct MicroPoint {
-    /// Device.
-    pub device: String,
-    /// Configuration label.
-    pub config: String,
-    /// Message size in bytes.
-    pub size: usize,
-    /// Metric value (µs for latency, MB/s for bandwidth).
-    pub value: f64,
-}
-
-impl_json!(MicroPoint {
-    device,
-    config,
-    size,
-    value
-});
-
-fn configs_for(device: Device) -> Vec<(&'static str, ConnMode, WaitPolicy)> {
-    match device {
-        Device::Clan => CLAN_CONFIGS.to_vec(),
-        Device::Berkeley => BVIA_CONFIGS.to_vec(),
+record! {
+    /// One latency/bandwidth point.
+    pub struct MicroPoint {
+        /// Device.
+        device: String = "device",
+        /// Configuration label.
+        config: String = "config",
+        /// Message size in bytes.
+        size: usize = "bytes",
+        /// Metric value (µs for latency, MB/s for bandwidth); the figure
+        /// names the column.
+        value: f64 = "value",
     }
 }
 
-/// Reproduce Fig. 2: one-way latency vs message size.
-pub fn fig2() -> (String, Vec<MicroPoint>) {
-    let sizes = [0usize, 4, 16, 64, 256, 1024, 2048, 4096];
-    let mut items = Vec::new();
-    for device in [Device::Clan, Device::Berkeley] {
-        for (label, conn, wait) in configs_for(device) {
-            for &size in &sizes {
-                items.push((device, label, conn, wait, size));
-            }
+/// The grid Figs. 2 and 3 share: every device × configuration × size, one
+/// two-rank `measure` each.
+fn micro_sweep(
+    jobs: usize,
+    title: &str,
+    metric: &str,
+    sizes: &[usize],
+    measure: fn(Device, ConnMode, WaitPolicy, usize) -> f64,
+) -> Output {
+    let mut grid = Vec::new();
+    for device in DEVICES {
+        for &config in configs_for(device) {
+            grid.extend(sizes.iter().map(|&size| (device, config, size)));
         }
     }
-    let points = runner::timed("fig2_latency", || {
-        runner::par_map(items, |(device, label, conn, wait, size)| MicroPoint {
+    let points = par_map(jobs, grid, |(device, (label, conn, wait), size)| {
+        MicroPoint {
             device: device.name().into(),
             config: label.into(),
             size,
-            value: micro::pingpong_latency(device, conn, wait, size, 200),
-        })
+            value: measure(device, conn, wait, size),
+        }
     });
-    write_json("fig2_latency", &points);
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|p| {
-            vec![
-                p.device.clone(),
-                p.config.clone(),
-                p.size.to_string(),
-                fmt(p.value),
-            ]
-        })
-        .collect();
-    let text = format!(
-        "Figure 2 — one-way latency vs message size (us)\n\n{}",
-        table(&["device", "config", "bytes", "latency"], &rows)
-    );
-    (text, points)
+    Output::titled(title, &["device", "config", "bytes", metric], &points)
 }
 
-/// Reproduce Fig. 3: bandwidth vs message size (the dip at the 5000-byte
+/// Fig. 2: one-way latency vs message size.
+fn fig2(jobs: usize) -> Output {
+    micro_sweep(
+        jobs,
+        "Figure 2 — one-way latency vs message size (us)",
+        "latency",
+        &[0, 4, 16, 64, 256, 1024, 2048, 4096],
+        |device, conn, wait, size| micro::pingpong_latency(device, conn, wait, size, 200),
+    )
+}
+
+/// Fig. 3: bandwidth vs message size (the dip at the 5000-byte
 /// eager→rendezvous threshold is the paper's §5.3 observation).
-pub fn fig3() -> (String, Vec<MicroPoint>) {
-    let sizes = [
-        64usize, 256, 1024, 2048, 4096, 4999, 5001, 8192, 16_384, 65_536, 262_144,
-    ];
-    let mut items = Vec::new();
-    for device in [Device::Clan, Device::Berkeley] {
-        for (label, conn, wait) in configs_for(device) {
-            for &size in &sizes {
-                items.push((device, label, conn, wait, size));
-            }
-        }
-    }
-    let points = runner::timed("fig3_bandwidth", || {
-        runner::par_map(items, |(device, label, conn, wait, size)| MicroPoint {
-            device: device.name().into(),
-            config: label.into(),
-            size,
-            value: micro::bandwidth(device, conn, wait, size, 10, 8),
-        })
-    });
-    write_json("fig3_bandwidth", &points);
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|p| {
-            vec![
-                p.device.clone(),
-                p.config.clone(),
-                p.size.to_string(),
-                fmt(p.value),
-            ]
-        })
-        .collect();
-    let text = format!(
-        "Figure 3 — bandwidth vs message size (MB/s)\n\n{}",
-        table(&["device", "config", "bytes", "MB/s"], &rows)
-    );
-    (text, points)
+fn fig3(jobs: usize) -> Output {
+    micro_sweep(
+        jobs,
+        "Figure 3 — bandwidth vs message size (MB/s)",
+        "MB/s",
+        &[
+            64, 256, 1024, 2048, 4096, 4999, 5001, 8192, 16_384, 65_536, 262_144,
+        ],
+        |device, conn, wait, size| micro::bandwidth(device, conn, wait, size, 10, 8),
+    )
 }
 
 // ========================================================================
 // Figures 4 & 5 — barrier / allreduce latency vs process count
 // ========================================================================
 
-/// One collective-latency point.
-#[derive(Debug, Clone)]
-pub struct CollPoint {
-    /// Device.
-    pub device: String,
-    /// Configuration label.
-    pub config: String,
-    /// Ranks.
-    pub np: usize,
-    /// Mean latency in µs (llcbench methodology).
-    pub latency_us: f64,
+record! {
+    /// One collective-latency point.
+    pub struct CollPoint {
+        /// Device.
+        device: String = "device",
+        /// Configuration label.
+        config: String = "config",
+        /// Ranks.
+        np: usize = "procs",
+        /// Mean latency in µs (llcbench methodology).
+        latency_us: f64 = "latency",
+    }
 }
 
-impl_json!(CollPoint {
-    device,
-    config,
-    np,
-    latency_us
-});
-
-fn collective_sweep(
-    op: &'static str,
-    f: impl Fn(&Mpi) -> Option<f64> + Send + Sync + Clone + 'static,
-) -> (String, Vec<CollPoint>) {
-    let mut items = Vec::new();
-    for device in [Device::Clan, Device::Berkeley] {
-        let nps: Vec<usize> = if device == Device::Clan {
-            vec![2, 3, 4, 6, 8, 12, 16, 24, 32]
-        } else {
-            vec![2, 3, 4, 6, 8] // the paper could run ≤ 8 on BVIA
+fn collective_sweep(jobs: usize, op: &str, timer: fn(&Mpi) -> Option<f64>) -> Output {
+    let mut grid = Vec::new();
+    for device in DEVICES {
+        let nps: &[usize] = match device {
+            Device::Clan => &[2, 3, 4, 6, 8, 12, 16, 24, 32],
+            Device::Berkeley => &[2, 3, 4, 6, 8], // the paper could run ≤ 8 on BVIA
         };
-        for (label, conn, wait) in configs_for(device) {
-            for &np in &nps {
-                items.push((device, label, conn, wait, np));
-            }
+        for &config in configs_for(device) {
+            grid.extend(nps.iter().map(|&np| (device, config, np)));
         }
     }
-    let name = format!("{op}_latency");
-    let points = runner::timed(&name, || {
-        runner::par_map(items, |(device, label, conn, wait, np)| {
-            let f = f.clone();
-            let report = Universe::new(np, device, conn, wait)
-                .run(move |mpi| f(mpi))
-                .unwrap();
-            CollPoint {
-                device: device.name().into(),
-                config: label.into(),
-                np,
-                latency_us: report.results[0].expect("rank 0 reports"),
-            }
-        })
+    let points = par_map(jobs, grid, |(device, (label, conn, wait), np)| {
+        let report = Universe::new(np, device, conn, wait).run(timer).unwrap();
+        CollPoint {
+            device: device.name().into(),
+            config: label.into(),
+            np,
+            latency_us: report.results[0].expect("rank 0 reports"),
+        }
     });
-    write_json(&name, &points);
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|p| {
-            vec![
-                p.device.clone(),
-                p.config.clone(),
-                p.np.to_string(),
-                fmt(p.latency_us),
-            ]
-        })
-        .collect();
-    let text = format!(
-        "{op} latency vs process count (us, llcbench methodology)\n\n{}",
-        table(&["device", "config", "procs", "latency"], &rows)
-    );
-    (text, points)
+    Output::of(
+        &format!("{op} latency vs process count (us, llcbench methodology)"),
+        &points,
+    )
 }
 
-/// Reproduce Fig. 4 (barrier latency).
-pub fn fig4() -> (String, Vec<CollPoint>) {
-    collective_sweep("fig4_barrier", |mpi| llc::barrier_latency(mpi, 300))
+/// Fig. 4 (barrier latency).
+fn fig4(jobs: usize) -> Output {
+    collective_sweep(jobs, "fig4_barrier", |mpi| llc::barrier_latency(mpi, 300))
 }
 
-/// Reproduce Fig. 5 (allreduce latency, MPI_SUM over one double).
-pub fn fig5() -> (String, Vec<CollPoint>) {
-    collective_sweep("fig5_allreduce", |mpi| llc::allreduce_latency(mpi, 300, 1))
+/// Fig. 5 (allreduce latency, MPI_SUM over one double).
+fn fig5(jobs: usize) -> Output {
+    collective_sweep(jobs, "fig5_allreduce", |mpi| {
+        llc::allreduce_latency(mpi, 300, 1)
+    })
 }
 
 // ========================================================================
-// Figures 6 & 7 and Table 3 — NAS parallel benchmarks
+// Figures 6 & 7 (and Table 3, their `time (s)` column) — NAS benchmarks
 // ========================================================================
 
 /// NPB program selector.
@@ -591,55 +404,27 @@ pub enum Prog {
     Lu,
 }
 
-impl Prog {
-    /// Lowercase name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Prog::Cg => "cg",
-            Prog::Mg => "mg",
-            Prog::Is => "is",
-            Prog::Ep => "ep",
-            Prog::Sp => "sp",
-            Prog::Bt => "bt",
-            Prog::Ft => "ft",
-            Prog::Lu => "lu",
-        }
+record! {
+    /// One NPB measurement. Key-only: the printed table is the normalized
+    /// view [`npb_figure`] derives from the points.
+    pub struct NpbPoint {
+        /// Device.
+        device: String,
+        /// Configuration label.
+        config: String,
+        /// `PROG.CLASS.NP` label.
+        label: String,
+        /// Measured-region time in virtual seconds (max over ranks, as NPB
+        /// reports) — the paper's Table 3.
+        time_secs: f64,
+        /// Verification outcome.
+        verified: bool,
     }
 }
 
-/// One NPB measurement.
-#[derive(Debug, Clone)]
-pub struct NpbPoint {
-    /// Device.
-    pub device: String,
-    /// Configuration label.
-    pub config: String,
-    /// `PROG.CLASS.NP` label.
-    pub label: String,
-    /// Measured-region time in virtual seconds (max over ranks, as NPB
-    /// reports).
-    pub time_secs: f64,
-    /// Verification outcome.
-    pub verified: bool,
-}
+type Instance = (Prog, Class, usize);
 
-impl_json!(NpbPoint {
-    device,
-    config,
-    label,
-    time_secs,
-    verified
-});
-
-/// Run one NPB instance under one configuration.
-pub fn npb_point(
-    device: Device,
-    config: (&str, ConnMode, WaitPolicy),
-    prog: Prog,
-    class: Class,
-    np: usize,
-) -> NpbPoint {
-    let (label, conn, wait) = config;
+fn npb_point(device: Device, (label, conn, wait): Config, (prog, class, np): Instance) -> NpbPoint {
     let report = Universe::new(np, device, conn, wait)
         .run(move |mpi| match prog {
             Prog::Cg => cg::run(mpi, class),
@@ -652,23 +437,63 @@ pub fn npb_point(
             Prog::Lu => lu::run(mpi, class),
         })
         .unwrap();
-    let time = report
-        .results
-        .iter()
-        .map(|r| r.time_secs)
-        .fold(0.0f64, f64::max);
     NpbPoint {
         device: device.name().into(),
         config: label.into(),
         label: report.results[0].label(),
-        time_secs: time,
+        time_secs: report
+            .results
+            .iter()
+            .map(|r| r.time_secs)
+            .fold(0.0f64, f64::max),
         verified: report.results.iter().all(|r| r.verified),
     }
 }
 
-/// The paper's Fig.-6 instance list (cLAN).
-pub fn fig6_instances() -> Vec<(Prog, Class, usize)> {
-    let mut v = Vec::new();
+/// A full NPB figure: every instance under every configuration of
+/// `device`, printed with the paper's y-axis (time over the instance's
+/// static-polling time) beside the absolute seconds.
+pub fn npb_figure(name: &str, device: Device, instances: &[Instance], jobs: usize) -> Output {
+    let configs = configs_for(device);
+    let mut grid = Vec::new();
+    for &instance in instances {
+        grid.extend(configs.iter().map(|&config| (config, instance)));
+    }
+    let points = par_map(jobs, grid, |(config, instance)| {
+        npb_point(device, config, instance)
+    });
+    let mut rows = Vec::new();
+    for of_instance in points.chunks(configs.len()) {
+        let base = of_instance
+            .iter()
+            .find(|p| p.config == "static-polling")
+            .map_or(1.0, |p| p.time_secs);
+        for p in of_instance {
+            rows.push(vec![
+                p.label.clone(),
+                p.config.clone(),
+                milli(&p.time_secs),
+                milli(&(p.time_secs / base)),
+                if p.verified { "ok" } else { "FAIL" }.into(),
+            ]);
+        }
+    }
+    Output {
+        json: crate::json::to_string_pretty(&points),
+        text: format!(
+            "{name} — NPB times on {} (normalized to static-polling)\n\n{}",
+            device.name(),
+            table(
+                &["instance", "config", "time (s)", "normalized", "verify"],
+                &rows
+            )
+        ),
+    }
+}
+
+/// Fig. 6: the paper's cLAN instance list.
+fn fig6(jobs: usize) -> Output {
+    let mut instances = Vec::new();
     for prog in [Prog::Mg, Prog::Is, Prog::Cg] {
         for (class, np) in [
             (Class::A, 16),
@@ -677,34 +502,18 @@ pub fn fig6_instances() -> Vec<(Prog, Class, usize)> {
             (Class::B, 32),
             (Class::C, 32),
         ] {
-            v.push((prog, class, np));
+            instances.push((prog, class, np));
         }
     }
     for prog in [Prog::Sp, Prog::Bt] {
-        for class in [Class::A, Class::B] {
-            v.push((prog, class, 16));
-        }
+        instances.extend([(prog, Class::A, 16), (prog, Class::B, 16)]);
     }
-    v
+    npb_figure("fig6_npb_clan", Device::Clan, &instances, jobs)
 }
 
-/// Supplementary instances: the two NPB programs the paper's suite lists
-/// (§5.5) but does not plot — FT (alltoall transposes) and LU (pipelined
-/// wavefront).
-pub fn supplement_instances() -> Vec<(Prog, Class, usize)> {
-    vec![
-        (Prog::Ft, Class::A, 16),
-        (Prog::Ft, Class::A, 32),
-        (Prog::Ft, Class::B, 16),
-        (Prog::Lu, Class::A, 16),
-        (Prog::Lu, Class::B, 16),
-        (Prog::Lu, Class::A, 4),
-    ]
-}
-
-/// The paper's Fig.-7 instance list (Berkeley VIA, ≤ 8 processes).
-pub fn fig7_instances() -> Vec<(Prog, Class, usize)> {
-    vec![
+/// Fig. 7: the paper's Berkeley VIA instance list (≤ 8 processes).
+fn fig7(jobs: usize) -> Output {
+    let instances = [
         (Prog::Is, Class::A, 8),
         (Prog::Is, Class::B, 8),
         (Prog::Cg, Class::A, 8),
@@ -714,377 +523,204 @@ pub fn fig7_instances() -> Vec<(Prog, Class, usize)> {
         (Prog::Is, Class::A, 4),
         (Prog::Bt, Class::A, 4),
         (Prog::Sp, Class::A, 4),
-    ]
+    ];
+    npb_figure("fig7_npb_bvia", Device::Berkeley, &instances, jobs)
 }
 
-/// Run a full NPB figure: every instance under every configuration.
-pub fn npb_figure(
-    name: &str,
-    device: Device,
-    instances: &[(Prog, Class, usize)],
-) -> (String, Vec<NpbPoint>) {
-    let mut items = Vec::new();
-    for &(prog, class, np) in instances {
-        for config in configs_for(device) {
-            items.push((config, prog, class, np));
-        }
+/// Supplement: the two NPB programs the paper's suite lists (§5.5) but does
+/// not plot — FT (alltoall transposes) and LU (pipelined wavefront) — under
+/// every cLAN configuration.
+fn ft_lu_supplement(jobs: usize) -> Output {
+    let instances = [
+        (Prog::Ft, Class::A, 16),
+        (Prog::Ft, Class::A, 32),
+        (Prog::Ft, Class::B, 16),
+        (Prog::Lu, Class::A, 16),
+        (Prog::Lu, Class::B, 16),
+        (Prog::Lu, Class::A, 4),
+    ];
+    npb_figure("ft_lu_supplement", Device::Clan, &instances, jobs)
+}
+
+// ========================================================================
+// Figure 8 — MPI_Init time, at the paper's sizes and at large N
+// ========================================================================
+
+record! {
+    /// One init-time point.
+    pub struct InitPoint {
+        /// Device.
+        device: String = "device",
+        /// Connection mode.
+        mode: String = "mode",
+        /// Ranks.
+        np: usize = "procs",
+        /// Mean `MPI_Init` time across ranks, ms.
+        init_ms: f64 = "init (ms)",
     }
-    let points = runner::timed(name, || {
-        runner::par_map(items, |(config, prog, class, np)| {
-            npb_point(device, config, prog, class, np)
-        })
+}
+
+/// The sweep Fig. 8 and its large-N extension share: one empty-bodied
+/// world per grid point, reporting the mean `MPI_Init` time.
+fn init_sweep(jobs: usize, title: &str, grid: Vec<(Device, ConnMode, usize)>) -> Output {
+    let points = par_map(jobs, grid, |(device, mode, np)| {
+        let report = Universe::new(np, device, mode, WaitPolicy::Polling)
+            .run(|_mpi| ())
+            .unwrap();
+        InitPoint {
+            device: device.name().into(),
+            mode: mode.name().into(),
+            np,
+            init_ms: report.avg_init_time().as_secs_f64() * 1e3,
+        }
     });
-    write_json(name, &points);
-    // Normalized view (paper's y-axis): per instance, divide by the
-    // static-polling time.
-    let mut rows = Vec::new();
-    for &(prog, class, np) in instances {
-        let label = format!("{}.{}.{}", prog.name().to_uppercase(), class, np);
-        let base = points
-            .iter()
-            .find(|p| p.label == label && p.config == "static-polling")
-            .map(|p| p.time_secs)
-            .unwrap_or(1.0);
-        for p in points.iter().filter(|p| p.label == label) {
-            rows.push(vec![
-                p.label.clone(),
-                p.config.clone(),
-                format!("{:.3}", p.time_secs),
-                format!("{:.3}", p.time_secs / base),
-                if p.verified {
-                    "ok".into()
-                } else {
-                    "FAIL".into()
-                },
-            ]);
-        }
-    }
-    let text = format!(
-        "{name} — NPB times on {} (normalized to static-polling)\n\n{}",
-        device.name(),
-        table(
-            &["instance", "config", "time (s)", "normalized", "verify"],
-            &rows
-        )
-    );
-    (text, points)
+    Output::of(title, &points)
 }
 
-// ========================================================================
-// Figure 8 — MPI_Init time
-// ========================================================================
-
-/// One init-time point.
-#[derive(Debug, Clone)]
-pub struct InitPoint {
-    /// Device.
-    pub device: String,
-    /// Connection mode.
-    pub mode: String,
-    /// Ranks.
-    pub np: usize,
-    /// Mean `MPI_Init` time across ranks, ms.
-    pub init_ms: f64,
-}
-
-impl_json!(InitPoint {
-    device,
-    mode,
-    np,
-    init_ms
-});
-
-/// Reproduce Fig. 8: `MPI_Init` time vs process count for client/server
-/// static, peer-to-peer static, and on-demand.
-pub fn fig8() -> (String, Vec<InitPoint>) {
-    let mut items = Vec::new();
-    for device in [Device::Clan, Device::Berkeley] {
-        let modes: Vec<ConnMode> = if device == Device::Clan {
-            vec![
-                ConnMode::StaticClientServer,
-                ConnMode::StaticPeerToPeer,
-                ConnMode::OnDemand,
-            ]
-        } else {
+/// Fig. 8: `MPI_Init` time vs process count for client/server static,
+/// peer-to-peer static, and on-demand.
+fn fig8(jobs: usize) -> Output {
+    use ConnMode::*;
+    let mut grid = Vec::new();
+    for device in DEVICES {
+        let (modes, nps): (&[ConnMode], &[usize]) = match device {
+            Device::Clan => (
+                &[StaticClientServer, StaticPeerToPeer, OnDemand],
+                &[2, 4, 6, 8, 10, 12, 14, 16],
+            ),
             // BVIA provides only the peer-to-peer model.
-            vec![ConnMode::StaticPeerToPeer, ConnMode::OnDemand]
+            Device::Berkeley => (&[StaticPeerToPeer, OnDemand], &[2, 4, 6, 8]),
         };
-        let nps: Vec<usize> = if device == Device::Clan {
-            vec![2, 4, 6, 8, 10, 12, 14, 16]
-        } else {
-            vec![2, 4, 6, 8]
-        };
-        for mode in modes {
-            for &np in &nps {
-                items.push((device, mode, np));
-            }
+        for &mode in modes {
+            grid.extend(nps.iter().map(|&np| (device, mode, np)));
         }
     }
-    let points = runner::timed("fig8_init_time", || {
-        runner::par_map(items, |(device, mode, np)| {
-            let report = Universe::new(np, device, mode, WaitPolicy::Polling)
-                .run(|_mpi| ())
-                .unwrap();
-            InitPoint {
-                device: device.name().into(),
-                mode: mode.name().into(),
-                np,
-                init_ms: report.avg_init_time().as_secs_f64() * 1e3,
-            }
-        })
-    });
-    write_json("fig8_init_time", &points);
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|p| {
-            vec![
-                p.device.clone(),
-                p.mode.clone(),
-                p.np.to_string(),
-                fmt(p.init_ms),
-            ]
-        })
-        .collect();
-    let text = format!(
-        "Figure 8 — MPI_Init time vs process count (ms)\n\n{}",
-        table(&["device", "mode", "procs", "init (ms)"], &rows)
-    );
-    (text, points)
+    init_sweep(jobs, "Figure 8 — MPI_Init time vs process count (ms)", grid)
 }
 
-// ========================================================================
-// Large-N series — fig8/tab2 beyond paper scale (state-machine engine)
-// ========================================================================
-
-/// Modes exercised at large N: the paper's worst-case static setup vs
-/// on-demand. BVIA only implements the peer-to-peer static model.
-fn largen_modes(device: Device) -> Vec<(&'static str, ConnMode)> {
-    match device {
-        Device::Clan => vec![
-            ("static-cs", ConnMode::StaticClientServer),
-            ("on-demand", ConnMode::OnDemand),
-        ],
-        Device::Berkeley => vec![
-            ("static-p2p", ConnMode::StaticPeerToPeer),
-            ("on-demand", ConnMode::OnDemand),
-        ],
+/// The large-N grid: the paper's worst-case static setup (client/server on
+/// cLAN; BVIA only implements peer-to-peer) vs on-demand. On-demand scales
+/// to 4096 ranks. Static modes stop where the NIC VI table stops them: a
+/// fully wired world needs np-1 VIs per process, so cLAN (`max_vis` 1024)
+/// tops out at np = 1024 and BVIA (`max_vis` 256) at np = 256 — which is
+/// the paper's resource argument made literal.
+fn largen_grid() -> Vec<(Device, ConnMode, usize)> {
+    let mut grid = Vec::new();
+    for (device, static_mode, static_nps) in [
+        (Device::Clan, ConnMode::StaticClientServer, &[256, 1024][..]),
+        (Device::Berkeley, ConnMode::StaticPeerToPeer, &[256]),
+    ] {
+        grid.extend(static_nps.iter().map(|&np| (device, static_mode, np)));
+        grid.extend([256, 1024, 4096].map(|np| (device, ConnMode::OnDemand, np)));
     }
-}
-
-/// On-demand scales to 4096 ranks. Static modes stop where the NIC VI
-/// table stops them: a fully wired world needs np-1 VIs per process, so
-/// cLAN (`max_vis` 1024) tops out at np = 1024 and BVIA (`max_vis` 256)
-/// at np = 256 — which is the paper's resource argument made literal.
-fn largen_sizes(device: Device, mode: ConnMode) -> &'static [usize] {
-    match (device, mode) {
-        (_, ConnMode::OnDemand) => &[256, 1024, 4096],
-        (Device::Clan, _) => &[256, 1024],
-        (Device::Berkeley, _) => &[256],
-    }
+    grid
 }
 
 /// Fig. 8 extension: `MPI_Init` time at np = 256/1024/4096 (static capped
-/// at 1024), both devices.
-pub fn fig8_largen() -> (String, Vec<InitPoint>) {
-    let mut items = Vec::new();
-    for device in [Device::Clan, Device::Berkeley] {
-        for (label, mode) in largen_modes(device) {
-            for &np in largen_sizes(device, mode) {
-                items.push((device, label, mode, np));
-            }
-        }
+/// by the VI table), both devices.
+fn fig8_largen(jobs: usize) -> Output {
+    init_sweep(
+        jobs,
+        "Figure 8 (large-N) — MPI_Init time vs process count (ms)",
+        largen_grid(),
+    )
+}
+
+record! {
+    /// One large-N resource row.
+    pub struct Tab2LargenRow {
+        /// Workload name.
+        app: String = "app",
+        /// Device.
+        device: String = "device",
+        /// Connection-mode label.
+        mode: String = "mode",
+        /// Ranks.
+        np: usize = "size",
+        /// Average live VIs per process.
+        avg_vis: f64 = "VIs",
+        /// Utilization (used/created).
+        utilization: f64 = "util",
+        /// Peak pinned eager-pool bytes per process.
+        pinned_peak: usize = "pin" => kib,
+        /// Most channels any one rank materialized — the O(used-channels)
+        /// witness: ≪ np for on-demand sparse workloads, np-1 for static.
+        chan_peak: usize = "chan pk",
     }
-    let points = runner::timed("fig8_largen", || {
-        runner::par_map(items, |(device, label, mode, np)| {
-            let report = Universe::new(np, device, mode, WaitPolicy::Polling)
-                .run(|_mpi| ())
-                .unwrap();
-            InitPoint {
-                device: device.name().into(),
-                mode: label.into(),
-                np,
-                init_ms: report.avg_init_time().as_secs_f64() * 1e3,
-            }
-        })
-    });
-    write_json("fig8_largen", &points);
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|p| {
-            vec![
-                p.device.clone(),
-                p.mode.clone(),
-                p.np.to_string(),
-                fmt(p.init_ms),
-            ]
-        })
-        .collect();
-    let text = format!(
-        "Figure 8 (large-N) — MPI_Init time vs process count (ms)\n\n{}",
-        table(&["device", "mode", "procs", "init (ms)"], &rows)
-    );
-    (text, points)
-}
-
-/// One large-N resource row.
-#[derive(Debug, Clone)]
-pub struct Tab2LargenRow {
-    /// Workload name.
-    pub app: String,
-    /// Device.
-    pub device: String,
-    /// Connection-mode label.
-    pub mode: String,
-    /// Ranks.
-    pub np: usize,
-    /// Average live VIs per process.
-    pub avg_vis: f64,
-    /// Utilization (used/created).
-    pub utilization: f64,
-    /// Peak pinned eager-pool bytes per process.
-    pub pinned_peak: usize,
-    /// Most channels any one rank materialized — the O(used-channels)
-    /// witness: ≪ np for on-demand sparse workloads, np-1 for static.
-    pub chan_peak: usize,
-    /// Deepest per-rank fiber stack usage in bytes. Host-dependent (it
-    /// moves with the compiler), so it is printed in the table but is not
-    /// part of the JSON record.
-    pub rank_mem_peak: u64,
-}
-
-impl_json!(Tab2LargenRow {
-    app,
-    device,
-    mode,
-    np,
-    avg_vis,
-    utilization,
-    pinned_peak,
-    chan_peak
-});
-
-#[derive(Clone, Copy)]
-enum LargenApp {
-    Ring,
-    CgExchange,
 }
 
 /// Table 2 extension: VI/memory resources for a ring and a CG-style
-/// neighbour exchange at np = 256/1024/4096 (static capped at 1024).
-pub fn tab2_largen() -> (String, Vec<Tab2LargenRow>) {
-    let mut items = Vec::new();
-    for device in [Device::Clan, Device::Berkeley] {
-        for (label, mode) in largen_modes(device) {
-            for &np in largen_sizes(device, mode) {
-                for (app, kind) in [("Ring", LargenApp::Ring), ("CG-x", LargenApp::CgExchange)] {
-                    items.push((app, device, label, mode, np, kind));
-                }
-            }
-        }
+/// neighbour exchange over the large-N grid.
+fn tab2_largen(jobs: usize) -> Output {
+    const APPS: [Workload; 2] = [
+        ("Ring", |mpi| _ = ring::run(mpi, 4, 64)),
+        ("CG-x", |mpi| {
+            let partners = patterns::cg_rank(mpi.size(), mpi.rank());
+            patterns::neighbor_exchange(mpi, &partners, 2, 64);
+        }),
+    ];
+    let mut grid = Vec::new();
+    for point in largen_grid() {
+        grid.extend(APPS.map(|app| (app, point)));
     }
-    let data = runner::timed("tab2_largen", || {
-        runner::par_map(items, |(app, device, label, mode, np, kind)| {
-            let report = Universe::new(np, device, mode, WaitPolicy::Polling)
-                .run(move |mpi| match kind {
-                    LargenApp::Ring => {
-                        ring::run(mpi, 4, 64);
-                    }
-                    LargenApp::CgExchange => {
-                        let partners = patterns::cg_rank(mpi.size(), mpi.rank());
-                        patterns::neighbor_exchange(mpi, &partners, 2, 64);
-                    }
-                })
-                .unwrap();
-            Tab2LargenRow {
-                app: app.into(),
-                device: device.name().into(),
-                mode: label.into(),
-                np,
-                avg_vis: report.avg_vis(),
-                utilization: report.utilization(),
-                pinned_peak: report.max_pinned(),
-                chan_peak: report
-                    .ranks
-                    .iter()
-                    .map(|r| r.channels.len())
-                    .max()
-                    .unwrap_or(0),
-                rank_mem_peak: report.stack_depth_peak,
-            }
-        })
+    let rows = par_map(jobs, grid, |((app, body), (device, mode, np))| {
+        let report = Universe::new(np, device, mode, WaitPolicy::Polling)
+            .run(body)
+            .unwrap();
+        Tab2LargenRow {
+            app: app.into(),
+            device: device.name().into(),
+            mode: mode.name().into(),
+            np,
+            avg_vis: report.avg_vis(),
+            utilization: report.utilization(),
+            pinned_peak: report.max_pinned(),
+            chan_peak: report
+                .ranks
+                .iter()
+                .map(|r| r.channels.len())
+                .max()
+                .unwrap_or(0),
+        }
     });
-    write_json("tab2_largen", &data);
-    let rows: Vec<Vec<String>> = data
-        .iter()
-        .map(|r| {
-            vec![
-                r.app.clone(),
-                r.device.clone(),
-                r.mode.clone(),
-                r.np.to_string(),
-                fmt(r.avg_vis),
-                fmt(r.utilization),
-                format!("{}K", r.pinned_peak >> 10),
-                r.chan_peak.to_string(),
-                format!("{}K", r.rank_mem_peak >> 10),
-            ]
-        })
-        .collect();
-    let text = format!(
-        "Table 2 (large-N) — resources per process at scale\n\n{}",
-        table(
-            &["app", "device", "mode", "size", "VIs", "util", "pin", "chan pk", "stack pk"],
-            &rows
-        )
-    );
-    (text, data)
+    Output::of("Table 2 (large-N) — resources per process at scale", &rows)
 }
 
 // ========================================================================
 // Figure 9 — MPI+threads message rate: shared VI vs multi-VI endpoints
 // ========================================================================
 
-/// One Fig. 9 series point: `threads` simulated producer threads per rank
-/// driving a bidirectional pair exchange, either funnelled through one
-/// shared VI per peer or striped across `vis_per_peer` endpoint VIs.
-#[derive(Debug, Clone)]
-pub struct Fig9Point {
-    /// Device profile name.
-    pub device: String,
-    /// Connection-mode label.
-    pub mode: String,
-    /// Endpoint layout: `shared` (one VI per pair) or `striped`
-    /// (`vis_per_peer == threads`, one VI per producer thread).
-    pub endpoints: String,
-    /// Configured VIs per peer pair.
-    pub vis_per_peer: usize,
-    /// Simulated producer threads per rank.
-    pub threads: usize,
-    /// Steady-state message rate per rank, thousand msgs/s.
-    pub rate_kmsgs: f64,
-    /// Total NIC producer switches (shared-VI lock-convoy events).
-    pub producer_switches: u64,
-    /// Total virtual time charged to VI lock convoys, µs.
-    pub convoy_us: f64,
+record! {
+    /// One Fig. 9 series point: `threads` simulated producer threads per
+    /// rank driving a bidirectional pair exchange, either funnelled through
+    /// one shared VI per peer or striped across `vis_per_peer` endpoint VIs.
+    pub struct Fig9Point {
+        /// Device profile name.
+        device: String = "device",
+        /// Connection-mode label.
+        mode: String = "mode",
+        /// Endpoint layout: `shared` (one VI per pair) or `striped`
+        /// (`vis_per_peer == threads`, one VI per producer thread).
+        endpoints: String = "endpoints",
+        /// Configured VIs per peer pair.
+        vis_per_peer: usize = "VIs",
+        /// Simulated producer threads per rank.
+        threads: usize = "T",
+        /// Steady-state message rate per rank, thousand msgs/s.
+        rate_kmsgs: f64 = "kmsg/s",
+        /// Total NIC producer switches (shared-VI lock-convoy events).
+        producer_switches: u64 = "switches",
+        /// Total virtual time charged to VI lock convoys, µs.
+        convoy_us: f64 = "convoy (µs)",
+    }
 }
-
-impl_json!(Fig9Point {
-    device,
-    mode,
-    endpoints,
-    vis_per_peer,
-    threads,
-    rate_kmsgs,
-    producer_switches,
-    convoy_us
-});
 
 /// The Fig. 9 measurement kernel: per-rank steady-state message rate
 /// (thousand msgs/s) of a `threads`-producer bidirectional pair exchange
-/// at np = 2, with `vis_per_peer` endpoint VIs per pair. A one-message
-/// warm-up round brings every stripe up first (so on-demand connection
-/// setup stays out of the measured window), then `msgs` messages per
-/// thread are timed.
+/// at np = 2, with `vis_per_peer` endpoint VIs per pair, plus the run's
+/// producer switches and convoy µs. A one-message warm-up round brings
+/// every stripe up first (so on-demand connection setup stays out of the
+/// measured window), then `msgs` messages per thread are timed.
 pub fn threaded_rate(
     device: Device,
     mode: ConnMode,
@@ -1116,69 +752,35 @@ pub fn threaded_rate(
 /// serializes producers through one doorbell and pays the device's
 /// lock-convoy charge on every producer switch; striping trades that for
 /// the NIC's per-VI polling overhead, and wins from T = 4 up.
-pub fn fig9() -> (String, Vec<Fig9Point>) {
+fn fig9(jobs: usize) -> Output {
     const MSGS: usize = 256;
     const LEN: usize = 256;
-    let mut items = Vec::new();
-    for device in [Device::Clan, Device::Berkeley] {
-        for (label, mode) in [
-            ("on-demand", ConnMode::OnDemand),
-            ("static-p2p", ConnMode::StaticPeerToPeer),
-        ] {
+    let mut grid = Vec::new();
+    for device in DEVICES {
+        for mode in [ConnMode::OnDemand, ConnMode::StaticPeerToPeer] {
             for threads in [1usize, 2, 4, 8] {
                 for (endpoints, vis) in [("shared", 1usize), ("striped", threads)] {
-                    items.push((device, label, mode, threads, endpoints, vis));
+                    grid.push((device, mode, threads, endpoints, vis));
                 }
             }
         }
     }
-    let points = runner::timed("fig9_threads", || {
-        runner::par_map(items, |(device, label, mode, threads, endpoints, vis)| {
-            let (rate_kmsgs, producer_switches, convoy_us) =
-                threaded_rate(device, mode, vis, threads, MSGS, LEN);
-            Fig9Point {
-                device: device.name().into(),
-                mode: label.into(),
-                endpoints: endpoints.into(),
-                vis_per_peer: vis,
-                threads,
-                rate_kmsgs,
-                producer_switches,
-                convoy_us,
-            }
-        })
+    let points = par_map(jobs, grid, |(device, mode, threads, endpoints, vis)| {
+        let (rate_kmsgs, producer_switches, convoy_us) =
+            threaded_rate(device, mode, vis, threads, MSGS, LEN);
+        Fig9Point {
+            device: device.name().into(),
+            mode: mode.name().into(),
+            endpoints: endpoints.into(),
+            vis_per_peer: vis,
+            threads,
+            rate_kmsgs,
+            producer_switches,
+            convoy_us,
+        }
     });
-    write_json("fig9_threads", &points);
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|p| {
-            vec![
-                p.device.clone(),
-                p.mode.clone(),
-                p.endpoints.clone(),
-                p.vis_per_peer.to_string(),
-                p.threads.to_string(),
-                fmt(p.rate_kmsgs),
-                p.producer_switches.to_string(),
-                fmt(p.convoy_us),
-            ]
-        })
-        .collect();
-    let text = format!(
-        "Figure 9 — MPI+threads message rate: shared VI vs multi-VI endpoints\n\n{}",
-        table(
-            &[
-                "device",
-                "mode",
-                "endpoints",
-                "VIs",
-                "T",
-                "kmsg/s",
-                "switches",
-                "convoy (µs)"
-            ],
-            &rows
-        )
-    );
-    (text, points)
+    Output::of(
+        "Figure 9 — MPI+threads message rate: shared VI vs multi-VI endpoints",
+        &points,
+    )
 }

@@ -1,22 +1,14 @@
 //! # viampi-bench — experiment harness
 //!
-//! Regenerates every table and figure of the paper's evaluation section:
-//!
-//! | item | driver | binary |
-//! |------|--------|--------|
-//! | Fig. 1 | [`experiments::fig1`] | `fig1_vi_scaling` |
-//! | Table 1 | [`experiments::tab1`] | `tab1_destinations` |
-//! | Table 2 | [`experiments::tab2`] | `tab2_resources` |
-//! | Fig. 2 | [`experiments::fig2`] | `fig2_latency` |
-//! | Fig. 3 | [`experiments::fig3`] | `fig3_bandwidth` |
-//! | Fig. 4 | [`experiments::fig4`] | `fig4_barrier` |
-//! | Fig. 5 | [`experiments::fig5`] | `fig5_allreduce` |
-//! | Fig. 6 / Table 3 | [`experiments::npb_figure`] | `fig6_npb_clan`, `tab3_times` |
-//! | Fig. 7 | [`experiments::npb_figure`] | `fig7_npb_bvia` |
-//! | Fig. 8 | [`experiments::fig8`] | `fig8_init_time` |
-//!
-//! plus the four ablations of DESIGN.md ([`ablation`]) and `repro_all`,
-//! which runs everything and refreshes `results/*.json`.
+//! [`experiments::ALL`] is the list of what this crate regenerates — every
+//! table and figure of the paper's evaluation, the DESIGN.md ablations, the
+//! beyond-paper series and the standard fault sweep — one row per
+//! `results/<name>.json`. A row computes a [`report::Output`] (record bytes
+//! plus a text table) and writes nothing; the `repro_all` executable walks
+//! the table, and is the only thing that writes `results/` (`--check`
+//! compares instead). The other executables are `simcheck` (schedule and
+//! fault exploration, campaigns), `profile` (Chrome trace of one run) and
+//! `perf_gate` (exact scheduling-work counts).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -1,7 +1,7 @@
 //! Microbenchmark drivers: ping-pong latency and windowed bandwidth (the
 //! paper's §5.3 tests), plus the VIA-level Fig.-1 harness.
 
-use viampi_core::{ConnMode, Device, Universe, WaitPolicy};
+use viampi_core::{ConnMode, Device, RunReport, Universe, WaitPolicy};
 use viampi_sim::SimDuration;
 use viampi_via::{fabric_engine, CompletionKind, DeviceProfile, Discriminator, ViaPort};
 
@@ -46,15 +46,31 @@ pub fn bandwidth(
     bursts: usize,
     window: usize,
 ) -> f64 {
-    let uni = Universe::new(2, device, conn, wait);
-    let report = uni
+    let pair = Universe::new(2, device, conn, wait);
+    bandwidth_in(pair, size, bursts, window, true).results[0]
+}
+
+/// The streaming-bandwidth kernel, in a two-rank world the caller has
+/// configured: rank 0 streams `bursts` bursts of `window` `size`-byte
+/// messages, each burst acknowledged by rank 1, and every rank returns the
+/// MB/s it saw (rank 0's is the figure). `warm_up` sends one message first,
+/// so connection setup and the first credits stay out of the timed window.
+pub fn bandwidth_in(
+    universe: Universe,
+    size: usize,
+    bursts: usize,
+    window: usize,
+    warm_up: bool,
+) -> RunReport<f64> {
+    universe
         .run(move |mpi| {
             let buf = vec![0xC3u8; size];
-            // Warm up.
-            if mpi.rank() == 0 {
-                mpi.send(&buf, 1, 0);
-            } else {
-                mpi.recv(Some(0), Some(0));
+            if warm_up {
+                if mpi.rank() == 0 {
+                    mpi.send(&buf, 1, 0);
+                } else {
+                    mpi.recv(Some(0), Some(0));
+                }
             }
             let t0 = mpi.now();
             for _ in 0..bursts {
@@ -71,8 +87,7 @@ pub fn bandwidth(
             let secs = mpi.now().since(t0).as_secs_f64();
             (bursts * window * size) as f64 / secs / 1.0e6
         })
-        .unwrap();
-    report.results[0]
+        .unwrap()
 }
 
 /// Raw VIA ping-pong latency (µs, one-way) with `idle_vis` additional idle

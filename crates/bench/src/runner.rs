@@ -6,71 +6,47 @@
 //! makes the output order — and therefore every table and JSON record —
 //! identical to the serial run regardless of worker count.
 //!
-//! The worker count comes from, in priority order: [`set_jobs`] (used by
-//! `--jobs` parsing and tests), the `VIAMPI_JOBS` environment variable,
-//! and the machine's available parallelism.
+//! The worker count is an argument, never ambient state: an executable
+//! reads it from its command line once ([`jobs_from_args`]) and passes it
+//! down; a test names the counts it compares.
 
-use crate::report::{results_dir, write_json};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
-/// Explicit override (0 = unset). Set once at startup or by tests.
-static JOBS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Worker count used by [`par_map`].
-pub fn jobs() -> usize {
-    let forced = JOBS_OVERRIDE.load(Ordering::Relaxed);
-    if forced > 0 {
-        return forced;
-    }
-    if let Some(v) = std::env::var("VIAMPI_JOBS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-    {
-        return v.max(1);
-    }
-    nproc()
-}
-
-/// Force the worker count (overrides `VIAMPI_JOBS`); 0 restores defaults.
-pub fn set_jobs(n: usize) {
-    JOBS_OVERRIDE.store(n, Ordering::Relaxed);
-}
-
-/// Parse a `--jobs N` / `--jobs=N` command-line flag (used by every bench
-/// binary's `main`). Unrecognized arguments are ignored.
-pub fn init_from_args() {
-    let args: Vec<String> = std::env::args().collect();
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        let parsed = if let Some(v) = a.strip_prefix("--jobs=") {
-            v.parse::<usize>().ok()
-        } else if a == "--jobs" {
-            args.get(i + 1).and_then(|v| v.parse::<usize>().ok())
-        } else {
-            None
-        };
-        if let Some(n) = parsed {
-            set_jobs(n.max(1));
-            return;
-        }
-        i += 1;
+/// Take `--jobs N` / `--jobs=N` out of `args` and return the worker count:
+/// `N` (0 means 1), or every core when the flag is absent. A value that is
+/// not a number, or a flag without one, is an error, not "all cores".
+pub fn jobs_from_args(args: &mut Vec<String>) -> Result<usize, String> {
+    let Some(i) = args
+        .iter()
+        .position(|a| a == "--jobs" || a.starts_with("--jobs="))
+    else {
+        return Ok(nproc());
+    };
+    let flag = args.remove(i);
+    let value = match flag.strip_prefix("--jobs=") {
+        Some(v) => v.to_string(),
+        None if i < args.len() => args.remove(i),
+        None => return Err("--jobs needs a value".into()),
+    };
+    match value.parse::<usize>() {
+        Ok(n) => Ok(n.max(1)),
+        Err(_) => Err(format!("--jobs expects a number, got `{value}`")),
     }
 }
 
-/// Map `f` over `items` on a scoped worker pool, returning results in item
-/// order. With one worker (or one item) this degenerates to a plain serial
-/// loop on the calling thread.
-pub fn par_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
+/// Map `f` over `items` on a scoped pool of `jobs` workers, returning
+/// results in item order. With one worker (or one item) this degenerates to
+/// a plain serial loop on the calling thread.
+pub fn par_map<T, R, F>(jobs: usize, items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
     F: Fn(T) -> R + Send + Sync,
 {
     let n = items.len();
-    let workers = jobs().min(n);
+    let workers = jobs.min(n);
     if workers <= 1 {
         return items.into_iter().map(f).collect();
     }
@@ -104,7 +80,7 @@ where
         .collect()
 }
 
-/// Resumable sharded execution: run `shards` on the worker pool and hand
+/// Resumable sharded execution: run `shards` on `jobs` workers and hand
 /// each result to `commit` **strictly in shard order**, as soon as the
 /// contiguous prefix is complete — no barrier between shards, so a slow
 /// shard never idles the pool.
@@ -117,7 +93,7 @@ where
 /// The committed sequence at any worker count is a prefix of the serial
 /// one — this is what makes a killed-and-resumed campaign byte-identical
 /// to a one-shot run.
-pub fn shard_map<T, R, F, C>(shards: Vec<T>, run: F, mut commit: C) -> usize
+pub fn shard_map<T, R, F, C>(jobs: usize, shards: Vec<T>, run: F, mut commit: C) -> usize
 where
     T: Send + Sync,
     R: Send,
@@ -128,7 +104,7 @@ where
     if n == 0 {
         return 0;
     }
-    let workers = jobs().min(n);
+    let workers = jobs.min(n);
     if workers <= 1 {
         for (i, shard) in shards.iter().enumerate() {
             let r = run(i, shard);
@@ -186,43 +162,30 @@ pub fn nproc() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Wall-clock/throughput record for one timed experiment.
-#[derive(Debug, Clone)]
-pub struct PerfRecord {
-    /// Experiment name (matches the `results/<name>.json` record).
-    pub name: String,
-    /// Cores available to the process when it was measured ([`nproc`]).
-    pub nproc: usize,
-    /// Wall-clock seconds.
-    pub wall_secs: f64,
-    /// Worker count in effect.
-    pub jobs: usize,
-    /// Simulations completed.
-    pub runs: u64,
-    /// Engine events applied.
-    pub events: u64,
-    /// Engine events per wall-clock second (all workers combined).
-    pub events_per_sec: f64,
+crate::record! {
+    /// Wall-clock/throughput record for one timed experiment.
+    pub struct PerfRecord {
+        /// Experiment name (matches the `results/<name>.json` record).
+        name: String = "experiment",
+        /// Cores available to the process when it was measured ([`nproc`]).
+        nproc: usize,
+        /// Wall-clock seconds.
+        wall_secs: f64 = "wall (s)" => |s: &f64| format!("{s:.2}"),
+        /// Worker count in effect.
+        jobs: usize = "jobs",
+        /// Simulations completed.
+        runs: u64 = "sims",
+        /// Engine events applied.
+        events: u64 = "events",
+        /// Engine events per wall-clock second (all workers combined).
+        events_per_sec: f64 = "events/s" => |r: &f64| format!("{r:.0}"),
+    }
 }
 
-crate::impl_json!(PerfRecord {
-    name,
-    nproc,
-    wall_secs,
-    jobs,
-    runs,
-    events,
-    events_per_sec,
-});
-
-static PERF_LOG: Mutex<Vec<PerfRecord>> = Mutex::new(Vec::new());
-
-/// Run `f`, recording wall time and engine throughput under `name`.
-///
-/// The record goes to the in-process perf log (see [`write_perf`]); the
-/// simulation results themselves are pure virtual-time quantities and are
-/// unaffected by the measurement.
-pub fn timed<R>(name: &str, f: impl FnOnce() -> R) -> R {
+/// Run `f` and return its result with the wall time and engine throughput
+/// it took (`jobs` is recorded beside them, not applied). Wall-clock data
+/// stays out of the result itself: records are pure virtual-time quantities.
+pub fn timed<R>(name: &str, jobs: usize, f: impl FnOnce() -> R) -> (R, PerfRecord) {
     let before = viampi_sim::engine_totals();
     let t0 = Instant::now();
     let result = f();
@@ -233,7 +196,7 @@ pub fn timed<R>(name: &str, f: impl FnOnce() -> R) -> R {
         name: name.to_string(),
         nproc: nproc(),
         wall_secs: wall,
-        jobs: jobs(),
+        jobs,
         runs: after.runs - before.runs,
         events,
         events_per_sec: if wall > 0.0 {
@@ -242,96 +205,64 @@ pub fn timed<R>(name: &str, f: impl FnOnce() -> R) -> R {
             0.0
         },
     };
-    PERF_LOG
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .push(record);
-    result
-}
-
-/// Drain the perf log into `results/<name>.json` and return a printable
-/// summary. Wall-clock data lives in its own file so the figure/table
-/// records stay byte-identical between machines and worker counts.
-pub fn write_perf(name: &str) -> String {
-    let records: Vec<PerfRecord> = PERF_LOG
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .drain(..)
-        .collect();
-    write_json(name, &records);
-    let total_wall: f64 = records.iter().map(|r| r.wall_secs).sum();
-    let total_events: u64 = records.iter().map(|r| r.events).sum();
-    let rows: Vec<Vec<String>> = records
-        .iter()
-        .map(|r| {
-            vec![
-                r.name.clone(),
-                format!("{:.2}", r.wall_secs),
-                r.jobs.to_string(),
-                r.runs.to_string(),
-                r.events.to_string(),
-                format!("{:.0}", r.events_per_sec),
-            ]
-        })
-        .collect();
-    format!(
-        "harness wall-clock ({} jobs on {} cores; {} events in {:.1}s):\n\n{}\nperf record: {}",
-        jobs(),
-        nproc(),
-        total_events,
-        total_wall,
-        crate::report::table(
-            &[
-                "experiment",
-                "wall (s)",
-                "jobs",
-                "sims",
-                "events",
-                "events/s"
-            ],
-            &rows
-        ),
-        results_dir().join(format!("{name}.json")).display(),
-    )
+    (result, record)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn parse(args: &[&str]) -> (Result<usize, String>, Vec<String>) {
+        let mut args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        (jobs_from_args(&mut args), args)
+    }
+
+    #[test]
+    fn jobs_flag_is_parsed_removed_or_refused() {
+        assert_eq!(
+            parse(&["--jobs", "3", "fig1"]),
+            (Ok(3), vec!["fig1".into()])
+        );
+        assert_eq!(
+            parse(&["--check", "--jobs=0"]),
+            (Ok(1), vec!["--check".into()])
+        );
+        assert_eq!(parse(&["--check"]), (Ok(nproc()), vec!["--check".into()]));
+        for bad in [
+            &["--jobs", "1x"][..],
+            &["--jobs=banana"],
+            &["fig1", "--jobs"],
+        ] {
+            assert!(parse(bad).0.is_err(), "{bad:?} must be refused");
+        }
+    }
+
     #[test]
     fn par_map_preserves_order() {
-        set_jobs(4);
-        let out = par_map((0..100).collect::<Vec<usize>>(), |i| i * 3);
-        set_jobs(0);
+        let out = par_map(4, (0..100).collect::<Vec<usize>>(), |i| i * 3);
         assert_eq!(out, (0..100).map(|i| i * 3).collect::<Vec<_>>());
     }
 
     #[test]
     fn par_map_serial_matches_parallel() {
-        set_jobs(1);
-        let serial = par_map((0..40).collect::<Vec<u64>>(), |i| i * i + 1);
-        set_jobs(7);
-        let parallel = par_map((0..40).collect::<Vec<u64>>(), |i| i * i + 1);
-        set_jobs(0);
+        let serial = par_map(1, (0..40).collect::<Vec<u64>>(), |i| i * i + 1);
+        let parallel = par_map(7, (0..40).collect::<Vec<u64>>(), |i| i * i + 1);
         assert_eq!(serial, parallel);
     }
 
     #[test]
     fn par_map_empty_and_singleton() {
-        set_jobs(8);
-        let empty: Vec<u32> = par_map(Vec::<u32>::new(), |x| x);
+        let empty: Vec<u32> = par_map(8, Vec::<u32>::new(), |x| x);
         assert!(empty.is_empty());
-        assert_eq!(par_map(vec![9u32], |x| x + 1), vec![10]);
-        set_jobs(0);
+        assert_eq!(par_map(8, vec![9u32], |x| x + 1), vec![10]);
     }
 
     #[test]
     fn shard_map_commits_in_order_at_any_worker_count() {
         for jobs in [1, 4, 7] {
-            set_jobs(jobs);
             let mut seen = Vec::new();
             let committed = shard_map(
+                jobs,
                 (0..20).collect::<Vec<u64>>(),
                 |i, &x| (i as u64, x * 2),
                 |i, (idx, doubled)| {
@@ -340,7 +271,6 @@ mod tests {
                     true
                 },
             );
-            set_jobs(0);
             assert_eq!(committed, 20);
             assert_eq!(seen, (0..20).map(|x| x * 2).collect::<Vec<u64>>());
         }
@@ -349,9 +279,9 @@ mod tests {
     #[test]
     fn shard_map_stop_commits_a_prefix() {
         for jobs in [1, 5] {
-            set_jobs(jobs);
             let mut seen = Vec::new();
             let committed = shard_map(
+                jobs,
                 (0..30).collect::<Vec<u64>>(),
                 |_, &x| x,
                 |_, x| {
@@ -359,7 +289,6 @@ mod tests {
                     x < 9
                 },
             );
-            set_jobs(0);
             assert_eq!(committed, 10, "stops after the first false commit");
             assert_eq!(seen, (0..10).collect::<Vec<u64>>());
         }
@@ -367,18 +296,14 @@ mod tests {
 
     #[test]
     fn shard_map_empty() {
-        assert_eq!(shard_map(Vec::<u8>::new(), |_, &x| x, |_, _| true), 0);
+        assert_eq!(shard_map(3, Vec::<u8>::new(), |_, &x| x, |_, _| true), 0);
     }
 
     #[test]
     fn timed_records_throughput() {
-        let v = timed("runner_test_timed", || 42);
+        let (v, rec) = timed("runner_test_timed", 3, || 42);
         assert_eq!(v, 42);
-        let log = PERF_LOG.lock().unwrap_or_else(|e| e.into_inner());
-        let rec = log
-            .iter()
-            .find(|r| r.name == "runner_test_timed")
-            .expect("timed() pushed a record");
+        assert_eq!((rec.name.as_str(), rec.jobs), ("runner_test_timed", 3));
         assert_eq!(rec.nproc, nproc());
         assert!(rec.nproc >= 1);
     }

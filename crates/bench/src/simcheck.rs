@@ -23,7 +23,8 @@
 //! identical schedule and fault pattern (see `--replay` on the `simcheck`
 //! binary).
 
-use crate::impl_json;
+use crate::record;
+use crate::report::{table, Output};
 use crate::runner::par_map;
 use viampi_core::{
     ChanState, ChannelSnapshot, ConnMode, Device, FaultProfile, RunReport, Universe, WaitPolicy,
@@ -489,97 +490,68 @@ fn decode(data: &[u8]) -> RecvRecord {
     )
 }
 
-/// Outcome of one seed.
-#[derive(Debug, Clone)]
-pub struct SeedOutcome {
-    /// The seed (replay key).
-    pub seed: u64,
-    /// World size.
-    pub np: usize,
-    /// Program name.
-    pub program: String,
-    /// Device name.
-    pub device: String,
-    /// Connection mode name.
-    pub conn: String,
-    /// Wait policy name.
-    pub wait: String,
-    /// Fault intensity.
-    pub fault: String,
-    /// Virtual makespan, µs.
-    pub end_us: f64,
-    /// Engine events processed.
-    pub events: u64,
-    /// Faults the fabric injected.
-    pub faults_injected: u64,
-    /// Connection retries across ranks.
-    pub conn_retries: u64,
-    /// Channels failed after budget exhaustion (must be 0).
-    pub conn_failures: u64,
-    /// Deepest per-channel retry attempt across ranks.
-    pub retry_depth_max: u64,
-    /// Messages that arrived before their receive was posted, summed.
-    pub unexpected_msgs: u64,
-    /// Deterministic coverage signature (field layout documented in the
-    /// campaign section of EXPERIMENTS.md).
-    pub signature: String,
-    /// Invariant violations (empty = pass).
-    pub violations: Vec<String>,
+record! {
+    /// Outcome of one seed.
+    pub struct SeedOutcome {
+        /// The seed (replay key).
+        seed: u64,
+        /// World size.
+        np: usize,
+        /// Program name.
+        program: String,
+        /// Device name.
+        device: String,
+        /// Connection mode name.
+        conn: String,
+        /// Wait policy name.
+        wait: String,
+        /// Fault intensity.
+        fault: String,
+        /// Virtual makespan, µs.
+        end_us: f64,
+        /// Engine events processed.
+        events: u64,
+        /// Faults the fabric injected.
+        faults_injected: u64,
+        /// Connection retries across ranks.
+        conn_retries: u64,
+        /// Channels failed after budget exhaustion (must be 0).
+        conn_failures: u64,
+        /// Deepest per-channel retry attempt across ranks.
+        retry_depth_max: u64,
+        /// Messages that arrived before their receive was posted, summed.
+        unexpected_msgs: u64,
+        /// Deterministic coverage signature (field layout documented in the
+        /// campaign section of EXPERIMENTS.md).
+        signature: String,
+        /// Invariant violations (empty = pass).
+        violations: Vec<String>,
+    }
 }
 
-impl_json!(SeedOutcome {
-    seed,
-    np,
-    program,
-    device,
-    conn,
-    wait,
-    fault,
-    end_us,
-    events,
-    faults_injected,
-    conn_retries,
-    conn_failures,
-    retry_depth_max,
-    unexpected_msgs,
-    signature,
-    violations,
-});
-
-/// Batch summary written to `results/simcheck.json`.
-#[derive(Debug, Clone)]
-pub struct Summary {
-    /// Fault intensity of the batch.
-    pub fault: String,
-    /// First seed.
-    pub start: u64,
-    /// Seeds run.
-    pub seeds: u64,
-    /// Seeds with at least one invariant violation.
-    pub failing: u64,
-    /// The offending seeds (replay keys).
-    pub failing_seeds: Vec<u64>,
-    /// Engine events across the batch.
-    pub events: u64,
-    /// Faults injected across the batch.
-    pub faults_injected: u64,
-    /// Connection retries across the batch.
-    pub conn_retries: u64,
-    /// Distinct `(program, conn)` combinations exercised.
-    pub combos: u64,
+record! {
+    /// Batch summary: the `simcheck` record.
+    pub struct Summary {
+        /// Fault intensity of the batch.
+        fault: String,
+        /// First seed.
+        start: u64,
+        /// Seeds run.
+        seeds: u64,
+        /// Seeds with at least one invariant violation.
+        failing: u64,
+        /// The offending seeds (replay keys).
+        failing_seeds: Vec<u64>,
+        /// Engine events across the batch.
+        events: u64,
+        /// Faults injected across the batch.
+        faults_injected: u64,
+        /// Connection retries across the batch.
+        conn_retries: u64,
+        /// Distinct `(program, conn)` combinations exercised.
+        combos: u64,
+    }
 }
-
-impl_json!(Summary {
-    fault,
-    start,
-    seeds,
-    failing,
-    failing_seeds,
-    events,
-    faults_injected,
-    conn_retries,
-    combos,
-});
 
 /// After the program body, drive progress until no connection is pending
 /// (injected loss can push a handshake several backoff periods out), then
@@ -1179,9 +1151,14 @@ pub fn describe_key(k: u64, kind: FaultKind) -> String {
     s
 }
 
-/// Run `count` seeds starting at `start` (in parallel) and summarize.
-pub fn run_seeds(start: u64, count: u64, kind: FaultKind) -> (Vec<SeedOutcome>, Summary) {
-    let outcomes = par_map((start..start + count).collect(), |seed| {
+/// Run `count` seeds starting at `start` on `jobs` workers and summarize.
+pub fn run_seeds(
+    start: u64,
+    count: u64,
+    kind: FaultKind,
+    jobs: usize,
+) -> (Vec<SeedOutcome>, Summary) {
+    let outcomes = par_map(jobs, (start..start + count).collect(), |seed| {
         run_seed(seed, kind)
     });
     let failing_seeds: Vec<u64> = outcomes
@@ -1207,6 +1184,46 @@ pub fn run_seeds(start: u64, count: u64, kind: FaultKind) -> (Vec<SeedOutcome>, 
         combos: combos.len() as u64,
     };
     (outcomes, summary)
+}
+
+/// A batch as an [`Output`]: the summary is the record, the per-program
+/// breakdown the table.
+pub fn batch_output(outcomes: &[SeedOutcome], summary: &Summary) -> Output {
+    let mut rows = Vec::new();
+    for program in ["ring", "storm", "shift-large", "all-to-all"] {
+        let group: Vec<&SeedOutcome> = outcomes.iter().filter(|o| o.program == program).collect();
+        if group.is_empty() {
+            continue;
+        }
+        let sum = |f: fn(&SeedOutcome) -> u64| group.iter().map(|o| f(o)).sum::<u64>().to_string();
+        rows.push(vec![
+            program.to_string(),
+            group.len().to_string(),
+            sum(|o| o.faults_injected),
+            sum(|o| o.conn_retries),
+            sum(|o| !o.violations.is_empty() as u64),
+        ]);
+    }
+    Output {
+        json: crate::json::to_string_pretty(summary),
+        text: format!(
+            "simcheck — {} seeds from {} under {} faults: invariants by program\n\n{}",
+            summary.seeds,
+            summary.start,
+            summary.fault,
+            table(
+                &["program", "seeds", "faults", "retries", "violations"],
+                &rows
+            )
+        ),
+    }
+}
+
+/// The standard acceptance sweep — 1000 seeds, heavy faults, zero
+/// violations — as the `simcheck` row of [`crate::experiments::ALL`].
+pub fn standard_sweep(jobs: usize) -> Output {
+    let (outcomes, summary) = run_seeds(0, 1000, FaultKind::Heavy, jobs);
+    batch_output(&outcomes, &summary)
 }
 
 #[cfg(test)]

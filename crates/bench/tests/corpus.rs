@@ -64,7 +64,8 @@ fn corpus_seeds_replay_clean() {
     for file in &files {
         let entries = parse(file);
         assert!(!entries.is_empty(), "{}: empty corpus file", file.display());
-        let outcomes = viampi_bench::runner::par_map(entries, |(seed, fault, lineno)| {
+        let jobs = viampi_bench::runner::nproc();
+        let outcomes = viampi_bench::runner::par_map(jobs, entries, |(seed, fault, lineno)| {
             (run_seed(seed, fault), lineno)
         });
         for (o, lineno) in outcomes {

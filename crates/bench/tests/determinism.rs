@@ -4,7 +4,7 @@
 //! generation that still had selectable backends and scheduler modes.
 
 use viampi_bench::json::to_string_pretty;
-use viampi_bench::runner;
+use viampi_bench::runner::par_map;
 use viampi_core::{ConnMode, Device, RunReport, Universe, WaitPolicy};
 use viampi_npb::{cg, llc, Class};
 use viampi_sim::SimTime;
@@ -65,35 +65,22 @@ fn npb_outcome_is_bit_identical_across_repeats() {
 
 #[test]
 fn fig4_json_is_identical_under_jobs_1_and_n() {
-    // The full fig4 experiment at --jobs 1 and --jobs 4 must produce the
-    // same points in the same order, down to the serialized bytes.
-    runner::set_jobs(1);
-    let (_, serial) = viampi_bench::experiments::fig4();
-    runner::set_jobs(4);
-    let (_, parallel) = viampi_bench::experiments::fig4();
-    runner::set_jobs(0);
+    // The full fig4 experiment on 1 and on 4 workers must produce the same
+    // points in the same order, down to the serialized bytes and the table.
+    let fig4 = viampi_bench::experiments::find("fig4_barrier_latency").unwrap();
     assert_eq!(
-        to_string_pretty(&serial),
-        to_string_pretty(&parallel),
-        "fig4 JSON must not depend on the worker count"
+        (fig4.run)(1),
+        (fig4.run)(4),
+        "fig4 must not depend on the worker count"
     );
 }
 
 #[test]
 fn npb_point_is_identical_under_jobs_1_and_n() {
     let instances = [(viampi_bench::experiments::Prog::Cg, Class::S, 8)];
-    runner::set_jobs(1);
-    let (_, serial) = viampi_bench::experiments::npb_figure("det_cg", Device::Clan, &instances);
-    runner::set_jobs(4);
-    let (_, parallel) = viampi_bench::experiments::npb_figure("det_cg", Device::Clan, &instances);
-    runner::set_jobs(0);
-    assert_eq!(
-        to_string_pretty(&serial),
-        to_string_pretty(&parallel),
-        "NPB JSON must not depend on the worker count"
-    );
-    // Clean up the scratch record the two npb_figure calls wrote.
-    let _ = std::fs::remove_file(viampi_bench::report::results_dir().join("det_cg.json"));
+    let run =
+        |jobs| viampi_bench::experiments::npb_figure("det_cg", Device::Clan, &instances, jobs);
+    assert_eq!(run(1), run(4), "NPB must not depend on the worker count");
 }
 
 fn pooled_ring_run(np: usize) -> RunReport<Option<f64>> {
@@ -144,15 +131,14 @@ fn pooled_exchange_is_bit_identical_across_repeats() {
 
 #[test]
 fn pooled_exchange_is_identical_under_jobs_1_and_n() {
-    let nps = vec![2usize, 4, 8];
-    runner::set_jobs(1);
-    let serial: Vec<String> =
-        runner::par_map(nps.clone(), |np| pooled_ring_run(np).metrics.render());
-    runner::set_jobs(4);
-    let parallel: Vec<String> = runner::par_map(nps, |np| pooled_ring_run(np).metrics.render());
-    runner::set_jobs(0);
+    let render = |jobs| {
+        par_map(jobs, vec![2usize, 4, 8], |np| {
+            pooled_ring_run(np).metrics.render()
+        })
+    };
     assert_eq!(
-        serial, parallel,
+        render(1),
+        render(4),
         "pooled-path metrics must not depend on the worker count"
     );
 }
@@ -179,13 +165,11 @@ fn fault_injected_outcome_is_bit_identical_across_repeats() {
 fn simcheck_batch_is_identical_under_jobs_1_and_n() {
     // A fault-injected simcheck batch fans out over the worker pool; the
     // outcomes and the summary must not depend on the worker count.
-    runner::set_jobs(1);
-    let (serial_outcomes, serial_summary) =
-        viampi_bench::simcheck::run_seeds(0, 16, viampi_bench::simcheck::FaultKind::Light);
-    runner::set_jobs(4);
-    let (parallel_outcomes, parallel_summary) =
-        viampi_bench::simcheck::run_seeds(0, 16, viampi_bench::simcheck::FaultKind::Light);
-    runner::set_jobs(0);
+    let batch = |jobs| {
+        viampi_bench::simcheck::run_seeds(0, 16, viampi_bench::simcheck::FaultKind::Light, jobs)
+    };
+    let (serial_outcomes, serial_summary) = batch(1);
+    let (parallel_outcomes, parallel_summary) = batch(4);
     assert_eq!(
         to_string_pretty(&serial_summary),
         to_string_pretty(&parallel_summary),
@@ -229,14 +213,14 @@ fn metrics_snapshot_is_byte_identical_across_repeats() {
 fn metrics_snapshot_is_identical_under_jobs_1_and_n() {
     // Runs fanned out over the worker pool must produce the same metrics
     // as the serial loop, in the same order, down to the rendered bytes.
-    let nps = vec![4usize, 8, 12, 16];
-    runner::set_jobs(1);
-    let serial: Vec<String> = runner::par_map(nps.clone(), |np| barrier_run(np).metrics.render());
-    runner::set_jobs(4);
-    let parallel: Vec<String> = runner::par_map(nps, |np| barrier_run(np).metrics.render());
-    runner::set_jobs(0);
+    let render = |jobs| {
+        par_map(jobs, vec![4usize, 8, 12, 16], |np| {
+            barrier_run(np).metrics.render()
+        })
+    };
     assert_eq!(
-        serial, parallel,
+        render(1),
+        render(4),
         "metrics must not depend on the worker count"
     );
 }
@@ -269,13 +253,14 @@ fn small_state(dir: &Path) -> PathBuf {
     path
 }
 
-fn campaign_cfg(dir: &Path, budget: u64) -> CampaignConfig {
+fn campaign_cfg(dir: &Path, budget: u64, jobs: usize) -> CampaignConfig {
     CampaignConfig {
         state_path: dir.join("state.json"),
         kind: FaultKind::Heavy,
         seeds_budget: Some(budget),
         timebox: None,
         corpus_path: Some(dir.join("corpus.seeds")),
+        jobs,
     }
 }
 
@@ -285,11 +270,9 @@ fn campaign_cfg(dir: &Path, budget: u64) -> CampaignConfig {
 fn campaign_bytes(label: &str, budget_steps: &[u64], jobs: usize) -> (String, Option<Vec<u8>>) {
     let dir = scratch_dir(label);
     small_state(&dir);
-    runner::set_jobs(jobs);
     for &budget in budget_steps {
-        run_campaign(&campaign_cfg(&dir, budget)).unwrap();
+        run_campaign(&campaign_cfg(&dir, budget, jobs)).unwrap();
     }
-    runner::set_jobs(0);
     let state = std::fs::read_to_string(dir.join("state.json")).unwrap();
     let corpus = std::fs::read(dir.join("corpus.seeds")).ok();
     let _ = std::fs::remove_dir_all(&dir);
@@ -369,9 +352,7 @@ fn campaign_summary_metrics_are_pinned() {
     // drift, and the values must equal the cumulative state counters.
     let dir = scratch_dir("metrics");
     small_state(&dir);
-    runner::set_jobs(1);
-    let report = run_campaign(&campaign_cfg(&dir, 40)).unwrap();
-    runner::set_jobs(0);
+    let report = run_campaign(&campaign_cfg(&dir, 40, 1)).unwrap();
     let names: Vec<&str> = report
         .summary
         .metrics
@@ -466,26 +447,10 @@ fn killed_campaign_resumes_to_one_shot_bytes() {
         return;
     }
     // Resume the killed checkpoint to 300 seeds...
-    runner::set_jobs(1);
-    run_campaign(&CampaignConfig {
-        state_path: state_path.clone(),
-        kind: FaultKind::Heavy,
-        seeds_budget: Some(300),
-        timebox: None,
-        corpus_path: Some(corpus_path.clone()),
-    })
-    .unwrap();
+    run_campaign(&campaign_cfg(&dir, 300, 1)).unwrap();
     // ...and run a never-killed 300-seed campaign from scratch.
     let fresh = scratch_dir("fresh");
-    run_campaign(&CampaignConfig {
-        state_path: fresh.join("state.json"),
-        kind: FaultKind::Heavy,
-        seeds_budget: Some(300),
-        timebox: None,
-        corpus_path: Some(fresh.join("corpus.seeds")),
-    })
-    .unwrap();
-    runner::set_jobs(0);
+    run_campaign(&campaign_cfg(&fresh, 300, 1)).unwrap();
     assert_eq!(
         std::fs::read_to_string(&state_path).unwrap(),
         std::fs::read_to_string(fresh.join("state.json")).unwrap(),
@@ -615,23 +580,6 @@ fn multivi_exchange_is_bit_identical_across_repeats() {
             "multi-VI metrics (S={vis}, T={threads}) must replay bit-identically"
         );
     }
-}
-
-#[test]
-fn multivi_fig9_json_is_identical_under_jobs_1_and_n() {
-    // The full fig9 grid at --jobs 1 and --jobs 4 must serialize to the
-    // same bytes (and, since it regenerates the committed record in
-    // place, to the committed bytes — the figure-identity CI job diffs).
-    runner::set_jobs(1);
-    let (_, serial) = viampi_bench::experiments::fig9();
-    runner::set_jobs(4);
-    let (_, parallel) = viampi_bench::experiments::fig9();
-    runner::set_jobs(0);
-    assert_eq!(
-        to_string_pretty(&serial),
-        to_string_pretty(&parallel),
-        "fig9 JSON must not depend on the worker count"
-    );
 }
 
 #[test]

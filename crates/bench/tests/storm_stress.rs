@@ -12,7 +12,7 @@
 //! * every message delivered exactly once, with no sender's stream lost,
 //!   duplicated, or reordered.
 
-use viampi_bench::runner::par_map;
+use viampi_bench::runner::{nproc, par_map};
 use viampi_core::{
     ChanState, ConnMode, Device, FaultProfile, Mpi, Universe, WaitPolicy, ANY_SOURCE,
 };
@@ -75,7 +75,7 @@ fn storm(mpi: &Mpi, m: u32) -> Vec<(usize, u32)> {
 
 #[test]
 fn any_source_storm_yields_one_vi_per_pair_and_no_duplicates() {
-    let outcomes = par_map((0..100u64).collect(), |seed| {
+    let outcomes = par_map(nproc(), (0..100u64).collect(), |seed| {
         let np = 4 + (seed % 5) as usize; // 3..=7 senders
         let m = MSGS_PER_SENDER;
         let mut uni = Universe::new(np, Device::Clan, ConnMode::OnDemand, WaitPolicy::Polling);

@@ -68,7 +68,7 @@
 //! before the one park that remains.
 
 use crate::error::{BlockedProc, SimError};
-use crate::fiber::{round_stack_size, FiberSet};
+use crate::fiber::FiberSet;
 use crate::queue::EventQueue;
 use crate::rng::SplitMix64;
 use crate::time::{SimDuration, SimTime};
@@ -81,25 +81,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// order — MPI layers use it directly as the rank).
 pub type ProcId = usize;
 
-/// Environment variable sizing every process's fiber stack, in bytes.
-const STACK_KNOB: &str = "VIAMPI_SM_STACK";
-
-/// Fiber stack bytes per process: [`STACK_KNOB`] if set, else 1 MiB, rounded
-/// up to whole pages. Stacks are lazily committed, so the default costs only
-/// address space until a rank actually recurses into it. A value that is not
-/// a byte count the fiber layer accepts is an error — silently running with
-/// the default would hide the typo until the overflow it was meant to
-/// prevent.
-fn stack_size(knob: Option<&str>) -> Result<usize, SimError> {
-    let asked = knob.map(str::trim).filter(|s| !s.is_empty());
-    asked
-        .map_or(Some(1 << 20), |s| s.parse::<usize>().ok())
-        .and_then(round_stack_size)
-        .ok_or_else(|| SimError::BadKnob {
-            name: STACK_KNOB,
-            value: asked.unwrap_or_default().to_string(),
-        })
-}
+/// Fiber stack bytes per process. Stacks are lazily committed, so this costs
+/// only address space until a rank actually recurses into it — and none
+/// does: the deepest park of the heaviest instance of every NPB program
+/// (class C at np = 32, class B at np = 16) sits 6.7–7.2 KB down, and 5 KB
+/// in every np = 256–4096 world, so nothing needs to size it per run.
+const STACK_BYTES: usize = 1 << 20;
 
 /// The simulated hardware/world state shared by all processes.
 ///
@@ -774,10 +761,8 @@ impl<W: World> Engine<W> {
 
     /// Run the simulation to completion on the calling thread. Returns the
     /// final world (for statistics extraction) and an [`Outcome`], or a
-    /// [`SimError`] if the simulated program deadlocked or panicked, or the
-    /// fiber stack size knob is malformed.
+    /// [`SimError`] if the simulated program deadlocked or panicked.
     pub fn run(self) -> Result<(W, Outcome), SimError> {
-        let stack = stack_size(std::env::var(STACK_KNOB).ok().as_deref())?;
         let n = self.bodies.len();
         let clocks: Rc<[Cell<SimTime>]> = (0..n).map(|_| Cell::new(SimTime::ZERO)).collect();
         let mut ready = ReadyHeap::with_capacity(n);
@@ -817,7 +802,7 @@ impl<W: World> Engine<W> {
             }),
             clocks,
             charged: Cell::new(false),
-            fibers: FiberSet::new(n, stack),
+            fibers: FiberSet::new(n, STACK_BYTES),
         });
 
         for (pid, (_name, body)) in self.bodies.into_iter().enumerate() {
@@ -1788,78 +1773,8 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Fiber stack size knob and the per-thread stack pool
+    // The per-thread stack pool
     // ------------------------------------------------------------------
-
-    #[test]
-    fn stack_size_knob_is_parsed_or_rejected() {
-        assert_eq!(stack_size(None).unwrap(), 1 << 20);
-        assert_eq!(stack_size(Some("")).unwrap(), 1 << 20);
-        assert_eq!(stack_size(Some(" 262144 ")).unwrap(), 262_144);
-        // Rounded up to whole pages, floored at 32 KiB.
-        assert_eq!(stack_size(Some("262145")).unwrap() % 4096, 0);
-        assert!(stack_size(Some("262145")).unwrap() > 262_145);
-        assert!(stack_size(Some("1")).unwrap() >= 32 << 10);
-        for bad in [
-            "64k",
-            "1MiB",
-            "-4096",
-            "0x10000",
-            "lots",
-            "1073741825",
-            "18446744073709551615",
-        ] {
-            match stack_size(Some(bad)) {
-                Err(SimError::BadKnob { name, value }) => {
-                    assert_eq!(name, "VIAMPI_SM_STACK");
-                    assert_eq!(value, bad);
-                }
-                other => panic!("{bad:?} must be rejected, got {other:?}"),
-            }
-        }
-    }
-
-    /// Child half of `malformed_stack_knob_fails_the_run`: the environment
-    /// is process-global, so the knob is only ever set on a re-executed
-    /// copy of this test binary. Inert otherwise.
-    #[test]
-    #[ignore = "child process of malformed_stack_knob_fails_the_run"]
-    fn child_runs_with_a_malformed_stack_knob() {
-        if std::env::var_os("ENGINE_TEST_CHILD").is_none() {
-            return;
-        }
-        let mut eng = Engine::new(MailWorld::new(1));
-        eng.spawn("p", |ctx| ctx.advance(SimDuration::micros(1)));
-        match eng.run() {
-            Err(e @ SimError::BadKnob { .. }) => {
-                assert_eq!(
-                    e.to_string(),
-                    "VIAMPI_SM_STACK=\"64k\" is not a usable size in bytes"
-                );
-            }
-            other => panic!("expected BadKnob, got {:?}", other.map(|(_, o)| o)),
-        }
-    }
-
-    #[test]
-    fn malformed_stack_knob_fails_the_run() {
-        let out = std::process::Command::new(std::env::current_exe().expect("test binary"))
-            .args([
-                "--exact",
-                "engine::tests::child_runs_with_a_malformed_stack_knob",
-            ])
-            .args(["--ignored", "--test-threads=1"])
-            .env("ENGINE_TEST_CHILD", "1")
-            .env("VIAMPI_SM_STACK", "64k")
-            .output()
-            .expect("re-execute the test binary");
-        assert!(
-            out.status.success(),
-            "child failed:\n{}{}",
-            String::from_utf8_lossy(&out.stdout),
-            String::from_utf8_lossy(&out.stderr)
-        );
-    }
 
     fn pool_metric(name: &str) -> u64 {
         crate::stack_pool_metrics()

@@ -31,15 +31,6 @@ pub enum SimError {
         /// Stringified panic payload.
         message: String,
     },
-    /// An environment knob the engine reads holds a value it cannot use.
-    /// Reported before anything runs, instead of silently falling back to
-    /// the default.
-    BadKnob {
-        /// The environment variable.
-        name: &'static str,
-        /// Its offending value.
-        value: String,
-    },
 }
 
 impl fmt::Display for SimError {
@@ -57,9 +48,6 @@ impl fmt::Display for SimError {
             }
             SimError::ProcPanic { name, message } => {
                 write!(f, "simulated process '{name}' panicked: {message}")
-            }
-            SimError::BadKnob { name, value } => {
-                write!(f, "{name}={value:?} is not a usable size in bytes")
             }
         }
     }

@@ -265,7 +265,7 @@ fn page_size() -> usize {
 
 /// Usable stack bytes a fiber gets for a request of `bytes`: at least
 /// [`MIN_STACK`], rounded up to whole pages; `None` above [`MAX_STACK`].
-pub fn round_stack_size(bytes: usize) -> Option<usize> {
+fn round_stack_size(bytes: usize) -> Option<usize> {
     (bytes <= MAX_STACK).then(|| bytes.max(MIN_STACK).next_multiple_of(page_size()))
 }
 
@@ -368,8 +368,8 @@ thread_local! {
 impl StackPool {
     /// A stack with `size` usable bytes: the most recently released one if
     /// it fits (its top pages are the likeliest to be resident and cached),
-    /// else a fresh mapping. Pooled stacks of another size — the stack-size
-    /// knob changed between runs — are unmapped as they surface.
+    /// else a fresh mapping. Pooled stacks of another size — a set built
+    /// with a different `bytes` — are unmapped as they surface.
     fn acquire(size: usize) -> Stack {
         POOL.with(|p| {
             let p = &mut *p.borrow_mut();
@@ -490,16 +490,15 @@ struct SetInner {
 const DRIVER: usize = usize::MAX;
 
 impl FiberSet {
-    /// A set of `n` fibers with `stack_size` usable stack bytes each — a
-    /// value [`round_stack_size`] returned. Bodies are registered with
+    /// A set of `n` fibers with `bytes` usable stack bytes each, as
+    /// [`round_stack_size`] rounds them. Bodies are registered with
     /// [`FiberSet::set_body`]; a stack is taken from the thread's pool at
     /// first resume and handed back when the set is dropped.
-    pub fn new(n: usize, stack_size: usize) -> Self {
-        // The frame builder and the guard arithmetic rely on this.
-        assert!(
-            (MIN_STACK..=MAX_STACK).contains(&stack_size) && stack_size.is_multiple_of(page_size()),
-            "fiber stack size {stack_size} did not come from round_stack_size"
-        );
+    pub fn new(n: usize, bytes: usize) -> Self {
+        // The frame builder and the guard arithmetic rely on whole pages
+        // within the bounds.
+        let stack_size = round_stack_size(bytes)
+            .unwrap_or_else(|| panic!("a {bytes}-byte fiber stack is beyond MAX_STACK"));
         FiberSet {
             inner: std::cell::UnsafeCell::new(SetInner {
                 slots: (0..n)
@@ -660,7 +659,7 @@ impl FiberSet {
         inner.stack_depth_peak = inner.stack_depth_peak.max(depth);
         assert!(
             stack.canary_intact(),
-            "fiber {i} overflowed its {}-byte stack; raise VIAMPI_SM_STACK",
+            "fiber {i} overflowed its {}-byte stack; raise engine::STACK_BYTES",
             stack.size,
         );
     }

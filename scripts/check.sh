@@ -1,41 +1,38 @@
 #!/usr/bin/env bash
-# Pre-PR gate: formatting, lints, the tier-1 build/test pair, the campaign
-# frontier and a smoke run of the repo benchmark, all offline (the build
-# environment has no crate registry — see DESIGN.md §3) and, for the
-# workspace, --locked, so a drifted Cargo.lock fails loudly instead of
-# resolving.
+# Pre-PR gate: formatting, lints, the tier-1 build/test pair, the record
+# identity check, the campaign frontier and a smoke run of the repo
+# benchmark, all offline (the build environment has no crate registry — see
+# DESIGN.md §3) and, for the workspace, --locked, so a drifted Cargo.lock
+# fails loudly instead of resolving.
 #
 # Usage:
-#   scripts/check.sh                       # the full gate (default)
-#   scripts/check.sh determinism [MODE]    # just the determinism suite,
-#                                          # MODE ∈ {default, multivi}
-#   scripts/check.sh campaign [SECS]       # long timeboxed simcheck
-#                                          # campaign (default 600 s),
-#                                          # resuming the committed state
+#   scripts/check.sh                  # the full gate (default)
+#   scripts/check.sh determinism      # just the determinism suite
+#   scripts/check.sh records          # regenerate every row of the
+#                                     # experiment table and byte-compare
+#                                     # it with the committed results/
+#   scripts/check.sh campaign [SECS]  # long timeboxed simcheck campaign
+#                                     # (default 600 s), resuming the
+#                                     # committed state
 #
-# The determinism and campaign stages are what CI's jobs call, so the
-# exact commands live here and can never drift from the workflows.
+# The determinism, records and campaign stages are what CI's jobs call, so
+# the exact commands live here and can never drift from the workflows.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 determinism_suite() {
-    # Test-name filter for the cargo test invocation; empty runs the
-    # whole suite. The multivi leg runs only the multi-VI striping tests
-    # (repeat, jobs-count and counter-name byte-equality at
-    # vis_per_peer ∈ {1,4}). There is one engine, so there is no mode
-    # environment to set.
-    filter=""
-    case "${1:-default}" in
-        default) ;;
-        multivi) filter="multivi" ;;
-        *)
-            echo "check.sh: unknown determinism mode '${1}'" >&2
-            exit 2
-            ;;
-    esac
-    echo "== determinism suite (mode: ${1:-default})"
-    # shellcheck disable=SC2086  # $filter is an optional bare test filter
-    cargo test --release --offline --locked -p viampi-bench --test determinism $filter
+    echo "== determinism suite"
+    cargo test --release --offline --locked -p viampi-bench --test determinism
+}
+
+# Every committed results/<name>.json against a fresh regeneration, writing
+# nothing; a row that differs prints `MOVED results/<name>.json` and fails
+# the stage. Twenty rows take 70–105 s on 2 cores, all but ~15 s of it the
+# two large-N rows, whose np = 1024 static worlds peak at 1.45 GB RSS each
+# — two at once on 2 workers: 2.9 GB measured for the process.
+records_stage() {
+    echo "== record identity: every experiment vs the committed results/"
+    cargo run -q --release --offline --locked -p viampi-bench --bin repro_all -- --check
 }
 
 # Timeboxed coverage-directed campaign for $1 seconds, resuming a scratch
@@ -55,7 +52,12 @@ campaign_stage() {
 }
 
 if [[ "${1:-all}" == "determinism" ]]; then
-    determinism_suite "${2:-default}"
+    determinism_suite
+    exit 0
+fi
+
+if [[ "${1:-all}" == "records" ]]; then
+    records_stage
     exit 0
 fi
 
@@ -76,6 +78,8 @@ cargo build --release --offline --locked
 
 echo "== tier-1: cargo test -q (offline, full workspace)"
 cargo test -q --offline --locked --workspace
+
+records_stage
 
 echo "== simcheck campaign frontier (timeboxed, resumes committed coverage)"
 campaign_stage 20
