@@ -12,7 +12,7 @@
 //! perf_gate --exact results/perf_exact.json [--bless]
 //! ```
 
-use viampi_bench::json::{self, to_string_pretty};
+use viampi_bench::json::to_string_pretty;
 use viampi_bench::report::{fmt, table};
 use viampi_core::{ConnMode, Device, RunReport, Universe, WaitPolicy};
 use viampi_npb::llc;
@@ -74,60 +74,30 @@ fn measure_exact() -> Vec<ExactCount> {
     ]
 }
 
-fn read_exact(path: &str) -> Vec<ExactCount> {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("read {path}: {e}")));
-    let doc = json::parse(&text).unwrap_or_else(|e| die(&format!("{path}: {e}")));
-    let field = |v: &json::Value, k: &str| {
-        v.get(k)
-            .and_then(json::Value::as_u64)
-            .unwrap_or_else(|| die(&format!("{path}: record without an integer `{k}`")))
-    };
-    doc.as_arr()
-        .unwrap_or_else(|| die(&format!("{path}: expected an array of records")))
-        .iter()
-        .map(|v| ExactCount {
-            name: v
-                .get("name")
-                .and_then(json::Value::as_str)
-                .unwrap_or_else(|| die(&format!("{path}: record without a `name`")))
-                .to_string(),
-            count: field(v, "count"),
-            per: field(v, "per"),
-        })
-        .collect()
-}
-
-/// Measure, then compare with `==` (or rewrite the record when blessing).
+/// Measure, then compare the rendering byte for byte with the committed
+/// record (or rewrite the record when blessing).
 fn gate(path: &str, bless: bool) {
     let now = measure_exact();
+    let current = to_string_pretty(&now);
     if bless {
-        std::fs::write(path, to_string_pretty(&now))
-            .unwrap_or_else(|e| die(&format!("write {path}: {e}")));
+        std::fs::write(path, &current).unwrap_or_else(|e| die(&format!("write {path}: {e}")));
         println!("perf gate: exact record written to {path}");
     }
-    let committed = read_exact(path);
-    let mut rows = Vec::new();
-    let mut failed = committed.len() != now.len();
-    for m in &now {
-        let c = committed.iter().find(|c| c.name == m.name);
-        let same = c.is_some_and(|c| (c.count, c.per) == (m.count, m.per));
-        failed |= !same;
-        rows.push(vec![
-            m.name.clone(),
-            c.map_or("-".into(), |c| format!("{} / {}", c.count, c.per)),
-            format!("{} / {}", m.count, m.per),
-            fmt(m.count as f64 / m.per as f64),
-            if same { "ok" } else { "MOVED" }.into(),
-        ]);
-    }
-    println!(
-        "{}",
-        table(
-            &["exact count", "committed", "current", "ratio", "status"],
-            &rows
-        )
-    );
-    if failed {
+    let committed =
+        std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("read {path}: {e}")));
+    let rows: Vec<Vec<String>> = now
+        .iter()
+        .map(|m| {
+            vec![
+                m.name.clone(),
+                format!("{} / {}", m.count, m.per),
+                fmt(m.count as f64 / m.per as f64),
+            ]
+        })
+        .collect();
+    println!("{}", table(&["exact count", "current", "ratio"], &rows));
+    if current != committed {
+        eprintln!("committed {path}:\n{committed}\ncurrent:\n{current}");
         eprintln!(
             "perf_gate: FAIL exact counts differ from {path}; if the change is \
              deliberate, re-run with --bless and commit the record"

@@ -7,7 +7,7 @@
 //! ```text
 //! simcheck [--seeds N] [--start S] [--fault none|light|heavy] [--jobs J]
 //! simcheck --replay KEY [--fault ...]
-//! simcheck --campaign STATE.json [--seeds BUDGET] [--timebox SECS]
+//! simcheck --campaign [--start S] [--seeds BUDGET | --timebox SECS]
 //!          [--fault ...] [--jobs J] [--corpus FILE] [--summary-out FILE]
 //! ```
 //!
@@ -16,17 +16,19 @@
 //! `results/simcheck.json`, is the `simcheck` row of `repro_all`. The exit
 //! code is nonzero on any violation.
 //!
-//! Campaign mode runs (or resumes) the coverage-directed engine in
-//! `viampi_bench::campaign`: shards are checkpointed to the state file as
-//! they commit, so a killed campaign resumes without re-running committed
-//! work, and the resumed state is byte-identical to a one-shot run.
+//! Campaign mode runs the coverage-directed engine in
+//! `viampi_bench::campaign` from root seed `--start` (default 0, below
+//! 2⁴⁸) in memory; a budgeted campaign's totals do not depend on `--jobs`.
+//! Its summary names `start` and `next_start`, the `--start` of a campaign
+//! that continues where this one stopped. A `--replay` key whose tag names
+//! no scenario axis is refused (exit 2).
 
 use viampi_bench::campaign::{default_corpus_path, run_campaign, CampaignConfig};
 use viampi_bench::json::to_string_pretty;
 use viampi_bench::report::fmt;
 use viampi_bench::runner;
 use viampi_bench::simcheck::{
-    batch_output, describe_key, run_key, run_seeds, FaultKind, SeedOutcome,
+    batch_output, describe_key, key, run_key, run_seeds, FaultKind, SeedOutcome,
 };
 
 struct Args {
@@ -35,7 +37,7 @@ struct Args {
     start: u64,
     fault: FaultKind,
     replay: Option<u64>,
-    campaign: Option<std::path::PathBuf>,
+    campaign: bool,
     timebox: Option<f64>,
     corpus: Option<std::path::PathBuf>,
     summary_out: Option<std::path::PathBuf>,
@@ -49,7 +51,7 @@ fn parse_args() -> Args {
         start: 0,
         fault: FaultKind::Heavy,
         replay: None,
-        campaign: None,
+        campaign: false,
         timebox: None,
         corpus: None,
         summary_out: None,
@@ -93,8 +95,8 @@ fn parse_args() -> Args {
                 i += 2;
             }
             "--campaign" => {
-                args.campaign = Some(value(&argv, i, "--campaign").into());
-                i += 2;
+                args.campaign = true;
+                i += 1;
             }
             "--timebox" => {
                 args.timebox = Some(
@@ -116,7 +118,7 @@ fn parse_args() -> Args {
                 println!(
                     "usage: simcheck [--seeds N] [--start S] \
                      [--fault none|light|heavy] [--jobs J] [--replay KEY]\n       \
-                     simcheck --campaign STATE.json [--seeds BUDGET] [--timebox SECS] \
+                     simcheck --campaign [--start S] [--seeds BUDGET] [--timebox SECS] \
                      [--corpus FILE] [--summary-out FILE]"
                 );
                 std::process::exit(0);
@@ -139,7 +141,7 @@ fn describe(o: &SeedOutcome) -> String {
     )
 }
 
-fn run_campaign_cli(args: &Args, state_path: std::path::PathBuf) -> ! {
+fn run_campaign_cli(args: &Args) -> ! {
     // Without an explicit stop condition a campaign would explore forever;
     // default to a one-minute timebox.
     let timebox = match (args.seeds, args.timebox) {
@@ -150,8 +152,8 @@ fn run_campaign_cli(args: &Args, state_path: std::path::PathBuf) -> ! {
         _ => args.timebox,
     };
     let cfg = CampaignConfig {
-        state_path,
         kind: args.fault,
+        start: args.start,
         seeds_budget: args.seeds,
         timebox,
         corpus_path: args.corpus.clone(),
@@ -162,14 +164,25 @@ fn run_campaign_cli(args: &Args, state_path: std::path::PathBuf) -> ! {
         Err(e) => die(&e),
     };
     let s = &report.summary;
-    let new_corpus = s.corpus_new;
     println!(
-        "campaign ({} fault, {} jobs): {} keys this run in {:.1}s ({:.0} seeds/hour), stopped: {}",
-        s.fault, s.jobs, s.seeds_this_run, s.wall_secs, s.seeds_per_hour, s.stopped
+        "campaign ({} fault, {} jobs) from start {}: {} keys in {:.1}s ({:.0} seeds/hour), \
+         stopped: {}, next start {}",
+        s.fault,
+        s.jobs,
+        s.start,
+        report.state.seeds_run,
+        s.wall_secs,
+        s.seeds_per_hour,
+        s.stopped,
+        s.next_start
     );
     println!(
         "  corpus: {} replayed, {} still violating, {} new minimized entries",
-        s.corpus_replayed, s.corpus_open, new_corpus
+        s.corpus_replayed, s.corpus_open, s.corpus_new
+    );
+    println!(
+        "  {} events, {} faults injected, {} retries",
+        report.state.events, report.state.faults_injected, report.state.conn_retries
     );
     for line in &s.metrics {
         println!("  {} = {}", line.name, line.value);
@@ -181,10 +194,8 @@ fn run_campaign_cli(args: &Args, state_path: std::path::PathBuf) -> ! {
         }
         println!("  replay: simcheck --replay {} --fault {}", o.seed, o.fault);
     }
-    if new_corpus > 0 {
-        for line in report.state.corpus.iter().rev().take(new_corpus as usize) {
-            println!("NEW VIOLATION (minimized): {line}");
-        }
+    for line in &report.state.corpus {
+        println!("NEW VIOLATION (minimized): {line}");
     }
     match &args.summary_out {
         Some(path) => {
@@ -195,7 +206,6 @@ fn run_campaign_cli(args: &Args, state_path: std::path::PathBuf) -> ! {
         }
         None => println!("campaign summary:\n{}", to_string_pretty(s)),
     }
-    println!("campaign state: {}", cfg.state_path.display());
     println!(
         "corpus file: {}",
         cfg.corpus_path
@@ -203,7 +213,7 @@ fn run_campaign_cli(args: &Args, state_path: std::path::PathBuf) -> ! {
             .unwrap_or_else(default_corpus_path)
             .display()
     );
-    if s.corpus_open > 0 || new_corpus > 0 {
+    if s.corpus_open > 0 || s.corpus_new > 0 {
         std::process::exit(1);
     }
     std::process::exit(0);
@@ -213,6 +223,7 @@ fn main() {
     let args = parse_args();
 
     if let Some(k) = args.replay {
+        key::check(k).unwrap_or_else(|e| die(&e));
         print!("{}", describe_key(k, args.fault));
         let o = run_key(k, args.fault);
         println!(
@@ -239,8 +250,8 @@ fn main() {
         return;
     }
 
-    if let Some(state_path) = args.campaign.clone() {
-        run_campaign_cli(&args, state_path);
+    if args.campaign {
+        run_campaign_cli(&args);
     }
 
     let seeds = args.seeds.unwrap_or(1000);

@@ -1,22 +1,21 @@
-//! Sharded, resumable, coverage-directed simcheck campaign engine.
+//! Coverage-directed simcheck campaign engine.
 //!
-//! A campaign sweeps the scenario-key space (see [`crate::simcheck::key`])
-//! in deterministic units of work:
+//! A campaign is a pure, in-memory function of its fault intensity, where
+//! it starts (the first root seed) and its budget. It sweeps the
+//! scenario-key space (see [`crate::simcheck::key`]) in deterministic units
+//! of work:
 //!
-//! * **batches** of [`CampaignState::batch_roots`] consecutive plain root
-//!   seeds;
+//! * **batches** of [`BATCH_ROOTS`] consecutive plain root seeds;
 //! * each batch runs up to three **rounds** — the roots themselves, then
 //!   children spawned from rare-coverage hits, then grandchildren;
-//! * each round is cut into fixed-size **shards**, executed by the worker
-//!   pool ([`crate::runner::shard_map`]) but folded into the cumulative
-//!   state **strictly in shard order** and checkpointed to disk after every
-//!   shard.
+//! * each round executes on the worker pool ([`crate::runner::par_map`])
+//!   and is folded into the cumulative state in key order.
 //!
-//! Because folding is in-order and the checkpoint is atomic (write to a
-//! temp file, then rename), killing a campaign at any instant leaves a
-//! state file equal to some shard-boundary prefix of the serial run, and
-//! resuming completes the identical work sequence: a killed-and-resumed
-//! campaign is **byte-identical** to a one-shot run at any `--jobs` count.
+//! The seed budget and the timebox are checked between rounds, so a
+//! budgeted campaign's coverage map, counters and corpus lines are the
+//! same at any `--jobs` count. Nothing is persisted but the minimized
+//! corpus: the summary's `next_start` — the first root of the first batch
+//! not finished — is where a later campaign continues.
 //!
 //! Coverage is a map from deterministic per-run signatures (np band,
 //! program, device, connection mode, wait policy, fired-fault mix, retry
@@ -27,8 +26,7 @@
 //! appended to the on-disk corpus (`tests/corpus/minimized.seeds`), which
 //! every campaign invocation replays before exploring new keys.
 
-use crate::json::{self, emit_object, to_string_pretty, ToJson, Value};
-use crate::runner::{par_map, shard_map};
+use crate::runner::par_map;
 use crate::simcheck::{key, run_key, shrink_key, Axis, FaultKind, SeedOutcome};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -37,35 +35,17 @@ use viampi_sim::SplitMix64;
 
 /// Salt of the child-spawn RNG stream (keyed by the parent key).
 const CHILD_SALT: u64 = 0xC41D_0FF5_0C4A_FE02;
+/// Root seeds per batch.
+pub const BATCH_ROOTS: u64 = 256;
 /// Rounds per batch: roots, children, grandchildren.
 const MAX_ROUNDS: u64 = 3;
 /// Cap on children queued per round (bounds round growth).
 const MAX_CHILDREN_PER_ROUND: usize = 512;
 
-/// The whole persistent campaign state — everything needed to resume, and
-/// nothing wall-clock-dependent, so the file is byte-stable across worker
-/// counts and kill/resume splits.
-#[derive(Debug, Clone, PartialEq)]
+/// What a campaign has folded so far. Nothing wall-clock-dependent, so it
+/// is the same at any worker count.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CampaignState {
-    /// Fault intensity of the campaign (`none`/`light`/`heavy`).
-    pub fault: String,
-    /// First root seed of batch 0.
-    pub origin: u64,
-    /// Root seeds per batch.
-    pub batch_roots: u64,
-    /// Keys per shard (the checkpoint granularity).
-    pub shard_size: u64,
-    /// Current batch index.
-    pub batch: u64,
-    /// Current round within the batch (0 = roots).
-    pub round: u64,
-    /// Next shard index to commit within the current round.
-    pub shard: u64,
-    /// Keys of the current round (persisted: child rounds are not
-    /// recomputable without re-running their parents).
-    pub round_keys: Vec<u64>,
-    /// Children spawned so far by the current round's commits.
-    pub pending_children: Vec<u64>,
     /// Scenario keys executed (roots, children and shrink probes).
     pub seeds_run: u64,
     /// Child keys spawned from rare-signature hits.
@@ -74,187 +54,17 @@ pub struct CampaignState {
     pub shrink_steps: u64,
     /// Violating keys found (pre-shrink).
     pub violations: u64,
-    /// Engine events across all committed runs.
+    /// Engine events across all folded runs.
     pub events: u64,
-    /// Faults injected across all committed runs.
+    /// Faults injected across all folded runs.
     pub faults_injected: u64,
-    /// Connection retries across all committed runs.
+    /// Connection retries across all folded runs.
     pub conn_retries: u64,
-    /// Cumulative coverage map: signature → hit count (sorted, so the
-    /// serialized state is byte-stable).
+    /// Coverage map: signature → hit count.
     pub coverage: BTreeMap<String, u64>,
-    /// Minimized-corpus lines (`<key> <fault>  # <signature>`), mirroring
-    /// what was appended to the corpus file.
+    /// Minimized-corpus lines (`<key> <fault>  # <signature>`) this
+    /// campaign appended to the corpus file.
     pub corpus: Vec<String>,
-}
-
-impl CampaignState {
-    /// A fresh campaign at `origin` with default batch/shard geometry.
-    pub fn new(kind: FaultKind, origin: u64) -> CampaignState {
-        let batch_roots = 256;
-        CampaignState {
-            fault: kind.name().to_string(),
-            origin,
-            batch_roots,
-            shard_size: 32,
-            batch: 0,
-            round: 0,
-            shard: 0,
-            round_keys: (origin..origin + batch_roots).collect(),
-            pending_children: Vec::new(),
-            seeds_run: 0,
-            derived_seeds: 0,
-            shrink_steps: 0,
-            violations: 0,
-            events: 0,
-            faults_injected: 0,
-            conn_retries: 0,
-            coverage: BTreeMap::new(),
-            corpus: Vec::new(),
-        }
-    }
-
-    /// Advance past a fully committed round: into the next round of this
-    /// batch if children are pending (and rounds remain), else into the
-    /// next batch's roots.
-    fn advance_round(&mut self) {
-        self.shard = 0;
-        if self.round + 1 < MAX_ROUNDS && !self.pending_children.is_empty() {
-            self.round += 1;
-            self.round_keys = std::mem::take(&mut self.pending_children);
-        } else {
-            self.pending_children.clear();
-            self.batch += 1;
-            self.round = 0;
-            let start = self.origin + self.batch * self.batch_roots;
-            self.round_keys = (start..start + self.batch_roots).collect();
-        }
-    }
-
-    /// Parse a state file's JSON.
-    pub fn from_json(text: &str) -> Result<CampaignState, String> {
-        let v = json::parse(text)?;
-        let s = |k: &str| -> Result<String, String> {
-            Ok(v.get(k)
-                .and_then(Value::as_str)
-                .ok_or_else(|| format!("missing string field '{k}'"))?
-                .to_string())
-        };
-        let n = |k: &str| -> Result<u64, String> {
-            v.get(k)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("missing integer field '{k}'"))
-        };
-        let keys = |k: &str| -> Result<Vec<u64>, String> {
-            v.get(k)
-                .and_then(Value::as_arr)
-                .ok_or_else(|| format!("missing array field '{k}'"))?
-                .iter()
-                .map(|x| x.as_u64().ok_or_else(|| format!("non-integer in '{k}'")))
-                .collect()
-        };
-        let version = n("version")?;
-        if version != 1 {
-            return Err(format!("unsupported campaign state version {version}"));
-        }
-        let mut coverage = BTreeMap::new();
-        match v.get("coverage") {
-            Some(Value::Obj(fields)) => {
-                for (sig, count) in fields {
-                    let c = count
-                        .as_u64()
-                        .ok_or_else(|| format!("non-integer coverage count for '{sig}'"))?;
-                    coverage.insert(sig.clone(), c);
-                }
-            }
-            _ => return Err("missing object field 'coverage'".to_string()),
-        }
-        let corpus = v
-            .get("corpus")
-            .and_then(Value::as_arr)
-            .ok_or("missing array field 'corpus'")?
-            .iter()
-            .map(|x| {
-                x.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| "non-string corpus line".to_string())
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(CampaignState {
-            fault: s("fault")?,
-            origin: n("origin")?,
-            batch_roots: n("batch_roots")?,
-            shard_size: n("shard_size")?,
-            batch: n("batch")?,
-            round: n("round")?,
-            shard: n("shard")?,
-            round_keys: keys("round_keys")?,
-            pending_children: keys("pending_children")?,
-            seeds_run: n("seeds_run")?,
-            derived_seeds: n("derived_seeds")?,
-            shrink_steps: n("shrink_steps")?,
-            violations: n("violations")?,
-            events: n("events")?,
-            faults_injected: n("faults_injected")?,
-            conn_retries: n("conn_retries")?,
-            coverage,
-            corpus,
-        })
-    }
-
-    /// Atomically checkpoint to `path` (temp file + rename, so a kill can
-    /// never leave a torn state file).
-    pub fn checkpoint(&self, path: &Path) -> std::io::Result<()> {
-        let tmp = path.with_extension("json.tmp");
-        std::fs::write(&tmp, to_string_pretty(self))?;
-        std::fs::rename(&tmp, path)
-    }
-}
-
-/// Coverage map emitted as a JSON object (signature → count).
-struct CoverageJson<'a>(&'a BTreeMap<String, u64>);
-
-impl ToJson for CoverageJson<'_> {
-    fn emit(&self, out: &mut String, indent: usize) {
-        let pairs: Vec<(&str, &dyn ToJson)> = self
-            .0
-            .iter()
-            .map(|(k, v)| (k.as_str(), v as &dyn ToJson))
-            .collect();
-        emit_object(out, indent, &pairs);
-    }
-}
-
-impl ToJson for CampaignState {
-    fn emit(&self, out: &mut String, indent: usize) {
-        let version = 1u64;
-        let coverage = CoverageJson(&self.coverage);
-        emit_object(
-            out,
-            indent,
-            &[
-                ("version", &version),
-                ("fault", &self.fault),
-                ("origin", &self.origin),
-                ("batch_roots", &self.batch_roots),
-                ("shard_size", &self.shard_size),
-                ("batch", &self.batch),
-                ("round", &self.round),
-                ("shard", &self.shard),
-                ("round_keys", &self.round_keys),
-                ("pending_children", &self.pending_children),
-                ("seeds_run", &self.seeds_run),
-                ("derived_seeds", &self.derived_seeds),
-                ("shrink_steps", &self.shrink_steps),
-                ("violations", &self.violations),
-                ("events", &self.events),
-                ("faults_injected", &self.faults_injected),
-                ("conn_retries", &self.conn_retries),
-                ("coverage", &coverage),
-                ("corpus", &self.corpus),
-            ],
-        );
-    }
 }
 
 crate::record! {
@@ -269,17 +79,19 @@ crate::record! {
 
 crate::record! {
     /// Summary of one campaign invocation (`simcheck --summary-out`, or
-    /// stdout). Wall-clock fields live here — never in the state file — so
-    /// the state stays byte-stable.
+    /// stdout). The only place wall-clock fields live.
     pub struct CampaignSummary {
         /// Fault intensity.
         fault: String,
         /// Worker count in effect.
         jobs: usize,
+        /// First root seed explored.
+        start: u64,
+        /// First root of the first batch not finished: `--start` for a
+        /// campaign that continues where this one stopped.
+        next_start: u64,
         /// Wall-clock seconds of this invocation.
         wall_secs: f64,
-        /// Keys executed by this invocation (including shrink probes).
-        seeds_this_run: u64,
         /// Throughput of this invocation.
         seeds_per_hour: f64,
         /// Why the invocation stopped (`budget`, `timebox`).
@@ -290,15 +102,15 @@ crate::record! {
         corpus_open: u64,
         /// Minimized lines appended to the corpus by this invocation.
         corpus_new: u64,
-        /// Cumulative totals as `sim.campaign.*` metric entries (from the
+        /// Totals as `sim.campaign.*` metric entries (from the
         /// `metric_defs!` registry, pinned by the determinism suite).
         metrics: Vec<MetricLine>,
     }
 }
 
-/// Render the cumulative state counters through the
-/// `viampi_sim::metrics::campaign` registry, so the summary's metric names
-/// are the registry's — not ad-hoc strings.
+/// Render the state counters through the `viampi_sim::metrics::campaign`
+/// registry, so the summary's metric names are the registry's — not
+/// ad-hoc strings.
 pub fn campaign_metrics(state: &CampaignState) -> Vec<MetricLine> {
     use viampi_sim::metrics::campaign as m;
     let mut reg = m::registry();
@@ -319,25 +131,25 @@ pub fn campaign_metrics(state: &CampaignState) -> Vec<MetricLine> {
 
 /// Configuration of one campaign invocation.
 pub struct CampaignConfig {
-    /// State-file path (created if absent).
-    pub state_path: PathBuf,
-    /// Fault intensity (must match a resumed state's).
+    /// Fault intensity.
     pub kind: FaultKind,
-    /// Stop once `seeds_run` reaches this (checked at shard boundaries, so
-    /// the stopping point is deterministic).
+    /// First root seed of batch 0; below 2⁴⁸, the width of a key's root
+    /// field.
+    pub start: u64,
+    /// Stop once `seeds_run` reaches this (checked between rounds, so the
+    /// stopping point is deterministic).
     pub seeds_budget: Option<u64>,
-    /// Stop after this many wall-clock seconds (checked at shard
-    /// boundaries; the state is a valid prefix wherever it lands).
+    /// Stop after this many wall-clock seconds (checked between rounds).
     pub timebox: Option<f64>,
     /// Minimized-corpus file (default `tests/corpus/minimized.seeds`).
     pub corpus_path: Option<PathBuf>,
-    /// Worker count. The state and corpus bytes do not depend on it.
+    /// Worker count. The state and the corpus lines do not depend on it.
     pub jobs: usize,
 }
 
 /// Result of one campaign invocation.
 pub struct CampaignReport {
-    /// Final (checkpointed) state.
+    /// What the campaign folded.
     pub state: CampaignState,
     /// The invocation summary.
     pub summary: CampaignSummary,
@@ -387,48 +199,49 @@ fn spawn_children(k: u64, out: &mut Vec<u64>) -> u64 {
 }
 
 /// Fold one finished run into the state: coverage, counters, child
-/// spawning, and — on violation — shrinking plus corpus append. `known`
-/// holds every corpus line already on disk or in the state, so a
-/// violation rediscovered after the state file was reset is not appended
+/// spawning into `children` (none in a batch's last round), and — on
+/// violation — shrinking plus corpus append. `known` holds every corpus
+/// line already in the file, so a rediscovered violation is not appended
 /// twice.
 fn fold_outcome(
     state: &mut CampaignState,
     kind: FaultKind,
     o: &SeedOutcome,
+    children: Option<&mut Vec<u64>>,
     corpus_path: &Path,
     known: &mut Vec<String>,
-) {
+) -> Result<(), String> {
     state.seeds_run += 1;
     state.events += o.events;
     state.faults_injected += o.faults_injected;
     state.conn_retries += o.conn_retries;
     let hits = state.coverage.entry(o.signature.clone()).or_insert(0);
     *hits += 1;
-    let first_hit = *hits == 1;
-    if first_hit && state.round + 1 < MAX_ROUNDS {
-        state.derived_seeds += spawn_children(o.seed, &mut state.pending_children);
+    if let (1, Some(children)) = (*hits, children) {
+        state.derived_seeds += spawn_children(o.seed, children);
     }
-    if !o.violations.is_empty() {
-        state.violations += 1;
-        // Minimize while it still fails; every probe counts as a seed run.
-        let mut probes = 0u64;
-        let (min_key, steps) = shrink_key(o.seed, &mut |k| {
-            probes += 1;
-            !run_key(k, kind).violations.is_empty()
-        });
-        state.shrink_steps += steps;
-        state.seeds_run += probes;
-        let min_sig = run_key(min_key, kind).signature;
-        state.seeds_run += 1;
-        let line = format!("{min_key} {}  # {}", kind.name(), min_sig);
-        if !state.corpus.contains(&line) {
-            state.corpus.push(line.clone());
-        }
-        if !known.contains(&line) {
-            known.push(line.clone());
-            append_corpus_line(corpus_path, &line);
-        }
+    if o.violations.is_empty() {
+        return Ok(());
     }
+    state.violations += 1;
+    // Minimize while it still fails; every probe counts as a seed run.
+    let mut probes = 0u64;
+    let (min_key, steps) = shrink_key(o.seed, &mut |k| {
+        probes += 1;
+        !run_key(k, kind).violations.is_empty()
+    });
+    state.shrink_steps += steps;
+    state.seeds_run += probes;
+    let min_sig = run_key(min_key, kind).signature;
+    state.seeds_run += 1;
+    let line = format!("{min_key} {}  # {}", kind.name(), min_sig);
+    if !known.contains(&line) {
+        append_corpus_line(corpus_path, &line)
+            .map_err(|e| format!("append to {}: {e}", corpus_path.display()))?;
+        known.push(line.clone());
+        state.corpus.push(line);
+    }
+    Ok(())
 }
 
 /// Non-comment corpus-file lines (`<key> <fault>  # ...`), in file order;
@@ -448,68 +261,53 @@ fn corpus_file_lines(path: &Path) -> Vec<String> {
 /// Append one line to the minimized corpus file, creating it (with a
 /// header) on the first violation. The file is never created empty: the
 /// corpus replay test treats an empty `*.seeds` file as an error.
-fn append_corpus_line(path: &Path, line: &str) {
+fn append_corpus_line(path: &Path, line: &str) -> std::io::Result<()> {
     use std::io::Write;
     if let Some(dir) = path.parent() {
-        let _ = std::fs::create_dir_all(dir);
+        std::fs::create_dir_all(dir)?;
     }
     let fresh = !path.exists();
-    if let Ok(mut f) = std::fs::OpenOptions::new()
+    let mut f = std::fs::OpenOptions::new()
         .create(true)
         .append(true)
-        .open(path)
-    {
-        if fresh {
-            let _ = writeln!(
-                f,
-                "# Minimized violation corpus (campaign shrinker output).\n\
-                 # <key> <fault>  # <coverage signature at minimization time>"
-            );
-        }
-        let _ = writeln!(f, "{line}");
+        .open(path)?;
+    if fresh {
+        writeln!(
+            f,
+            "# Minimized violation corpus (campaign shrinker output).\n\
+             # <key> <fault>  # <coverage signature at minimization time>"
+        )?;
     }
+    writeln!(f, "{line}")
 }
 
-/// Run (or resume) a campaign. Replays the minimized corpus first, then
-/// explores shards until the seed budget or timebox is hit.
+/// Run a campaign. Replays the minimized corpus first, then explores
+/// batches from `cfg.start` until the seed budget or timebox is hit.
 pub fn run_campaign(cfg: &CampaignConfig) -> Result<CampaignReport, String> {
     let t0 = Instant::now();
-    let corpus_path = cfg.corpus_path.clone().unwrap_or_else(default_corpus_path);
-    let mut state = match std::fs::read_to_string(&cfg.state_path) {
-        Ok(text) => {
-            let st = CampaignState::from_json(&text)
-                .map_err(|e| format!("{}: {e}", cfg.state_path.display()))?;
-            if st.fault != cfg.kind.name() {
-                return Err(format!(
-                    "state {} is a '{}' campaign, got --fault {}",
-                    cfg.state_path.display(),
-                    st.fault,
-                    cfg.kind.name()
-                ));
-            }
-            st
-        }
-        Err(_) => CampaignState::new(cfg.kind, 0),
-    };
-
-    // Stage 1: always replay the full minimized corpus first — the
-    // on-disk file plus any state entries not yet written there. Replays
-    // are reporting-only — they never touch the deterministic state.
-    let mut known = corpus_file_lines(&corpus_path);
-    for line in &state.corpus {
-        if !known.contains(line) {
-            known.push(line.clone());
-        }
+    if cfg.start > key::ROOT_MASK {
+        return Err(format!(
+            "start {} is not below 2^48 (the root field of a key)",
+            cfg.start
+        ));
     }
-    let corpus_keys: Vec<(u64, FaultKind)> = known
-        .iter()
-        .filter_map(|line| {
-            let mut parts = line.split('#').next().unwrap().split_whitespace();
-            let k: u64 = parts.next()?.parse().ok()?;
-            let kind = FaultKind::parse(parts.next()?)?;
-            Some((k, kind))
-        })
-        .collect();
+    let corpus_path = cfg.corpus_path.clone().unwrap_or_else(default_corpus_path);
+
+    // Stage 1: replay the full minimized corpus. Replays are
+    // reporting-only — they never touch the state.
+    let mut known = corpus_file_lines(&corpus_path);
+    let mut corpus_keys = Vec::new();
+    for line in &known {
+        let mut parts = line.split('#').next().unwrap().split_whitespace();
+        let (Some(k), Some(kind)) = (
+            parts.next().and_then(|s| s.parse::<u64>().ok()),
+            parts.next().and_then(FaultKind::parse),
+        ) else {
+            continue;
+        };
+        key::check(k).map_err(|e| format!("{}: {e}", corpus_path.display()))?;
+        corpus_keys.push((k, kind));
+    }
     let corpus_replayed = corpus_keys.len() as u64;
     let corpus_open: Vec<SeedOutcome> =
         par_map(cfg.jobs, corpus_keys, |(k, kind)| run_key(k, kind))
@@ -517,104 +315,51 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Result<CampaignReport, String> {
             .filter(|o| !o.violations.is_empty())
             .collect();
 
-    // Stage 2: frontier exploration, shard by shard.
-    let seeds_at_start = state.seeds_run;
-    let stopped;
-    loop {
-        if let Some(budget) = cfg.seeds_budget {
-            if state.seeds_run >= budget {
-                stopped = "budget";
+    // Stage 2: frontier exploration, batch by batch, round by round.
+    let mut state = CampaignState::default();
+    let mut batch = cfg.start;
+    let stopped = 'explore: loop {
+        let mut round_keys: Vec<u64> = (batch..batch + BATCH_ROOTS).collect();
+        for round in 1..=MAX_ROUNDS {
+            if cfg.seeds_budget.is_some_and(|b| state.seeds_run >= b) {
+                break 'explore "budget";
+            }
+            if cfg
+                .timebox
+                .is_some_and(|tb| t0.elapsed().as_secs_f64() >= tb)
+            {
+                break 'explore "timebox";
+            }
+            let outcomes = par_map(cfg.jobs, round_keys, |k| run_key(k, cfg.kind));
+            let mut children = Vec::new();
+            for o in &outcomes {
+                let spawn = (round < MAX_ROUNDS).then_some(&mut children);
+                fold_outcome(&mut state, cfg.kind, o, spawn, &corpus_path, &mut known)?;
+            }
+            if children.is_empty() {
                 break;
             }
+            round_keys = children;
         }
-        if let Some(tb) = cfg.timebox {
-            if t0.elapsed().as_secs_f64() >= tb {
-                stopped = "timebox";
-                break;
-            }
-        }
-        let shard_size = state.shard_size.max(1) as usize;
-        let chunks: Vec<Vec<u64>> = state
-            .round_keys
-            .chunks(shard_size)
-            .skip(state.shard as usize)
-            .map(<[u64]>::to_vec)
-            .collect();
-        if chunks.is_empty() {
-            state.advance_round();
-            state
-                .checkpoint(&cfg.state_path)
-                .map_err(|e| format!("checkpoint {}: {e}", cfg.state_path.display()))?;
-            continue;
-        }
-        let kind = cfg.kind;
-        let mut checkpoint_err = None;
-        let mut stop_reason = None;
-        let committed = shard_map(
-            cfg.jobs,
-            chunks,
-            |_, keys| keys.iter().map(|&k| run_key(k, kind)).collect::<Vec<_>>(),
-            |_, outcomes: Vec<SeedOutcome>| {
-                for o in &outcomes {
-                    fold_outcome(&mut state, kind, o, &corpus_path, &mut known);
-                }
-                state.shard += 1;
-                if let Err(e) = state.checkpoint(&cfg.state_path) {
-                    checkpoint_err = Some(format!("checkpoint {}: {e}", cfg.state_path.display()));
-                    return false;
-                }
-                if let Some(budget) = cfg.seeds_budget {
-                    if state.seeds_run >= budget {
-                        stop_reason = Some("budget");
-                        return false;
-                    }
-                }
-                if let Some(tb) = cfg.timebox {
-                    if t0.elapsed().as_secs_f64() >= tb {
-                        stop_reason = Some("timebox");
-                        return false;
-                    }
-                }
-                true
-            },
-        );
-        if let Some(e) = checkpoint_err {
-            return Err(e);
-        }
-        match stop_reason {
-            Some(r) => {
-                stopped = r;
-                break;
-            }
-            None => {
-                let _ = committed;
-                state.advance_round();
-                state
-                    .checkpoint(&cfg.state_path)
-                    .map_err(|e| format!("checkpoint {}: {e}", cfg.state_path.display()))?;
-            }
-        }
-    }
-    state
-        .checkpoint(&cfg.state_path)
-        .map_err(|e| format!("checkpoint {}: {e}", cfg.state_path.display()))?;
+        batch += BATCH_ROOTS;
+    };
 
     let wall = t0.elapsed().as_secs_f64();
-    let seeds_this_run = state.seeds_run - seeds_at_start;
     let summary = CampaignSummary {
-        fault: state.fault.clone(),
+        fault: cfg.kind.name().to_string(),
         jobs: cfg.jobs,
+        start: cfg.start,
+        next_start: batch,
         wall_secs: wall,
-        seeds_this_run,
         seeds_per_hour: if wall > 0.0 {
-            seeds_this_run as f64 * 3600.0 / wall
+            state.seeds_run as f64 * 3600.0 / wall
         } else {
             0.0
         },
         stopped: stopped.to_string(),
         corpus_replayed,
         corpus_open: corpus_open.len() as u64,
-        corpus_new: known.len() as u64 - corpus_replayed,
+        corpus_new: state.corpus.len() as u64,
         metrics: campaign_metrics(&state),
     };
     Ok(CampaignReport {
@@ -627,26 +372,6 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Result<CampaignReport, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn state_json_roundtrips_bytewise() {
-        let mut st = CampaignState::new(FaultKind::Heavy, 0);
-        st.coverage.insert("np4-6|ring|clan".to_string(), 3);
-        st.coverage.insert("np2-3|storm|bvia".to_string(), 1);
-        st.corpus.push("17 heavy  # np2-3|storm".to_string());
-        st.pending_children.push(key::mutated(Axis::Storm, 9, 17));
-        st.seeds_run = 42;
-        let text = to_string_pretty(&st);
-        let back = CampaignState::from_json(&text).unwrap();
-        assert_eq!(back, st);
-        assert_eq!(to_string_pretty(&back), text);
-    }
-
-    #[test]
-    fn from_json_rejects_bad_versions() {
-        assert!(CampaignState::from_json("{\"version\": 2}").is_err());
-        assert!(CampaignState::from_json("not json").is_err());
-    }
 
     #[test]
     fn child_spawning_is_deterministic_and_bounded() {
@@ -664,24 +389,11 @@ mod tests {
     }
 
     #[test]
-    fn advance_round_walks_rounds_then_batches() {
-        let mut st = CampaignState::new(FaultKind::Light, 0);
-        st.pending_children.push(key::mutated(Axis::Msgs, 1, 7));
-        st.advance_round();
-        assert_eq!(st.round, 1);
-        assert_eq!(st.round_keys.len(), 1);
-        assert!(st.pending_children.is_empty());
-        // No grandchildren pending: next advance starts batch 1's roots.
-        st.advance_round();
-        assert_eq!((st.batch, st.round), (1, 0));
-        assert_eq!(st.round_keys[0], st.batch_roots);
-        assert_eq!(st.round_keys.len(), st.batch_roots as usize);
-    }
-
-    #[test]
     fn campaign_metrics_use_registry_names() {
-        let mut st = CampaignState::new(FaultKind::Heavy, 0);
-        st.seeds_run = 7;
+        let mut st = CampaignState {
+            seeds_run: 7,
+            ..CampaignState::default()
+        };
         st.coverage.insert("x".into(), 2);
         let m = campaign_metrics(&st);
         let names: Vec<&str> = m.iter().map(|l| l.name.as_str()).collect();
@@ -697,5 +409,40 @@ mod tests {
         );
         assert_eq!(m[0].value, 7);
         assert_eq!(m[1].value, 1);
+    }
+
+    #[test]
+    fn a_corpus_line_that_cannot_be_written_is_an_error() {
+        // A corpus path under a regular file: the directory cannot be
+        // created, and the found violation must not vanish silently.
+        let dir = std::env::temp_dir().join(format!("viampi_corpus_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("regular");
+        std::fs::write(&file, "").unwrap();
+        let err = append_corpus_line(&file.join("minimized.seeds"), "1 heavy  # sig");
+        assert!(err.is_err(), "appending under a regular file must fail");
+        // The happy path writes the header once, then the lines.
+        let ok = dir.join("sub").join("minimized.seeds");
+        append_corpus_line(&ok, "1 heavy  # a").unwrap();
+        append_corpus_line(&ok, "2 light  # b").unwrap();
+        assert_eq!(
+            corpus_file_lines(&ok),
+            ["1 heavy  # a".to_string(), "2 light  # b".to_string()]
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_start_past_the_root_field_is_refused() {
+        let cfg = CampaignConfig {
+            kind: FaultKind::Heavy,
+            start: 1 << 48,
+            seeds_budget: Some(1),
+            timebox: None,
+            corpus_path: None,
+            jobs: 1,
+        };
+        assert!(run_campaign(&cfg).is_err());
     }
 }

@@ -10,8 +10,8 @@
 //! reads it from its command line once ([`jobs_from_args`]) and passes it
 //! down; a test names the counts it compares.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Take `--jobs N` / `--jobs=N` out of `args` and return the worker count:
@@ -78,81 +78,6 @@ where
                 .expect("worker stored every result")
         })
         .collect()
-}
-
-/// Resumable sharded execution: run `shards` on `jobs` workers and hand
-/// each result to `commit` **strictly in shard order**, as soon as the
-/// contiguous prefix is complete — no barrier between shards, so a slow
-/// shard never idles the pool.
-///
-/// `commit` runs on the calling thread (it may hold mutable campaign
-/// state and checkpoint to disk); returning `false` stops the run:
-/// workers finish their in-flight shard, later results are discarded, and
-/// no further shard commits. Returns the number of shards committed.
-///
-/// The committed sequence at any worker count is a prefix of the serial
-/// one — this is what makes a killed-and-resumed campaign byte-identical
-/// to a one-shot run.
-pub fn shard_map<T, R, F, C>(jobs: usize, shards: Vec<T>, run: F, mut commit: C) -> usize
-where
-    T: Send + Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-    C: FnMut(usize, R) -> bool,
-{
-    let n = shards.len();
-    if n == 0 {
-        return 0;
-    }
-    let workers = jobs.min(n);
-    if workers <= 1 {
-        for (i, shard) in shards.iter().enumerate() {
-            let r = run(i, shard);
-            if !commit(i, r) {
-                return i + 1;
-            }
-        }
-        return n;
-    }
-    let next = AtomicUsize::new(0);
-    let stop = AtomicBool::new(false);
-    let slots: Mutex<Vec<Option<R>>> = Mutex::new((0..n).map(|_| None).collect());
-    let ready = Condvar::new();
-    let mut committed = 0usize;
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                if stop.load(Ordering::Relaxed) {
-                    break;
-                }
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let r = run(i, &shards[i]);
-                let mut guard = slots.lock().unwrap_or_else(|e| e.into_inner());
-                guard[i] = Some(r);
-                drop(guard);
-                ready.notify_all();
-            });
-        }
-        // Committer: drain the contiguous prefix in order on this thread.
-        for k in 0..n {
-            let mut guard = slots.lock().unwrap_or_else(|e| e.into_inner());
-            while guard[k].is_none() {
-                guard = ready.wait(guard).unwrap_or_else(|e| e.into_inner());
-            }
-            let r = guard[k].take().expect("checked above");
-            drop(guard);
-            if !commit(k, r) {
-                stop.store(true, Ordering::Relaxed);
-                committed = k + 1;
-                return;
-            }
-            committed = k + 1;
-        }
-    });
-    committed
 }
 
 /// Cores this machine offers the process — recorded beside every wall-clock
@@ -255,48 +180,6 @@ mod tests {
         let empty: Vec<u32> = par_map(8, Vec::<u32>::new(), |x| x);
         assert!(empty.is_empty());
         assert_eq!(par_map(8, vec![9u32], |x| x + 1), vec![10]);
-    }
-
-    #[test]
-    fn shard_map_commits_in_order_at_any_worker_count() {
-        for jobs in [1, 4, 7] {
-            let mut seen = Vec::new();
-            let committed = shard_map(
-                jobs,
-                (0..20).collect::<Vec<u64>>(),
-                |i, &x| (i as u64, x * 2),
-                |i, (idx, doubled)| {
-                    assert_eq!(i as u64, idx);
-                    seen.push(doubled);
-                    true
-                },
-            );
-            assert_eq!(committed, 20);
-            assert_eq!(seen, (0..20).map(|x| x * 2).collect::<Vec<u64>>());
-        }
-    }
-
-    #[test]
-    fn shard_map_stop_commits_a_prefix() {
-        for jobs in [1, 5] {
-            let mut seen = Vec::new();
-            let committed = shard_map(
-                jobs,
-                (0..30).collect::<Vec<u64>>(),
-                |_, &x| x,
-                |_, x| {
-                    seen.push(x);
-                    x < 9
-                },
-            );
-            assert_eq!(committed, 10, "stops after the first false commit");
-            assert_eq!(seen, (0..10).collect::<Vec<u64>>());
-        }
-    }
-
-    #[test]
-    fn shard_map_empty() {
-        assert_eq!(shard_map(3, Vec::<u8>::new(), |_, &x| x, |_, _| true), 0);
     }
 
     #[test]

@@ -180,9 +180,10 @@ fn derive(seed: u64) -> Scenario {
 ///
 /// * tag `0` — **plain seed**: the whole key is the seed fed to `derive`,
 ///   so every pre-campaign corpus seed keeps its exact scenario;
-/// * tags `1..=14` — **mutated**: bits 0–47 hold the 48-bit root seed,
-///   bits 48–59 a 12-bit variant, and the tag is the [`Axis`] being
+/// * a tag that names an [`Axis`] — **mutated**: bits 0–47 hold the 48-bit
+///   root seed, bits 48–59 a 12-bit variant, and the tag is the axis being
 ///   mutated away from the root's derived scenario (one axis per key);
+///   [`key::check`] refuses every other tag in `1..=14`;
 /// * tag `0xF` — **shrink**: bits 0–47 hold the root, bits 56–59 the
 ///   parent's mutation axis (0 = plain parent) and bits 48–55 pack the
 ///   shrink overrides as table indices (np, messages-per-pair, fault
@@ -251,6 +252,25 @@ pub mod key {
             ((k >> 48) & 0x3) as usize,
         )
     }
+
+    /// Refuse a key whose tag — or, for a shrink key, whose parent-axis
+    /// nibble — names no [`Axis`](super::Axis): such a key has no
+    /// scenario. Keys from outside a campaign (`--replay`, corpus lines)
+    /// pass through here before they run.
+    pub fn check(k: u64) -> Result<(), String> {
+        let axis = match tag(k) {
+            0 => return Ok(()),
+            SHRINK_TAG => match shrink_parts(k).0 {
+                0 => return Ok(()),
+                parent => parent,
+            },
+            t => t,
+        };
+        match super::Axis::from_tag(axis) {
+            Some(_) => Ok(()),
+            None => Err(format!("key {k:#018x}: tag {axis} names no scenario axis")),
+        }
+    }
 }
 
 /// One scenario axis a derived child key mutates away from its root. The
@@ -274,10 +294,9 @@ pub enum Axis {
     DataJitter = 6,
     /// Dynamic flow control on, with enough traffic to trigger growth.
     DynCredits = 7,
-    // Tags 8, 9 and 11 are retired: they selected engine modes (parallel
-    // pre-release, the thread/fiber backend flip, sharding) that no longer
-    // exist. Keys carrying them derive like their root (see `derive_key`);
-    // the numbers are never reused, so surviving axes keep their tags.
+    // Tags 8, 9 and 11 are retired: they selected engine modes that no
+    // longer exist, and `key::check` refuses them. The numbers are never
+    // reused, so surviving axes keep their tags and signature bytes.
     /// Multi-VI endpoints: stripe VIs per pair × producer threads. Every
     /// invariant generalizes per (peer, stripe) — per-VI credit
     /// conservation, per-pair VI totals, symmetric stripe states.
@@ -404,28 +423,32 @@ fn apply_axis(mut sc: Scenario, axis: Axis, variant: u32, k: u64) -> Scenario {
     sc
 }
 
-/// Derive the scenario for an arbitrary campaign key (a pure function of
-/// the key). Plain keys reproduce [`derive`] exactly.
+/// The axis a tag of a [`key::check`]ed key names.
+fn axis_of(tag: u64) -> Axis {
+    Axis::from_tag(tag).expect("invariant: keys from outside a campaign pass key::check")
+}
+
+/// Derive the scenario for a campaign key (a pure function of the key).
+/// Plain keys reproduce [`derive`] exactly.
 fn derive_key(k: u64) -> Scenario {
     match key::tag(k) {
         0 => derive(k),
         key::SHRINK_TAG => {
             let (axis, np_idx, m_idx, scale_idx) = key::shrink_parts(k);
             let root = key::root(k);
-            let mut sc = match Axis::from_tag(axis) {
-                Some(a) => apply_axis(derive(root), a, 0, key::mutated(a, 0, root)),
-                None => derive(root),
+            let mut sc = match axis {
+                0 => derive(root),
+                t => {
+                    let a = axis_of(t);
+                    apply_axis(derive(root), a, 0, key::mutated(a, 0, root))
+                }
             };
             sc.np = NP_SHRINK[np_idx.min(NP_SHRINK.len() - 1)];
             sc.m = M_SHRINK[m_idx];
             sc.fault_scale = SCALE_SHRINK[scale_idx];
             sc
         }
-        t => match Axis::from_tag(t) {
-            Some(a) => apply_axis(derive(key::root(k)), a, key::variant(k), k),
-            // Reserved tags derive like their root so every u64 is runnable.
-            None => derive(key::root(k)),
-        },
+        t => apply_axis(derive(key::root(k)), axis_of(t), key::variant(k), k),
     }
 }
 
@@ -1089,9 +1112,9 @@ pub fn describe_key(k: u64, kind: FaultKind) -> String {
         0 => format!("plain seed {k}"),
         key::SHRINK_TAG => {
             let (axis, np_idx, m_idx, scale_idx) = key::shrink_parts(k);
-            let parent = match Axis::from_tag(axis) {
-                Some(a) => format!("axis {}", a.name()),
-                None => "plain".to_string(),
+            let parent = match axis {
+                0 => "plain".to_string(),
+                t => format!("axis {}", axis_of(t).name()),
             };
             format!(
                 "shrink of root {} ({parent}; np={} m={} faults×{}%)",
@@ -1101,15 +1124,12 @@ pub fn describe_key(k: u64, kind: FaultKind) -> String {
                 SCALE_SHRINK[scale_idx],
             )
         }
-        t => match Axis::from_tag(t) {
-            Some(a) => format!(
-                "root {} mutated on axis {} (variant {})",
-                key::root(k),
-                a.name(),
-                key::variant(k)
-            ),
-            None => format!("reserved tag {t}, derives as root {}", key::root(k)),
-        },
+        t => format!(
+            "root {} mutated on axis {} (variant {})",
+            key::root(k),
+            axis_of(t).name(),
+            key::variant(k)
+        ),
     };
     let mut s = String::new();
     s.push_str(&format!("key             0x{k:016x} ({class})\n"));
@@ -1414,29 +1434,28 @@ mod tests {
     }
 
     #[test]
-    fn retired_engine_mode_tags_derive_as_their_root() {
-        // Tags 8 (par-engine), 9 (engine-backend) and 11 (shards) named
-        // engine modes that are gone. Old keys stay runnable — as their
-        // root's plain scenario — and the numbers are not reused, so
+    fn tags_that_name_no_axis_are_refused() {
+        // Tags 8, 9 and 11 are retired and 12–14 unused: a key carrying
+        // one — as its tag or as a shrink key's parent axis — has no
+        // scenario and is refused. The numbers are not reused, so
         // surviving axes (endpoints = 10) keep their historical tags.
         let root = 23u64;
-        let base = derive(root);
-        for tag in [8u64, 9, 11] {
+        for tag in [8u64, 9, 11, 12, 13, 14] {
             assert!(Axis::from_tag(tag).is_none());
-            let sc = derive_key((tag << 60) | (3 << 48) | root);
-            assert_eq!(
-                (sc.np, sc.program, sc.sched_seed, sc.fault_seed, sc.m),
-                (
-                    base.np,
-                    base.program,
-                    base.sched_seed,
-                    base.fault_seed,
-                    base.m
-                ),
-            );
+            let err = key::check((tag << 60) | (3 << 48) | root).unwrap_err();
+            assert!(err.contains(&format!("tag {tag} ")), "{err}");
+            assert!(key::check(key::shrink(tag, 2, 1, 0, root)).is_err());
         }
         assert_eq!(Axis::Endpoints as u64, 10);
         assert_eq!(Axis::from_tag(10), Some(Axis::Endpoints));
+        for k in [
+            root,
+            key::mutated(Axis::Endpoints, 3, root),
+            key::shrink(0, 2, 1, 0, root),
+            key::shrink(Axis::Storm as u64, 2, 1, 0, root),
+        ] {
+            assert_eq!(key::check(k), Ok(()), "{k:#x}");
+        }
     }
 
     #[test]

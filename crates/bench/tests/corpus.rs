@@ -2,10 +2,11 @@
 //!
 //! Each `*.seeds` file holds `<seed> <fault-profile>` lines — replay keys
 //! that once exposed a bug (plus a broad coverage set). The full simcheck
-//! invariant battery must hold on every one, forever.
+//! invariant battery must hold on every one, forever, and a key whose tag
+//! names no scenario axis fails the test at its line.
 
 use std::path::PathBuf;
-use viampi_bench::simcheck::{run_seed, FaultKind};
+use viampi_bench::simcheck::{key, run_seed, FaultKind};
 
 fn corpus_dir() -> PathBuf {
     let mut p = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
@@ -31,6 +32,9 @@ fn parse(path: &std::path::Path) -> Vec<(u64, FaultKind, usize)> {
             .next()
             .and_then(|s| s.parse().ok())
             .unwrap_or_else(|| panic!("{}:{}: expected a seed", path.display(), lineno + 1));
+        if let Err(e) = key::check(seed) {
+            panic!("{}:{}: {e}", path.display(), lineno + 1);
+        }
         let fault = parts.next().and_then(FaultKind::parse).unwrap_or_else(|| {
             panic!(
                 "{}:{}: expected none|light|heavy",

@@ -226,57 +226,29 @@ fn metrics_snapshot_is_identical_under_jobs_1_and_n() {
 }
 
 // ---------------------------------------------------------------------------
-// Campaign engine: shrinking, resume determinism, pinned summary metrics.
+// Campaign engine: shrinking, worker-count independence, pinned summary
+// metrics.
 // ---------------------------------------------------------------------------
 
-use std::path::{Path, PathBuf};
-use viampi_bench::campaign::{run_campaign, CampaignConfig, CampaignState};
+use viampi_bench::campaign::{run_campaign, CampaignConfig, CampaignReport, BATCH_ROOTS};
 use viampi_bench::simcheck::{key, run_key, shrink_key, Axis, FaultKind};
 
-/// Fresh scratch directory under the system temp dir.
-fn scratch_dir(label: &str) -> PathBuf {
+/// A heavy-fault campaign from root 0 that stops at `budget` keys, with its
+/// corpus file in a scratch directory of its own.
+fn campaign(label: &str, budget: u64, jobs: usize) -> CampaignReport {
     let dir = std::env::temp_dir().join(format!("viampi_campaign_{}_{label}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-/// Write a small-geometry campaign template (64 roots per batch, 8 keys
-/// per shard) so the test walks root *and* child rounds in a few seconds.
-fn small_state(dir: &Path) -> PathBuf {
-    let mut st = CampaignState::new(FaultKind::Heavy, 0);
-    st.batch_roots = 64;
-    st.shard_size = 8;
-    st.round_keys = (0..64).collect();
-    let path = dir.join("state.json");
-    st.checkpoint(&path).unwrap();
-    path
-}
-
-fn campaign_cfg(dir: &Path, budget: u64, jobs: usize) -> CampaignConfig {
-    CampaignConfig {
-        state_path: dir.join("state.json"),
+    let report = run_campaign(&CampaignConfig {
         kind: FaultKind::Heavy,
+        start: 0,
         seeds_budget: Some(budget),
         timebox: None,
         corpus_path: Some(dir.join("corpus.seeds")),
         jobs,
-    }
-}
-
-/// Run a campaign through `budget_steps` successive invocations (each one
-/// resumes the previous state file) and return the final state-file and
-/// corpus-file bytes.
-fn campaign_bytes(label: &str, budget_steps: &[u64], jobs: usize) -> (String, Option<Vec<u8>>) {
-    let dir = scratch_dir(label);
-    small_state(&dir);
-    for &budget in budget_steps {
-        run_campaign(&campaign_cfg(&dir, budget, jobs)).unwrap();
-    }
-    let state = std::fs::read_to_string(dir.join("state.json")).unwrap();
-    let corpus = std::fs::read(dir.join("corpus.seeds")).ok();
+    })
+    .unwrap();
     let _ = std::fs::remove_dir_all(&dir);
-    (state, corpus)
+    report
 }
 
 #[test]
@@ -314,35 +286,21 @@ fn shrinker_keeps_the_original_when_nothing_smaller_fails() {
 }
 
 #[test]
-fn campaign_resume_matches_one_shot_at_any_jobs() {
-    // The tentpole contract: a campaign stopped at a budget boundary and
-    // resumed to a larger budget must leave byte-identical state and
-    // corpus files to a one-shot run at the larger budget — at any worker
-    // count, and identically across worker counts.
-    let (one_shot_1, corpus_os_1) = campaign_bytes("oneshot_j1", &[150], 1);
-    let (resumed_1, corpus_re_1) = campaign_bytes("resumed_j1", &[70, 150], 1);
-    assert_eq!(
-        one_shot_1, resumed_1,
-        "resume must not change the state bytes"
+fn campaign_is_identical_under_jobs_1_and_n() {
+    // A budget one key past the first batch's roots, so a child round runs
+    // too: the coverage map, the counters and the corpus lines are folded
+    // in key order between rounds and must not depend on the worker count.
+    let serial = campaign("j1", BATCH_ROOTS + 1, 1);
+    let parallel = campaign("j4", BATCH_ROOTS + 1, 4);
+    assert!(
+        serial.state.seeds_run > BATCH_ROOTS && serial.state.derived_seeds > 0,
+        "a child round ran"
     );
     assert_eq!(
-        corpus_os_1, corpus_re_1,
-        "resume must not change the corpus"
-    );
-    let (one_shot_4, _) = campaign_bytes("oneshot_j4", &[150], 4);
-    let (resumed_4, corpus_re_4) = campaign_bytes("resumed_j4", &[70, 150], 4);
-    assert_eq!(
-        one_shot_4, resumed_4,
-        "resume must not change the state bytes"
-    );
-    assert_eq!(
-        one_shot_1, one_shot_4,
+        serial.state, parallel.state,
         "campaign state must not depend on the worker count"
     );
-    assert_eq!(
-        corpus_os_1, corpus_re_4,
-        "corpus must not depend on the worker count"
-    );
+    assert_eq!(serial.summary.next_start, parallel.summary.next_start);
 }
 
 #[test]
@@ -350,9 +308,7 @@ fn campaign_summary_metrics_are_pinned() {
     // The summary publishes its counters through the `metric_defs!`
     // registry: the dotted names are part of the interface and must not
     // drift, and the values must equal the cumulative state counters.
-    let dir = scratch_dir("metrics");
-    small_state(&dir);
-    let report = run_campaign(&campaign_cfg(&dir, 40, 1)).unwrap();
+    let report = campaign("metrics", 1, 1);
     let names: Vec<&str> = report
         .summary
         .metrics
@@ -385,84 +341,12 @@ fn campaign_summary_metrics_are_pinned() {
     );
     assert_eq!(value("derived_seeds"), report.state.derived_seeds);
     assert_eq!(value("violations"), report.state.violations);
-    assert!(report.state.seeds_run >= 40, "the budget was reached");
+    assert_eq!(report.state.seeds_run, BATCH_ROOTS, "one round of roots");
     let json = to_string_pretty(&report.summary);
     assert!(
         json.contains("\"sim.campaign.seeds_run\""),
         "summary JSON embeds the names"
     );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn killed_campaign_resumes_to_one_shot_bytes() {
-    // Kill a real campaign process mid-flight (SIGKILL, no cleanup), then
-    // resume its checkpoint to a fixed budget: state and corpus must be
-    // byte-identical to a never-killed run at the same budget.
-    let dir = scratch_dir("killed");
-    let state_path = dir.join("state.json");
-    let corpus_path = dir.join("corpus.seeds");
-    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_simcheck"))
-        .args([
-            "--campaign",
-            state_path.to_str().unwrap(),
-            "--seeds",
-            "100000",
-            "--jobs",
-            "2",
-            "--corpus",
-            corpus_path.to_str().unwrap(),
-            "--summary-out",
-            dir.join("summary.json").to_str().unwrap(),
-        ])
-        .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::null())
-        .spawn()
-        .unwrap();
-    // Wait for at least two committed shards, then kill without warning.
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
-    loop {
-        if let Ok(text) = std::fs::read_to_string(&state_path) {
-            if let Ok(st) = CampaignState::from_json(&text) {
-                if st.seeds_run >= 64 {
-                    break;
-                }
-            }
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "campaign process made no progress"
-        );
-        std::thread::sleep(std::time::Duration::from_millis(20));
-    }
-    child.kill().unwrap();
-    let _ = child.wait();
-    let killed_at = CampaignState::from_json(&std::fs::read_to_string(&state_path).unwrap())
-        .unwrap()
-        .seeds_run;
-    if killed_at >= 300 {
-        // The process outran the resume budget before the kill landed; the
-        // prefix property can't be checked against a 300-seed one-shot.
-        let _ = std::fs::remove_dir_all(&dir);
-        return;
-    }
-    // Resume the killed checkpoint to 300 seeds...
-    run_campaign(&campaign_cfg(&dir, 300, 1)).unwrap();
-    // ...and run a never-killed 300-seed campaign from scratch.
-    let fresh = scratch_dir("fresh");
-    run_campaign(&campaign_cfg(&fresh, 300, 1)).unwrap();
-    assert_eq!(
-        std::fs::read_to_string(&state_path).unwrap(),
-        std::fs::read_to_string(fresh.join("state.json")).unwrap(),
-        "killed-and-resumed state must match the one-shot bytes"
-    );
-    assert_eq!(
-        std::fs::read(&corpus_path).ok(),
-        std::fs::read(fresh.join("corpus.seeds")).ok(),
-        "killed-and-resumed corpus must match the one-shot bytes"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&fresh);
 }
 
 // ---------------------------------------------------------------------------
@@ -532,7 +416,6 @@ fn engine_counter_names_are_pinned() {
     // most one per rank body that returned).
     let get = |name| r.metrics.get(name).unwrap();
     assert!(get("sim.direct.handoffs") > 0);
-    assert_eq!(get("sim.fast_resumes"), r.fast_resumes);
     let inline =
         get("sim.fast_resumes") + get("sim.direct.handoffs") + get("sim.direct.self_resumes");
     let by_driver = get("sim.handoffs") - inline;

@@ -53,9 +53,6 @@ pub struct RunReport<R> {
     pub end_time: SimTime,
     /// Events processed by the engine.
     pub events: u64,
-    /// Scheduler round trips skipped by the engine's self-resume fast
-    /// path (wall-clock statistic; never affects virtual-time results).
-    pub fast_resumes: u64,
     /// Deepest fiber stack any rank was seen using, in bytes — a host-side
     /// measurement (it moves with the compiler), so it is a field here and
     /// not an entry of the deterministic `metrics` snapshot.
@@ -226,7 +223,6 @@ impl Universe {
             ranks,
             end_time: outcome.end_time,
             events: outcome.events_processed,
-            fast_resumes: outcome.fast_resumes,
             stack_depth_peak: outcome.stack_depth_peak,
             fault_stats,
             metrics,

@@ -11,9 +11,10 @@
 #   scripts/check.sh records          # regenerate every row of the
 #                                     # experiment table and byte-compare
 #                                     # it with the committed results/
-#   scripts/check.sh campaign [SECS]  # long timeboxed simcheck campaign
-#                                     # (default 600 s), resuming the
-#                                     # committed state
+#   scripts/check.sh campaign [SECS] [START]
+#                                     # long timeboxed simcheck campaign
+#                                     # (default 600 s) from root seed
+#                                     # START (default 0)
 #
 # The determinism, records and campaign stages are what CI's jobs call, so
 # the exact commands live here and can never drift from the workflows.
@@ -35,19 +36,16 @@ records_stage() {
     cargo run -q --release --offline --locked -p viampi-bench --bin repro_all -- --check
 }
 
-# Timeboxed coverage-directed campaign for $1 seconds, resuming a scratch
-# copy of the committed frontier baseline. The committed state only moves
-# when a maintainer commits a refreshed map (see tests/corpus/README.md).
-# The stage always replays the full minimized corpus
+# Timeboxed coverage-directed campaign for $1 seconds from root seed $2,
+# held in memory. The stage always replays the full minimized corpus
 # (tests/corpus/minimized.seeds) before exploring, then pushes the
 # coverage frontier for the wall budget; any new violation is shrunk,
-# appended to the corpus, and fails the stage. Artifacts land under
-# target/campaign/ (state.json + summary.json).
+# appended to the corpus, and fails the stage. The summary (with `start`
+# and `next_start`) lands in target/campaign/summary.json.
 campaign_stage() {
     mkdir -p target/campaign
-    cp tests/corpus/campaign_state.json target/campaign/state.json
     cargo run -q --release --offline --locked -p viampi-bench --bin simcheck -- \
-        --campaign target/campaign/state.json --timebox "$1" --fault heavy \
+        --campaign --start "$2" --timebox "$1" --fault heavy \
         --summary-out target/campaign/summary.json
 }
 
@@ -62,8 +60,8 @@ if [[ "${1:-all}" == "records" ]]; then
 fi
 
 if [[ "${1:-all}" == "campaign" ]]; then
-    echo "== simcheck campaign (timebox: ${2:-600}s, resumes committed coverage)"
-    campaign_stage "${2:-600}"
+    echo "== simcheck campaign (timebox: ${2:-600}s, start: ${3:-0})"
+    campaign_stage "${2:-600}" "${3:-0}"
     exit 0
 fi
 
@@ -81,8 +79,8 @@ cargo test -q --offline --locked --workspace
 
 records_stage
 
-echo "== simcheck campaign frontier (timeboxed, resumes committed coverage)"
-campaign_stage 20
+echo "== simcheck campaign frontier (timeboxed, from root seed 0)"
+campaign_stage 20 0
 
 # The repo benchmark is a package of its own that the workspace neither
 # sees nor builds, so nothing above notices a change that breaks the API
