@@ -100,6 +100,10 @@ crate::record! {
         jobs: usize = "jobs",
         /// Simulations completed.
         runs: u64 = "sims",
+        /// Wall-clock milliseconds per simulation (`wall ÷ sims`, all
+        /// workers combined), so a row of a few large worlds reads as
+        /// what one world costs.
+        ms_per_sim: f64 = "ms/sim" => |r: &f64| format!("{r:.1}"),
         /// Engine events applied.
         events: u64 = "events",
         /// Engine events per wall-clock second (all workers combined).
@@ -117,12 +121,18 @@ pub fn timed<R>(name: &str, jobs: usize, f: impl FnOnce() -> R) -> (R, PerfRecor
     let wall = t0.elapsed().as_secs_f64();
     let after = viampi_sim::engine_totals();
     let events = after.events - before.events;
+    let runs = after.runs - before.runs;
     let record = PerfRecord {
         name: name.to_string(),
         nproc: nproc(),
         wall_secs: wall,
         jobs,
-        runs: after.runs - before.runs,
+        runs,
+        ms_per_sim: if runs > 0 {
+            wall * 1e3 / runs as f64
+        } else {
+            0.0
+        },
         events,
         events_per_sec: if wall > 0.0 {
             events as f64 / wall
@@ -136,6 +146,7 @@ pub fn timed<R>(name: &str, jobs: usize, f: impl FnOnce() -> R) -> (R, PerfRecor
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::Record;
 
     fn parse(args: &[&str]) -> (Result<usize, String>, Vec<String>) {
         let mut args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
@@ -189,5 +200,26 @@ mod tests {
         assert_eq!((rec.name.as_str(), rec.jobs), ("runner_test_timed", 3));
         assert_eq!(rec.nproc, nproc());
         assert!(rec.nproc >= 1);
+        // No simulation ran on this thread's watch: no per-sim figure.
+        // (The engine totals are process-wide, so another test's worlds
+        // may land in this window; only the arithmetic is checked then.)
+        if rec.runs == 0 {
+            assert_eq!(rec.ms_per_sim, 0.0);
+        }
+        let (_, rec) = timed("runner_test_sims", 1, || {
+            for _ in 0..2 {
+                let mut eng = viampi_via::fabric_engine(viampi_via::DeviceProfile::clan(), 1);
+                eng.spawn("p", |_| {});
+                eng.run().unwrap();
+            }
+        });
+        assert!(rec.runs >= 2, "the two worlds were counted");
+        let want = rec.wall_secs * 1e3 / rec.runs as f64;
+        assert!((rec.ms_per_sim - want).abs() <= 1e-9 * want.max(1.0));
+        let at = PerfRecord::HEADERS
+            .iter()
+            .position(|&h| h == "ms/sim")
+            .unwrap();
+        assert_eq!(rec.cells()[at], format!("{:.1}", rec.ms_per_sim));
     }
 }

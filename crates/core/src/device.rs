@@ -75,9 +75,9 @@ pub mod mpi_metrics {
 /// What an in-flight send descriptor was carrying.
 #[derive(Debug)]
 enum SlotUse {
-    /// Eager data or control message occupying staging `slot`; `sreq` is the
-    /// request to complete at descriptor completion (None for control).
-    Wire { slot: usize, sreq: Option<u64> },
+    /// Eager data or control message occupying a staging slot; `sreq` is
+    /// the request to complete at descriptor completion (None for control).
+    Wire { sreq: Option<u64> },
     /// Rendezvous RDMA write; on completion deregister `mem` and finish.
     Rdma { sreq: u64, mem: MemHandle },
 }
@@ -99,6 +99,13 @@ pub(crate) struct OutMsg {
 }
 
 /// Per-peer channel (one *stripe* of a pair when `vis_per_peer > 1`).
+///
+/// A channel does not mirror what the NIC already holds. Its pools are
+/// pinned regions whose handles it never reads back: the posted receive
+/// window lives in the VI's queue, and a receive completion names the
+/// segment to repost. A staging slot's identity is never read either — a
+/// frame is pooled and sent by reference — so the channel counts how many
+/// are free.
 pub struct Channel {
     /// Peer rank.
     pub peer: usize,
@@ -107,22 +114,16 @@ pub struct Channel {
     pub stripe: usize,
     /// Connection state machine and VI (see [`crate::conn`]).
     pub(crate) conn: Conn,
-    /// Receive-pool regions; slot `s` lives in region `s / chunk` at
-    /// offset `(s % chunk) * buf_size`. One region in static flow control;
-    /// grown incrementally under dynamic flow control (the paper's stated
-    /// future work).
-    recv_regions: Vec<MemHandle>,
-    /// Send staging regions, same slot addressing.
-    send_regions: Vec<MemHandle>,
-    /// Slots per region.
+    /// Buffers per pinned pool region: the whole window in static flow
+    /// control; the growth step under dynamic flow control (the paper's
+    /// stated future work).
     chunk: usize,
     /// Current posted receive buffers (== credits granted to the peer).
     pub bufs: usize,
     /// Messages received since the last pool growth (pressure signal).
     recvs_since_grow: u64,
-    /// Buffer slots in posted order (VIA consumes descriptors FIFO).
-    recv_slots: VecDeque<usize>,
-    free_send_slots: Vec<usize>,
+    /// Free send staging slots.
+    send_slots: usize,
     /// Posted send descriptors awaiting their completion, oldest first. A
     /// VI completes its descriptors in the order they were posted, so the
     /// match is at the front; depth is bounded by the staging slots plus
@@ -141,13 +142,10 @@ impl Channel {
             peer,
             stripe,
             conn: Conn::default(),
-            recv_regions: Vec::new(),
-            send_regions: Vec::new(),
             chunk: 0,
             bufs: 0,
             recvs_since_grow: 0,
-            recv_slots: VecDeque::new(),
-            free_send_slots: Vec::new(),
+            send_slots: 0,
             inflight: VecDeque::new(),
             credits: 0,
             credits_owed: 0,
@@ -171,15 +169,7 @@ impl Channel {
     /// Whether an explicit credit message can go out now: it spends the
     /// reserved last credit and needs a staging slot.
     fn can_return_credits(&self) -> bool {
-        self.conn.is_connected() && self.credits >= 1 && !self.free_send_slots.is_empty()
-    }
-
-    /// Resolve a receive slot to `(region, offset)`.
-    fn recv_slot(&self, slot: usize, bsz: usize) -> (MemHandle, usize) {
-        (
-            self.recv_regions[slot / self.chunk],
-            (slot % self.chunk) * bsz,
-        )
+        self.conn.is_connected() && self.credits >= 1 && self.send_slots > 0
     }
 }
 
@@ -487,19 +477,16 @@ impl Device {
         };
         let bsz = self.cfg.buf_size();
         let recv_mem = self.port.register(chunk * bsz).expect("pin recv pool");
-        let send_mem = self.port.register(chunk * bsz).expect("pin send pool");
+        self.port.register(chunk * bsz).expect("pin send pool");
         // The VI is not connected yet, so nothing can arrive between one
         // descriptor of the window and the next: post it as a run.
         self.port
             .post_recv_run(vi, recv_mem, 0, bsz, chunk)
             .expect("pre-post eager window");
         let ch = &mut self.channels[slot];
-        ch.recv_regions = vec![recv_mem];
-        ch.send_regions = vec![send_mem];
         ch.chunk = chunk;
         ch.bufs = chunk;
-        ch.recv_slots = (0..chunk).collect();
-        ch.free_send_slots = (0..chunk).rev().collect();
+        ch.send_slots = chunk;
         ch.credits = chunk;
         let at = vi.0 as usize;
         if self.vi_to_slot.len() <= at {
@@ -517,17 +504,12 @@ impl Device {
             (ch.chunk, ch.conn.vi().unwrap())
         };
         let mem = self.port.register(chunk * bsz).expect("pin grown pool");
-        let base = self.channels[slot].recv_regions.len() * chunk;
         for i in 0..chunk {
             self.port
                 .post_recv(vi, mem, i * bsz, bsz)
                 .expect("post grown buffer");
         }
         let ch = &mut self.channels[slot];
-        ch.recv_regions.push(mem);
-        for i in 0..chunk {
-            ch.recv_slots.push_back(base + i);
-        }
         ch.bufs += chunk;
         // Grant the new window to the peer.
         ch.credits_owed += chunk;
@@ -544,13 +526,8 @@ impl Device {
     fn grow_send_pool(&mut self, slot: usize) {
         let bsz = self.cfg.buf_size();
         let chunk = self.channels[slot].chunk;
-        let mem = self.port.register(chunk * bsz).expect("pin grown staging");
-        let ch = &mut self.channels[slot];
-        let base = ch.send_regions.len() * chunk;
-        ch.send_regions.push(mem);
-        for i in (0..chunk).rev() {
-            ch.free_send_slots.push(base + i);
-        }
+        self.port.register(chunk * bsz).expect("pin grown staging");
+        self.channels[slot].send_slots += chunk;
     }
 
     /// Drop the sends queued behind `slot` and fail every live request bound
@@ -800,7 +777,7 @@ impl Device {
                 self.trace(TraceKind::CreditStall { peer });
                 return;
             }
-            if ch.free_send_slots.is_empty() {
+            if ch.send_slots == 0 {
                 // Credits in hand but every staging slot in flight: under
                 // dynamic flow control the peer granted more credits than we
                 // have staging; grow to match.
@@ -827,7 +804,7 @@ impl Device {
         } = msg
             .or_else(|| ch.outq.pop_front())
             .expect("caller checked the queue");
-        let sslot = ch.free_send_slots.pop().expect("caller checked slots");
+        ch.send_slots = ch.send_slots.checked_sub(1).expect("caller checked slots");
         let piggy = ch.credits_owed.min(255);
         ch.credits_owed -= piggy;
         ch.credits -= 1;
@@ -851,8 +828,7 @@ impl Device {
             MsgKind::Eager => Some(header.aux1),
             _ => None,
         };
-        ch.inflight
-            .push_back((desc.0, SlotUse::Wire { slot: sslot, sreq }));
+        ch.inflight.push_back((desc.0, SlotUse::Wire { sreq }));
         let (peer, stripe) = (ch.peer, ch.stripe);
         if stripe > 0 {
             self.metrics.inc(mpi_metrics::ENDPOINT_STRIPED_SENDS);
@@ -925,7 +901,8 @@ impl Device {
                 }
                 CompletionKind::Recv => {
                     let frame = c.payload.expect("wire recv carries its pooled frame");
-                    self.on_recv_complete(slot, frame);
+                    let segment = c.segment.expect("recv names its segment");
+                    self.on_recv_complete(slot, frame, segment);
                 }
             }
         }
@@ -1018,8 +995,8 @@ impl Device {
     fn on_send_complete(&mut self, slot: usize, desc: u64) {
         let ch = &mut self.channels[slot];
         match ch.take_inflight(desc) {
-            Some(SlotUse::Wire { slot: sslot, sreq }) => {
-                ch.free_send_slots.push(sslot);
+            Some(SlotUse::Wire { sreq }) => {
+                ch.send_slots += 1;
                 if let Some(req) = sreq.and_then(|r| self.reqs.get_mut(r)) {
                     req.done = true;
                 }
@@ -1046,21 +1023,16 @@ impl Device {
 
     /// Process one arrived wire message on the channel behind `slot`. The
     /// frame is the pooled wire buffer the sender transmitted, delivered by
-    /// reference — no copy out of the VI buffer is needed.
-    fn on_recv_complete(&mut self, slot: usize, frame: Bytes) {
+    /// reference — no copy out of the VI buffer is needed; `(mem, off)` is
+    /// the eager buffer the message consumed.
+    fn on_recv_complete(&mut self, slot: usize, frame: Bytes, (mem, off): (MemHandle, usize)) {
         let bsz = self.cfg.buf_size();
         let ch = &mut self.channels[slot];
-        let rslot = ch
-            .recv_slots
-            .pop_front()
-            .expect("completion implies a posted slot");
-        let (recv_mem, recv_off) = ch.recv_slot(rslot, bsz);
         // Repost the buffer immediately (MVICH does this before protocol
         // processing so the credit can be returned).
         self.port
-            .post_recv(ch.conn.vi().unwrap(), recv_mem, recv_off, bsz)
+            .post_recv(ch.conn.vi().unwrap(), mem, off, bsz)
             .expect("repost eager buffer");
-        ch.recv_slots.push_back(rslot);
         ch.credits_owed += 1;
         ch.recvs_since_grow += 1;
         self.owed_dirty |= ch.owes_credits(self.cfg.num_bufs);

@@ -14,7 +14,7 @@
 //!   arrive finds its initiator already matched and is dropped as stale).
 
 use crate::fault::{FaultInjector, FaultProfile, FaultStats};
-use crate::nic::{nic_metrics, Nic, RecvDesc};
+use crate::nic::{nic_metrics, Nic};
 use crate::profile::DeviceProfile;
 use crate::types::{
     Completion, CompletionKind, CsRequest, DescId, Discriminator, MemHandle, NodeId, PeerRequest,
@@ -500,8 +500,9 @@ impl Fabric {
     /// Post `n` receive descriptors on `vi`, over consecutive `len`-byte
     /// segments of `mem` starting at `off`; returns the first descriptor's
     /// id (the rest follow consecutively). All or nothing: the whole run is
-    /// validated against the region and the VI's queue limit before
-    /// anything is posted.
+    /// validated against the region and the VI's queue limit (counted in
+    /// descriptors) before anything is posted. The NIC keeps the run as one
+    /// queue entry, or grows the entry it continues.
     pub fn post_recv(
         &mut self,
         node: NodeId,
@@ -515,18 +516,11 @@ impl Fabric {
         self.nics[node].check_bounds(mem, off, span)?;
         let max = self.profile.max_recv_descs;
         let nic = &mut self.nics[node];
-        if nic.vi(vi)?.recv_q.len() + n > max {
+        if nic.vi(vi)?.recv_posted + n > max {
             return Err(ViaError::RecvQueueFull);
         }
         let first = nic.alloc_descs(n);
-        let q = &mut nic.vis[vi.0 as usize].recv_q;
-        q.reserve(n);
-        q.extend((0..n).map(|i| RecvDesc {
-            desc: DescId(first.0 + i as u64),
-            mem,
-            off: off + i * len,
-            len,
-        }));
+        nic.vis[vi.0 as usize].push_recv(first, mem, off, len, n);
         Ok(first)
     }
 
@@ -858,6 +852,7 @@ impl Fabric {
                     desc,
                     len: 0,
                     imm: 0,
+                    segment: None,
                     payload: None,
                 });
                 nic.bump_activity(wake);
@@ -867,29 +862,17 @@ impl Fabric {
                 match pkt.body {
                     PacketBody::Send { data, imm } => {
                         let nic = &mut self.nics[dst_node];
-                        let Ok(vi) = nic.vi_mut(dst_vi) else {
-                            nic.metrics.inc(nic_metrics::DROPS_NO_DESC);
+                        let Some((desc, mem, off)) = nic.take_recv(dst_vi, data.len()) else {
                             return;
                         };
-                        let Some(rd) = vi.recv_q.front().copied() else {
-                            nic.metrics.inc(nic_metrics::DROPS_NO_DESC);
-                            return;
-                        };
-                        if rd.len < data.len() {
-                            nic.metrics.inc(nic_metrics::DROPS_TOO_BIG);
-                            return;
-                        }
-                        vi.recv_q.pop_front();
-                        vi.msgs_recvd += 1;
-                        nic.write_region(&self.pool, rd.mem, rd.off, &data);
-                        nic.metrics.inc(nic_metrics::MSGS_RX);
-                        nic.metrics.add(nic_metrics::BYTES_RX, data.len() as u64);
+                        nic.write_region(&self.pool, mem, off, &data);
                         nic.cq.push_back(Completion {
                             vi: dst_vi,
                             kind: CompletionKind::Recv,
-                            desc: rd.desc,
+                            desc,
                             len: data.len(),
                             imm,
+                            segment: Some((mem, off)),
                             payload: None,
                         });
                         nic.bump_activity(wake);
@@ -901,29 +884,16 @@ impl Fabric {
                         // completion instead of through the descriptor's
                         // registered region.
                         let nic = &mut self.nics[dst_node];
-                        let Ok(vi) = nic.vi_mut(dst_vi) else {
-                            nic.metrics.inc(nic_metrics::DROPS_NO_DESC);
+                        let Some((desc, mem, off)) = nic.take_recv(dst_vi, msg.data.len()) else {
                             return;
                         };
-                        let Some(rd) = vi.recv_q.front().copied() else {
-                            nic.metrics.inc(nic_metrics::DROPS_NO_DESC);
-                            return;
-                        };
-                        if rd.len < msg.data.len() {
-                            nic.metrics.inc(nic_metrics::DROPS_TOO_BIG);
-                            return;
-                        }
-                        vi.recv_q.pop_front();
-                        vi.msgs_recvd += 1;
-                        nic.metrics.inc(nic_metrics::MSGS_RX);
-                        nic.metrics
-                            .add(nic_metrics::BYTES_RX, msg.data.len() as u64);
                         nic.cq.push_back(Completion {
                             vi: dst_vi,
                             kind: CompletionKind::Recv,
-                            desc: rd.desc,
+                            desc,
                             len: msg.data.len(),
                             imm,
+                            segment: Some((mem, off)),
                             payload: Some(msg.data),
                         });
                         nic.bump_activity(wake);

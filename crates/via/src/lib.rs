@@ -34,7 +34,7 @@ pub mod types;
 
 pub use fabric::{Fabric, FabricEvent, Packet, PacketBody};
 pub use fault::{FaultInjector, FaultProfile, FaultStats};
-pub use nic::{Nic, NicStats, RecvDesc, Region, Vi};
+pub use nic::{Nic, NicStats, RecvRun, Region, Vi};
 pub use port::{fabric_engine, ViaPort};
 pub use profile::DeviceProfile;
 pub use types::{

@@ -51,20 +51,38 @@ pub mod nic_metrics {
     }
 }
 
-/// A posted receive descriptor (address of a pinned buffer segment).
+/// A run of `n` posted receive descriptors: ids `first, first + 1, …` over
+/// consecutive `len`-byte segments of `mem` starting at `off`. The head of
+/// the run — `(first, mem, off, len)` — is the descriptor the next arrival
+/// consumes.
 #[derive(Debug, Clone, Copy)]
-pub struct RecvDesc {
-    /// Identifier echoed in the completion.
-    pub desc: DescId,
-    /// Registered region the payload lands in.
+pub struct RecvRun {
+    /// Identifier of the head descriptor, echoed in its completion.
+    pub first: DescId,
+    /// Registered region the payloads land in.
     pub mem: MemHandle,
-    /// Byte offset within the region.
+    /// Byte offset of the head descriptor's segment within the region.
     pub off: usize,
-    /// Capacity of the buffer segment.
+    /// Capacity of each segment.
     pub len: usize,
+    /// Descriptors in the run (never 0; `u32` keeps an entry at 32 bytes).
+    pub n: u32,
 }
 
-/// One VI endpoint.
+impl RecvRun {
+    /// Whether descriptors `first..` over `(mem, off, len)` continue this
+    /// run: next id, same region and length, next segment.
+    fn is_continued_by(&self, first: DescId, mem: MemHandle, off: usize, len: usize) -> bool {
+        self.first.0 + self.n as u64 == first.0
+            && self.mem == mem
+            && self.len == len
+            && self.off + self.n as usize * self.len == off
+    }
+}
+
+/// One VI endpoint. Its receive queue holds one entry per posted run, not
+/// per descriptor: a deep window that nothing uses (the static baseline's
+/// common case, paper §1) costs the host one entry.
 #[derive(Debug)]
 pub struct Vi {
     /// Connection state.
@@ -75,8 +93,12 @@ pub struct Vi {
     pub remote: Option<NodeId>,
     /// Discriminator used by the in-flight connect.
     pub disc: Option<Discriminator>,
-    /// Pre-posted receive descriptors, consumed FIFO by arrivals.
-    pub recv_q: VecDeque<RecvDesc>,
+    /// Pre-posted receive descriptors as runs, consumed FIFO by arrivals. A
+    /// window posted in one call and one posted a descriptor at a time, in
+    /// order, are the same single entry.
+    pub recv_q: VecDeque<RecvRun>,
+    /// Descriptors in `recv_q` (what the queue limit counts).
+    pub recv_posted: usize,
     /// Messages sent on this VI (usage accounting for Table 2).
     pub msgs_sent: u64,
     /// Messages received on this VI.
@@ -99,11 +121,47 @@ impl Vi {
             remote: None,
             disc: None,
             recv_q: VecDeque::new(),
+            recv_posted: 0,
             msgs_sent: 0,
             msgs_recvd: 0,
             last_producer: None,
             multi_producer: false,
             destroyed: false,
+        }
+    }
+
+    /// Queue `n` descriptors `first..` over consecutive `len`-byte segments
+    /// of `mem` from `off` (bounds and the queue limit already checked):
+    /// they extend the back run if they continue it, else start a new one.
+    pub(crate) fn push_recv(
+        &mut self,
+        first: DescId,
+        mem: MemHandle,
+        off: usize,
+        len: usize,
+        n: usize,
+    ) {
+        if n == 0 {
+            return;
+        }
+        self.recv_posted += n;
+        let n = u32::try_from(n).expect("the queue limit bounds a run");
+        match self.recv_q.back_mut() {
+            Some(run) if run.is_continued_by(first, mem, off, len) => run.n += n,
+            _ => {
+                // Most queues hold one run for good: size the first
+                // allocation for one, not for `VecDeque`'s minimum of four.
+                if self.recv_q.capacity() == 0 {
+                    self.recv_q.reserve_exact(1);
+                }
+                self.recv_q.push_back(RecvRun {
+                    first,
+                    mem,
+                    off,
+                    len,
+                    n,
+                });
+            }
         }
     }
 }
@@ -393,6 +451,7 @@ impl Nic {
         vi.destroyed = true;
         vi.state = ViState::Error;
         vi.recv_q.clear();
+        vi.recv_posted = 0;
         if let (Some(remote), Some(disc)) = (vi.remote, vi.disc) {
             self.targets.remove(&(remote, disc, id));
         }
@@ -493,6 +552,41 @@ impl Nic {
         Ok(())
     }
 
+    /// Consume the receive descriptor a `len`-byte arrival on `vi` lands
+    /// in — the head of the front run — and return its id and segment
+    /// `(desc, mem, off)`. `None` is a counted drop: no live VI, nothing
+    /// posted, or a posted buffer too small (VIA leaves that one posted).
+    pub(crate) fn take_recv(&mut self, vi: ViId, len: usize) -> Option<(DescId, MemHandle, usize)> {
+        let v = match self.vis.get_mut(vi.0 as usize) {
+            Some(v) if !v.destroyed => v,
+            _ => {
+                self.metrics.inc(nic_metrics::DROPS_NO_DESC);
+                return None;
+            }
+        };
+        let Some(run) = v.recv_q.front_mut() else {
+            self.metrics.inc(nic_metrics::DROPS_NO_DESC);
+            return None;
+        };
+        if run.len < len {
+            self.metrics.inc(nic_metrics::DROPS_TOO_BIG);
+            return None;
+        }
+        let head = (run.first, run.mem, run.off);
+        if run.n == 1 {
+            v.recv_q.pop_front();
+        } else {
+            run.first.0 += 1;
+            run.off += run.len;
+            run.n -= 1;
+        }
+        v.recv_posted -= 1;
+        v.msgs_recvd += 1;
+        self.metrics.inc(nic_metrics::MSGS_RX);
+        self.metrics.add(nic_metrics::BYTES_RX, len as u64);
+        Some(head)
+    }
+
     /// Allocate the next descriptor id.
     pub fn alloc_desc(&mut self) -> DescId {
         self.alloc_descs(1)
@@ -590,6 +684,122 @@ mod tests {
         assert_eq!(wake, vec![3, 5]);
         assert!(nic.waiters.is_empty());
         assert_eq!(nic.activity, 1);
+    }
+
+    /// A one-node fabric with one VI and two 64 KiB regions.
+    fn one_vi(max_recv_descs: usize) -> (crate::fabric::Fabric, ViId, MemHandle, MemHandle) {
+        let mut profile = crate::DeviceProfile::clan();
+        profile.max_recv_descs = max_recv_descs;
+        let mut f = crate::fabric::Fabric::new(profile, 1);
+        let vi = f.nics[0].create_vi(16).unwrap();
+        let a = f.nics[0].register(1 << 16, 1 << 20).unwrap();
+        let b = f.nics[0].register(1 << 16, 1 << 20).unwrap();
+        (f, vi, a, b)
+    }
+
+    #[test]
+    fn a_run_is_consumed_as_the_single_posts_it_stands_for() {
+        let drain = |as_run: bool| {
+            let (mut f, vi, mem, _) = one_vi(512);
+            if as_run {
+                f.post_recv(0, vi, mem, 0, 512, 16).unwrap();
+            } else {
+                for i in 0..16 {
+                    f.post_recv(0, vi, mem, i * 512, 512, 1).unwrap();
+                }
+            }
+            assert_eq!(f.nics[0].vis[0].recv_q.len(), 1, "one entry either way");
+            let got: Vec<_> = (0..16)
+                .map(|_| f.nics[0].take_recv(vi, 100).unwrap())
+                .collect();
+            assert!(f.nics[0].take_recv(vi, 100).is_none(), "window used up");
+            assert_eq!(f.nics[0].stats().drops_no_desc, 1);
+            got
+        };
+        let (run, singles) = (drain(true), drain(false));
+        assert_eq!(run, singles);
+        let mem = MemHandle(0);
+        let want: Vec<_> = (0..16)
+            .map(|i| (DescId(i), mem, i as usize * 512))
+            .collect();
+        assert_eq!(run, want);
+    }
+
+    #[test]
+    fn a_repost_that_breaks_contiguity_starts_a_new_run() {
+        let (mut f, vi, a, b) = one_vi(512);
+        let runs = |f: &crate::fabric::Fabric| -> Vec<(u64, usize, usize)> {
+            let q = &f.nics[0].vis[0].recv_q;
+            q.iter().map(|r| (r.first.0, r.off, r.n as usize)).collect()
+        };
+        f.post_recv(0, vi, a, 0, 64, 4).unwrap();
+        assert_eq!(f.nics[0].vis[0].recv_q.capacity(), 1, "one run, one entry");
+        // Consume the head and repost its segment, as the device does: the
+        // segment lies behind the run's end, so it starts a run of its own.
+        let (_, mem, off) = f.nics[0].take_recv(vi, 64).unwrap();
+        assert_eq!((mem, off), (a, 0));
+        f.post_recv(0, vi, mem, off, 64, 1).unwrap();
+        assert_eq!(runs(&f), [(1, 64, 3), (4, 0, 1)]);
+        // The next segment with the next id continues that run ...
+        f.post_recv(0, vi, a, 64, 64, 1).unwrap();
+        assert_eq!(runs(&f), [(1, 64, 3), (4, 0, 2)]);
+        // ... but not after an id went to a send, nor in another region,
+        // nor at another length.
+        f.nics[0].alloc_desc();
+        f.post_recv(0, vi, a, 128, 64, 1).unwrap();
+        f.post_recv(0, vi, b, 192, 64, 1).unwrap();
+        f.post_recv(0, vi, b, 256, 32, 1).unwrap();
+        assert_eq!(
+            runs(&f),
+            [(1, 64, 3), (4, 0, 2), (7, 128, 1), (8, 192, 1), (9, 256, 1)]
+        );
+        assert_eq!(f.nics[0].vis[0].recv_posted, 8);
+    }
+
+    #[test]
+    fn the_queue_limit_counts_descriptors_not_runs() {
+        // A run of 500, then twelve singles that each start a run.
+        let (mut f, vi, a, b) = one_vi(512);
+        f.post_recv(0, vi, a, 0, 64, 500).unwrap();
+        for i in (0..12).rev() {
+            f.post_recv(0, vi, b, i * 64, 64, 1).unwrap();
+        }
+        assert_eq!(f.nics[0].vis[0].recv_q.len(), 13);
+        assert_eq!(
+            f.post_recv(0, vi, b, 0, 64, 1),
+            Err(ViaError::RecvQueueFull)
+        );
+        // One run of 512 fills the queue as one entry.
+        let (mut f, vi, a, _) = one_vi(512);
+        assert_eq!(
+            f.post_recv(0, vi, a, 0, 64, 513),
+            Err(ViaError::RecvQueueFull)
+        );
+        f.post_recv(0, vi, a, 0, 64, 512).unwrap();
+        assert_eq!(f.nics[0].vis[0].recv_q.len(), 1);
+        assert_eq!(
+            f.post_recv(0, vi, a, 0, 64, 1),
+            Err(ViaError::RecvQueueFull)
+        );
+        // An arrival frees exactly one descriptor's room.
+        f.nics[0].take_recv(vi, 64).unwrap();
+        f.post_recv(0, vi, a, 0, 64, 1).unwrap();
+        assert_eq!(
+            f.post_recv(0, vi, a, 64, 64, 1),
+            Err(ViaError::RecvQueueFull)
+        );
+    }
+
+    #[test]
+    fn destroy_vi_empties_the_queue_and_its_count() {
+        let (mut f, vi, a, _) = one_vi(512);
+        f.post_recv(0, vi, a, 0, 64, 8).unwrap();
+        f.post_recv(0, vi, a, 1024, 64, 1).unwrap();
+        assert_eq!(f.nics[0].vis[0].recv_posted, 9);
+        f.nics[0].destroy_vi(vi).unwrap();
+        let v = &f.nics[0].vis[0];
+        assert!(v.recv_q.is_empty());
+        assert_eq!(v.recv_posted, 0);
     }
 
     #[test]

@@ -129,6 +129,9 @@ pub struct Completion {
     pub len: usize,
     /// For `Recv`: immediate tag carried by the send descriptor.
     pub imm: u32,
+    /// For `Recv`: the consumed descriptor's segment `(region, offset)` —
+    /// what a caller reposts, as `VipRecvDone` hands back the descriptor.
+    pub segment: Option<(MemHandle, usize)>,
     /// For `Recv` on the zero-copy wire path: the pooled frame, delivered
     /// by reference instead of through the descriptor's registered region.
     pub payload: Option<crate::fabric::Bytes>,

@@ -75,6 +75,79 @@ fn a_run_leaves_the_nic_as_single_posts_do() {
     assert_eq!(one_by_one.3 - run.3, 15, "one world access instead of 16");
 }
 
+/// Node 1 posts a 4-descriptor window over its second region — as one run
+/// or one descriptor at a time — and node 0 sends it six messages, the last
+/// two after node 1 has reposted the first two segments its completions
+/// named. Returns each receive completion's `(desc, segment)`, in order.
+fn consumed_window(as_run: bool) -> Vec<(u64, Option<(MemHandle, usize)>)> {
+    let got = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+    let mut eng = fabric_engine(DeviceProfile::clan(), 2);
+    eng.spawn("tx", |ctx| {
+        let port = ViaPort::open(ctx, 0);
+        let vi = connect_pair(&port, 1, 30);
+        let mem = port.register(64).unwrap();
+        for i in 0..6 {
+            port.post_send(vi, mem, 0, 8, i).unwrap();
+            if i == 3 {
+                port.charge(SimDuration::millis(1));
+            }
+        }
+        port.charge(SimDuration::millis(1));
+    });
+    let out = got.clone();
+    eng.spawn("rx", move |ctx| {
+        let port = ViaPort::open(ctx, 1);
+        let vi = port.create_vi().unwrap();
+        port.register(64).unwrap();
+        let mem = port.register(4 * 128).unwrap();
+        if as_run {
+            port.post_recv_run(vi, mem, 0, 128, 4).unwrap();
+        } else {
+            for i in 0..4 {
+                port.post_recv(vi, mem, i * 128, 128).unwrap();
+            }
+        }
+        port.connect_peer(vi, 0, Discriminator(30)).unwrap();
+        port.connect_wait(vi).unwrap();
+        let mut got = out.lock().unwrap();
+        while got.len() < 6 {
+            let stamp = port.activity_stamp();
+            let Some(c) = port.cq_poll() else {
+                port.wait_activity(stamp);
+                continue;
+            };
+            assert_eq!(c.kind, CompletionKind::Recv);
+            if got.len() < 2 {
+                let (mem, off) = c.segment.unwrap();
+                port.post_recv(vi, mem, off, 128).unwrap();
+            }
+            got.push((c.desc.0, c.segment));
+        }
+    });
+    eng.run().unwrap();
+    let got = got.lock().unwrap().clone();
+    got
+}
+
+#[test]
+fn a_recv_completion_names_the_segment_it_consumed() {
+    let (run, singles) = (consumed_window(true), consumed_window(false));
+    assert_eq!(run, singles, "a run is consumed as its single posts are");
+    let seg = |off| Some((MemHandle(1), off));
+    assert_eq!(
+        run,
+        [
+            (0, seg(0)),
+            (1, seg(128)),
+            (2, seg(256)),
+            (3, seg(384)),
+            (4, seg(0)),
+            (5, seg(128)),
+        ],
+        "window in order, then the reposted segments under fresh ids"
+    );
+}
+
 #[test]
 fn a_run_that_does_not_fit_posts_and_charges_nothing() {
     let mut profile = DeviceProfile::clan();

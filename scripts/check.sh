@@ -28,9 +28,10 @@ determinism_suite() {
 
 # Every committed results/<name>.json against a fresh regeneration, writing
 # nothing; a row that differs prints `MOVED results/<name>.json` and fails
-# the stage. Twenty rows take 70–105 s on 2 cores, all but ~15 s of it the
-# two large-N rows, whose np = 1024 static worlds peak at 1.45 GB RSS each
-# — two at once on 2 workers: 2.9 GB measured for the process.
+# the stage. Twenty rows take about 50 s on 2 cores, most of it the two
+# large-N rows, whose np = 1024 static worlds hold about 0.55 GB each — two
+# at once on 2 workers: 1.16 GB max RSS measured for the process (2.9 GB
+# when every posted descriptor was its own queue entry).
 records_stage() {
     echo "== record identity: every experiment vs the committed results/"
     cargo run -q --release --offline --locked -p viampi-bench --bin repro_all -- --check
