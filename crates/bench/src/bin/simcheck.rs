@@ -1,8 +1,9 @@
 //! Schedule-exploration and fault-injection driver.
 //!
-//! Runs small MPI programs across many random scheduler/fault seeds and
-//! checks connection state-machine legality, credit conservation, message
-//! delivery and FIFO order after each run (see `viampi_bench::simcheck`).
+//! Runs small MPI programs across many random scheduler/fault seeds. Every
+//! world is held to the channel laws `Universe::run` checks, and each run
+//! is then checked for settled connections, message delivery and FIFO
+//! order (see `viampi_bench::simcheck`).
 //!
 //! ```text
 //! simcheck [--seeds N] [--start S] [--fault none|light|heavy] [--jobs J]

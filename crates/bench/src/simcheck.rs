@@ -3,16 +3,16 @@
 //! Each seed deterministically derives a whole scenario: a world size, a
 //! small MPI program, a device, a connection mode, a wait policy, a
 //! scheduler tie-break seed and a fault-injector seed. The scenario is
-//! simulated with connection faults enabled, and a battery of invariants is
-//! checked on the outcome:
+//! simulated with connection faults enabled. `Universe::run` holds every
+//! world to the channel laws of `viampi_core::invariants` — nothing queued
+//! or in flight, at most one connected VI per pair and stripe, `Connected`
+//! only over connected VIs, credit conservation, posted windows — and a
+//! broken law comes back as the seed's violation. The programs here end in
+//! a quiesce, so the harness also checks what only a quiesced world
+//! promises:
 //!
-//! * **connection state-machine legality** — every channel ends
-//!   `Unconnected` or `Connected`, symmetrically on both sides, with
-//!   exactly one connected VI per communicating pair (the simultaneous-
-//!   connect race and packet duplication must never yield twins);
-//! * **no credit leak** — for every connected pair, the sender's credits
-//!   plus the receiver's unreturned consumption equal the receiver's
-//!   buffer pool;
+//! * **settled connections** — every channel ends `Unconnected` or
+//!   `Connected`;
 //! * **no lost or duplicated message, per-sender FIFO** — payloads carry
 //!   `(sender, sequence)` and every rank checks it received exactly the
 //!   expected sequences, in order, with intact bytes;
@@ -26,10 +26,8 @@
 use crate::record;
 use crate::report::{table, Output};
 use crate::runner::par_map;
-use viampi_core::{
-    ChanState, ChannelSnapshot, ConnMode, Device, FaultProfile, RunReport, Universe, WaitPolicy,
-};
-use viampi_sim::{SimDuration, SplitMix64};
+use viampi_core::{ChanState, ConnMode, Device, FaultProfile, RunReport, Universe, WaitPolicy};
+use viampi_sim::{SimDuration, SimError, SplitMix64};
 
 /// Fault intensity selector for a batch of seeds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -297,9 +295,9 @@ pub enum Axis {
     // Tags 8, 9 and 11 are retired: they selected engine modes that no
     // longer exist, and `key::check` refuses them. The numbers are never
     // reused, so surviving axes keep their tags and signature bytes.
-    /// Multi-VI endpoints: stripe VIs per pair × producer threads. Every
-    /// invariant generalizes per (peer, stripe) — per-VI credit
-    /// conservation, per-pair VI totals, symmetric stripe states.
+    /// Multi-VI endpoints: stripe VIs per pair × producer threads. The
+    /// world-end laws hold per (peer, stripe): per-VI credit conservation
+    /// and the per-pair VI cap.
     Endpoints = 10,
 }
 
@@ -515,6 +513,7 @@ fn decode(data: &[u8]) -> RecvRecord {
 
 record! {
     /// Outcome of one seed.
+    #[derive(Default)]
     pub struct SeedOutcome {
         /// The seed (replay key).
         seed: u64,
@@ -579,21 +578,21 @@ record! {
 /// After the program body, drive progress until no connection is pending
 /// (injected loss can push a handshake several backoff periods out), then
 /// synchronize virtual clocks with a barrier and run a few settle rounds
-/// so in-flight credit returns land and are processed.
+/// so in-flight credit returns land and are reaped.
 ///
 /// The barrier matters: retry backoff can stretch one rank's timeline by
 /// thousands of virtual microseconds, and a rank that finalizes early in
-/// virtual time never polls for credit-return messages its slower peers
-/// send later. That shows up as a phantom credit leak in the invariant
-/// check; after the barrier every rank's settle window covers its peers'
-/// returns.
+/// virtual time never polls again. The world-end laws count what such a
+/// rank left unreaped, so they do not need the settle window; the drain is
+/// what leaves every channel settled, which [`check_invariants`] asserts.
 ///
 /// `settle_rounds` scales that window: data-plane jitter can hold a
 /// packet up to 5×`data_delay_max_us` past its nominal arrival (delay
 /// draw + 4× reorder draw), and the worst chain is two hops deep — a
 /// jittered payload whose credit return is jittered again — so jittered
-/// scenarios must wait out ~10× the jitter bound where fault-free ones
-/// need only the base window.
+/// scenarios wait out ~10× the jitter bound where fault-free ones wait
+/// the base window. The window is part of every scenario's schedule, so
+/// every committed outcome depends on it.
 fn quiesce(mpi: &viampi_core::Mpi, settle_rounds: u64) {
     let round = SimDuration::micros(600);
     let drain = |label: &str| {
@@ -770,142 +769,25 @@ fn expected_streams(sc: &Scenario, rank: usize) -> Vec<(usize, Vec<u32>)> {
     }
 }
 
-/// Check every invariant on a finished run; returns human-readable
-/// violations (empty = pass).
+/// Check what only this harness's quiesced programs promise, beyond the
+/// laws `Universe::run` already held the world to: settled channels,
+/// exactly-once per-sender FIFO delivery with intact payloads, and no
+/// retry budget spent. Returns human-readable violations (empty = pass).
 fn check_invariants(sc: &Scenario, report: &RunReport<Vec<RecvRecord>>) -> Vec<String> {
     let mut v = Vec::new();
-    let np = sc.np;
-    // Channel snapshots are sparse: ranks only report peers they touched.
-    // An absent entry means the pair never interacted — identical to an
-    // Unconnected channel with empty queues.
-    let absent = ChannelSnapshot::absent(usize::MAX);
-    let snap = |i: usize, j: usize, stripe: usize| -> &ChannelSnapshot {
-        report.ranks[i]
-            .channels
-            .iter()
-            .find(|c| c.peer == j && c.stripe == stripe)
-            .unwrap_or(&absent)
-    };
-    let stripes = sc.vis_per_peer;
-
-    // 1. Connection state-machine legality: terminal states only, no
-    //    leftover queued sends or in-flight descriptors.
-    for i in 0..np {
-        for c in &report.ranks[i].channels {
-            if !c.state.is_settled() {
-                v.push(format!(
-                    "rank {i} -> {}: non-terminal channel state {:?}",
-                    c.peer, c.state
-                ));
-            }
-            if c.pending != 0 {
-                v.push(format!(
-                    "rank {i} -> {}: {} sends still queued at finalize",
-                    c.peer, c.pending
-                ));
-            }
-            if c.inflight != 0 {
-                v.push(format!(
-                    "rank {i} -> {}: {} descriptors in flight at finalize",
-                    c.peer, c.inflight
-                ));
-            }
-            if c.connected_vis_to_peer > stripes {
-                v.push(format!(
-                    "rank {i} -> {}: {} connected VIs for one pair (cap {stripes})",
-                    c.peer, c.connected_vis_to_peer
-                ));
-            }
-            if c.state == ChanState::Connected && !c.vi_connected {
-                v.push(format!(
-                    "rank {i} -> {}: channel Connected but VI is not",
-                    c.peer
-                ));
-            }
+    // 1. `quiesce` drained every handshake: each channel ended
+    //    `Unconnected` or `Connected`.
+    for (i, r) in report.ranks.iter().enumerate() {
+        for c in r.channels.iter().filter(|c| !c.state.is_settled()) {
+            v.push(format!(
+                "rank {i} -> {} stripe {}: non-terminal channel state {:?}",
+                c.peer, c.stripe, c.state
+            ));
         }
     }
 
-    // 2. Symmetric per-stripe connectivity + exactly one VI per connected
-    //    stripe channel: each side's per-pair VI total must equal the
-    //    number of Connected stripes (at the default single-VI config this
-    //    is the old "exactly one VI per connected pair").
-    for i in 0..np {
-        for j in (i + 1)..np {
-            let mut connected = 0usize;
-            for s in 0..stripes {
-                let a = snap(i, j, s);
-                let b = snap(j, i, s);
-                let ac = a.state == ChanState::Connected;
-                let bc = b.state == ChanState::Connected;
-                if ac != bc {
-                    v.push(format!(
-                        "pair ({i},{j}) stripe {s}: asymmetric states {:?} vs {:?}",
-                        a.state, b.state
-                    ));
-                }
-                if ac && bc {
-                    connected += 1;
-                }
-            }
-            if connected > 0 {
-                let a = snap(i, j, 0);
-                let b = snap(j, i, 0);
-                // Every stripe snapshot of the pair reports the same
-                // per-pair total; stripe 0 always exists once any does
-                // (provisioning is lazy but stripe-independent only for
-                // touched stripes, so fall back to any touched stripe).
-                let av = (0..stripes)
-                    .map(|s| snap(i, j, s))
-                    .find(|c| c.peer != usize::MAX)
-                    .unwrap_or(a)
-                    .connected_vis_to_peer;
-                let bv = (0..stripes)
-                    .map(|s| snap(j, i, s))
-                    .find(|c| c.peer != usize::MAX)
-                    .unwrap_or(b)
-                    .connected_vis_to_peer;
-                if av != connected || bv != connected {
-                    v.push(format!(
-                        "pair ({i},{j}): connected pair has {av}/{bv} VIs, \
-                         want {connected}/{connected}",
-                    ));
-                }
-            }
-        }
-    }
-
-    // 3. No credit leak: sender credits + receiver's unreturned consumption
-    //    must equal the receiver's posted pool, in both directions — per
-    //    stripe channel, not per pair: each stripe VI carries its own
-    //    credit window under multi-VI endpoints.
-    for i in 0..np {
-        for j in 0..np {
-            if i == j {
-                continue;
-            }
-            for s in 0..stripes {
-                let tx = snap(i, j, s);
-                let rx = snap(j, i, s);
-                if tx.state == ChanState::Connected
-                    && rx.state == ChanState::Connected
-                    && tx.credits + rx.credits_owed != rx.bufs
-                {
-                    let tail = if stripes > 1 {
-                        format!(" (stripe {s})")
-                    } else {
-                        String::new()
-                    };
-                    v.push(format!(
-                        "credit leak {i} -> {j}: {} held + {} owed != {} bufs{tail}",
-                        tx.credits, rx.credits_owed, rx.bufs
-                    ));
-                }
-            }
-        }
-    }
-
-    // 4. Exactly-once delivery, intact payloads, per-sender FIFO.
-    for rank in 0..np {
+    // 2. Exactly-once delivery, intact payloads, per-sender FIFO.
+    for rank in 0..sc.np {
         let log = &report.results[rank];
         for &(src, seq, ok) in log {
             if !ok {
@@ -927,7 +809,7 @@ fn check_invariants(sc: &Scenario, report: &RunReport<Vec<RecvRecord>>) -> Vec<S
         }
     }
 
-    // 5. Sub-budget faults must be invisible to the application.
+    // 3. Sub-budget faults must be invisible to the application.
     let failures: u64 = report.ranks.iter().map(|r| r.mpi.conn_failures).sum();
     if failures > 0 {
         v.push(format!(
@@ -966,8 +848,11 @@ fn log2_band(prefix: char, v: u64) -> String {
     format!("{prefix}{}", u64::BITS - v.leading_zeros())
 }
 
-/// Run one campaign key and check every invariant. Plain seeds behave
-/// exactly as in the pre-campaign harness.
+/// Run one campaign key and check every invariant: the channel laws
+/// `Universe::run` holds every world to — a broken one comes back as this
+/// key's violations, so a campaign reports and shrinks it like any other —
+/// then [`check_invariants`]. Plain seeds behave exactly as in the
+/// pre-campaign harness.
 pub fn run_key(k: u64, kind: FaultKind) -> SeedOutcome {
     let sc = derive_key(k);
     let mut uni = Universe::new(sc.np, sc.device, sc.conn, sc.wait);
@@ -978,43 +863,7 @@ pub fn run_key(k: u64, kind: FaultKind) -> SeedOutcome {
         cfg.dynamic_credits = sc.dynamic_credits;
         cfg.vis_per_peer = sc.vis_per_peer;
     }
-    let sc2 = sc.clone();
-    let report = uni
-        .run(move |mpi| run_program(mpi, &sc2))
-        .unwrap_or_else(|e| panic!("key {k}: simulation failed: {e}"));
-    let violations = check_invariants(&sc, &report);
-    let retry_depth_max = report
-        .ranks
-        .iter()
-        .map(|r| r.mpi.conn_retry_depth_max)
-        .max()
-        .unwrap_or(0);
-    let unexpected_msgs: u64 = report.ranks.iter().map(|r| r.mpi.unexpected_msgs).sum();
-    let channels_connected = report
-        .ranks
-        .iter()
-        .flat_map(|r| r.channels.iter())
-        .filter(|c| c.state == ChanState::Connected)
-        .count() as u64;
-    let mut signature = format!(
-        "{}|{}|{}|{}|{}|{}|{}|{}|{}|{}",
-        np_band(sc.np),
-        sc.program.name(),
-        sc.device.name(),
-        sc.conn.name(),
-        sc.wait.name(),
-        if sc.dynamic_credits { "dyn" } else { "fix" },
-        report.fault_stats.fired_mask(),
-        retry_band(retry_depth_max),
-        log2_band('u', unexpected_msgs),
-        log2_band('c', channels_connected),
-    );
-    // Endpoint-axis scenarios get their own coverage token; default
-    // single-VI single-thread scenarios keep their historical bytes.
-    if sc.vis_per_peer > 1 || sc.threads > 1 {
-        signature.push_str(&format!("|ep{}x{}", sc.vis_per_peer, sc.threads));
-    }
-    SeedOutcome {
+    let mut o = SeedOutcome {
         seed: k,
         np: sc.np,
         program: sc.program.name().to_string(),
@@ -1022,21 +871,60 @@ pub fn run_key(k: u64, kind: FaultKind) -> SeedOutcome {
         conn: sc.conn.name().to_string(),
         wait: sc.wait.name().to_string(),
         fault: kind.name().to_string(),
-        end_us: report.end_time.as_secs_f64() * 1e6,
-        events: report.events,
-        faults_injected: report.fault_stats.total(),
-        conn_retries: report.ranks.iter().map(|r| r.mpi.conn_retries).sum(),
-        conn_failures: report.ranks.iter().map(|r| r.mpi.conn_failures).sum(),
-        retry_depth_max,
-        unexpected_msgs,
-        signature,
-        violations,
+        signature: format!(
+            "{}|{}|{}|{}|{}|{}",
+            np_band(sc.np),
+            sc.program.name(),
+            sc.device.name(),
+            sc.conn.name(),
+            sc.wait.name(),
+            if sc.dynamic_credits { "dyn" } else { "fix" },
+        ),
+        ..SeedOutcome::default()
+    };
+    let sc2 = sc.clone();
+    let report = match uni.run(move |mpi| run_program(mpi, &sc2)) {
+        Ok(report) => report,
+        Err(SimError::Invariant { violations }) => {
+            o.signature.push_str("|invariant");
+            o.violations = violations;
+            return o;
+        }
+        Err(e) => panic!("key {k}: simulation failed: {e}"),
+    };
+    o.retry_depth_max = report
+        .ranks
+        .iter()
+        .map(|r| r.mpi.conn_retry_depth_max)
+        .max()
+        .unwrap_or(0);
+    o.unexpected_msgs = report.ranks.iter().map(|r| r.mpi.unexpected_msgs).sum();
+    let channels_connected = report
+        .ranks
+        .iter()
+        .flat_map(|r| r.channels.iter())
+        .filter(|c| c.state == ChanState::Connected)
+        .count() as u64;
+    o.signature.push_str(&format!(
+        "|{}|{}|{}|{}",
+        report.fault_stats.fired_mask(),
+        retry_band(o.retry_depth_max),
+        log2_band('u', o.unexpected_msgs),
+        log2_band('c', channels_connected),
+    ));
+    // Endpoint-axis scenarios get their own coverage token; default
+    // single-VI single-thread scenarios keep their historical bytes.
+    if sc.vis_per_peer > 1 || sc.threads > 1 {
+        o.signature
+            .push_str(&format!("|ep{}x{}", sc.vis_per_peer, sc.threads));
     }
-}
-
-/// Run one seed and check every invariant.
-pub fn run_seed(seed: u64, kind: FaultKind) -> SeedOutcome {
-    run_key(seed, kind)
+    o.end_us = report.end_time.as_secs_f64() * 1e6;
+    o.events = report.events;
+    o.faults_injected = report.fault_stats.total();
+    o.conn_retries = report.ranks.iter().map(|r| r.mpi.conn_retries).sum();
+    o.conn_failures = report.ranks.iter().map(|r| r.mpi.conn_failures).sum();
+    o.violations = check_invariants(&sc, &report);
+    o
 }
 
 /// One-step shrink candidates for `k`, in a fixed order: np down, messages
@@ -1179,7 +1067,7 @@ pub fn run_seeds(
     jobs: usize,
 ) -> (Vec<SeedOutcome>, Summary) {
     let outcomes = par_map(jobs, (start..start + count).collect(), |seed| {
-        run_seed(seed, kind)
+        run_key(seed, kind)
     });
     let failing_seeds: Vec<u64> = outcomes
         .iter()
@@ -1276,21 +1164,21 @@ mod tests {
 
     #[test]
     fn a_fault_free_seed_passes_all_invariants() {
-        let o = run_seed(1, FaultKind::None);
+        let o = run_key(1, FaultKind::None);
         assert!(o.violations.is_empty(), "{:?}", o.violations);
         assert_eq!(o.faults_injected, 0);
     }
 
     #[test]
     fn a_heavy_fault_seed_passes_all_invariants() {
-        let o = run_seed(2, FaultKind::Heavy);
+        let o = run_key(2, FaultKind::Heavy);
         assert!(o.violations.is_empty(), "{:?}", o.violations);
     }
 
     #[test]
     fn seed_outcomes_replay_identically() {
-        let a = run_seed(5, FaultKind::Light);
-        let b = run_seed(5, FaultKind::Light);
+        let a = run_key(5, FaultKind::Light);
+        let b = run_key(5, FaultKind::Light);
         assert_eq!(a.end_us.to_bits(), b.end_us.to_bits());
         assert_eq!(a.events, b.events);
         assert_eq!(a.faults_injected, b.faults_injected);
@@ -1410,9 +1298,9 @@ mod tests {
     #[test]
     fn an_endpoints_key_passes_invariants_and_replays() {
         // Variant 5 → 4 VIs per pair with 4 producer threads (threads
-        // share no stripe); variant 2 → 2 VIs, 2 threads. Per-stripe
-        // credit conservation, symmetric stripe states and the per-pair VI
-        // totals must all hold, with and without faults.
+        // share no stripe); variant 2 → 2 VIs, 2 threads. The per-stripe
+        // world-end laws and settled stripe states must hold, with and
+        // without faults.
         for (variant, kind) in [(5u32, FaultKind::None), (2, FaultKind::Heavy)] {
             let k = key::mutated(Axis::Endpoints, variant, 13);
             let a = run_key(k, kind);

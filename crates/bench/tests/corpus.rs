@@ -1,12 +1,12 @@
 //! Replay the seed corpus under `tests/corpus/` (workspace root).
 //!
 //! Each `*.seeds` file holds `<seed> <fault-profile>` lines — replay keys
-//! that once exposed a bug (plus a broad coverage set). The full simcheck
-//! invariant battery must hold on every one, forever, and a key whose tag
-//! names no scenario axis fails the test at its line.
+//! that once exposed a bug (plus a broad coverage set). The world-end
+//! channel laws and simcheck's own checks must hold on every one, forever,
+//! and a key whose tag names no scenario axis fails the test at its line.
 
 use std::path::PathBuf;
-use viampi_bench::simcheck::{key, run_seed, FaultKind};
+use viampi_bench::simcheck::{key, run_key, FaultKind};
 
 fn corpus_dir() -> PathBuf {
     let mut p = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
@@ -70,7 +70,7 @@ fn corpus_seeds_replay_clean() {
         assert!(!entries.is_empty(), "{}: empty corpus file", file.display());
         let jobs = viampi_bench::runner::nproc();
         let outcomes = viampi_bench::runner::par_map(jobs, entries, |(seed, fault, lineno)| {
-            (run_seed(seed, fault), lineno)
+            (run_key(seed, fault), lineno)
         });
         for (o, lineno) in outcomes {
             assert!(

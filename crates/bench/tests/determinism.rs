@@ -150,8 +150,8 @@ fn fault_injected_outcome_is_bit_identical_across_repeats() {
     // duplications, delays and retries — and therefore the same virtual
     // times, event counts and counters, down to the serialized bytes.
     for seed in [3u64, 8, 21] {
-        let a = viampi_bench::simcheck::run_seed(seed, viampi_bench::simcheck::FaultKind::Heavy);
-        let b = viampi_bench::simcheck::run_seed(seed, viampi_bench::simcheck::FaultKind::Heavy);
+        let a = viampi_bench::simcheck::run_key(seed, viampi_bench::simcheck::FaultKind::Heavy);
+        let b = viampi_bench::simcheck::run_key(seed, viampi_bench::simcheck::FaultKind::Heavy);
         assert!(a.violations.is_empty(), "seed {seed}: {:?}", a.violations);
         assert_eq!(
             to_string_pretty(&a),

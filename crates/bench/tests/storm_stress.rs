@@ -4,39 +4,16 @@
 //! connection request at every peer at once, while every sender
 //! simultaneously connects back to the receiver — the densest
 //! simultaneous-connect race the protocol can produce. Across 100 random
-//! schedules (half of them with light connection faults on top) the
-//! invariants are:
-//!
-//! * exactly one established VI per communicating pair, on both sides —
-//!   the race and duplicated connection packets must never yield twins;
-//! * every message delivered exactly once, with no sender's stream lost,
-//!   duplicated, or reordered.
+//! schedules (half of them with light connection faults on top) every
+//! message must be delivered exactly once, with no sender's stream lost,
+//! duplicated, or reordered. That the race and duplicated connection
+//! packets never yield twin VIs is a world-end law
+//! (`viampi_core::invariants`) that `Universe::run` checks on every world.
 
 use viampi_bench::runner::{nproc, par_map};
-use viampi_core::{
-    ChanState, ConnMode, Device, FaultProfile, Mpi, Universe, WaitPolicy, ANY_SOURCE,
-};
-use viampi_sim::SimDuration;
+use viampi_core::{ConnMode, Device, FaultProfile, Mpi, Universe, WaitPolicy, ANY_SOURCE};
 
 const MSGS_PER_SENDER: u32 = 3;
-
-/// Drive progress until no handshake is pending, sync virtual clocks, and
-/// let in-flight completions land (mirrors the simcheck harness quiesce).
-fn quiesce(mpi: &Mpi) {
-    let round = SimDuration::micros(600);
-    let mut rounds = 0u32;
-    while mpi.pending_connections() > 0 {
-        mpi.advance(round);
-        mpi.progress();
-        rounds += 1;
-        assert!(rounds < 10_000, "handshake stuck beyond every backoff");
-    }
-    mpi.barrier();
-    for _ in 0..6 {
-        mpi.advance(round);
-        mpi.progress();
-    }
-}
 
 /// Rank 0 receives `(np-1) * m` wildcard messages and acks every sender;
 /// senders push their burst then await the ack. Returns rank 0's receive
@@ -69,7 +46,6 @@ fn storm(mpi: &Mpi, m: u32) -> Vec<(usize, u32)> {
         let (data, _) = mpi.recv(Some(0), Some(1));
         assert_eq!(data, b"ack");
     }
-    quiesce(mpi);
     log
 }
 
@@ -86,27 +62,6 @@ fn any_source_storm_yields_one_vi_per_pair_and_no_duplicates() {
         let report = uni
             .run(move |mpi| storm(mpi, m))
             .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-
-        // Exactly one established VI per communicating pair, both sides.
-        for s in 1..np {
-            for (a, b) in [(0, s), (s, 0)] {
-                let snap = report.ranks[a]
-                    .channels
-                    .iter()
-                    .find(|c| c.peer == b)
-                    .expect("snapshot for the pair");
-                assert_eq!(
-                    snap.state,
-                    ChanState::Connected,
-                    "seed {seed}: rank {a} -> {b} not established"
-                );
-                assert_eq!(
-                    snap.connected_vis_to_peer, 1,
-                    "seed {seed}: rank {a} -> {b} has {} connected VIs, want exactly 1",
-                    snap.connected_vis_to_peer
-                );
-            }
-        }
 
         // No duplicated, lost, or reordered delivery at the receiver: each
         // sender's stream is exactly 0..m, in order.

@@ -1268,11 +1268,11 @@ impl Device {
         self.reqs.len()
     }
 
-    /// Externally visible state of every *touched* remote channel, for
-    /// invariant checking by the simcheck harness. Sparse: a peer with no
-    /// snapshot was never communicated with and is implied `Unconnected`
-    /// with empty queues (consumers substitute that default), so report
-    /// size is O(used channels), not O(np²) across the world.
+    /// Externally visible state of every *touched* remote channel,
+    /// ascending by `(peer, stripe)`, for the world-end laws of
+    /// [`crate::invariants`]. Sparse: a peer with no snapshot was never
+    /// communicated with and is implied `Unconnected` with empty queues, so
+    /// report size is O(used channels), not O(np²) across the world.
     pub fn channel_snapshots(&self) -> Vec<ChannelSnapshot> {
         // One pass over the NIC's VI table serves every channel.
         let remote_of = self.port.connected_remotes();
@@ -1283,27 +1283,28 @@ impl Device {
         self.channels
             .iter()
             .filter(|ch| ch.peer != self.rank)
-            .map(|ch| ChannelSnapshot {
-                peer: ch.peer,
-                stripe: ch.stripe,
-                state: ch.conn.state(),
-                credits: ch.credits,
-                credits_owed: ch.credits_owed,
-                bufs: ch.bufs,
-                pending: ch.outq.len(),
-                inflight: ch.inflight.len(),
-                vi_connected: ch
-                    .conn
-                    .vi()
-                    .is_some_and(|v| remote_of[v.0 as usize].is_some()),
-                connected_vis_to_peer: vis_to[ch.peer],
+            .map(|ch| {
+                let vi = ch.conn.vi();
+                ChannelSnapshot {
+                    peer: ch.peer,
+                    stripe: ch.stripe,
+                    state: ch.conn.state(),
+                    credits: ch.credits,
+                    credits_owed: ch.credits_owed,
+                    bufs: ch.bufs,
+                    pending: ch.outq.len(),
+                    inflight: ch.inflight.len(),
+                    vi,
+                    vi_connected: vi.is_some_and(|v| remote_of[v.0 as usize].is_some()),
+                    connected_vis_to_peer: vis_to[ch.peer],
+                }
             })
             .collect()
     }
 }
 
-/// Point-in-time view of one per-peer channel, captured at the end of a
-/// rank's body for invariant checking (see `viampi-bench`'s simcheck).
+/// Point-in-time view of one per-peer channel, captured when a rank
+/// finishes, for the world-end laws ([`crate::invariants`]).
 #[derive(Debug, Clone)]
 pub struct ChannelSnapshot {
     /// Peer rank.
@@ -1322,6 +1323,8 @@ pub struct ChannelSnapshot {
     pub pending: usize,
     /// In-flight send descriptors.
     pub inflight: usize,
+    /// The channel's VI, once provisioned.
+    pub vi: Option<ViId>,
     /// Whether the channel's VI is in the `Connected` VIA state.
     pub vi_connected: bool,
     /// Connected VIs on this NIC whose remote end is `peer` — counted per
@@ -1329,24 +1332,4 @@ pub struct ChannelSnapshot {
     /// (must be ≤ `vis_per_peer`: the simultaneous-connect race must never
     /// yield duplicate VIs for a stripe).
     pub connected_vis_to_peer: usize,
-}
-
-impl ChannelSnapshot {
-    /// The implied snapshot of a never-touched peer. Snapshot lists are
-    /// sparse (O(used channels)); consumers substitute this default for a
-    /// peer with no entry: `Unconnected`, empty queues, no VI.
-    pub fn absent(peer: usize) -> Self {
-        ChannelSnapshot {
-            peer,
-            stripe: 0,
-            state: ChanState::Unconnected,
-            credits: 0,
-            credits_owed: 0,
-            bufs: 0,
-            pending: 0,
-            inflight: 0,
-            vi_connected: false,
-            connected_vis_to_peer: 0,
-        }
-    }
 }

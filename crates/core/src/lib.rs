@@ -45,6 +45,7 @@ pub mod config;
 pub mod conn;
 pub mod datatype;
 pub mod device;
+pub mod invariants;
 pub mod matching;
 pub mod mpi;
 pub mod protocol;

@@ -29,8 +29,8 @@ pub struct RankReport {
     pub vis_live: usize,
     /// VIs that carried at least one message (Table 2 utilization).
     pub vis_used: usize,
-    /// Per-peer channel state captured after `MPI_Finalize` (the raw
-    /// material for simcheck's invariant checks).
+    /// Per-peer channel state captured after `MPI_Finalize`, ascending by
+    /// `(peer, stripe)`: what [`crate::invariants::check`] reads.
     pub channels: Vec<ChannelSnapshot>,
     /// Protocol trace (empty unless `MpiConfig::trace`; a body that calls
     /// `Mpi::take_trace` keeps its events — they are not re-collected here).
@@ -135,7 +135,9 @@ impl Universe {
     }
 
     /// Run `body` on every rank (SPMD). Returns per-rank results and
-    /// reports, or the simulation error (deadlock / rank panic).
+    /// reports, or the simulation error: a deadlock, a rank panic, or a
+    /// finished world that broke a channel law ([`crate::invariants`],
+    /// [`SimError::Invariant`]).
     pub fn run<R, F>(self, body: F) -> Result<RunReport<R>, SimError>
     where
         R: Send + 'static,
@@ -207,6 +209,12 @@ impl Universe {
             report.finish = outcome.proc_finish[rank];
             results.push(r);
             ranks.push(report);
+        }
+        let ends: Vec<&[ChannelSnapshot]> = ranks.iter().map(|r| r.channels.as_slice()).collect();
+        let broken = crate::invariants::check(cfg.vis_per_peer, &ends, &fabric);
+        if !broken.is_empty() {
+            let violations = broken.iter().map(ToString::to_string).collect();
+            return Err(SimError::Invariant { violations });
         }
         let fault_stats = fabric.fault_stats();
         let mut metrics = outcome.metrics.clone();

@@ -31,6 +31,12 @@ pub enum SimError {
         /// Stringified panic payload.
         message: String,
     },
+    /// The world finished, but its end state broke a law it must obey
+    /// (`viampi_core::invariants`).
+    Invariant {
+        /// One line per broken law, naming its rank, peer and stripe.
+        violations: Vec<String>,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -48,6 +54,9 @@ impl fmt::Display for SimError {
             }
             SimError::ProcPanic { name, message } => {
                 write!(f, "simulated process '{name}' panicked: {message}")
+            }
+            SimError::Invariant { violations } => {
+                write!(f, "world-end invariants broken: {}", violations.join("; "))
             }
         }
     }
