@@ -6,7 +6,7 @@ use crate::micro;
 use crate::record;
 use crate::report::{kib, milli, Output};
 use crate::runner::par_map;
-use viampi_core::{ConnMode, Device, Universe, WaitPolicy};
+use viampi_core::{nic_metrics, ConnMode, Device, Universe, WaitPolicy};
 use viampi_npb::llc;
 
 record! {
@@ -161,7 +161,7 @@ pub fn dynamic_window(jobs: usize) -> Output {
             msgs,
             dynamic,
             bw: report.results[0],
-            pinned: report.ranks[0].nic.pinned_peak,
+            pinned: report.ranks[0].nic.gauge(nic_metrics::PINNED_PEAK) as usize,
         }
     });
     let points: Vec<AblationPoint> = rows

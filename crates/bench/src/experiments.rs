@@ -5,7 +5,7 @@
 //! a worker count to an [`Output`]; computing one writes nothing.
 //!
 //! Every driver fans its configuration grid out over
-//! [`runner::par_map`]: each grid point is an independent deterministic
+//! [`par_map`]: each grid point is an independent deterministic
 //! simulation, and results are collected by index, so the tables and JSON
 //! records are byte-identical at any `jobs`.
 

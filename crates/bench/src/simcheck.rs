@@ -27,7 +27,7 @@ use crate::record;
 use crate::report::{table, Output};
 use crate::runner::par_map;
 use viampi_core::{ChanState, ConnMode, Device, FaultProfile, RunReport, Universe, WaitPolicy};
-use viampi_sim::{SimDuration, SimError, SplitMix64};
+use viampi_sim::{MetricsSnapshot, SimDuration, SimError, SplitMix64};
 
 /// Fault intensity selector for a batch of seeds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -810,13 +810,44 @@ fn check_invariants(sc: &Scenario, report: &RunReport<Vec<RecvRecord>>) -> Vec<S
     }
 
     // 3. Sub-budget faults must be invisible to the application.
-    let failures: u64 = report.ranks.iter().map(|r| r.mpi.conn_failures).sum();
+    let failures = metric(&report.metrics, "mpi.conn_failures");
     if failures > 0 {
         v.push(format!(
             "{failures} channel(s) exhausted the retry budget under sub-budget fault rates"
         ));
     }
     v
+}
+
+/// A whole-run entry: rank counters summed, high-water marks maxed.
+fn metric(m: &MetricsSnapshot, name: &str) -> u64 {
+    m.get(name)
+        .unwrap_or_else(|| panic!("the run published no `{name}`"))
+}
+
+/// Letter-per-kind mask of the faults that fired in a run, for coverage
+/// signatures: `d`rop, d`u`plicate, de`l`ay, `r`eorder, `v`i-failure,
+/// data-`j`itter; `-` when nothing fired.
+fn fired_mask(m: &MetricsSnapshot) -> String {
+    let fired = |name| metric(m, name) > 0;
+    let mut mask: String = [
+        ('d', "fault.conn_dropped"),
+        ('u', "fault.conn_duplicated"),
+        ('l', "fault.conn_delayed"),
+        ('r', "fault.conn_reordered"),
+        ('v', "fault.vi_create_failures"),
+    ]
+    .into_iter()
+    .filter(|&(_, name)| fired(name))
+    .map(|(letter, _)| letter)
+    .collect();
+    if fired("fault.data_delayed") || fired("fault.data_reordered") {
+        mask.push('j');
+    }
+    if mask.is_empty() {
+        mask.push('-');
+    }
+    mask
 }
 
 /// np bucket of a coverage signature.
@@ -851,8 +882,9 @@ fn log2_band(prefix: char, v: u64) -> String {
 /// Run one campaign key and check every invariant: the channel laws
 /// `Universe::run` holds every world to — a broken one comes back as this
 /// key's violations, so a campaign reports and shrinks it like any other —
-/// then [`check_invariants`]. Plain seeds behave exactly as in the
-/// pre-campaign harness.
+/// then this harness's own checks (settled channels, per-sender FIFO, no
+/// spent retry budget). Plain seeds behave exactly as in the pre-campaign
+/// harness.
 pub fn run_key(k: u64, kind: FaultKind) -> SeedOutcome {
     let sc = derive_key(k);
     let mut uni = Universe::new(sc.np, sc.device, sc.conn, sc.wait);
@@ -892,13 +924,9 @@ pub fn run_key(k: u64, kind: FaultKind) -> SeedOutcome {
         }
         Err(e) => panic!("key {k}: simulation failed: {e}"),
     };
-    o.retry_depth_max = report
-        .ranks
-        .iter()
-        .map(|r| r.mpi.conn_retry_depth_max)
-        .max()
-        .unwrap_or(0);
-    o.unexpected_msgs = report.ranks.iter().map(|r| r.mpi.unexpected_msgs).sum();
+    let m = &report.metrics;
+    o.retry_depth_max = metric(m, "mpi.conn_retry_depth_max");
+    o.unexpected_msgs = metric(m, "mpi.unexpected_msgs");
     let channels_connected = report
         .ranks
         .iter()
@@ -907,7 +935,7 @@ pub fn run_key(k: u64, kind: FaultKind) -> SeedOutcome {
         .count() as u64;
     o.signature.push_str(&format!(
         "|{}|{}|{}|{}",
-        report.fault_stats.fired_mask(),
+        fired_mask(m),
         retry_band(o.retry_depth_max),
         log2_band('u', o.unexpected_msgs),
         log2_band('c', channels_connected),
@@ -920,9 +948,14 @@ pub fn run_key(k: u64, kind: FaultKind) -> SeedOutcome {
     }
     o.end_us = report.end_time.as_secs_f64() * 1e6;
     o.events = report.events;
-    o.faults_injected = report.fault_stats.total();
-    o.conn_retries = report.ranks.iter().map(|r| r.mpi.conn_retries).sum();
-    o.conn_failures = report.ranks.iter().map(|r| r.mpi.conn_failures).sum();
+    o.faults_injected = m
+        .entries
+        .iter()
+        .filter(|e| e.name.starts_with("fault."))
+        .map(|e| e.value)
+        .sum();
+    o.conn_retries = metric(m, "mpi.conn_retries");
+    o.conn_failures = metric(m, "mpi.conn_failures");
     o.violations = check_invariants(&sc, &report);
     o
 }
@@ -1151,6 +1184,16 @@ mod tests {
         let conns: std::collections::HashSet<&str> =
             (0..64).map(|s| derive(s).conn.name()).collect();
         assert_eq!(conns.len(), 3, "all connection modes appear in 64 seeds");
+    }
+
+    #[test]
+    fn fired_mask_reflects_categories() {
+        use viampi_core::fault_metrics;
+        let mut faults = fault_metrics::registry();
+        assert_eq!(fired_mask(&faults.snapshot()), "-");
+        faults.inc(fault_metrics::CONN_DROPPED);
+        faults.add(fault_metrics::DATA_DELAYED, 2);
+        assert_eq!(fired_mask(&faults.snapshot()), "dj");
     }
 
     #[test]

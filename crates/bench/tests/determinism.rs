@@ -5,7 +5,10 @@
 
 use viampi_bench::json::to_string_pretty;
 use viampi_bench::runner::par_map;
-use viampi_core::{ConnMode, Device, RunReport, Universe, WaitPolicy};
+use viampi_core::{
+    fault_metrics, mpi_metrics, nic_metrics, ConnMode, Device, FaultProfile, ReduceOp, RunReport,
+    Universe, WaitPolicy,
+};
 use viampi_npb::{cg, llc, Class};
 use viampi_sim::SimTime;
 
@@ -223,6 +226,43 @@ fn metrics_snapshot_is_identical_under_jobs_1_and_n() {
         render(4),
         "metrics must not depend on the worker count"
     );
+}
+
+#[test]
+fn every_published_name_comes_from_a_table() {
+    // A run's snapshot lists the engine's table, then the device's, the
+    // NIC's and the fault injector's, each in registration order and with
+    // histograms expanded: a name written by hand outside a table shows up
+    // here as an extra or misplaced entry.
+    let mut uni = Universe::new(6, Device::Clan, ConnMode::OnDemand, WaitPolicy::Polling);
+    uni.config_mut().faults = Some(FaultProfile::heavy(7));
+    let report = uni
+        .run(|mpi| mpi.allreduce(&[1i64], ReduceOp::Sum)[0])
+        .unwrap();
+    let faults = report.metrics.entries.iter();
+    let injected: u64 = faults
+        .filter(|e| e.name.starts_with("fault."))
+        .map(|e| e.value)
+        .sum();
+    assert!(injected > 0, "the world must see faults");
+    let tables = [
+        viampi_sim::metrics::engine::registry(),
+        mpi_metrics::registry(),
+        nic_metrics::registry(),
+        fault_metrics::registry(),
+    ];
+    let want: Vec<String> = tables
+        .iter()
+        .flat_map(|t| t.snapshot().entries)
+        .map(|e| e.name.into_owned())
+        .collect();
+    let got: Vec<&str> = report
+        .metrics
+        .entries
+        .iter()
+        .map(|e| e.name.as_ref())
+        .collect();
+    assert_eq!(got, want);
 }
 
 // ---------------------------------------------------------------------------

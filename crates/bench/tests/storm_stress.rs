@@ -80,7 +80,11 @@ fn any_source_storm_yields_one_vi_per_pair_and_no_duplicates() {
             let want: Vec<u32> = (0..m).collect();
             assert_eq!(got, want, "seed {seed}: stream from sender {s}");
         }
-        report.fault_stats.total()
+        let faults = report.metrics.entries.iter();
+        faults
+            .filter(|e| e.name.starts_with("fault."))
+            .map(|e| e.value)
+            .sum::<u64>()
     });
     // The faulted half of the schedule sweep must actually have injected
     // something, or the stress claim is hollow.

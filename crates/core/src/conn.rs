@@ -23,7 +23,7 @@ use crate::config::{ConnMode, CONN_RETRY_TIMEOUT_US};
 use crate::device::{mpi_metrics, Device};
 use crate::trace::{Span, SpanKind, TraceKind};
 use viampi_sim::{SimDuration, SimTime};
-use viampi_via::{Discriminator, ViId, ViState, ViaError, ViaPort};
+use viampi_via::{nic_metrics, Discriminator, ViId, ViState, ViaError, ViaPort};
 
 /// Channel connection state (mirrors the per-peer FSM of §4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -178,7 +178,7 @@ impl Device {
             .gauge_set(mpi_metrics::INIT_TIME_NS, init_time.as_nanos());
         self.metrics.gauge_set(
             mpi_metrics::CONNS_AT_INIT,
-            self.port.stats().conns_established,
+            self.port.metrics().counter(nic_metrics::CONNS_ESTABLISHED),
         );
     }
 

@@ -37,8 +37,8 @@ use viampi_via::fabric::{Bytes, OobBytes};
 use viampi_via::{CompletionKind, MemHandle, ViId, ViaPort};
 
 /// The MPI device's metric set (`mpi.*` entries of the cross-layer
-/// registry). Counter semantics match the fields of [`MpiStats`], which is
-/// now a read-only view assembled from this registry.
+/// registry). A reader takes them from [`Device::metrics`], or after a run
+/// from [`crate::RankReport::mpi`].
 pub mod mpi_metrics {
     viampi_sim::metric_defs! {
         counters {
@@ -203,44 +203,6 @@ impl ReqState {
     }
 }
 
-/// Per-rank MPI-level statistics.
-///
-/// A read-only view assembled from the device's metrics [`Registry`] by
-/// [`Device::stats`]; kept for report/test compatibility.
-#[derive(Debug, Clone, Default)]
-pub struct MpiStats {
-    /// Point-to-point sends issued.
-    pub sends: u64,
-    /// Receives posted.
-    pub recvs: u64,
-    /// Eager-protocol data messages sent.
-    pub eager_sent: u64,
-    /// Rendezvous-protocol messages sent.
-    pub rendezvous_sent: u64,
-    /// Explicit credit-return messages sent.
-    pub credit_msgs: u64,
-    /// Messages that arrived unexpected (before their receive was posted).
-    pub unexpected_msgs: u64,
-    /// Collective operations performed.
-    pub collectives: u64,
-    /// Time spent inside `MPI_Init` (virtual).
-    pub init_time: SimDuration,
-    /// Connections established during `MPI_Init`.
-    pub conns_at_init: u64,
-    /// Sends that had to be queued in a pre-posted FIFO (§3.4).
-    pub fifo_deferred_sends: u64,
-    /// Dynamic-flow-control pool growths (future-work extension).
-    pub credit_growths: u64,
-    /// Connection retransmissions issued (only non-zero under fault
-    /// injection; includes VI-creation retries after transient failures).
-    pub conn_retries: u64,
-    /// Channels failed after exhausting the retry budget.
-    pub conn_failures: u64,
-    /// Deepest retry attempt reached on any single channel (high-water mark
-    /// across peers; only non-zero under fault injection).
-    pub conn_retry_depth_max: u64,
-}
-
 /// The per-rank ADI device.
 pub struct Device {
     /// This process's rank (== fabric node).
@@ -288,8 +250,7 @@ pub struct Device {
     pub trace: Vec<crate::trace::TraceEvent>,
     /// Recorded spans (empty unless `cfg.trace`).
     pub spans: Vec<Span>,
-    /// MPI-level counters (`mpi.*`); the device reads its own accounting
-    /// back through [`Device::stats`].
+    /// MPI-level counters ([`mpi_metrics`] set).
     pub metrics: Registry,
     /// Handle to the fabric's shared wire-buffer pool (cached so hot paths
     /// don't take the world lock just to allocate a frame).
@@ -352,32 +313,11 @@ impl Device {
             .gauge_max(mpi_metrics::ENDPOINT_THREADS_MAX, (t + 1) as u64);
     }
 
-    /// The MPI-level counters as the classic [`MpiStats`] view.
-    pub fn stats(&self) -> MpiStats {
-        use mpi_metrics as m;
-        MpiStats {
-            sends: self.metrics.counter(m::SENDS),
-            recvs: self.metrics.counter(m::RECVS),
-            eager_sent: self.metrics.counter(m::EAGER_SENT),
-            rendezvous_sent: self.metrics.counter(m::RENDEZVOUS_SENT),
-            credit_msgs: self.metrics.counter(m::CREDIT_MSGS),
-            unexpected_msgs: self.metrics.counter(m::UNEXPECTED_MSGS),
-            collectives: self.metrics.counter(m::COLLECTIVES),
-            init_time: SimDuration::nanos(self.metrics.gauge(m::INIT_TIME_NS)),
-            conns_at_init: self.metrics.gauge(m::CONNS_AT_INIT),
-            fifo_deferred_sends: self.metrics.counter(m::FIFO_DEFERRED_SENDS),
-            credit_growths: self.metrics.counter(m::CREDIT_GROWTHS),
-            conn_retries: self.metrics.counter(m::CONN_RETRIES),
-            conn_failures: self.metrics.counter(m::CONN_FAILURES),
-            conn_retry_depth_max: self.metrics.gauge(m::CONN_RETRY_DEPTH_MAX),
-        }
-    }
-
     /// Flat snapshot of this rank's device **and** NIC registries
     /// (`mpi.*` + `nic.*` entries).
     pub fn metrics_snapshot(&self) -> viampi_sim::MetricsSnapshot {
         let mut snap = self.metrics.snapshot();
-        snap.merge(&self.port.metrics_snapshot());
+        snap.merge(&self.port.metrics().snapshot());
         snap
     }
 

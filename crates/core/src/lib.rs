@@ -59,9 +59,9 @@ pub use comm::Comm;
 pub use config::{ConnMode, Device, MpiConfig, WaitPolicy};
 pub use conn::ChanState;
 pub use datatype::{from_bytes, reduce_into, to_bytes, ReduceOp, Scalar};
-pub use device::{ChannelSnapshot, MpiStats};
+pub use device::{mpi_metrics, ChannelSnapshot};
 pub use mpi::{Mpi, ANY_SOURCE, ANY_TAG};
 pub use request::{MpiError, Request, SendMode, Status};
 pub use trace::{render_timeline, Span, SpanKind, TraceEvent, TraceKind};
 pub use universe::{RankReport, RunReport, Universe};
-pub use viampi_via::{FaultProfile, FaultStats};
+pub use viampi_via::{fault_metrics, nic_metrics, FaultProfile};

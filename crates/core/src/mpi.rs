@@ -7,11 +7,10 @@
 //! operations the paper benchmarks.
 
 use crate::config::{MpiConfig, CALL_OVERHEAD, FLOPS_PER_US};
-use crate::device::{Device, MpiStats};
+use crate::device::Device;
 use crate::request::{MpiError, Request, SendMode, Status};
 use std::cell::RefCell;
 use viampi_sim::{SimDuration, SimTime};
-use viampi_via::NicStats;
 
 /// Wildcard for the source rank (`MPI_ANY_SOURCE`).
 pub const ANY_SOURCE: Option<usize> = None;
@@ -289,19 +288,9 @@ impl Mpi {
 
     // ---- introspection -----------------------------------------------------------
 
-    /// MPI-level statistics of this rank.
-    pub fn mpi_stats(&self) -> MpiStats {
-        self.dev.borrow().stats()
-    }
-
     /// Flat metrics snapshot of this rank (`mpi.*` + `nic.*` entries).
     pub fn metrics_snapshot(&self) -> viampi_sim::MetricsSnapshot {
         self.dev.borrow().metrics_snapshot()
-    }
-
-    /// NIC-level statistics of this rank.
-    pub fn nic_stats(&self) -> NicStats {
-        self.dev.borrow().port.stats()
     }
 
     /// Live VI endpoints on this rank's NIC.

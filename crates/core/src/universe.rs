@@ -3,28 +3,29 @@
 //! the raw material for every experiment in the paper.
 
 use crate::config::{ConnMode, Device, MpiConfig, WaitPolicy};
-use crate::device::{ChannelSnapshot, Device as AdiDevice, MpiStats};
+use crate::device::{mpi_metrics, ChannelSnapshot, Device as AdiDevice};
 use crate::mpi::Mpi;
 use crate::trace::{Span, TraceEvent};
 use std::sync::Arc;
 use viampi_sim::sync::Mutex;
-use viampi_sim::{Engine, MetricsSnapshot, SimDuration, SimError, SimTime};
+use viampi_sim::{Engine, MetricsSnapshot, Registry, SimDuration, SimError, SimTime};
 
-use viampi_via::{Fabric, FaultStats, NicStats, ViaPort};
+use viampi_via::{nic_metrics, Fabric, ViaPort};
 
 /// Per-rank resource/usage report.
 #[derive(Debug, Clone)]
 pub struct RankReport {
     /// Rank.
     pub rank: usize,
-    /// Virtual time spent in `MPI_Init`.
-    pub init_time: SimDuration,
     /// Virtual finish time of the rank body.
     pub finish: SimTime,
-    /// MPI-layer counters.
-    pub mpi: MpiStats,
-    /// NIC-layer counters.
-    pub nic: NicStats,
+    /// MPI-layer counters ([`mpi_metrics`] set), taken after
+    /// `MPI_Finalize`.
+    pub mpi: Registry,
+    /// NIC-layer counters ([`nic_metrics`] set), taken at the same moment.
+    /// A finished rank's NIC keeps receiving (credit returns it never
+    /// reaps), so the finished fabric would show later values.
+    pub nic: Registry,
     /// VIs alive at the end.
     pub vis_live: usize,
     /// VIs that carried at least one message (Table 2 utilization).
@@ -38,8 +39,6 @@ pub struct RankReport {
     /// Recorded spans (empty unless `MpiConfig::trace`; same take semantics
     /// as `trace`).
     pub spans: Vec<Span>,
-    /// This rank's flat metrics snapshot (`mpi.*` + `nic.*`).
-    pub metrics: MetricsSnapshot,
 }
 
 /// Outcome of a completed run.
@@ -57,10 +56,9 @@ pub struct RunReport<R> {
     /// measurement (it moves with the compiler), so it is a field here and
     /// not an entry of the deterministic `metrics` snapshot.
     pub stack_depth_peak: u64,
-    /// Faults the fabric injected (all-zero without a fault profile).
-    pub fault_stats: FaultStats,
     /// Whole-run flat metrics snapshot: the engine's `sim.*` entries merged
-    /// with every rank's `mpi.*`/`nic.*` entries and the `fault.*` counters.
+    /// with every rank's `mpi.*`/`nic.*` entries and the fabric's `fault.*`
+    /// and `nic.pool.*` counters.
     pub metrics: MetricsSnapshot,
     /// Configuration used.
     pub config: MpiConfig,
@@ -88,7 +86,11 @@ impl<R> RunReport<R> {
 
     /// Mean `MPI_Init` time across ranks (Fig. 8's metric).
     pub fn avg_init_time(&self) -> SimDuration {
-        let total: u64 = self.ranks.iter().map(|r| r.init_time.as_nanos()).sum();
+        let total: u64 = self
+            .ranks
+            .iter()
+            .map(|r| r.mpi.gauge(mpi_metrics::INIT_TIME_NS))
+            .sum();
         SimDuration::nanos(total / self.ranks.len() as u64)
     }
 
@@ -96,7 +98,7 @@ impl<R> RunReport<R> {
     pub fn max_pinned(&self) -> usize {
         self.ranks
             .iter()
-            .map(|r| r.nic.pinned_peak)
+            .map(|r| r.nic.gauge(nic_metrics::PINNED_PEAK) as usize)
             .max()
             .unwrap_or(0)
     }
@@ -163,10 +165,9 @@ impl Universe {
                 let port = ViaPort::open(ctx, rank);
                 let mut dev = AdiDevice::new(port, rank, np, cfg);
                 dev.init();
-                let init_time = dev.stats().init_time;
                 let mpi = Mpi::new(dev);
                 let result = body(&mpi);
-                let (channels, trace, spans, metrics) = {
+                let (channels, trace, spans, mpi_counters, nic_counters) = {
                     let mut dev = mpi.device().borrow_mut();
                     assert_eq!(
                         dev.live_requests(),
@@ -178,21 +179,20 @@ impl Universe {
                         dev.channel_snapshots(),
                         std::mem::take(&mut dev.trace),
                         std::mem::take(&mut dev.spans),
-                        dev.metrics_snapshot(),
+                        dev.metrics.clone(),
+                        dev.port.metrics(),
                     )
                 };
                 let report = RankReport {
                     rank,
-                    init_time,
                     finish: SimTime::ZERO, // filled from the outcome below
-                    mpi: mpi.mpi_stats(),
-                    nic: mpi.nic_stats(),
+                    mpi: mpi_counters,
+                    nic: nic_counters,
                     vis_live: mpi.live_vis(),
                     vis_used: mpi.used_vis(),
                     channels,
                     trace,
                     spans,
-                    metrics,
                 };
                 slots.lock()[rank] = Some((result, report));
             });
@@ -216,12 +216,12 @@ impl Universe {
             let violations = broken.iter().map(ToString::to_string).collect();
             return Err(SimError::Invariant { violations });
         }
-        let fault_stats = fabric.fault_stats();
         let mut metrics = outcome.metrics.clone();
         for r in &ranks {
-            metrics.merge(&r.metrics);
+            metrics.merge(&r.mpi.snapshot());
+            metrics.merge(&r.nic.snapshot());
         }
-        metrics.merge(&fault_stats.metrics_snapshot());
+        metrics.merge(&fabric.fault_metrics().snapshot());
         // The wire-buffer pool is fabric-global, so its counters are
         // published once per run here, not per rank (a per-rank snapshot
         // would multiply them under the Add merge).
@@ -232,7 +232,6 @@ impl Universe {
             end_time: outcome.end_time,
             events: outcome.events_processed,
             stack_depth_peak: outcome.stack_depth_peak,
-            fault_stats,
             metrics,
             config: self.cfg,
         })

@@ -1,6 +1,6 @@
 //! Connection-management behaviour: the paper's central claims, as tests.
 
-use viampi_core::{ConnMode, Device, ReduceOp, Universe, WaitPolicy};
+use viampi_core::{mpi_metrics, nic_metrics, ConnMode, Device, ReduceOp, Universe, WaitPolicy};
 use viampi_sim::SimDuration;
 
 fn uni(np: usize, device: Device, conn: ConnMode) -> Universe {
@@ -21,8 +21,11 @@ fn static_modes_build_full_mesh_at_init() {
             assert_eq!(vis, np - 1, "{conn:?} rank {r} should hold N-1 VIs");
         }
         for rank in &report.ranks {
-            assert_eq!(rank.nic.conns_established, (np - 1) as u64);
-            assert!(rank.mpi.conns_at_init >= (np - 1) as u64);
+            assert_eq!(
+                rank.nic.counter(nic_metrics::CONNS_ESTABLISHED),
+                (np - 1) as u64
+            );
+            assert!(rank.mpi.gauge(mpi_metrics::CONNS_AT_INIT) >= (np - 1) as u64);
         }
         // No message ever flowed: utilization 0.
         assert_eq!(report.avg_used_vis(), 0.0, "{conn:?}");
@@ -36,8 +39,12 @@ fn on_demand_creates_nothing_without_traffic() {
         .unwrap();
     assert!(report.results.iter().all(|&v| v == 0));
     for rank in &report.ranks {
-        assert_eq!(rank.nic.conns_established, 0);
-        assert_eq!(rank.nic.pinned_peak, 0, "no eager pools pinned");
+        assert_eq!(rank.nic.counter(nic_metrics::CONNS_ESTABLISHED), 0);
+        assert_eq!(
+            rank.nic.gauge(nic_metrics::PINNED_PEAK),
+            0,
+            "no eager pools pinned"
+        );
     }
 }
 
@@ -103,13 +110,16 @@ fn pre_posted_sends_fifo_preserves_order_and_loses_nothing() {
                     .map(|i| mpi.isend(&i.to_le_bytes(), 1, 0))
                     .collect();
                 mpi.waitall(&reqs);
-                let stats = mpi.mpi_stats();
+                let m = mpi.metrics_snapshot();
                 assert!(
-                    stats.fifo_deferred_sends > 0,
+                    m.get("mpi.fifo_deferred_sends").unwrap() > 0,
                     "burst must hit the pre-posted FIFO"
                 );
-                let nic = mpi.nic_stats();
-                assert_eq!(nic.drops_unconnected, 0, "FIFO must prevent VIA discards");
+                assert_eq!(
+                    m.get("nic.drops_unconnected"),
+                    Some(0),
+                    "FIFO must prevent VIA discards"
+                );
                 0
             } else {
                 let mut ok = 0;
@@ -170,8 +180,8 @@ fn simultaneous_first_contact_converges_to_one_vi_per_side() {
     assert_eq!(report.results, vec![1, 1]);
     // Each side establishes exactly one connection.
     let r = &report.ranks;
-    assert_eq!(r[0].nic.conns_established, 1);
-    assert_eq!(r[1].nic.conns_established, 1);
+    assert_eq!(r[0].nic.counter(nic_metrics::CONNS_ESTABLISHED), 1);
+    assert_eq!(r[1].nic.counter(nic_metrics::CONNS_ESTABLISHED), 1);
 }
 
 #[test]
@@ -228,7 +238,7 @@ fn pinned_memory_scales_with_used_peers_only() {
         // Everyone talks to exactly one partner.
         let partner = mpi.rank() ^ 1;
         mpi.sendrecv(&[1u8; 100], partner, 0, Some(partner), Some(0));
-        mpi.nic_stats().pinned_peak
+        mpi.metrics_snapshot().get("nic.pinned_peak").unwrap()
     };
     let od = uni(np, Device::Clan, ConnMode::OnDemand)
         .run(pair_exchange)
@@ -237,12 +247,12 @@ fn pinned_memory_scales_with_used_peers_only() {
         .run(pair_exchange)
         .unwrap();
     let cfg = od.config.clone().normalized();
-    let per_vi = cfg.per_vi_buffer_bytes();
+    let per_vi = cfg.per_vi_buffer_bytes() as u64;
     for &p in &od.results {
         assert_eq!(p, per_vi, "on-demand pins one VI's pools");
     }
     for &p in &st.results {
-        assert_eq!(p, per_vi * (np - 1), "static pins N-1 VI pools");
+        assert_eq!(p, per_vi * (np - 1) as u64, "static pins N-1 VI pools");
     }
 }
 
@@ -580,7 +590,11 @@ fn first_contact_enumeration_converges_to_one_connection_per_pair() {
                             assert!(ch.vi_connected, "{case}: {ch:?}");
                             assert_eq!(ch.connected_vis_to_peer, 1, "{case}: {ch:?}");
                         }
-                        assert_eq!(r.nic.vis_created, (np - 1) as u64, "{case}");
+                        assert_eq!(
+                            r.nic.counter(nic_metrics::VIS_CREATED),
+                            (np - 1) as u64,
+                            "{case}"
+                        );
                         assert_eq!(r.vis_live, np - 1, "{case}");
                         // Receives complete in posting order: the pair's K
                         // messages by sequence number, then rank 2's (or,
@@ -599,7 +613,11 @@ fn first_contact_enumeration_converges_to_one_connection_per_pair() {
                             r.trace.iter().find(up).expect("promoted").t
                         };
                         let early = sends.iter().filter(|&&(dst, at)| at < up_at(dst)).count();
-                        assert_eq!(r.mpi.fifo_deferred_sends, early as u64, "{case}");
+                        assert_eq!(
+                            r.mpi.counter(mpi_metrics::FIFO_DEFERRED_SENDS),
+                            early as u64,
+                            "{case}"
+                        );
                         deferred_before_connected += early;
                     }
                     assert!(deferred_before_connected >= 2, "{case}: first sends wait");

@@ -21,7 +21,7 @@ fn light_channel_pins_only_the_initial_window() {
                 let other = 1 - mpi.rank();
                 // Two small messages: no pressure, no growth.
                 mpi.sendrecv(&[1, 2, 3], other, 0, Some(other), Some(0));
-                mpi.nic_stats().pinned_peak
+                mpi.metrics_snapshot().get("nic.pinned_peak").unwrap()
             })
             .unwrap()
             .results[0]
@@ -49,7 +49,7 @@ fn heavy_channel_grows_to_the_configured_window() {
                     let (d, _) = mpi.recv(Some(0), Some(0));
                     assert_eq!(u32::from_le_bytes(d.try_into().unwrap()), i);
                 }
-                mpi.mpi_stats().credit_growths
+                mpi.metrics_snapshot().get("mpi.credit_growths").unwrap()
             }
         })
         .unwrap();
@@ -148,7 +148,11 @@ fn growth_is_per_channel_not_global() {
                     mpi.recv(Some(0), Some(0));
                 }
             }
-            (mpi.mpi_stats().credit_growths, mpi.nic_stats().pinned_now)
+            let m = mpi.metrics_snapshot();
+            (
+                m.get("mpi.credit_growths").unwrap(),
+                m.get("nic.pinned_now").unwrap(),
+            )
         })
         .unwrap();
     let (growths1, _) = report.results[1];
@@ -157,7 +161,7 @@ fn growth_is_per_channel_not_global() {
     assert_eq!(growths2, 0, "whispered channel must not grow");
     // Rank 2 holds one initial-window pair only.
     let cfg = report.config.clone().normalized();
-    assert_eq!(pinned2, 2 * INITIAL_BUFS * cfg.buf_size());
+    assert_eq!(pinned2, (2 * INITIAL_BUFS * cfg.buf_size()) as u64);
 }
 
 #[test]
@@ -174,14 +178,14 @@ fn dynamic_composes_with_static_managers_too() {
         .run(|mpi| {
             // Static mesh + dynamic windows: a full mesh of cheap channels.
             let v = mpi.allreduce(&[mpi.rank() as i64], viampi_core::ReduceOp::Sum);
-            (v[0], mpi.nic_stats().pinned_peak)
+            (v[0], mpi.metrics_snapshot().get("nic.pinned_peak").unwrap())
         })
         .unwrap();
     let cfg = report.config.clone().normalized();
     for &(sum, pinned) in &report.results {
         assert_eq!(sum, 6);
         // 3 channels × initial window on both sides, far below 3 × full.
-        assert!(pinned <= 3 * 2 * INITIAL_BUFS * cfg.buf_size());
-        assert!(pinned < 3 * cfg.per_vi_buffer_bytes());
+        assert!(pinned <= (3 * 2 * INITIAL_BUFS * cfg.buf_size()) as u64);
+        assert!(pinned < (3 * cfg.per_vi_buffer_bytes()) as u64);
     }
 }

@@ -3,7 +3,7 @@
 //! error), and a deliberately exhausted budget must take a clean error
 //! path through `wait_checked` instead of hanging or panicking.
 
-use viampi_core::{ConnMode, Device, FaultProfile, MpiError, Universe, WaitPolicy};
+use viampi_core::{mpi_metrics, ConnMode, Device, FaultProfile, MpiError, Universe, WaitPolicy};
 
 fn drop_profile(seed: u64, drop_prob: f64) -> FaultProfile {
     FaultProfile {
@@ -40,10 +40,18 @@ fn dropped_connect_packets_recover_transparently() {
             .unwrap_or_else(|e| panic!("seed {seed}: run failed: {e}"));
         assert_eq!(report.results[0], b"pong");
         assert_eq!(report.results[1], b"ping");
-        let retries: u64 = report.ranks.iter().map(|r| r.mpi.conn_retries).sum();
-        let failures: u64 = report.ranks.iter().map(|r| r.mpi.conn_failures).sum();
+        let retries: u64 = report
+            .ranks
+            .iter()
+            .map(|r| r.mpi.counter(mpi_metrics::CONN_RETRIES))
+            .sum();
+        let failures: u64 = report
+            .ranks
+            .iter()
+            .map(|r| r.mpi.counter(mpi_metrics::CONN_FAILURES))
+            .sum();
         assert_eq!(failures, 0, "seed {seed}: no budget exhaustion expected");
-        if report.fault_stats.conn_dropped > 0 {
+        if report.metrics.get("fault.conn_dropped").unwrap() > 0 {
             recovered += 1;
         }
         if retries > 0 {
@@ -93,12 +101,14 @@ fn exhausted_retry_budget_takes_clean_error_path() {
     assert_eq!(report.results, vec![true, true]);
     for r in &report.ranks {
         assert_eq!(
-            r.mpi.conn_failures, 1,
+            r.mpi.counter(mpi_metrics::CONN_FAILURES),
+            1,
             "rank {}: one failed channel",
             r.rank
         );
         assert_eq!(
-            r.mpi.conn_retries, 2,
+            r.mpi.counter(mpi_metrics::CONN_RETRIES),
+            2,
             "rank {}: full budget spent before giving up",
             r.rank
         );
@@ -110,7 +120,7 @@ fn exhausted_retry_budget_takes_clean_error_path() {
         assert_eq!(format!("{:?}", snap.state), "Failed");
         assert_eq!(snap.pending, 0, "failed channel keeps no queued sends");
     }
-    assert!(report.fault_stats.conn_dropped > 0);
+    assert!(report.metrics.get("fault.conn_dropped").unwrap() > 0);
 }
 
 /// Sends posted *after* a channel already failed also error out instead of
@@ -161,7 +171,11 @@ fn static_p2p_init_recovers_from_drops() {
             })
             .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         assert_eq!(report.results, vec![2, 0, 1]);
-        let failures: u64 = report.ranks.iter().map(|r| r.mpi.conn_failures).sum();
+        let failures: u64 = report
+            .ranks
+            .iter()
+            .map(|r| r.mpi.counter(mpi_metrics::CONN_FAILURES))
+            .sum();
         assert_eq!(failures, 0);
     }
 }
@@ -182,9 +196,12 @@ fn zero_rate_profile_neither_faults_nor_retries() {
         })
         .unwrap();
     assert_eq!(report.results, vec![3, 0, 1, 2]);
-    assert_eq!(report.fault_stats.total(), 0);
+    let faults = report.metrics.entries.iter();
+    assert!(faults
+        .filter(|e| e.name.starts_with("fault."))
+        .all(|e| e.value == 0));
     for r in &report.ranks {
-        assert_eq!(r.mpi.conn_retries, 0);
-        assert_eq!(r.mpi.conn_failures, 0);
+        assert_eq!(r.mpi.counter(mpi_metrics::CONN_RETRIES), 0);
+        assert_eq!(r.mpi.counter(mpi_metrics::CONN_FAILURES), 0);
     }
 }

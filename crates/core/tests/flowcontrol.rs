@@ -20,7 +20,7 @@ fn burst_larger_than_credit_window_is_delivered_in_order() {
                     .map(|i| mpi.isend(&i.to_le_bytes(), 1, 0))
                     .collect();
                 mpi.waitall(&reqs);
-                mpi.nic_stats().drops_no_desc
+                mpi.metrics_snapshot().get("nic.drops_no_desc").unwrap()
             } else {
                 for i in 0..200u32 {
                     let (d, _) = mpi.recv(Some(0), Some(0));
@@ -28,7 +28,10 @@ fn burst_larger_than_credit_window_is_delivered_in_order() {
                 }
                 // The receiver must have returned credits explicitly at
                 // least once (one-way traffic has nothing to piggyback on).
-                assert!(mpi.mpi_stats().credit_msgs > 0, "explicit credit returns");
+                assert!(
+                    mpi.metrics_snapshot().get("mpi.credit_msgs").unwrap() > 0,
+                    "explicit credit returns"
+                );
                 0
             }
         })

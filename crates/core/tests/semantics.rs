@@ -157,8 +157,8 @@ fn unexpected_messages_are_buffered_and_matched_in_order() {
                 0
             } else {
                 let (_, _) = mpi.recv(Some(0), Some(2));
-                let stats = mpi.mpi_stats();
-                assert!(stats.unexpected_msgs >= 10, "messages arrived early");
+                let unexpected = mpi.metrics_snapshot().get("mpi.unexpected_msgs");
+                assert!(unexpected.unwrap() >= 10, "messages arrived early");
                 let mut ok = 0;
                 for i in 0..10u8 {
                     let (d, _) = mpi.recv(Some(0), Some(1));
@@ -482,10 +482,13 @@ fn recv_from_a_missing_rank_is_rejected(conn: ConnMode) {
     let err = uni(2, conn)
         .run(move |mpi| {
             if mpi.rank() == 0 {
-                let before = mpi.nic_stats().vis_created;
+                let before = mpi.metrics_snapshot().get("nic.vis_created").unwrap();
                 let panic = catch_unwind(AssertUnwindSafe(|| mpi.irecv(Some(7), Some(0))))
                     .expect_err("an out-of-range source must be rejected");
-                *seen.lock().unwrap() = Some((before, mpi.nic_stats().vis_created));
+                *seen.lock().unwrap() = Some((
+                    before,
+                    mpi.metrics_snapshot().get("nic.vis_created").unwrap(),
+                ));
                 resume_unwind(panic);
             }
         })

@@ -4,10 +4,10 @@
 //! counters into a [`Registry`]: a statically registered, index-addressed
 //! store of typed metrics — monotone counters, point-in-time gauges and
 //! log₂-bucket histograms. Registration is static: a layer declares its
-//! metric set once with [`metric_defs!`], which yields typed handles
-//! ([`CounterId`]/[`GaugeId`]/[`HistId`]) and the definition tables a
-//! registry is built from, so every update is a bounds-checked vector index
-//! — no hashing, no locks, no allocation on the update path.
+//! metric set once with [`metric_defs!`](crate::metric_defs), which yields
+//! typed handles ([`CounterId`]/[`GaugeId`]/[`HistId`]) and the definition
+//! tables a registry is built from, so every update is a bounds-checked
+//! vector index — no hashing, no locks, no allocation on the update path.
 //!
 //! Everything is virtual-time aware by construction: values are only ever
 //! driven by simulation activity, so a [`MetricsSnapshot`] is as
@@ -21,7 +21,7 @@
 
 use std::borrow::Cow;
 
-/// Static description of one metric, produced by [`metric_defs!`].
+/// Static description of one metric, produced by [`metric_defs!`](crate::metric_defs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MetricDef {
     /// Dotted metric name (`layer.metric`), unique within its registry.
@@ -43,21 +43,24 @@ pub struct GaugeId(u32);
 pub struct HistId(u32);
 
 impl CounterId {
-    /// Handle for the counter registered at `idx` (use via [`metric_defs!`]).
+    /// Handle for the counter registered at `idx` (use via
+    /// [`metric_defs!`](crate::metric_defs)).
     pub const fn new(idx: u32) -> Self {
         CounterId(idx)
     }
 }
 
 impl GaugeId {
-    /// Handle for the gauge registered at `idx` (use via [`metric_defs!`]).
+    /// Handle for the gauge registered at `idx` (use via
+    /// [`metric_defs!`](crate::metric_defs)).
     pub const fn new(idx: u32) -> Self {
         GaugeId(idx)
     }
 }
 
 impl HistId {
-    /// Handle for the histogram registered at `idx` (use via [`metric_defs!`]).
+    /// Handle for the histogram registered at `idx` (use via
+    /// [`metric_defs!`](crate::metric_defs)).
     pub const fn new(idx: u32) -> Self {
         HistId(idx)
     }
@@ -226,8 +229,9 @@ impl Hist {
 
 /// An index-addressed store of one layer's metrics.
 ///
-/// Built from the static definition tables of a [`metric_defs!`] set;
-/// updates go through the typed handles the same macro produced.
+/// Built from the static definition tables of a
+/// [`metric_defs!`](crate::metric_defs) set; updates go through the typed
+/// handles the same macro produced.
 #[derive(Debug, Clone)]
 pub struct Registry {
     counter_defs: &'static [MetricDef],

@@ -13,14 +13,14 @@
 //!   `connect_peer` calls, exactly one match is made (the second request to
 //!   arrive finds its initiator already matched and is dropped as stale).
 
-use crate::fault::{FaultInjector, FaultProfile, FaultStats};
+use crate::fault::{fault_metrics, FaultInjector, FaultProfile};
 use crate::nic::{nic_metrics, Nic};
 use crate::profile::DeviceProfile;
 use crate::types::{
     Completion, CompletionKind, CsRequest, DescId, Discriminator, MemHandle, NodeId, PeerRequest,
     ViId, ViState, ViaError,
 };
-use viampi_sim::{Api, BufferPool, PoolStats, SimDuration, World};
+use viampi_sim::{Api, BufferPool, Registry, SimDuration, World};
 
 /// Cheaply clonable payload bytes: a ref-counted view into a pooled
 /// allocation (internal replacement for the `bytes` crate, which is
@@ -195,11 +195,6 @@ impl Fabric {
         self.pool.clone()
     }
 
-    /// Snapshot of the wire-buffer pool counters.
-    pub fn pool_stats(&self) -> PoolStats {
-        self.pool.stats()
-    }
-
     /// The pool counters rendered as `nic.pool.*` metric entries, for
     /// merging into a whole-run snapshot. Published once per run (the pool
     /// is fabric-global, so per-rank publication would multiply counts).
@@ -222,10 +217,12 @@ impl Fabric {
         self.faults = Some(FaultInjector::new(profile));
     }
 
-    /// Counters of the faults injected so far (all zero when no profile is
-    /// installed).
-    pub fn fault_stats(&self) -> FaultStats {
-        self.faults.as_ref().map(|f| f.stats()).unwrap_or_default()
+    /// The faults injected so far ([`fault_metrics`] set; all zero when no
+    /// profile is installed).
+    pub fn fault_metrics(&self) -> Registry {
+        self.faults
+            .as_ref()
+            .map_or_else(fault_metrics::registry, |f| f.metrics.clone())
     }
 
     /// Number of nodes.

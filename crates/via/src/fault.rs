@@ -24,7 +24,7 @@
 
 use crate::types::{NodeId, ViId};
 use std::collections::HashMap;
-use viampi_sim::{SimDuration, SimTime, SplitMix64};
+use viampi_sim::{Registry, SimDuration, SimTime, SplitMix64};
 
 /// Fault rates for one simulation run. All probabilities are in `[0, 1]`
 /// and are rolled independently per connection packet.
@@ -118,81 +118,21 @@ impl FaultProfile {
     }
 }
 
-/// Counters of faults actually injected during a run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultStats {
-    /// Connection packets dropped.
-    pub conn_dropped: u64,
-    /// Connection packets duplicated.
-    pub conn_duplicated: u64,
-    /// Connection packets delayed (jitter added to the base latency).
-    pub conn_delayed: u64,
-    /// Connection packets given an overtaking-scale delay.
-    pub conn_reordered: u64,
-    /// VI creations failed transiently.
-    pub vi_create_failures: u64,
-    /// Data wire packets delayed (losslessly).
-    pub data_delayed: u64,
-    /// Data wire packets given an overtaking-scale delay.
-    pub data_reordered: u64,
-}
-
-impl FaultStats {
-    /// Total number of injected faults of any kind.
-    pub fn total(&self) -> u64 {
-        self.conn_dropped
-            + self.conn_duplicated
-            + self.conn_delayed
-            + self.conn_reordered
-            + self.vi_create_failures
-            + self.data_delayed
-            + self.data_reordered
-    }
-
-    /// Compact letter-per-category mask of fault kinds that actually fired,
-    /// for coverage signatures: `d`rop, d`u`plicate, de`l`ay, `r`eorder,
-    /// `v`i-failure, data-`j`itter. `-` when nothing fired.
-    pub fn fired_mask(&self) -> String {
-        let mut m = String::new();
-        if self.conn_dropped > 0 {
-            m.push('d');
+/// The fault injector's metric set (`fault.*` entries of a run's
+/// snapshot): faults actually injected, by kind.
+pub mod fault_metrics {
+    viampi_sim::metric_defs! {
+        counters {
+            CONN_DROPPED => "fault.conn_dropped": "Connection packets dropped",
+            CONN_DUPLICATED => "fault.conn_duplicated": "Connection packets duplicated",
+            CONN_DELAYED => "fault.conn_delayed": "Connection packets delayed (jitter added to the base latency)",
+            CONN_REORDERED => "fault.conn_reordered": "Connection packets given an overtaking-scale delay",
+            VI_CREATE_FAILURES => "fault.vi_create_failures": "VI creations failed transiently",
+            DATA_DELAYED => "fault.data_delayed": "Data wire packets delayed (losslessly)",
+            DATA_REORDERED => "fault.data_reordered": "Data wire packets given an overtaking-scale delay",
         }
-        if self.conn_duplicated > 0 {
-            m.push('u');
-        }
-        if self.conn_delayed > 0 {
-            m.push('l');
-        }
-        if self.conn_reordered > 0 {
-            m.push('r');
-        }
-        if self.vi_create_failures > 0 {
-            m.push('v');
-        }
-        if self.data_delayed + self.data_reordered > 0 {
-            m.push('j');
-        }
-        if m.is_empty() {
-            m.push('-');
-        }
-        m
-    }
-
-    /// These counters as `fault.*` entries of the cross-layer metrics
-    /// snapshot (all summable across ranks/runs).
-    pub fn metrics_snapshot(&self) -> viampi_sim::MetricsSnapshot {
-        use viampi_sim::MetricEntry;
-        viampi_sim::MetricsSnapshot {
-            entries: vec![
-                MetricEntry::add("fault.conn_dropped", self.conn_dropped),
-                MetricEntry::add("fault.conn_duplicated", self.conn_duplicated),
-                MetricEntry::add("fault.conn_delayed", self.conn_delayed),
-                MetricEntry::add("fault.conn_reordered", self.conn_reordered),
-                MetricEntry::add("fault.vi_create_failures", self.vi_create_failures),
-                MetricEntry::add("fault.data_delayed", self.data_delayed),
-                MetricEntry::add("fault.data_reordered", self.data_reordered),
-            ],
-        }
+        gauges {}
+        hists {}
     }
 }
 
@@ -209,7 +149,8 @@ pub struct FaultInjector {
     /// monotone floor that keeps jittered data packets from overtaking
     /// earlier packets on the same VI.
     data_floor: HashMap<(NodeId, ViId), SimTime>,
-    stats: FaultStats,
+    /// Faults injected so far ([`fault_metrics`] set).
+    pub metrics: Registry,
 }
 
 impl FaultInjector {
@@ -222,7 +163,7 @@ impl FaultInjector {
             rng,
             data_rng,
             data_floor: HashMap::new(),
-            stats: FaultStats::default(),
+            metrics: fault_metrics::registry(),
         }
     }
 
@@ -231,34 +172,29 @@ impl FaultInjector {
         &self.profile
     }
 
-    /// Counters of faults injected so far.
-    pub fn stats(&self) -> FaultStats {
-        self.stats
-    }
-
     /// Decide the fate of one connection packet whose fault-free latency is
     /// `base`. Returns the delivery delays to schedule: empty means the
     /// packet was dropped; more than one entry means it was duplicated.
     pub fn conn_packet(&mut self, base: SimDuration) -> Vec<SimDuration> {
         if self.rng.next_f64() < self.profile.drop_prob {
-            self.stats.conn_dropped += 1;
+            self.metrics.inc(fault_metrics::CONN_DROPPED);
             return Vec::new();
         }
         let mut first = base;
         if self.rng.next_f64() < self.profile.delay_prob {
             first += self.jitter(self.profile.delay_max_us);
-            self.stats.conn_delayed += 1;
+            self.metrics.inc(fault_metrics::CONN_DELAYED);
         }
         if self.rng.next_f64() < self.profile.reorder_prob {
             first += self.jitter(self.profile.delay_max_us.saturating_mul(4));
-            self.stats.conn_reordered += 1;
+            self.metrics.inc(fault_metrics::CONN_REORDERED);
         }
         let mut out = vec![first];
         if self.rng.next_f64() < self.profile.dup_prob {
             // The duplicate gets its own independent jitter, so it may land
             // before or after the original.
             let dup = base + self.jitter(self.profile.delay_max_us);
-            self.stats.conn_duplicated += 1;
+            self.metrics.inc(fault_metrics::CONN_DUPLICATED);
             out.push(dup);
         }
         out
@@ -267,7 +203,7 @@ impl FaultInjector {
     /// Roll whether a VI creation on `_node` fails transiently.
     pub fn vi_create_fails(&mut self, _node: NodeId) -> bool {
         if self.rng.next_f64() < self.profile.vi_fail_prob {
-            self.stats.vi_create_failures += 1;
+            self.metrics.inc(fault_metrics::VI_CREATE_FAILURES);
             true
         } else {
             false
@@ -287,11 +223,11 @@ impl FaultInjector {
         let mut t = arrive;
         if self.data_rng.next_f64() < self.profile.data_delay_prob {
             t += self.data_jitter(self.profile.data_delay_max_us);
-            self.stats.data_delayed += 1;
+            self.metrics.inc(fault_metrics::DATA_DELAYED);
         }
         if self.data_rng.next_f64() < self.profile.data_reorder_prob {
             t += self.data_jitter(self.profile.data_delay_max_us.saturating_mul(4));
-            self.stats.data_reordered += 1;
+            self.metrics.inc(fault_metrics::DATA_REORDERED);
         }
         let floor = self.data_floor.entry(src).or_insert(t);
         if t < *floor {
@@ -329,7 +265,7 @@ mod tests {
                 .map(|_| inj.conn_packet(SimDuration::micros(12)))
                 .collect();
             let vi: Vec<bool> = (0..50).map(|_| inj.vi_create_fails(0)).collect();
-            (fates, vi, inj.stats())
+            (fates, vi, inj.metrics.snapshot())
         };
         assert_eq!(decide(), decide());
     }
@@ -344,7 +280,7 @@ mod tests {
             );
             assert!(!inj.vi_create_fails(0));
         }
-        assert_eq!(inj.stats(), FaultStats::default());
+        assert!(inj.metrics.snapshot().entries.iter().all(|e| e.value == 0));
     }
 
     #[test]
@@ -354,19 +290,16 @@ mod tests {
             inj.conn_packet(SimDuration::micros(12));
             inj.vi_create_fails(0);
         }
-        let s = inj.stats();
-        assert!(s.conn_dropped > 0);
-        assert!(s.conn_duplicated > 0);
-        assert!(s.conn_delayed > 0);
-        assert!(s.conn_reordered > 0);
-        assert!(s.vi_create_failures > 0);
+        let n = |c| inj.metrics.counter(c);
+        assert!(n(fault_metrics::CONN_DROPPED) > 0);
+        assert!(n(fault_metrics::CONN_DUPLICATED) > 0);
+        assert!(n(fault_metrics::CONN_DELAYED) > 0);
+        assert!(n(fault_metrics::CONN_REORDERED) > 0);
+        assert!(n(fault_metrics::VI_CREATE_FAILURES) > 0);
         assert_eq!(
-            s.total(),
-            s.conn_dropped
-                + s.conn_duplicated
-                + s.conn_delayed
-                + s.conn_reordered
-                + s.vi_create_failures
+            n(fault_metrics::DATA_DELAYED) + n(fault_metrics::DATA_REORDERED),
+            0,
+            "no data jitter configured"
         );
     }
 
@@ -383,9 +316,8 @@ mod tests {
             assert!(t >= last[vi as usize], "per-VI arrivals stay monotone");
             last[vi as usize] = t;
         }
-        let s = inj.stats();
-        assert!(s.data_delayed > 0);
-        assert!(s.data_reordered > 0);
+        assert!(inj.metrics.counter(fault_metrics::DATA_DELAYED) > 0);
+        assert!(inj.metrics.counter(fault_metrics::DATA_REORDERED) > 0);
     }
 
     #[test]
@@ -395,8 +327,8 @@ mod tests {
             let base = SimTime::ZERO + SimDuration::micros(i);
             assert_eq!(inj.wire_arrival((1, ViId(0)), base), base);
         }
-        assert_eq!(inj.stats().data_delayed, 0);
-        assert_eq!(inj.stats().data_reordered, 0);
+        assert_eq!(inj.metrics.counter(fault_metrics::DATA_DELAYED), 0);
+        assert_eq!(inj.metrics.counter(fault_metrics::DATA_REORDERED), 0);
     }
 
     #[test]
@@ -419,18 +351,6 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(plain, with_jitter);
-    }
-
-    #[test]
-    fn fired_mask_reflects_categories() {
-        let inj = FaultInjector::new(FaultProfile::none(1));
-        assert_eq!(inj.stats().fired_mask(), "-");
-        let s = FaultStats {
-            conn_dropped: 1,
-            data_delayed: 2,
-            ..FaultStats::default()
-        };
-        assert_eq!(s.fired_mask(), "dj");
     }
 
     #[test]

@@ -33,8 +33,8 @@ pub mod profile;
 pub mod types;
 
 pub use fabric::{Fabric, FabricEvent, Packet, PacketBody};
-pub use fault::{FaultInjector, FaultProfile, FaultStats};
-pub use nic::{Nic, NicStats, RecvRun, Region, Vi};
+pub use fault::{fault_metrics, FaultInjector, FaultProfile};
+pub use nic::{nic_metrics, Nic, RecvRun, Region, Vi};
 pub use port::{fabric_engine, ViaPort};
 pub use profile::DeviceProfile;
 pub use types::{

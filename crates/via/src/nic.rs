@@ -9,9 +9,9 @@ use crate::types::{
 use std::collections::{BTreeSet, VecDeque};
 use viampi_sim::{BufferPool, ProcId, Registry, SimTime};
 
-/// The NIC metric set (see [`viampi_sim::metrics`]). Every fabric-level
-/// counter lives here; [`NicStats`] is a compatibility view built from a
-/// registry snapshot by [`Nic::stats`].
+/// The NIC metric set (see [`viampi_sim::metrics`]): every fabric-level
+/// counter, the raw material of the paper's Table 2 and the resource-usage
+/// arguments of §1. A reader takes them from [`Nic::metrics`].
 pub mod nic_metrics {
     viampi_sim::metric_defs! {
         counters {
@@ -242,52 +242,6 @@ impl Region {
     }
 }
 
-/// Cumulative per-NIC statistics (the raw material of the paper's Table 2
-/// and the resource-usage arguments of §1).
-///
-/// Since the metrics-registry refactor this is a point-in-time *view*
-/// assembled by [`Nic::stats`] from the NIC's [`Registry`] — kept as a
-/// plain struct so existing readers are untouched.
-#[derive(Debug, Clone, Default)]
-pub struct NicStats {
-    /// VIs ever created.
-    pub vis_created: u64,
-    /// VIs destroyed.
-    pub vis_destroyed: u64,
-    /// Peak simultaneously-live VIs.
-    pub vis_peak: u64,
-    /// Connections fully established (counted once per local endpoint).
-    pub conns_established: u64,
-    /// Outgoing connection requests issued (both models).
-    pub conn_requests: u64,
-    /// Connection-step retransmissions issued after a retry timeout
-    /// (only ever non-zero under fault injection).
-    pub conn_retries: u64,
-    /// Currently pinned bytes.
-    pub pinned_now: usize,
-    /// Peak pinned bytes.
-    pub pinned_peak: usize,
-    /// Messages / bytes transmitted (send + RDMA).
-    pub msgs_tx: u64,
-    /// Bytes transmitted.
-    pub bytes_tx: u64,
-    /// Messages received (matched to a descriptor or RDMA-landed).
-    pub msgs_rx: u64,
-    /// Bytes received.
-    pub bytes_rx: u64,
-    /// Sends posted on unconnected VIs — **discarded**, per the VIA spec
-    /// behaviour the paper's §3.4 pre-posted-send FIFO exists to avoid.
-    pub drops_unconnected: u64,
-    /// Arrivals dropped because no receive descriptor was posted.
-    pub drops_no_desc: u64,
-    /// Arrivals dropped because the posted buffer was too small.
-    pub drops_too_big: u64,
-    /// RDMA writes dropped for addressing errors.
-    pub drops_rdma: u64,
-    /// Descriptors posted (sends + receives + RDMA).
-    pub descs_posted: u64,
-}
-
 /// One simulated NIC.
 #[derive(Debug)]
 pub struct Nic {
@@ -349,31 +303,6 @@ impl Nic {
             next_cs_id: 0,
             oob: VecDeque::new(),
             metrics: nic_metrics::registry(),
-        }
-    }
-
-    /// Compatibility view of the NIC's registry as the legacy counter
-    /// struct (one read per field; cheap, call on demand).
-    pub fn stats(&self) -> NicStats {
-        use nic_metrics as m;
-        NicStats {
-            vis_created: self.metrics.counter(m::VIS_CREATED),
-            vis_destroyed: self.metrics.counter(m::VIS_DESTROYED),
-            vis_peak: self.metrics.gauge(m::VIS_PEAK),
-            conns_established: self.metrics.counter(m::CONNS_ESTABLISHED),
-            conn_requests: self.metrics.counter(m::CONN_REQUESTS),
-            conn_retries: self.metrics.counter(m::CONN_RETRIES),
-            pinned_now: self.metrics.gauge(m::PINNED_NOW) as usize,
-            pinned_peak: self.metrics.gauge(m::PINNED_PEAK) as usize,
-            msgs_tx: self.metrics.counter(m::MSGS_TX),
-            bytes_tx: self.metrics.counter(m::BYTES_TX),
-            msgs_rx: self.metrics.counter(m::MSGS_RX),
-            bytes_rx: self.metrics.counter(m::BYTES_RX),
-            drops_unconnected: self.metrics.counter(m::DROPS_UNCONNECTED),
-            drops_no_desc: self.metrics.counter(m::DROPS_NO_DESC),
-            drops_too_big: self.metrics.counter(m::DROPS_TOO_BIG),
-            drops_rdma: self.metrics.counter(m::DROPS_RDMA),
-            descs_posted: self.metrics.counter(m::DESCS_POSTED),
         }
     }
 
@@ -631,8 +560,8 @@ mod tests {
         assert_eq!(nic.create_vi(2).unwrap_err(), ViaError::TooManyVis);
         nic.destroy_vi(a).unwrap();
         assert!(nic.create_vi(2).is_ok(), "destroying frees a slot");
-        assert_eq!(nic.stats().vis_created, 3);
-        assert_eq!(nic.stats().vis_peak, 2);
+        assert_eq!(nic.metrics.counter(nic_metrics::VIS_CREATED), 3);
+        assert_eq!(nic.metrics.gauge(nic_metrics::VIS_PEAK), 2);
     }
 
     #[test]
@@ -648,13 +577,13 @@ mod tests {
             }
         ));
         let b = nic.register(1000, 2000).unwrap();
-        assert_eq!(nic.stats().pinned_now, 2000);
+        assert_eq!(nic.metrics.gauge(nic_metrics::PINNED_NOW), 2000);
         nic.deregister(a).unwrap();
-        assert_eq!(nic.stats().pinned_now, 1000);
-        assert_eq!(nic.stats().pinned_peak, 2000);
+        assert_eq!(nic.metrics.gauge(nic_metrics::PINNED_NOW), 1000);
+        assert_eq!(nic.metrics.gauge(nic_metrics::PINNED_PEAK), 2000);
         assert!(nic.deregister(a).is_err(), "double deregister rejected");
         nic.deregister(b).unwrap();
-        assert_eq!(nic.stats().pinned_now, 0);
+        assert_eq!(nic.metrics.gauge(nic_metrics::PINNED_NOW), 0);
     }
 
     #[test]
@@ -713,7 +642,7 @@ mod tests {
                 .map(|_| f.nics[0].take_recv(vi, 100).unwrap())
                 .collect();
             assert!(f.nics[0].take_recv(vi, 100).is_none(), "window used up");
-            assert_eq!(f.nics[0].stats().drops_no_desc, 1);
+            assert_eq!(f.nics[0].metrics.counter(nic_metrics::DROPS_NO_DESC), 1);
             got
         };
         let (run, singles) = (drain(true), drain(false));
@@ -808,7 +737,7 @@ mod tests {
         let a = nic.alloc_desc();
         let b = nic.alloc_desc();
         assert!(b.0 > a.0);
-        assert_eq!(nic.stats().descs_posted, 2);
+        assert_eq!(nic.metrics.counter(nic_metrics::DESCS_POSTED), 2);
         assert_eq!(
             nic.metrics.snapshot().get("nic.descs_posted"),
             Some(2),

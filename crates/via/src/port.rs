@@ -18,7 +18,7 @@ use crate::types::{
     Completion, CsRequest, DescId, Discriminator, MemHandle, NodeId, PeerRequest, ViId, ViState,
     ViaError,
 };
-use viampi_sim::{ProcCtx, SimDuration};
+use viampi_sim::{ProcCtx, Registry, SimDuration};
 
 /// Per-process handle onto one NIC of the fabric.
 pub struct ViaPort {
@@ -152,7 +152,7 @@ impl ViaPort {
     // ---- data transfer ------------------------------------------------------
 
     /// `VipPostSend`. On an unconnected VI the payload is silently discarded
-    /// (counted in `NicStats::drops_unconnected`), as in the VI spec.
+    /// (counted in `nic.drops_unconnected`), as in the VI spec.
     pub fn post_send(
         &self,
         vi: ViId,
@@ -467,16 +467,11 @@ impl ViaPort {
 
     // ---- introspection --------------------------------------------------------
 
-    /// Snapshot of this NIC's statistics.
-    pub fn stats(&self) -> crate::nic::NicStats {
+    /// A copy of this NIC's counters as they stand now
+    /// ([`crate::nic::nic_metrics`] set).
+    pub fn metrics(&self) -> Registry {
         let node = self.node;
-        self.ctx.with_world(|f, _| f.nics[node].stats())
-    }
-
-    /// Flat metrics snapshot of this NIC's registry (`nic.*` entries).
-    pub fn metrics_snapshot(&self) -> viampi_sim::MetricsSnapshot {
-        let node = self.node;
-        self.ctx.with_world(|f, _| f.nics[node].metrics.snapshot())
+        self.ctx.with_world(|f, _| f.nics[node].metrics.clone())
     }
 
     /// Live VI count on this NIC.
@@ -518,6 +513,7 @@ pub use crate::fabric::FabricEvent as PortEvent;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::nic::nic_metrics;
     use crate::types::CompletionKind;
     use viampi_sim::Engine;
 
@@ -596,11 +592,24 @@ mod tests {
         });
         let (fabric, out) = eng.run().unwrap();
         assert!(out.end_time.as_nanos() > 0);
-        assert_eq!(fabric.nics[0].stats().msgs_tx, 1);
-        assert_eq!(fabric.nics[0].stats().msgs_rx, 1);
-        assert_eq!(fabric.nics[0].stats().drops_no_desc, 0);
-        assert_eq!(fabric.nics[0].stats().conns_established, 1);
-        assert_eq!(fabric.nics[1].stats().conns_established, 1);
+        assert_eq!(fabric.nics[0].metrics.counter(nic_metrics::MSGS_TX), 1);
+        assert_eq!(fabric.nics[0].metrics.counter(nic_metrics::MSGS_RX), 1);
+        assert_eq!(
+            fabric.nics[0].metrics.counter(nic_metrics::DROPS_NO_DESC),
+            0
+        );
+        assert_eq!(
+            fabric.nics[0]
+                .metrics
+                .counter(nic_metrics::CONNS_ESTABLISHED),
+            1
+        );
+        assert_eq!(
+            fabric.nics[1]
+                .metrics
+                .counter(nic_metrics::CONNS_ESTABLISHED),
+            1
+        );
     }
 
     /// The on-demand scenario: one side connects late, discovering the
@@ -658,8 +667,18 @@ mod tests {
             });
         }
         let (fabric, _) = eng.run().unwrap();
-        assert_eq!(fabric.nics[0].stats().conns_established, 1);
-        assert_eq!(fabric.nics[1].stats().conns_established, 1);
+        assert_eq!(
+            fabric.nics[0]
+                .metrics
+                .counter(nic_metrics::CONNS_ESTABLISHED),
+            1
+        );
+        assert_eq!(
+            fabric.nics[1]
+                .metrics
+                .counter(nic_metrics::CONNS_ESTABLISHED),
+            1
+        );
     }
 
     /// Two `Connecting` VIs of one NIC under one `(remote, disc)`: a match
@@ -699,8 +718,18 @@ mod tests {
         let (fabric, _) = eng.run().unwrap();
         assert_eq!(fabric.nics[0].vis[1].peer, Some((1, ViId(0))));
         assert_eq!(fabric.nics[0].vis[2].peer, Some((1, ViId(1))));
-        assert_eq!(fabric.nics[0].stats().conns_established, 2);
-        assert_eq!(fabric.nics[1].stats().conns_established, 2);
+        assert_eq!(
+            fabric.nics[0]
+                .metrics
+                .counter(nic_metrics::CONNS_ESTABLISHED),
+            2
+        );
+        assert_eq!(
+            fabric.nics[1]
+                .metrics
+                .counter(nic_metrics::CONNS_ESTABLISHED),
+            2
+        );
     }
 
     /// Client/server model: server accepts a pending request.
@@ -765,8 +794,12 @@ mod tests {
             let mem = port.register(64).unwrap();
             // Never connected: the post "succeeds" but the data vanishes.
             port.post_send(vi, mem, 0, 16, 0).unwrap();
-            assert_eq!(port.stats().drops_unconnected, 1);
-            assert_eq!(port.stats().msgs_tx, 0, "nothing hit the wire");
+            assert_eq!(port.metrics().counter(nic_metrics::DROPS_UNCONNECTED), 1);
+            assert_eq!(
+                port.metrics().counter(nic_metrics::MSGS_TX),
+                0,
+                "nothing hit the wire"
+            );
         });
         eng.run().unwrap();
     }
@@ -794,8 +827,8 @@ mod tests {
             port.connect_wait(vi).unwrap();
             // No post_recv — wait out the drop.
             port.charge(SimDuration::millis(1));
-            assert_eq!(port.stats().drops_no_desc, 1);
-            assert_eq!(port.stats().msgs_rx, 0);
+            assert_eq!(port.metrics().counter(nic_metrics::DROPS_NO_DESC), 1);
+            assert_eq!(port.metrics().counter(nic_metrics::MSGS_RX), 0);
         });
         eng.run().unwrap();
     }
@@ -887,7 +920,7 @@ mod tests {
             }
         });
         let (fabric, _) = eng.run().unwrap();
-        assert_eq!(fabric.nics[1].stats().msgs_rx, 10);
+        assert_eq!(fabric.nics[1].metrics.counter(nic_metrics::MSGS_RX), 10);
     }
 
     /// OOB bootstrap channel delivers with its own latency.
@@ -988,7 +1021,7 @@ mod tests {
     // Fault injection on the connection path
     // ------------------------------------------------------------------
 
-    use crate::fault::{FaultInjector, FaultProfile};
+    use crate::fault::{fault_metrics, FaultInjector, FaultProfile};
 
     /// Drop-only profile used by the retry tests.
     fn drop_profile(seed: u64, drop_prob: f64) -> FaultProfile {
@@ -1042,10 +1075,23 @@ mod tests {
             assert_eq!(port.connect_wait(vi).unwrap(), ViState::Connected);
         });
         let (fabric, _) = eng.run().unwrap();
-        assert_eq!(fabric.fault_stats().conn_dropped, 2);
-        assert_eq!(fabric.nics[0].stats().conn_retries, 1);
-        assert_eq!(fabric.nics[0].stats().conns_established, 1);
-        assert_eq!(fabric.nics[1].stats().conns_established, 1);
+        assert_eq!(
+            fabric.fault_metrics().counter(fault_metrics::CONN_DROPPED),
+            2
+        );
+        assert_eq!(fabric.nics[0].metrics.counter(nic_metrics::CONN_RETRIES), 1);
+        assert_eq!(
+            fabric.nics[0]
+                .metrics
+                .counter(nic_metrics::CONNS_ESTABLISHED),
+            1
+        );
+        assert_eq!(
+            fabric.nics[1]
+                .metrics
+                .counter(nic_metrics::CONNS_ESTABLISHED),
+            1
+        );
     }
 
     /// Every connection packet duplicated: the stale-request and
@@ -1071,10 +1117,17 @@ mod tests {
             });
         }
         let (fabric, _) = eng.run().unwrap();
-        assert!(fabric.fault_stats().conn_duplicated > 0);
+        assert!(
+            fabric
+                .fault_metrics()
+                .counter(fault_metrics::CONN_DUPLICATED)
+                > 0
+        );
         for n in 0..2 {
             assert_eq!(
-                fabric.nics[n].stats().conns_established,
+                fabric.nics[n]
+                    .metrics
+                    .counter(nic_metrics::CONNS_ESTABLISHED),
                 1,
                 "duplicates must not double-establish on node {n}"
             );
@@ -1106,7 +1159,12 @@ mod tests {
             port.create_vi().expect("second attempt succeeds");
         });
         let (fabric, _) = eng.run().unwrap();
-        assert_eq!(fabric.fault_stats().vi_create_failures, 1);
-        assert_eq!(fabric.nics[0].stats().vis_created, 1);
+        assert_eq!(
+            fabric
+                .fault_metrics()
+                .counter(fault_metrics::VI_CREATE_FAILURES),
+            1
+        );
+        assert_eq!(fabric.nics[0].metrics.counter(nic_metrics::VIS_CREATED), 1);
     }
 }

@@ -6,7 +6,8 @@
 
 use viampi_sim::{PooledBuf, SimDuration};
 use viampi_via::{
-    fabric_engine, CompletionKind, DeviceProfile, Discriminator, MemHandle, ViaError, ViaPort,
+    fabric_engine, nic_metrics, CompletionKind, DeviceProfile, Discriminator, MemHandle, ViaError,
+    ViaPort,
 };
 
 fn connect_pair(a: &ViaPort, remote: usize, disc: u64) -> viampi_via::ViId {
@@ -60,7 +61,7 @@ fn posted_window(as_run: bool) -> (String, u64, u64, u64) {
     let (_, clock) = nic.oob.front().cloned().expect("clock was reported");
     (
         format!("{:?}", nic.vis[0].recv_q),
-        nic.stats().descs_posted,
+        nic.metrics.counter(nic_metrics::DESCS_POSTED),
         u64::from_le_bytes(clock[..].try_into().unwrap()),
         out.metrics.get("sim.world_accesses").unwrap(),
     )
@@ -158,7 +159,10 @@ fn a_run_that_does_not_fit_posts_and_charges_nothing() {
         let vi = port.create_vi().unwrap();
         let mem = port.register(8 * 64).unwrap();
         port.post_recv_run(vi, mem, 0, 64, 3).unwrap();
-        let (t0, posted) = (port.ctx().now(), port.stats().descs_posted);
+        let (t0, posted) = (
+            port.ctx().now(),
+            port.metrics().counter(nic_metrics::DESCS_POSTED),
+        );
         // Six more would make nine on a queue of eight.
         assert_eq!(
             port.post_recv_run(vi, mem, 0, 64, 6),
@@ -175,7 +179,11 @@ fn a_run_that_does_not_fit_posts_and_charges_nothing() {
             "a run whose length overflows is out of bounds"
         );
         assert_eq!(port.ctx().now(), t0, "a rejected run charges nothing");
-        assert_eq!(port.stats().descs_posted, posted, "and posts nothing");
+        assert_eq!(
+            port.metrics().counter(nic_metrics::DESCS_POSTED),
+            posted,
+            "and posts nothing"
+        );
         // Exactly what is left still fits, and the ids carry on.
         assert_eq!(port.post_recv_run(vi, mem, 3 * 64, 64, 5).unwrap().0, 3);
         assert_eq!(port.post_recv(vi, mem, 0, 64), Err(ViaError::RecvQueueFull));
@@ -201,9 +209,9 @@ fn oversized_arrival_is_dropped_with_counter() {
         port.connect_peer(vi, 0, Discriminator(5)).unwrap();
         port.connect_wait(vi).unwrap();
         port.charge(SimDuration::millis(1));
-        let stats = port.stats();
-        assert_eq!(stats.drops_too_big, 1);
-        assert_eq!(stats.msgs_rx, 0);
+        let nic = port.metrics();
+        assert_eq!(nic.counter(nic_metrics::DROPS_TOO_BIG), 1);
+        assert_eq!(nic.counter(nic_metrics::MSGS_RX), 0);
         // The undersized descriptor is still posted (VIA leaves it).
         assert!(port.cq_poll().is_none());
     });
@@ -229,7 +237,7 @@ fn rdma_out_of_bounds_is_dropped() {
         port.connect_peer(vi, 0, Discriminator(6)).unwrap();
         port.connect_wait(vi).unwrap();
         port.charge(SimDuration::millis(1));
-        assert_eq!(port.stats().drops_rdma, 1);
+        assert_eq!(port.metrics().counter(nic_metrics::DROPS_RDMA), 1);
     });
     eng.run().unwrap();
 }
@@ -321,7 +329,7 @@ fn nic_tx_serializes_back_to_back_sends() {
         port.connect_peer(vi, 0, Discriminator(11)).unwrap();
         port.connect_wait(vi).unwrap();
         port.charge(SimDuration::millis(2));
-        assert_eq!(port.stats().msgs_rx, 2);
+        assert_eq!(port.metrics().counter(nic_metrics::MSGS_RX), 2);
     });
     eng.run().unwrap();
 }
@@ -459,15 +467,15 @@ fn whole_region_rdma_is_handed_over_not_copied() {
         },
         |port| {
             let region_copies =
-                |port: &ViaPort| port.metrics_snapshot().get("nic.pool.bytes_copied");
-            assert_eq!(region_copies(port), Some(0), "installed, not copied in");
+                |port: &ViaPort| port.metrics().counter(nic_metrics::POOL_BYTES_COPIED);
+            assert_eq!(region_copies(port), 0, "installed, not copied in");
             let before = port.pool().stats().bytes_copied;
             // A partial host write on top: the region moves to a private
             // copy (a pool allocation, counted there) and leaves the
             // sender's buffer alone.
             port.mem_fill(MemHandle(0), 8, &[0x11; 16]).unwrap();
             assert_eq!(port.pool().stats().bytes_copied, before + 4096);
-            assert_eq!(region_copies(port), Some(16));
+            assert_eq!(region_copies(port), 16);
             let got = port.deregister_take(MemHandle(0), 4096).unwrap();
             assert_eq!(&got[..8], &[0x5A; 8]);
             assert_eq!(&got[8..24], &[0x11; 16]);
@@ -498,7 +506,7 @@ fn rdma_at_an_offset_into_a_fresh_region_is_copied_in() {
             want.extend([0xAB; 64]);
             want.extend([0u8; 48]);
             assert_eq!(port.mem_peek(MemHandle(0), 0, 128).unwrap(), want);
-            assert_eq!(port.stats().msgs_rx, 1);
+            assert_eq!(port.metrics().counter(nic_metrics::MSGS_RX), 1);
         },
     );
 }
@@ -524,7 +532,7 @@ fn two_disjoint_rdma_writes_share_one_region() {
             let mut want = vec![0x11; 32];
             want.extend([0x22; 32]);
             assert_eq!(port.mem_peek(MemHandle(0), 0, 64).unwrap(), want);
-            assert_eq!(port.stats().msgs_rx, 2);
+            assert_eq!(port.metrics().counter(nic_metrics::MSGS_RX), 2);
         },
     );
 }
@@ -570,7 +578,7 @@ fn deregister_with_an_rdma_in_flight_drops_or_lands_cleanly() {
             // The source unpins with both packets still on the wire: they
             // keep the buffer alive.
             port.deregister(mem).unwrap();
-            assert_eq!(port.stats().pinned_now, 0);
+            assert_eq!(port.metrics().gauge(nic_metrics::PINNED_NOW), 0);
         },
         |port| {
             port.register(64).unwrap();
@@ -579,9 +587,13 @@ fn deregister_with_an_rdma_in_flight_drops_or_lands_cleanly() {
         },
         |port| {
             assert_eq!(port.mem_peek(MemHandle(0), 0, 64).unwrap(), vec![0xAB; 64]);
-            let stats = port.stats();
-            assert_eq!(stats.drops_rdma, 1, "write into the unpinned region");
-            assert_eq!(stats.msgs_rx, 1);
+            let nic = port.metrics();
+            assert_eq!(
+                nic.counter(nic_metrics::DROPS_RDMA),
+                1,
+                "write into the unpinned region"
+            );
+            assert_eq!(nic.counter(nic_metrics::MSGS_RX), 1);
         },
     );
 }

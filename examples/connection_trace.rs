@@ -6,6 +6,7 @@
 //! cargo run --release --example connection_trace
 //! ```
 
+use viampi::core::mpi_metrics;
 use viampi::{ConnMode, Device, Universe, WaitPolicy, ANY_SOURCE};
 
 fn main() {
@@ -20,10 +21,11 @@ fn main() {
                     // held in the per-VI FIFO, none is lost to the VIA
                     // unconnected-send discard rule.
                     let reqs: Vec<_> = (0..10u8).map(|i| mpi.isend(&[i], 1, 0)).collect();
+                    let m = mpi.metrics_snapshot();
                     log.push(format!(
                         "posted 10 isends; fifo-deferred={} drops={}",
-                        mpi.mpi_stats().fifo_deferred_sends,
-                        mpi.nic_stats().drops_unconnected
+                        m.get("mpi.fifo_deferred_sends").unwrap(),
+                        m.get("nic.drops_unconnected").unwrap()
                     ));
                     mpi.waitall(&reqs);
                     log.push(format!(
@@ -78,7 +80,7 @@ fn main() {
             "  {:10}  init = {:>12}  connections at init = {}",
             mode.name(),
             format!("{}", r.avg_init_time()),
-            r.ranks[0].mpi.conns_at_init
+            r.ranks[0].mpi.gauge(mpi_metrics::CONNS_AT_INIT)
         );
     }
 }

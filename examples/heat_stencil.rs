@@ -10,13 +10,14 @@
 //! cargo run --release --example heat_stencil
 //! ```
 
+use viampi::core::nic_metrics;
 use viampi::{from_bytes, to_bytes, ConnMode, Device, Mpi, ReduceOp, Universe, WaitPolicy};
 
 const N: usize = 64; // global grid side
 const STEPS: usize = 50;
 
 /// One rank's strip of the domain: rows `[r0, r0 + rows)` with halo rows.
-fn solve(mpi: &Mpi) -> (f64, usize, usize) {
+fn solve(mpi: &Mpi) -> f64 {
     let (rank, size) = (mpi.rank(), mpi.size());
     assert_eq!(N % size, 0);
     let rows = N / size;
@@ -67,8 +68,7 @@ fn solve(mpi: &Mpi) -> (f64, usize, usize) {
     let local: f64 = (1..=rows)
         .map(|lr| u[lr * N..(lr + 1) * N].iter().sum::<f64>())
         .sum();
-    let total = mpi.allreduce(&[local], ReduceOp::Sum)[0];
-    (total, mpi.live_vis(), mpi.nic_stats().pinned_peak)
+    mpi.allreduce(&[local], ReduceOp::Sum)[0]
 }
 
 fn main() {
@@ -80,8 +80,12 @@ fn main() {
         let report = Universe::new(np, Device::Clan, conn, WaitPolicy::Polling)
             .run(solve)
             .unwrap();
-        let (heat, _, _) = report.results[0];
-        let avg_pinned: usize = report.results.iter().map(|r| r.2).sum::<usize>() / np;
+        let heat = report.results[0];
+        let pinned = report
+            .ranks
+            .iter()
+            .map(|r| r.nic.gauge(nic_metrics::PINNED_PEAK));
+        let avg_pinned = pinned.sum::<u64>() / np as u64;
         println!(
             "{label}  np={np}  total heat = {heat:10.3}  avg VIs/process = {:5.2}  \
              avg pinned = {:4} KiB  init = {}",

@@ -6,6 +6,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use viampi::core::nic_metrics;
 use viampi::{ConnMode, Device, ReduceOp, Universe, WaitPolicy};
 
 fn main() {
@@ -28,7 +29,7 @@ fn main() {
             let total = mpi.allreduce(&[rank as i64 + 1], ReduceOp::Sum)[0];
 
             // What did this cost in connection resources?
-            (got, total, mpi.live_vis(), mpi.nic_stats().pinned_peak)
+            (got, total, mpi.live_vis())
         })
         .unwrap();
 
@@ -37,7 +38,8 @@ fn main() {
         report.end_time
     );
     println!();
-    for (rank, (got, total, vis, pinned)) in report.results.iter().enumerate() {
+    for (rank, (got, total, vis)) in report.results.iter().enumerate() {
+        let pinned = report.ranks[rank].nic.gauge(nic_metrics::PINNED_PEAK);
         println!(
             "rank {rank}: received {got:?}, sum = {total}, VIs = {vis}, pinned = {} KiB",
             pinned / 1024

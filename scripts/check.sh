@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Pre-PR gate: formatting, lints, the tier-1 build/test pair, the record
-# identity check, the campaign frontier and a smoke run of the repo
+# Pre-PR gate: formatting, lints, rustdoc, the tier-1 build/test pair, the
+# record identity check, the campaign frontier and a smoke run of the repo
 # benchmark, all offline (the build environment has no crate registry — see
 # DESIGN.md §3) and, for the workspace, --locked, so a drifted Cargo.lock
 # fails loudly instead of resolving.
@@ -71,6 +71,11 @@ cargo fmt --all -- --check
 
 echo "== cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets --offline --locked -- -D warnings
+
+# A doc link to a deleted or private item is an error, not a silent
+# dangling link (about 6 s on 2 cores).
+echo "== rustdoc (deny warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --locked --workspace
 
 echo "== tier-1: cargo build --release (offline)"
 cargo build --release --offline --locked

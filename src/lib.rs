@@ -29,8 +29,8 @@
 #![forbid(unsafe_code)]
 
 pub use viampi_core::{
-    from_bytes, to_bytes, Comm, ConnMode, Device, Mpi, MpiConfig, MpiStats, RankReport, ReduceOp,
-    Request, RunReport, Scalar, SendMode, Status, Universe, WaitPolicy, ANY_SOURCE, ANY_TAG,
+    from_bytes, to_bytes, Comm, ConnMode, Device, Mpi, MpiConfig, RankReport, ReduceOp, Request,
+    RunReport, Scalar, SendMode, Status, Universe, WaitPolicy, ANY_SOURCE, ANY_TAG,
 };
 
 /// The simulation engine substrate.

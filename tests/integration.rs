@@ -2,6 +2,7 @@
 //! exercised through the facade crate, plus determinism and resource-limit
 //! behaviour.
 
+use viampi::core::{mpi_metrics, nic_metrics};
 use viampi::npb::{adi, cg, ep, ft, is, llc, lu, mg, Class};
 use viampi::sim::SimDuration;
 use viampi::via::{fabric_engine, DeviceProfile, ViaPort};
@@ -51,10 +52,8 @@ fn identical_runs_are_bitwise_deterministic() {
     assert_eq!(a.results, b.results, "simulation must be deterministic");
     assert_eq!(a.end_time, b.end_time);
     assert_eq!(a.events, b.events);
-    for (ra, rb) in a.ranks.iter().zip(&b.ranks) {
-        assert_eq!(ra.nic.msgs_tx, rb.nic.msgs_tx);
-        assert_eq!(ra.init_time, rb.init_time);
-    }
+    // Every counter of every layer, `MPI_Init` time included.
+    assert_eq!(a.metrics.render(), b.metrics.render());
 }
 
 #[test]
@@ -215,13 +214,13 @@ fn rank_reports_account_for_traffic() {
         })
         .unwrap();
     let r0 = &report.ranks[0];
-    assert_eq!(r0.mpi.sends, 2);
-    assert_eq!(r0.mpi.eager_sent, 1);
-    assert_eq!(r0.mpi.rendezvous_sent, 1);
-    assert!(r0.nic.bytes_tx >= 20_100);
-    assert_eq!(report.ranks[1].mpi.recvs, 1);
-    assert_eq!(report.ranks[1].nic.drops_no_desc, 0);
+    assert_eq!(r0.mpi.counter(mpi_metrics::SENDS), 2);
+    assert_eq!(r0.mpi.counter(mpi_metrics::EAGER_SENT), 1);
+    assert_eq!(r0.mpi.counter(mpi_metrics::RENDEZVOUS_SENT), 1);
+    assert!(r0.nic.counter(nic_metrics::BYTES_TX) >= 20_100);
+    assert_eq!(report.ranks[1].mpi.counter(mpi_metrics::RECVS), 1);
+    assert_eq!(report.ranks[1].nic.counter(nic_metrics::DROPS_NO_DESC), 0);
     // Rendezvous pinned the 20 kB payload on both sides beyond the pools.
     let pools = report.config.clone().normalized().per_vi_buffer_bytes();
-    assert!(r0.nic.pinned_peak > pools);
+    assert!(r0.nic.gauge(nic_metrics::PINNED_PEAK) > pools as u64);
 }
