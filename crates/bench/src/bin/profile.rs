@@ -11,7 +11,7 @@
 //! ```
 //!
 //! Defaults: `--program ring --np 4 --device clan --class S`, output to
-//! `results/profile_<program>.json`.
+//! `target/profile_<program>.json` at the workspace root.
 
 use std::path::PathBuf;
 use viampi_bench::{profile, report};
@@ -125,10 +125,11 @@ fn main() {
     let report = traced_run(&args);
 
     let json = profile::chrome_trace(&report);
-    let out = args
-        .out
-        .clone()
-        .unwrap_or_else(|| report::results_dir().join(format!("profile_{}.json", args.program)));
+    let out = args.out.clone().unwrap_or_else(|| {
+        report::results_dir()
+            .with_file_name("target")
+            .join(format!("profile_{}.json", args.program))
+    });
     if let Some(dir) = out.parent() {
         let _ = std::fs::create_dir_all(dir);
     }

@@ -1,8 +1,10 @@
 //! The experiment table. [`ALL`] is the one list of what this harness
 //! regenerates — every paper table and figure, the ablations, the
-//! beyond-paper series and the standard fault sweep — and `repro_all` is the
-//! one executable that walks it. A row is a record name and a function from
-//! a worker count to an [`Output`]; computing one writes nothing.
+//! beyond-paper series, the standard fault sweep and the two pinned
+//! artifacts (exact scheduling counts and a Chrome trace) — and `repro_all`
+//! is the one executable that walks it. A row is a record name and a
+//! function from a worker count to an [`Output`]; computing one writes
+//! nothing.
 //!
 //! Every driver fans its configuration grid out over
 //! [`par_map`]: each grid point is an independent deterministic
@@ -11,8 +13,8 @@
 
 use crate::report::{kib, milli, table, Output};
 use crate::runner::par_map;
-use crate::{ablation, micro, record, simcheck};
-use viampi_core::{ConnMode, Device, Mpi, Universe, WaitPolicy};
+use crate::{ablation, micro, profile, record, simcheck};
+use viampi_core::{ConnMode, Device, Mpi, RunReport, Universe, WaitPolicy};
 use viampi_npb::{adi, cg, ep, ft, is, llc, lu, mg, patterns, ring, Class};
 use viampi_via::DeviceProfile;
 
@@ -53,6 +55,8 @@ pub const ALL: &[Experiment] = &[
     row("fig8_largen", fig8_largen),
     row("tab2_largen", tab2_largen),
     row("simcheck", simcheck::standard_sweep),
+    row("perf_exact", perf_exact),
+    row("trace_ring_np2", profile::ring_np2),
 ];
 
 /// The row called `name`.
@@ -782,5 +786,73 @@ fn fig9(jobs: usize) -> Output {
     Output::of(
         "Figure 9 — MPI+threads message rate: shared VI vs multi-VI endpoints",
         &points,
+    )
+}
+
+// ========================================================================
+// Exact scheduling work — what a message and a channel cost the harness
+// ========================================================================
+
+record! {
+    /// One exact work count: `count` units of scheduling work for `per`
+    /// units of modelled work, both read from a finished world's metrics.
+    pub struct ExactCount {
+        /// What is counted, per what, in which world.
+        name: String = "exact count",
+        /// Units of scheduling work.
+        count: u64 = "count",
+        /// Units of modelled work.
+        per: u64 = "per",
+    }
+}
+
+fn metric<R>(report: &RunReport<R>, name: &str) -> u64 {
+    report
+        .metrics
+        .get(name)
+        .unwrap_or_else(|| panic!("the run published no `{name}`"))
+}
+
+/// Scheduling work counted, not timed, so the record means the same on any
+/// machine and moves on *any* change to it: token switches, progress passes
+/// and channel-table walks per wire message on fig4's largest cLAN point,
+/// and world accesses per provisioned channel on fig8's static wiring.
+fn perf_exact(_jobs: usize) -> Output {
+    let world = |np, conn| Universe::new(np, Device::Clan, conn, WaitPolicy::Polling);
+    let barrier = world(16, ConnMode::OnDemand)
+        .run(|mpi| llc::barrier_latency(mpi, 300))
+        .unwrap();
+    let switches = metric(&barrier, "sim.handoffs")
+        - metric(&barrier, "sim.fast_resumes")
+        - metric(&barrier, "sim.direct.self_resumes");
+    let messages = metric(&barrier, "nic.msgs_tx");
+    let wiring = world(32, ConnMode::StaticPeerToPeer).run(|_| ()).unwrap();
+    let counts = [
+        ExactCount {
+            name: "switches_per_message.barrier_np16_clan".into(),
+            count: switches,
+            per: messages,
+        },
+        ExactCount {
+            name: "world_accesses_per_channel.static_np32_clan".into(),
+            count: metric(&wiring, "sim.world_accesses"),
+            per: metric(&wiring, "nic.vis_created"),
+        },
+        // The §3.3 property: progress passes are many per message, so an
+        // idle one must not walk the channel table.
+        ExactCount {
+            name: "progress_passes_per_message.barrier_np16_clan".into(),
+            count: metric(&barrier, "mpi.progress_passes"),
+            per: messages,
+        },
+        ExactCount {
+            name: "table_walks_per_message.barrier_np16_clan".into(),
+            count: metric(&barrier, "mpi.table_walks"),
+            per: messages,
+        },
+    ];
+    Output::of(
+        "Exact scheduling work per message and per channel (counts, not time)",
+        &counts,
     )
 }

@@ -10,7 +10,7 @@
 //! protocol event as an instant marker.
 //!
 //! Layout choices (all deterministic, so the output is byte-comparable
-//! across runs — the golden-file test relies on this):
+//! across runs — the `trace_ring_np2` record relies on this):
 //!
 //! * one process (`pid` 0, named `viampi`), one thread track per rank
 //!   (`tid` = rank);
@@ -21,8 +21,10 @@
 //!   without a second file.
 
 use crate::json::{emit_f64, emit_str};
+use crate::report::{fmt, Output};
 use std::fmt::Write as _;
-use viampi_core::{RunReport, Span, TraceEvent};
+use viampi_core::{ConnMode, Device, RunReport, Span, TraceEvent, Universe, WaitPolicy};
+use viampi_npb::ring;
 
 /// One trace-event line: `"M"` metadata naming a process or thread track.
 fn meta_event(out: &mut String, tid: Option<usize>, key: &str, name: &str) {
@@ -110,6 +112,25 @@ pub fn chrome_trace<R>(report: &RunReport<R>) -> String {
     out
 }
 
+/// The pinned trace (`results/trace_ring_np2.json`): a traced np = 2
+/// on-demand cLAN ring. Its bytes move when the protocol's virtual-time
+/// behaviour or the exporter's format does.
+pub fn ring_np2(_jobs: usize) -> Output {
+    let mut uni = Universe::new(2, Device::Clan, ConnMode::OnDemand, WaitPolicy::Polling);
+    uni.config_mut().trace = true;
+    let report = uni.run(|mpi| ring::run(mpi, 2, 256)).unwrap();
+    let spans: usize = report.ranks.iter().map(|r| r.spans.len()).sum();
+    let events: usize = report.ranks.iter().map(|r| r.trace.len()).sum();
+    Output {
+        json: chrome_trace(&report),
+        text: format!(
+            "Chrome trace of a traced np=2 on-demand cLAN ring: {spans} spans, \
+             {events} protocol events, end {} us\n",
+            fmt(report.end_time.as_micros_f64())
+        ),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,6 +177,23 @@ mod tests {
             "{\"ph\": \"i\", \"pid\": 0, \"tid\": 0, \"ts\": 2.0, \"s\": \"t\", \
              \"cat\": \"protocol\", \"name\": \"connect -> 1 issued\"}"
         );
+    }
+
+    #[test]
+    fn traced_run_exports_spans_protocol_events_and_metrics() {
+        let json = ring_np2(1).json;
+        assert!(json.starts_with("{\n  \"displayTimeUnit\": \"ns\",\n"));
+        assert!(json.ends_with("  ]\n}"));
+        assert!(
+            json.contains("\"ph\": \"X\""),
+            "traced run must carry spans"
+        );
+        assert!(
+            json.contains("\"ph\": \"i\""),
+            "traced run must carry protocol events"
+        );
+        assert!(json.contains("\"cat\": \"connection\""));
+        assert!(json.contains("{\"name\": \"sim.events\", \"value\": "));
     }
 
     #[test]

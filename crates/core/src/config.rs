@@ -111,6 +111,9 @@ pub const INITIAL_BUFS: usize = 4;
 /// establishment (~205 µs on cLAN, ~390 µs on Berkeley VIA), so a retry
 /// only ever fires on an actually-lost packet. Doubles on each attempt.
 pub const CONN_RETRY_TIMEOUT_US: u64 = 2000;
+/// Retry budget per connection: after this many retransmissions the
+/// channel is failed and pending requests error out.
+pub const CONN_RETRY_MAX: u32 = 10;
 
 /// Full configuration of an MPI run.
 #[derive(Debug, Clone)]
@@ -137,9 +140,6 @@ pub struct MpiConfig {
     pub dynamic_credits: bool,
     /// Record a per-rank protocol trace (see [`crate::trace`]).
     pub trace: bool,
-    /// Retry budget per connection: after this many retransmissions the
-    /// channel is failed and pending requests error out.
-    pub conn_retry_max: u32,
     /// Connection-path fault injection (see [`viampi_via::fault`]). `None`
     /// — the default and the setting of every experiment — leaves the
     /// fabric perfectly reliable *and* disarms the retry machinery, so
@@ -173,7 +173,6 @@ impl MpiConfig {
             os_noise: true,
             dynamic_credits: false,
             trace: false,
-            conn_retry_max: 10,
             faults: None,
             sched_seed: None,
             vis_per_peer: 1,

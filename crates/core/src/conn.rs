@@ -19,7 +19,7 @@
 //! carries out the action the machine returns. The data path lives in
 //! [`crate::device`] and never assigns a connection state.
 
-use crate::config::{ConnMode, CONN_RETRY_TIMEOUT_US};
+use crate::config::{ConnMode, CONN_RETRY_MAX, CONN_RETRY_TIMEOUT_US};
 use crate::device::{mpi_metrics, Device};
 use crate::trace::{Span, SpanKind, TraceKind};
 use viampi_sim::{SimDuration, SimTime};
@@ -340,8 +340,10 @@ impl Device {
             let event = if self.port.vi_state(vi) == Ok(ViState::Connected) {
                 ConnEvent::Up
             } else if self.retries_armed() && self.port.ctx().now() >= deadline {
-                let budget = self.cfg.conn_retry_max;
-                ConnEvent::Timeout { attempts, budget }
+                ConnEvent::Timeout {
+                    attempts,
+                    budget: CONN_RETRY_MAX,
+                }
             } else {
                 continue;
             };
@@ -426,7 +428,7 @@ impl Device {
     /// pools and pre-posted receive window — which must be in place *before*
     /// the connection completes or early arrivals would be dropped. Shared
     /// by all three managers. Transient VI-creation failures (fault
-    /// injection) are retried up to the configured budget; only an
+    /// injection) are retried up to [`CONN_RETRY_MAX`] times; only an
     /// exhausted budget surfaces as an error.
     fn provision(&mut self, slot: usize) -> Result<ViId, ViaError> {
         let (peer, stripe) = (self.channels[slot].peer, self.channels[slot].stripe);
@@ -440,7 +442,7 @@ impl Device {
                     self.metrics
                         .gauge_max(mpi_metrics::CONN_RETRY_DEPTH_MAX, attempt as u64);
                     self.trace(TraceKind::ConnRetry { peer, attempt });
-                    if attempt > self.cfg.conn_retry_max {
+                    if attempt > CONN_RETRY_MAX {
                         return Err(ViaError::TransientFailure);
                     }
                 }

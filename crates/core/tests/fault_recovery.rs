@@ -3,6 +3,7 @@
 //! error), and a deliberately exhausted budget must take a clean error
 //! path through `wait_checked` instead of hanging or panicking.
 
+use viampi_core::config::CONN_RETRY_MAX;
 use viampi_core::{mpi_metrics, ConnMode, Device, FaultProfile, MpiError, Universe, WaitPolicy};
 
 fn drop_profile(seed: u64, drop_prob: f64) -> FaultProfile {
@@ -71,15 +72,13 @@ fn dropped_connect_packets_recover_transparently() {
     );
 }
 
-/// With every connection packet dropped and a tiny budget, requests toward
-/// the unreachable peer complete with `PeerUnreachable` through
-/// `wait_checked`, finalize still terminates, and the retry counters
-/// record the exhausted budget.
+/// With every connection packet dropped, requests toward the unreachable
+/// peer complete with `PeerUnreachable` through `wait_checked`, finalize
+/// still terminates, and the retry counters record the exhausted budget.
 #[test]
 fn exhausted_retry_budget_takes_clean_error_path() {
     let mut uni = Universe::new(2, Device::Clan, ConnMode::OnDemand, WaitPolicy::Polling);
     uni.config_mut().faults = Some(drop_profile(11, 1.0));
-    uni.config_mut().conn_retry_max = 2;
     uni.config_mut().os_noise = false;
     let report = uni
         .run(|mpi| {
@@ -108,7 +107,7 @@ fn exhausted_retry_budget_takes_clean_error_path() {
         );
         assert_eq!(
             r.mpi.counter(mpi_metrics::CONN_RETRIES),
-            2,
+            u64::from(CONN_RETRY_MAX),
             "rank {}: full budget spent before giving up",
             r.rank
         );
@@ -129,7 +128,6 @@ fn exhausted_retry_budget_takes_clean_error_path() {
 fn requests_after_failure_error_immediately() {
     let mut uni = Universe::new(2, Device::Clan, ConnMode::OnDemand, WaitPolicy::Polling);
     uni.config_mut().faults = Some(drop_profile(5, 1.0));
-    uni.config_mut().conn_retry_max = 1;
     uni.config_mut().os_noise = false;
     let report = uni
         .run(|mpi| {

@@ -7,7 +7,6 @@
 #
 # Usage:
 #   scripts/check.sh                  # the full gate (default)
-#   scripts/check.sh determinism      # just the determinism suite
 #   scripts/check.sh records          # regenerate every row of the
 #                                     # experiment table and byte-compare
 #                                     # it with the committed results/
@@ -16,19 +15,14 @@
 #                                     # (default 600 s) from root seed
 #                                     # START (default 0)
 #
-# The determinism, records and campaign stages are what CI's jobs call, so
+# The full gate is CI's one job and the campaign stage the nightly's, so
 # the exact commands live here and can never drift from the workflows.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-determinism_suite() {
-    echo "== determinism suite"
-    cargo test --release --offline --locked -p viampi-bench --test determinism
-}
-
 # Every committed results/<name>.json against a fresh regeneration, writing
 # nothing; a row that differs prints `MOVED results/<name>.json` and fails
-# the stage. Twenty rows take about 50 s on 2 cores, most of it the two
+# the stage. The rows take about 50 s on 2 cores, most of it the two
 # large-N rows, whose np = 1024 static worlds hold about 0.55 GB each — two
 # at once on 2 workers: 1.16 GB max RSS measured for the process (2.9 GB
 # when every posted descriptor was its own queue entry).
@@ -49,11 +43,6 @@ campaign_stage() {
         --campaign --start "$2" --timebox "$1" --fault heavy \
         --summary-out target/campaign/summary.json
 }
-
-if [[ "${1:-all}" == "determinism" ]]; then
-    determinism_suite
-    exit 0
-fi
 
 if [[ "${1:-all}" == "records" ]]; then
     records_stage
