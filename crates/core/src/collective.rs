@@ -20,6 +20,7 @@
 
 use crate::datatype::{from_bytes, reduce_into, to_bytes, ReduceOp, Scalar};
 use crate::mpi::Mpi;
+use std::borrow::Cow;
 
 const WORLD_CTX: u16 = 1;
 const TAG_GATHER: i32 = 1000;
@@ -74,11 +75,11 @@ impl<'a> Group<'a> {
     fn send(&self, buf: &[u8], dst: usize, tag: i32) {
         let r = self
             .mpi
-            .isend_ctx(buf, self.world.world(dst), self.context, tag);
+            .isend_ctx(buf.into(), self.world.world(dst), self.context, tag);
         self.mpi.wait(r);
     }
 
-    fn isend(&self, buf: &[u8], dst: usize, tag: i32) -> crate::request::Request {
+    fn isend(&self, buf: Cow<'_, [u8]>, dst: usize, tag: i32) -> crate::request::Request {
         self.mpi
             .isend_ctx(buf, self.world.world(dst), self.context, tag)
     }
@@ -178,7 +179,7 @@ impl<'a> Group<'a> {
         while mask > 0 {
             if relative + mask < size {
                 let dst = (rank + mask) % size;
-                pending.push(self.isend(&buf, dst, TAG_BCAST));
+                pending.push(self.isend(Cow::Borrowed(&buf), dst, TAG_BCAST));
             }
             mask >>= 1;
         }
@@ -298,12 +299,15 @@ impl<'a> Group<'a> {
         blocks.into_iter().map(|b| b.expect("all blocks")).collect()
     }
 
-    pub(crate) fn alltoall(&self, send: &[Vec<u8>]) -> Vec<Vec<u8>> {
+    /// Every block is moved, not cloned: the own block straight into the
+    /// result, each other one into its send, where a rendezvous registers
+    /// it in place.
+    pub(crate) fn alltoall(&self, mut send: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
         let _span = self.mpi.count_collective("alltoall");
         let (rank, size) = (self.me, self.size());
         assert_eq!(send.len(), size, "one block per destination");
         let mut out: Vec<Vec<u8>> = vec![Vec::new(); size];
-        out[rank] = send[rank].clone();
+        out[rank] = std::mem::take(&mut send[rank]);
         for i in 1..size {
             let dst = (rank + i) % size;
             let src = (rank + size - i) % size;
@@ -312,7 +316,8 @@ impl<'a> Group<'a> {
                 self.context,
                 Some(TAG_ALLTOALL),
             );
-            let sr = self.isend(&send[dst], dst, TAG_ALLTOALL);
+            let block = std::mem::take(&mut send[dst]);
+            let sr = self.isend(Cow::Owned(block), dst, TAG_ALLTOALL);
             let (d, _) = self.mpi.wait(rr);
             self.mpi.wait(sr);
             out[src] = d.expect("alltoall block");
@@ -348,7 +353,7 @@ impl<'a> Group<'a> {
             let mut pending = Vec::new();
             for (i, b) in blocks.iter().enumerate() {
                 if i != rank {
-                    pending.push(self.isend(b, i, TAG_SCATTER));
+                    pending.push(self.isend(Cow::Borrowed(b), i, TAG_SCATTER));
                 }
             }
             for r in pending {
@@ -399,14 +404,18 @@ impl Mpi {
     }
 
     /// `MPI_Alltoall`: `send[i]` goes to rank `i`; returns received blocks
-    /// in rank order. Pairwise exchange with every peer.
-    pub fn alltoall(&self, send: &[Vec<u8>]) -> Vec<Vec<u8>> {
+    /// in rank order. Pairwise exchange with every peer. The blocks are
+    /// taken by value: a block above the eager threshold is registered in
+    /// place for the RDMA write rather than copied, and this rank's own
+    /// block comes back as its entry of the result. A caller that needs its
+    /// blocks again passes a clone.
+    pub fn alltoall(&self, send: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
         self.world_group().alltoall(send)
     }
 
     /// `MPI_Alltoallv`: like [`Mpi::alltoall`] with per-destination sizes
     /// (blocks may be empty; the wire protocol carries explicit lengths).
-    pub fn alltoallv(&self, send: &[Vec<u8>]) -> Vec<Vec<u8>> {
+    pub fn alltoallv(&self, send: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
         self.world_group().alltoall(send)
     }
 

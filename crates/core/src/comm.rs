@@ -100,7 +100,7 @@ impl Comm {
     /// Nonblocking standard send to communicator rank `dst`.
     pub fn isend(&self, mpi: &Mpi, buf: &[u8], dst: usize, tag: i32) -> Request {
         assert!(tag >= 0, "user tags must be non-negative");
-        mpi.isend_ctx(buf, self.ranks[dst], self.context, tag)
+        mpi.isend_ctx(buf.into(), self.ranks[dst], self.context, tag)
     }
 
     /// Blocking receive from communicator rank `src` (or any member).
@@ -158,8 +158,9 @@ impl Comm {
         mpi.group_of(self).allgather(data)
     }
 
-    /// Alltoall over the communicator.
-    pub fn alltoall(&self, mpi: &Mpi, send: &[Vec<u8>]) -> Vec<Vec<u8>> {
+    /// Alltoall over the communicator; takes the blocks by value, as
+    /// [`Mpi::alltoall`] does.
+    pub fn alltoall(&self, mpi: &Mpi, send: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
         mpi.group_of(self).alltoall(send)
     }
 

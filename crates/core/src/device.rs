@@ -31,6 +31,7 @@ use crate::request::{SendMode, Status};
 pub use crate::table::ChannelTable;
 use crate::trace::{Span, SpanKind, TraceKind};
 use crate::window::IdWindow;
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use viampi_sim::{BufferPool, Registry, SimDuration, SimTime};
 use viampi_via::fabric::{Bytes, OobBytes};
@@ -488,12 +489,18 @@ impl Device {
     /// Post a point-to-point send; returns the request id. This is the
     /// `MPID_IsendContig` analogue: if no connection exists, it is created
     /// (on-demand) and the message queued in the per-VI FIFO (§3.4).
+    ///
+    /// A caller that no longer needs the payload hands it over as
+    /// `Cow::Owned`: a rendezvous send then registers that very buffer, as
+    /// MVICH registers the user buffer, and copies nothing. A borrowed
+    /// payload is copied once into a pooled buffer; an eager one is copied
+    /// once into its wire frame either way.
     pub fn post_send_msg(
         &mut self,
         dst: usize,
         context: u16,
         tag: i32,
-        data: &[u8],
+        data: Cow<'_, [u8]>,
         mode: SendMode,
     ) -> u64 {
         assert!(dst < self.size, "invalid destination rank {dst}");
@@ -503,7 +510,7 @@ impl Device {
             // Self-send: loop back through the matcher (always buffered).
             match self.matcher.incoming(context, self.rank as u32, tag) {
                 Some(posted) => {
-                    let payload = self.pool.from_slice(data);
+                    let payload = self.pool.from_slice(&data);
                     self.complete_recv(posted.req, self.rank, tag, payload);
                 }
                 None => {
@@ -511,7 +518,7 @@ impl Device {
                         context,
                         src: self.rank as u32,
                         tag,
-                        body: UnexpectedBody::Eager(self.pool.from_slice(data)),
+                        body: UnexpectedBody::Eager(self.pool.from_slice(&data)),
                     });
                 }
             }
@@ -527,10 +534,14 @@ impl Device {
                 peer: dst,
                 bytes: data.len(),
             });
+            let len = data.len();
             {
                 let r = self.reqs.get_mut(req).unwrap();
-                r.data = Some(self.pool.from_slice(data));
-                r.rndv_len = data.len();
+                r.data = Some(match data {
+                    Cow::Owned(v) => Bytes::from_vec(v),
+                    Cow::Borrowed(s) => self.pool.from_slice(s),
+                });
+                r.rndv_len = len;
                 if self.cfg.trace {
                     r.rndv_begin = Some(self.port.ctx().now());
                 }
@@ -542,7 +553,7 @@ impl Device {
                 src: self.rank as u32,
                 tag,
                 aux1: req,
-                aux2: data.len() as u64,
+                aux2: len as u64,
                 len: 0,
             };
             let frame = self.pool.alloc(HEADER_LEN);
@@ -564,7 +575,7 @@ impl Device {
             // The single copy of the eager path: user buffer → pooled wire
             // frame (header placeholder + payload). Everything downstream
             // hands this frame around by reference.
-            let frame = self.pool.prefixed(HEADER_LEN, data);
+            let frame = self.pool.prefixed(HEADER_LEN, &data);
             self.enqueue_wire(dst, self.send_stripe(), header, frame);
             if mode == SendMode::Buffered {
                 // Buffered sends are local: payload captured, complete now.
@@ -788,8 +799,9 @@ impl Device {
         // Register the user buffer (MVICH's dynamic registration), RDMA it,
         // then a FIN control message completes the receiver. In-order VI
         // delivery guarantees FIN arrives after the data. The region adopts
-        // the request's pooled buffer — the payload's one copy — and the
-        // RDMA write carries a view of it.
+        // the request's buffer — the caller's own when it was handed over,
+        // else the payload's one pooled copy — and the RDMA write carries a
+        // view of it.
         let mem = self.port.register_buf(data).expect("pin send buf");
         let vi = self.channels[slot].conn.vi().unwrap();
         let stripe = self.channels[slot].stripe;

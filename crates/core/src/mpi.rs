@@ -9,6 +9,7 @@
 use crate::config::{MpiConfig, CALL_OVERHEAD, FLOPS_PER_US};
 use crate::device::Device;
 use crate::request::{MpiError, Request, SendMode, Status};
+use std::borrow::Cow;
 use std::cell::RefCell;
 use viampi_sim::{SimDuration, SimTime};
 
@@ -122,12 +123,22 @@ impl Mpi {
     pub fn isend_mode(&self, buf: &[u8], dst: usize, tag: i32, mode: SendMode) -> Request {
         assert!(tag >= 0, "user tags must be non-negative");
         self.charge_call();
-        let id = self.dev.borrow_mut().post_send_msg(dst, 0, tag, buf, mode);
+        let id = self
+            .dev
+            .borrow_mut()
+            .post_send_msg(dst, 0, tag, Cow::Borrowed(buf), mode);
         Request(id)
     }
 
     /// Internal: send on an arbitrary context (collectives use context 1).
-    pub(crate) fn isend_ctx(&self, buf: &[u8], dst: usize, context: u16, tag: i32) -> Request {
+    /// An owned `buf` is handed over: a rendezvous registers it in place.
+    pub(crate) fn isend_ctx(
+        &self,
+        buf: Cow<'_, [u8]>,
+        dst: usize,
+        context: u16,
+        tag: i32,
+    ) -> Request {
         self.charge_call();
         let id = self
             .dev
@@ -248,7 +259,7 @@ impl Mpi {
         rtag: i32,
     ) -> Vec<u8> {
         let rr = self.irecv_ctx(Some(src), context, Some(rtag));
-        let sr = self.isend_ctx(sbuf, dst, context, stag);
+        let sr = self.isend_ctx(sbuf.into(), dst, context, stag);
         let (data, _) = self.wait(rr);
         self.wait(sr);
         data.expect("receive produces data")

@@ -1,9 +1,9 @@
 //! Heap allocations on the paths that are meant to make none, or a bounded
 //! number: an idle pass of the progress engine, and wiring one channel of a
-//! static world — and the bytes such a channel holds while it sits idle.
-//! Counted per thread by a wrapping global allocator — a whole simulation
-//! runs on the thread that called `Universe::run`, and the test harness
-//! gives every test its own.
+//! static world — and the bytes such a channel holds while it sits idle, or
+//! at most holds while an `alltoall` is under way. Counted per thread by a
+//! wrapping global allocator — a whole simulation runs on the thread that
+//! called `Universe::run`, and the test harness gives every test its own.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -15,6 +15,8 @@ struct Counting;
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
     static LIVE: Cell<isize> = const { Cell::new(0) };
+    /// High-water mark of `LIVE` since the last [`reset_peak`].
+    static PEAK: Cell<isize> = const { Cell::new(0) };
 }
 
 /// Count `grown` bytes coming live (negative: freed), and one allocation
@@ -22,7 +24,11 @@ thread_local! {
 fn count(grown: isize, fresh: bool) {
     // `try_with`: the allocator is still called while a thread tears down.
     let _ = ALLOCS.try_with(|c| c.set(c.get() + u64::from(fresh)));
-    let _ = LIVE.try_with(|c| c.set(c.get() + grown));
+    let _ = LIVE.try_with(|c| {
+        let live = c.get() + grown;
+        c.set(live);
+        let _ = PEAK.try_with(|p| p.set(p.get().max(live)));
+    });
 }
 
 // SAFETY: every call is forwarded unchanged to the system allocator.
@@ -53,6 +59,18 @@ fn allocs() -> u64 {
 /// another thread stays counted here).
 fn live_bytes() -> isize {
     LIVE.with(Cell::get)
+}
+
+/// Start a new high-water mark at the bytes live now, and return them.
+fn reset_peak() -> isize {
+    let live = live_bytes();
+    PEAK.with(|p| p.set(live));
+    live
+}
+
+/// The most bytes this thread has held at once since [`reset_peak`].
+fn peak_bytes() -> isize {
+    PEAK.with(Cell::get)
 }
 
 /// Rank 0 of a connected pair runs 1000 idle progress passes while rank 1
@@ -139,5 +157,54 @@ fn a_statically_provisioned_channel_costs_a_bounded_number_of_allocations() {
     assert!(
         per_end <= 1000.0,
         "{held} live bytes for {channels} channel ends = {per_end:.0} per end"
+    );
+}
+
+/// An np = 4 world in which every rank builds four `block`-byte blocks and
+/// hands them to `alltoall`; returns the most bytes the thread held at once
+/// above what it held before the world, the blocks included.
+fn alltoall_peak(block: usize) -> isize {
+    const NP: usize = 4;
+    let world = move || {
+        Universe::new(NP, Device::Clan, ConnMode::OnDemand, WaitPolicy::Polling)
+            .run(move |mpi| {
+                let rank = mpi.rank();
+                let send = (0..NP).map(|dst| vec![(rank * NP + dst) as u8; block]);
+                let recv = mpi.alltoall(send.collect());
+                (recv.iter().enumerate()).all(|(src, b)| {
+                    b.len() == block && b.iter().all(|&x| x == (src * NP + rank) as u8)
+                })
+            })
+            .unwrap()
+    };
+    // The first world on a thread also fills the fiber stack pool.
+    world();
+    let before = reset_peak();
+    let report = world();
+    assert!(report.results.iter().all(|&ok| ok), "a block arrived wrong");
+    peak_bytes() - before
+}
+
+#[test]
+fn an_alltoall_holds_its_payload_once() {
+    // 64 KiB blocks go by rendezvous. Each block is built by its sender,
+    // registered in place, written into the receiver's landing region and
+    // handed over as the receive; the own block goes straight back. So the
+    // world holds one copy of the payload, on top of what the same
+    // exchange holds with empty blocks, plus a slack: one block for the
+    // receiver-side copy of a block whose sender has not yet unpinned it,
+    // and half a block for the rendezvous headers and requests. Recorded:
+    // 1.07 copies above the empty exchange; 1.13 when the device copies an
+    // owned payload into a pooled buffer; 2.01 when `alltoall` borrowed
+    // its blocks, copied each into the pool and cloned the own one.
+    const BLOCK: usize = 64 << 10;
+    const PAYLOAD: isize = (4 * 4 * BLOCK) as isize;
+    const SLACK: isize = (BLOCK + BLOCK / 2) as isize;
+    let empty = alltoall_peak(0);
+    let peak = alltoall_peak(BLOCK);
+    assert!(
+        peak <= empty + PAYLOAD + SLACK,
+        "an alltoall of {PAYLOAD} B peaked {peak} B above its baseline \
+         ({empty} B with empty blocks, slack {SLACK} B)"
     );
 }

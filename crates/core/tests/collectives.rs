@@ -138,7 +138,7 @@ fn alltoall_transposes_blocks() {
                 let send: Vec<Vec<u8>> = (0..np)
                     .map(|dst| vec![(rank * np + dst) as u8; 32])
                     .collect();
-                let recv = mpi.alltoall(&send);
+                let recv = mpi.alltoall(send);
                 recv.iter()
                     .enumerate()
                     .all(|(src, b)| b.iter().all(|&x| x == (src * np + rank) as u8))
@@ -159,7 +159,7 @@ fn alltoallv_with_ragged_and_empty_blocks() {
             let send: Vec<Vec<u8>> = (0..np)
                 .map(|dst| vec![rank as u8; ((rank + dst) % 4) * 2000])
                 .collect();
-            let recv = mpi.alltoallv(&send);
+            let recv = mpi.alltoallv(send);
             recv.iter().enumerate().all(|(src, b)| {
                 b.len() == ((src + rank) % 4) * 2000 && b.iter().all(|&x| x == src as u8)
             })
@@ -233,7 +233,7 @@ fn single_rank_collectives_are_identity() {
             let s = mpi.allreduce(&[5i64], ReduceOp::Sum);
             let b = mpi.bcast(0, Some(b"solo"));
             let g = mpi.allgather(b"me");
-            let a = mpi.alltoall(&[b"x".to_vec()]);
+            let a = mpi.alltoall(vec![b"x".to_vec()]);
             (s[0], b, g.len(), a[0].clone())
         })
         .unwrap();

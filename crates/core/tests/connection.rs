@@ -377,11 +377,11 @@ fn berkeley_all_to_all_equalizes_vi_counts_but_on_demand_still_ramps() {
     let all2all = |mpi: &viampi_core::Mpi| {
         let send: Vec<Vec<u8>> = (0..mpi.size()).map(|_| vec![1u8; 64]).collect();
         // Warm-up round establishes every connection under on-demand.
-        mpi.alltoall(&send);
+        mpi.alltoall(send.clone());
         mpi.barrier();
         let t0 = mpi.now();
         for _ in 0..20 {
-            mpi.alltoall(&send);
+            mpi.alltoall(send.clone());
         }
         (mpi.live_vis(), mpi.now().since(t0).as_nanos())
     };

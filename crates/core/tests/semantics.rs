@@ -2,7 +2,7 @@
 //! wait policies.
 
 use viampi_core::{
-    Comm, ConnMode, Device, Mpi, ReduceOp, Universe, WaitPolicy, ANY_SOURCE, ANY_TAG,
+    Comm, ConnMode, Device, Mpi, MpiConfig, ReduceOp, Universe, WaitPolicy, ANY_SOURCE, ANY_TAG,
 };
 
 fn uni(np: usize, conn: ConnMode) -> Universe {
@@ -609,6 +609,33 @@ fn a_payload_is_written_once_on_its_way_to_the_receiver() {
     assert_eq!(copied(4 << 10), (4 << 10) + HEADER_LEN as u64);
     // Rendezvous: the payload, and the RTS, CTS and FIN control frames.
     assert_eq!(copied(1 << 20), (1 << 20) + 3 * HEADER_LEN as u64);
+}
+
+#[test]
+fn an_alltoall_writes_only_the_headers_around_its_blocks() {
+    // `alltoall` takes its blocks by value and a rendezvous registers the
+    // caller's block in place, as MVICH registers the user buffer: above
+    // the eager threshold the data plane writes no payload byte at all,
+    // only the RTS, CTS and FIN frames around each block.
+    use viampi_core::protocol::HEADER_LEN;
+    const NP: usize = 4;
+    let cfg = MpiConfig::new(Device::Clan, ConnMode::OnDemand, WaitPolicy::Polling);
+    let block = cfg.eager_threshold + 1;
+    let report = uni(NP, ConnMode::OnDemand)
+        .run(move |mpi| {
+            let rank = mpi.rank();
+            let send = (0..NP).map(|dst| vec![(rank * NP + dst) as u8; block]);
+            let recv = mpi.alltoall(send.collect());
+            for (src, b) in recv.iter().enumerate() {
+                assert!(b.len() == block && b.iter().all(|&x| x == (src * NP + rank) as u8));
+            }
+        })
+        .unwrap();
+    let blocks_sent = (NP * (NP - 1)) as u64;
+    assert_eq!(
+        report.metrics.get("nic.pool.bytes_copied"),
+        Some(blocks_sent * 3 * HEADER_LEN as u64)
+    );
 }
 
 /// One rooted collective called with `root`, on the world (`comm` is

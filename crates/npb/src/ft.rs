@@ -150,7 +150,7 @@ pub fn run(mpi: &Mpi, class: Class) -> KernelResult {
             }
             send.push(to_bytes(&block));
         }
-        let recv = mpi.alltoall(&send);
+        let recv = mpi.alltoall(send);
         // New layout: for my x-slab, all z: v[(x_local, y, gz)].
         let vidx = |xl: usize, y: usize, gz: usize| (xl * n + y) * n + gz;
         let mut v = vec![(0.0f64, 0.0f64); slab * n * n];
@@ -224,7 +224,7 @@ pub fn run(mpi: &Mpi, class: Class) -> KernelResult {
             }
             send2.push(to_bytes(&block));
         }
-        let recv2 = mpi.alltoall(&send2);
+        let recv2 = mpi.alltoall(send2);
         for (src, block) in recv2.iter().enumerate() {
             let vals: Vec<f64> = from_bytes(block);
             let mut it = vals.chunks_exact(2);

@@ -4,11 +4,13 @@
 //! every VI in use under both managers).
 //!
 //! Host cost per iteration is three passes over the rank's keys: the
-//! bucket histogram, the partition (keys go straight into exact-capacity
-//! wire buffers sized from the histogram), and a counting sort run off the
-//! received byte blocks over the rank's own key range. As in NPB, an
-//! iteration *ranks* the keys (the count table); the sorted sequence is
-//! written out once, for the full verification after the timed loop.
+//! bucket histogram, the partition (keys go straight into wire buffers
+//! sized from the histogram), and a counting sort run off the received
+//! byte blocks over the rank's own key range. The received blocks are the
+//! next iteration's wire buffers, so once they have grown to size the
+//! loop allocates no key-sized buffer. As in NPB, an iteration *ranks* the
+//! keys (the count table); the sorted sequence is written out once, for
+//! the full verification after the timed loop.
 
 use crate::class::Class;
 use crate::result::KernelResult;
@@ -114,9 +116,11 @@ pub fn sort(mpi: &Mpi, class: Class) -> (KernelResult, Vec<u32>) {
     let mut key_lo = 0u32;
     let mut mine = 0usize;
     // Per-destination wire buffers, kept across iterations (NPB's static
-    // `key_buff`s): after the first iteration they are already the right
-    // size, so the timed loop does not hand megabytes back to the allocator
-    // and fault them in again every round.
+    // `key_buff`s). `alltoallv` takes them and hands back the blocks it
+    // received, which become the next iteration's buffers: a buffer
+    // shuttles between one pair of ranks and soon holds either direction,
+    // so the timed loop does not hand megabytes back to the allocator and
+    // fault them in again every round.
     let mut send: Vec<Vec<u8>> = vec![Vec::new(); np];
     for _iter in 0..p.iterations {
         // Local bucket histogram.
@@ -157,7 +161,7 @@ pub fn sort(mpi: &Mpi, class: Class) -> (KernelResult, Vec<u32>) {
             send[owner[bucket(k)]].extend_from_slice(&k.to_le_bytes());
         }
         mpi.compute(keys.len() as f64);
-        let recv = mpi.alltoallv(&send);
+        let recv = mpi.alltoallv(send);
         // Local counting sort, straight off the received blocks: this rank
         // owns a contiguous bucket range, hence a contiguous key range.
         let b_lo = owner.partition_point(|&o| o < rank);
@@ -174,6 +178,7 @@ pub fn sort(mpi: &Mpi, class: Class) -> (KernelResult, Vec<u32>) {
             mine += block.len() / 4;
         }
         mpi.compute(mine as f64 * 8.0);
+        send = recv;
     }
 
     mpi.barrier();
@@ -181,6 +186,11 @@ pub fn sort(mpi: &Mpi, class: Class) -> (KernelResult, Vec<u32>) {
 
     // Full verification: the sorted sequence written out from the counts,
     // globally ordered across rank boundaries, and no key lost or altered.
+    // The keys are summed and let go first, with the wire buffers, so the
+    // sorted copy does not stack on top of them.
+    let sum = |v: &[u32]| v.iter().map(|&k| k as i64).sum::<i64>();
+    let keys_sum = sum(&keys);
+    drop((keys, send));
     let mut sorted: Vec<u32> = Vec::with_capacity(mine);
     for (i, &c) in counts.iter().enumerate() {
         sorted.resize(sorted.len() + c as usize, key_lo + i as u32);
@@ -203,9 +213,8 @@ pub fn sort(mpi: &Mpi, class: Class) -> (KernelResult, Vec<u32>) {
     // One more reduction sums the keys as generated and as sorted, and —
     // each rank adding into a slot of its own — gathers every rank's top,
     // which is where a rank looks when its predecessor holds no keys.
-    let sum = |v: &[u32]| v.iter().map(|&k| k as i64).sum::<i64>();
     let mut mix = vec![0i64; 2 + np];
-    (mix[0], mix[1], mix[2 + rank]) = (sum(&sorted), sum(&keys), top as i64);
+    (mix[0], mix[1], mix[2 + rank]) = (sum(&sorted), keys_sum, top as i64);
     let mix = mpi.allreduce(&mix, ReduceOp::Sum);
     let boundary_ok = match (key_below(rank, prev_top, &mix[2..]), sorted.first()) {
         (Some(below), Some(&my_min)) => below <= my_min,

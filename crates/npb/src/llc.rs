@@ -75,10 +75,11 @@ pub fn allgather_latency(mpi: &Mpi, reps: usize, nbytes: usize) -> Option<f64> {
 /// Mean alltoall latency in µs.
 pub fn alltoall_latency(mpi: &Mpi, reps: usize, nbytes: usize) -> Option<f64> {
     let send: Vec<Vec<u8>> = (0..mpi.size()).map(|_| vec![9u8; nbytes]).collect();
-    mpi.alltoall(&send); // warm up
+    // `alltoall` takes its blocks; every call here sends the same ones.
+    mpi.alltoall(send.clone()); // warm up
     let t0 = mpi.now();
     for _ in 0..reps {
-        mpi.alltoall(&send);
+        mpi.alltoall(send.clone());
     }
     let mine = mpi.now().since(t0).as_micros_f64() / reps as f64;
     collect_average(mpi, mine)

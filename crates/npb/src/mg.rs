@@ -327,8 +327,7 @@ pub fn run(mpi: &Mpi, class: Class) -> KernelResult {
         }
         mpi.compute((cnx * cny * cnz) as f64 * 4.0);
         let bytes = to_bytes(&coarse_block);
-        let send: Vec<Vec<u8>> = (0..np).map(|_| bytes.clone()).collect();
-        let blocks = mpi.alltoall(&send);
+        let blocks = mpi.alltoall(vec![bytes; np]);
         // Replicated coarse "solve": damped average of all blocks.
         let mut corr = vec![0.0f64; coarse_block.len()];
         for b in &blocks {

@@ -1,13 +1,15 @@
 //! Size-classed, recycle-on-drop buffer pool.
 //!
 //! [`PooledBuf`] is a cheap ref-counted handle over a pooled allocation: a
-//! message body is copied exactly once (user buffer → pooled buffer) and
+//! message body is copied at most once (user buffer → pooled buffer) and
 //! handed by reference thereafter — an eager frame through the NIC, the
 //! completion and the unexpected queue; a rendezvous payload through the
 //! sender's pinned region, the RDMA packet and the receiver's landing
-//! region. When the last handle drops, the backing allocation returns to
-//! its [`BufferPool`] free list for reuse. [`PoolStats::bytes_copied`]
-//! counts what the pool writes, so "exactly once" is checked by `==`
+//! region. A rendezvous payload its owner hands over is not copied at all:
+//! it is wrapped as it is ([`PooledBuf::from_vec`]) and never joins a free
+//! list. When the last handle drops, a pooled allocation returns to its
+//! [`BufferPool`] free list for reuse. [`PoolStats::bytes_copied`] counts
+//! what the pool writes, so "at most once" is checked by `==`
 //! (`crates/core/tests/semantics.rs`), not by reading the code.
 //!
 //! Everything here is deterministic: free lists are LIFO vectors, size
@@ -127,7 +129,7 @@ impl BufferPool {
     }
 
     /// Allocate a pooled buffer holding a copy of `data` — the single copy
-    /// of the zero-copy data plane.
+    /// of the zero-copy data plane, for a payload its owner keeps.
     pub fn from_slice(&self, data: &[u8]) -> PooledBuf {
         let mut v = self.take(data.len());
         v.extend_from_slice(data);
@@ -202,8 +204,9 @@ pub struct PooledBuf {
 }
 
 impl PooledBuf {
-    /// Wrap a plain vector without pooling (dropped normally). Useful for
-    /// tests and for paths that have no pool at hand.
+    /// Wrap a plain vector without copying or pooling (dropped normally):
+    /// a payload its owner handed over, or a buffer on a path that has no
+    /// pool at hand.
     pub fn from_vec(v: Vec<u8>) -> Self {
         PooledBuf {
             start: 0,

@@ -58,7 +58,7 @@ fn sort_rank(mpi: &Mpi) -> (bool, usize) {
         let dst = splitters.partition_point(|&s| s <= k);
         buckets[dst].extend_from_slice(&k.to_le_bytes());
     }
-    let received = mpi.alltoallv(&buckets);
+    let received = mpi.alltoallv(buckets);
 
     // 3. Local sort of the received range.
     keys = received

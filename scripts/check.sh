@@ -79,9 +79,13 @@ campaign_stage 20 0
 
 # The repo benchmark is a package of its own that the workspace neither
 # sees nor builds, so nothing above notices a change that breaks the API
-# surface it is frozen against (benchmark/README.md). Build it and run one
-# unit of every workload, each checked for correctness (< 15 s).
-echo "== repo benchmark: offline build + smoke run"
+# surface it is frozen against (benchmark/README.md). Run its own unit
+# tests (about 6 s), in the target directory run.sh builds into, then build
+# it and run one unit of every workload, each checked for correctness
+# (< 15 s). No --locked, for the reason run.sh gives.
+echo "== repo benchmark: unit tests, offline build + smoke run"
+cargo test -q --offline --manifest-path benchmark/Cargo.toml \
+    --target-dir "${CARGO_TARGET_DIR:-target/benchmark}"
 bash benchmark/run.sh --smoke
 
 echo "all checks passed"

@@ -263,7 +263,7 @@ fn alltoall_is_a_transpose() {
                 let send: Vec<Vec<u8>> = (0..np)
                     .map(|dst| vec![(rank * np + dst) as u8; len])
                     .collect();
-                let recv = mpi.alltoall(&send);
+                let recv = mpi.alltoall(send);
                 recv.iter().enumerate().all(|(src, b)| {
                     b.len() == len && b.iter().all(|&x| x == (src * np + rank) as u8)
                 })
