@@ -257,8 +257,10 @@ fn is_reference(mpi: &viampi_core::Mpi, class: Class) -> (Vec<u32>, f64, f64) {
 /// Sorted keys, checksum and — because every modelled charge and message
 /// size is unchanged — the virtual time, bit for bit, against the reference.
 /// np = 7 exercises the non-power-of-two allreduce and an uneven last rank.
-fn is_matches_reference(class: Class) {
-    for np in [1usize, 2, 4, 7, 8] {
+/// Class S at np = 32 and 64 leaves ranks that own no bucket (one at 32,
+/// four at 64), so their zero-length runs are compared too.
+fn is_matches_reference(class: Class, nps: &[usize]) {
+    for &np in nps {
         let want = uni(np).run(move |mpi| is_reference(mpi, class)).unwrap();
         let got = uni(np)
             .run(move |mpi| viampi_npb::is::sort(mpi, class))
@@ -276,17 +278,23 @@ fn is_matches_reference(class: Class) {
                 "{at}: virtual time"
             );
         }
+        if np >= 32 {
+            assert!(
+                got.results.iter().any(|(_, keys)| keys.is_empty()),
+                "IS.{class}.{np}: every rank holds keys, so no empty run is compared"
+            );
+        }
     }
 }
 
 #[test]
 fn is_class_s_matches_the_sort_unstable_reference() {
-    is_matches_reference(Class::S);
+    is_matches_reference(Class::S, &[1, 2, 4, 7, 8, 32, 64]);
 }
 
 #[test]
 fn is_class_a_matches_the_sort_unstable_reference() {
-    is_matches_reference(Class::A);
+    is_matches_reference(Class::A, &[1, 2, 4, 7, 8]);
 }
 
 #[test]
