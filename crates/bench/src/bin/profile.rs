@@ -6,16 +6,18 @@
 //! `chrome://tracing`.
 //!
 //! ```text
-//! profile [--program cg|mg|is|ep|ft|lu|ring|barrier] [--np N]
+//! profile [--program cg|mg|is|ep|ft|lu|sp|bt|ring|barrier] [--np N]
 //!         [--device clan|bvia] [--class S|A|B|C] [--out PATH]
 //! ```
 //!
 //! Defaults: `--program ring --np 4 --device clan --class S`, output to
-//! `target/profile_<program>.json` at the workspace root.
+//! `target/profile_<program>.json` at the workspace root. `sp` and `bt`
+//! run on a square process grid, so their `--np` must be a square.
 
 use std::path::PathBuf;
 use viampi_bench::{profile, report};
 use viampi_core::{ConnMode, Device, RunReport, Universe, WaitPolicy};
+use viampi_npb::adi::{self, App};
 use viampi_npb::{cg, ep, ft, is, llc, lu, mg, ring, Class};
 
 struct Args {
@@ -82,13 +84,20 @@ fn parse_args() -> Args {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: profile [--program cg|mg|is|ep|ft|lu|ring|barrier] [--np N] \
+                    "usage: profile [--program cg|mg|is|ep|ft|lu|sp|bt|ring|barrier] [--np N] \
                      [--device clan|bvia] [--class S|A|B|C] [--out PATH]"
                 );
                 std::process::exit(0);
             }
             other => die(&format!("unknown argument: {other}")),
         }
+    }
+    let side = (args.np as f64).sqrt().round() as usize;
+    if matches!(args.program.as_str(), "sp" | "bt") && side * side != args.np {
+        die(&format!(
+            "--program {} needs a square --np, not {}",
+            args.program, args.np
+        ));
     }
     args
 }
@@ -113,8 +122,10 @@ fn traced_run(args: &Args) -> RunReport<f64> {
         "ep" => uni.run(move |mpi| ep::run(mpi, class).time_secs),
         "ft" => uni.run(move |mpi| ft::run(mpi, class).time_secs),
         "lu" => uni.run(move |mpi| lu::run(mpi, class).time_secs),
+        "sp" => uni.run(move |mpi| adi::run(mpi, App::Sp, class).time_secs),
+        "bt" => uni.run(move |mpi| adi::run(mpi, App::Bt, class).time_secs),
         other => die(&format!(
-            "unknown program: {other} (expected cg|mg|is|ep|ft|lu|ring|barrier)"
+            "unknown program: {other} (expected cg|mg|is|ep|ft|lu|sp|bt|ring|barrier)"
         )),
     };
     run.unwrap_or_else(|e| die(&format!("simulation failed: {e:?}")))

@@ -19,8 +19,9 @@
 //! different communicators can never cross-match).
 
 use crate::datatype::{from_bytes, reduce_into, to_bytes, ReduceOp, Scalar};
+use crate::device::Payload;
 use crate::mpi::Mpi;
-use std::borrow::Cow;
+use viampi_via::fabric::Bytes;
 
 const WORLD_CTX: u16 = 1;
 const TAG_GATHER: i32 = 1000;
@@ -79,7 +80,7 @@ impl<'a> Group<'a> {
         self.mpi.wait(r);
     }
 
-    fn isend(&self, buf: Cow<'_, [u8]>, dst: usize, tag: i32) -> crate::request::Request {
+    fn isend(&self, buf: Payload<'_>, dst: usize, tag: i32) -> crate::request::Request {
         self.mpi
             .isend_ctx(buf, self.world.world(dst), self.context, tag)
     }
@@ -179,7 +180,7 @@ impl<'a> Group<'a> {
         while mask > 0 {
             if relative + mask < size {
                 let dst = (rank + mask) % size;
-                pending.push(self.isend(Cow::Borrowed(&buf), dst, TAG_BCAST));
+                pending.push(self.isend(Payload::Borrowed(&buf), dst, TAG_BCAST));
             }
             mask >>= 1;
         }
@@ -301,13 +302,14 @@ impl<'a> Group<'a> {
 
     /// Every block is moved, not cloned: the own block straight into the
     /// result, each other one into its send, where a rendezvous registers
-    /// it in place.
-    pub(crate) fn alltoall(&self, mut send: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
+    /// it in place. Each received block is returned as it landed.
+    pub(crate) fn alltoall(&self, send: Vec<Bytes>) -> Vec<Bytes> {
         let _span = self.mpi.count_collective("alltoall");
         let (rank, size) = (self.me, self.size());
         assert_eq!(send.len(), size, "one block per destination");
-        let mut out: Vec<Vec<u8>> = vec![Vec::new(); size];
-        out[rank] = std::mem::take(&mut send[rank]);
+        let mut send: Vec<Option<Bytes>> = send.into_iter().map(Some).collect();
+        let mut out: Vec<Option<Bytes>> = (0..size).map(|_| None).collect();
+        out[rank] = send[rank].take();
         for i in 1..size {
             let dst = (rank + i) % size;
             let src = (rank + size - i) % size;
@@ -316,13 +318,22 @@ impl<'a> Group<'a> {
                 self.context,
                 Some(TAG_ALLTOALL),
             );
-            let block = std::mem::take(&mut send[dst]);
-            let sr = self.isend(Cow::Owned(block), dst, TAG_ALLTOALL);
-            let (d, _) = self.mpi.wait(rr);
+            let block = send[dst].take().expect("one send per destination");
+            let sr = self.isend(Payload::Owned(block), dst, TAG_ALLTOALL);
+            out[src] = self.mpi.wait_bytes(rr).0;
             self.mpi.wait(sr);
-            out[src] = d.expect("alltoall block");
         }
-        out
+        out.into_iter()
+            .map(|b| b.expect("alltoall block"))
+            .collect()
+    }
+
+    /// [`Group::alltoall`] over owned `Vec` blocks: each is wrapped as it
+    /// is and each received one taken out with [`Bytes::into_vec`].
+    pub(crate) fn alltoall_vecs(&self, send: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
+        let send = send.into_iter().map(Bytes::from_vec).collect();
+        let recv = self.alltoall(send);
+        recv.into_iter().map(Bytes::into_vec).collect()
     }
 
     pub(crate) fn gather(&self, root: usize, data: &[u8]) -> Option<Vec<Vec<u8>>> {
@@ -353,7 +364,7 @@ impl<'a> Group<'a> {
             let mut pending = Vec::new();
             for (i, b) in blocks.iter().enumerate() {
                 if i != rank {
-                    pending.push(self.isend(Cow::Borrowed(b), i, TAG_SCATTER));
+                    pending.push(self.isend(Payload::Borrowed(b), i, TAG_SCATTER));
                 }
             }
             for r in pending {
@@ -410,13 +421,37 @@ impl Mpi {
     /// block comes back as its entry of the result. A caller that needs its
     /// blocks again passes a clone.
     pub fn alltoall(&self, send: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
-        self.world_group().alltoall(send)
+        self.world_group().alltoall_vecs(send)
     }
 
-    /// `MPI_Alltoallv`: like [`Mpi::alltoall`] with per-destination sizes
-    /// (blocks may be empty; the wire protocol carries explicit lengths).
-    pub fn alltoallv(&self, send: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
-        self.world_group().alltoall(send)
+    /// `MPI_Alltoallv` over one send buffer: rank `d` gets `counts[d]`
+    /// bytes of `send`, at the sum of the counts before it (blocks may be
+    /// empty; the wire protocol carries explicit lengths). Each block is a
+    /// window of `send`, not a copy — a rendezvous registers it in place,
+    /// as MVICH registers the user buffer — so the caller keeps `send` for
+    /// the next call. The received blocks come back in rank order as they
+    /// landed, this rank's own as its window of `send`: no host copy is
+    /// made on either side beyond an eager block's one copy into its wire
+    /// frame.
+    pub fn alltoallv(&self, send: &Bytes, counts: &[usize]) -> Vec<Bytes> {
+        assert_eq!(counts.len(), self.size(), "one count per destination");
+        assert!(
+            counts.iter().sum::<usize>() <= send.len(),
+            "alltoallv: the counts add up to more than the {} bytes sent",
+            send.len()
+        );
+        let mut at = 0;
+        let blocks = counts
+            .iter()
+            .map(|&n| {
+                let mut block = send.clone();
+                block.advance(at);
+                block.truncate(n);
+                at += n;
+                block
+            })
+            .collect();
+        self.world_group().alltoall(blocks)
     }
 
     /// `MPI_Gather` to `root` (linear).

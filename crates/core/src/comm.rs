@@ -161,7 +161,7 @@ impl Comm {
     /// Alltoall over the communicator; takes the blocks by value, as
     /// [`Mpi::alltoall`] does.
     pub fn alltoall(&self, mpi: &Mpi, send: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
-        mpi.group_of(self).alltoall(send)
+        mpi.group_of(self).alltoall_vecs(send)
     }
 
     /// Gather to communicator rank `root`.

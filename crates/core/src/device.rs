@@ -31,7 +31,6 @@ use crate::request::{SendMode, Status};
 pub use crate::table::ChannelTable;
 use crate::trace::{Span, SpanKind, TraceKind};
 use crate::window::IdWindow;
-use std::borrow::Cow;
 use std::collections::VecDeque;
 use viampi_sim::{BufferPool, Registry, SimDuration, SimTime};
 use viampi_via::fabric::{Bytes, OobBytes};
@@ -171,6 +170,33 @@ impl Channel {
     /// reserved last credit and needs a staging slot.
     fn can_return_credits(&self) -> bool {
         self.conn.is_connected() && self.credits >= 1 && self.send_slots > 0
+    }
+}
+
+/// A send's payload: the caller's bytes, lent for the call, or a buffer
+/// handed over with the send.
+#[derive(Debug)]
+pub enum Payload<'a> {
+    /// Lent: a rendezvous copies it once into a pooled buffer.
+    Borrowed(&'a [u8]),
+    /// Handed over: a rendezvous registers this very buffer, or a window
+    /// of one the caller still shares, and copies nothing.
+    Owned(Bytes),
+}
+
+impl std::ops::Deref for Payload<'_> {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        match self {
+            Payload::Borrowed(s) => s,
+            Payload::Owned(b) => b,
+        }
+    }
+}
+
+impl<'a> From<&'a [u8]> for Payload<'a> {
+    fn from(s: &'a [u8]) -> Self {
+        Payload::Borrowed(s)
     }
 }
 
@@ -490,17 +516,17 @@ impl Device {
     /// `MPID_IsendContig` analogue: if no connection exists, it is created
     /// (on-demand) and the message queued in the per-VI FIFO (§3.4).
     ///
-    /// A caller that no longer needs the payload hands it over as
-    /// `Cow::Owned`: a rendezvous send then registers that very buffer, as
-    /// MVICH registers the user buffer, and copies nothing. A borrowed
-    /// payload is copied once into a pooled buffer; an eager one is copied
-    /// once into its wire frame either way.
+    /// A caller that no longer needs the payload, or shares it read-only,
+    /// hands it over as [`Payload::Owned`]: a rendezvous send then
+    /// registers that very buffer, as MVICH registers the user buffer, and
+    /// copies nothing. A borrowed payload is copied once into a pooled
+    /// buffer; an eager one is copied once into its wire frame either way.
     pub fn post_send_msg(
         &mut self,
         dst: usize,
         context: u16,
         tag: i32,
-        data: Cow<'_, [u8]>,
+        data: Payload<'_>,
         mode: SendMode,
     ) -> u64 {
         assert!(dst < self.size, "invalid destination rank {dst}");
@@ -538,8 +564,8 @@ impl Device {
             {
                 let r = self.reqs.get_mut(req).unwrap();
                 r.data = Some(match data {
-                    Cow::Owned(v) => Bytes::from_vec(v),
-                    Cow::Borrowed(s) => self.pool.from_slice(s),
+                    Payload::Owned(b) => b,
+                    Payload::Borrowed(s) => self.pool.from_slice(s),
                 });
                 r.rndv_len = len;
                 if self.cfg.trace {
@@ -1189,10 +1215,12 @@ impl Device {
         self.reqs.get(req).map(|r| r.done).unwrap_or(true)
     }
 
-    /// Consume a completed request, returning its payload (receives) and
-    /// status. Panics if not complete or if it failed (use
-    /// [`Device::take_req_checked`] to handle connection failures).
-    pub fn take_req(&mut self, req: u64) -> (Option<Vec<u8>>, Status) {
+    /// Consume a completed request, returning its payload (receives) as it
+    /// landed — the eager frame past its header, or the buffer the RDMA
+    /// write landed — and its status. Panics if not complete or if it
+    /// failed (use [`Device::take_req_checked`] to handle connection
+    /// failures).
+    pub fn take_req(&mut self, req: u64) -> (Option<Bytes>, Status) {
         self.take_req_checked(req).unwrap_or_else(|e| {
             panic!("request failed: {e} (use wait_checked to handle this error)")
         })
@@ -1203,16 +1231,13 @@ impl Device {
     pub fn take_req_checked(
         &mut self,
         req: u64,
-    ) -> Result<(Option<Vec<u8>>, Status), crate::request::MpiError> {
+    ) -> Result<(Option<Bytes>, Status), crate::request::MpiError> {
         let r = self.reqs.remove(req).expect("unknown request");
         assert!(r.done, "take_req on incomplete request");
         if r.failed {
             return Err(crate::request::MpiError::PeerUnreachable { peer: r.peer });
         }
-        // A uniquely-held full-range frame gives up its allocation without
-        // copying; a windowed view (eager payload past its header) copies
-        // exactly once here — the user-buffer copy already charged.
-        Ok((r.data.map(Bytes::into_vec), r.status))
+        Ok((r.data, r.status))
     }
 
     /// Number of live (incomplete or uncollected) requests.

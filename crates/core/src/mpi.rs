@@ -7,11 +7,11 @@
 //! operations the paper benchmarks.
 
 use crate::config::{MpiConfig, CALL_OVERHEAD, FLOPS_PER_US};
-use crate::device::Device;
+use crate::device::{Device, Payload};
 use crate::request::{MpiError, Request, SendMode, Status};
-use std::borrow::Cow;
 use std::cell::RefCell;
 use viampi_sim::{SimDuration, SimTime};
+use viampi_via::fabric::Bytes;
 
 /// Wildcard for the source rank (`MPI_ANY_SOURCE`).
 pub const ANY_SOURCE: Option<usize> = None;
@@ -126,7 +126,7 @@ impl Mpi {
         let id = self
             .dev
             .borrow_mut()
-            .post_send_msg(dst, 0, tag, Cow::Borrowed(buf), mode);
+            .post_send_msg(dst, 0, tag, Payload::Borrowed(buf), mode);
         Request(id)
     }
 
@@ -134,7 +134,7 @@ impl Mpi {
     /// An owned `buf` is handed over: a rendezvous registers it in place.
     pub(crate) fn isend_ctx(
         &self,
-        buf: Cow<'_, [u8]>,
+        buf: Payload<'_>,
         dst: usize,
         context: u16,
         tag: i32,
@@ -166,6 +166,16 @@ impl Mpi {
     /// `MPI_Wait`: block (with the configured wait policy) until `req`
     /// completes; returns the received payload (for receives) and status.
     pub fn wait(&self, req: Request) -> (Option<Vec<u8>>, Status) {
+        let (data, status) = self.wait_bytes(req);
+        (data.map(Bytes::into_vec), status)
+    }
+
+    /// Internal: [`Mpi::wait`] that returns a received payload as it
+    /// landed, by reference. [`Mpi::wait`] takes it out as a `Vec`: a
+    /// uniquely held full-range buffer gives up its allocation, and a
+    /// window (an eager payload past its header) is copied once there —
+    /// the user-buffer copy already charged.
+    pub(crate) fn wait_bytes(&self, req: Request) -> (Option<Bytes>, Status) {
         self.charge_call();
         let mut dev = self.dev.borrow_mut();
         dev.wait_until(|d| d.req_done(req.0));
@@ -179,7 +189,8 @@ impl Mpi {
         self.charge_call();
         let mut dev = self.dev.borrow_mut();
         dev.wait_until(|d| d.req_done(req.0));
-        dev.take_req_checked(req.0)
+        let (data, status) = dev.take_req_checked(req.0)?;
+        Ok((data.map(Bytes::into_vec), status))
     }
 
     /// `MPI_Test`: non-blocking completion check (drives progress once).
@@ -195,7 +206,12 @@ impl Mpi {
         self.charge_call();
         let mut dev = self.dev.borrow_mut();
         dev.wait_until(|d| reqs.iter().all(|r| d.req_done(r.0)));
-        reqs.iter().map(|r| dev.take_req(r.0)).collect()
+        reqs.iter()
+            .map(|r| {
+                let (data, status) = dev.take_req(r.0);
+                (data.map(Bytes::into_vec), status)
+            })
+            .collect()
     }
 
     // ---- blocking convenience -------------------------------------------------

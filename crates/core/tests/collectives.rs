@@ -154,12 +154,11 @@ fn alltoallv_with_ragged_and_empty_blocks() {
     let report = uni(np, ConnMode::OnDemand)
         .run(move |mpi| {
             let rank = mpi.rank();
-            // Block for dst has size (rank + dst) % 4 * 1000 (some empty,
-            // some rendezvous-sized when scaled).
-            let send: Vec<Vec<u8>> = (0..np)
-                .map(|dst| vec![rank as u8; ((rank + dst) % 4) * 2000])
-                .collect();
-            let recv = mpi.alltoallv(send);
+            // Block for dst has size (rank + dst) % 4 * 2000 (some empty,
+            // some rendezvous-sized), all cut from one send buffer.
+            let counts: Vec<usize> = (0..np).map(|dst| ((rank + dst) % 4) * 2000).collect();
+            let send = vec![rank as u8; counts.iter().sum()];
+            let recv = mpi.alltoallv(&send.into(), &counts);
             recv.iter().enumerate().all(|(src, b)| {
                 b.len() == ((src + rank) % 4) * 2000 && b.iter().all(|&x| x == src as u8)
             })

@@ -638,6 +638,67 @@ fn an_alltoall_writes_only_the_headers_around_its_blocks() {
     );
 }
 
+#[test]
+fn an_alltoallv_of_one_buffer_delivers_what_alltoall_does_and_writes_only_frames() {
+    // Every rank cuts its blocks from one buffer; counts mix empty, eager
+    // and rendezvous blocks. `alltoallv` sends windows of that buffer: a
+    // rendezvous registers its window in place (the RTS, CTS and FIN frames
+    // are all the data plane writes for it) and an eager block is copied
+    // once into its frame. `alltoall` of the same blocks as `Vec`s must
+    // deliver the same bytes at the same cost.
+    use viampi_core::protocol::HEADER_LEN;
+    use viampi_sim::PooledBuf;
+    const NP: usize = 4;
+    let cfg = MpiConfig::new(Device::Clan, ConnMode::OnDemand, WaitPolicy::Polling);
+    let eager = cfg.eager_threshold;
+    let len = move |src: usize, dst: usize| match (src + 2 * dst) % 3 {
+        0 => 0,
+        1 => eager / 2 + src,
+        _ => eager + 1 + 100 * dst,
+    };
+    let block = move |src: usize, dst: usize| vec![(src * NP + dst) as u8; len(src, dst)];
+    let mut frames = 0;
+    for src in 0..NP {
+        for dst in (0..NP).filter(|&d| d != src) {
+            frames += match len(src, dst) {
+                n if n > eager => 3 * HEADER_LEN,
+                n => HEADER_LEN + n,
+            };
+        }
+    }
+    assert!((0..NP).any(|d| len(0, d) == 0), "an empty block is sent");
+    for conn in [ConnMode::OnDemand, ConnMode::StaticPeerToPeer] {
+        let v = uni(NP, conn)
+            .run(move |mpi| {
+                let rank = mpi.rank();
+                let counts: Vec<usize> = (0..NP).map(|dst| len(rank, dst)).collect();
+                let send: Vec<u8> = (0..NP).flat_map(|dst| block(rank, dst)).collect();
+                let recv = mpi.alltoallv(&PooledBuf::from_vec(send), &counts);
+                recv.iter().map(|b| b.to_vec()).collect::<Vec<_>>()
+            })
+            .unwrap();
+        let a = uni(NP, conn)
+            .run(move |mpi| {
+                let rank = mpi.rank();
+                mpi.alltoall((0..NP).map(|dst| block(rank, dst)).collect())
+            })
+            .unwrap();
+        assert_eq!(v.results, a.results, "{conn:?}");
+        for (rank, recv) in v.results.iter().enumerate() {
+            for (src, b) in recv.iter().enumerate() {
+                assert_eq!(*b, block(src, rank), "{conn:?}: {src} -> {rank}");
+            }
+        }
+        for report in [&v.metrics, &a.metrics] {
+            assert_eq!(
+                report.get("nic.pool.bytes_copied"),
+                Some(frames as u64),
+                "{conn:?}"
+            );
+        }
+    }
+}
+
 /// One rooted collective called with `root`, on the world (`comm` is
 /// `None`) or on a sub-communicator.
 type Rooted = fn(&Mpi, Option<&Comm>, usize);

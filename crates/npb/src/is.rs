@@ -5,22 +5,26 @@
 //!
 //! A rank's keys never change across iterations, and a destination owns a
 //! contiguous bucket range, so right after generation (untimed, like the
-//! generation itself) the keys are put in bucket order once, in place.
-//! Each timed iteration then reads that layout: the bucket histogram is
-//! the lengths of the keys' bucket runs, found by galloping from one run
-//! boundary to the next; each destination's keys are one contiguous run,
-//! copied straight into its wire buffer; and a counting sort runs off the
-//! received byte blocks over the rank's own key range. So the only
-//! per-key work in the loop is that copy and that counting sort. The
-//! received blocks are the next iteration's wire buffers, so once they
-//! have grown to size the loop allocates no key-sized buffer. As in NPB,
-//! an iteration *ranks* the keys (the count table); the sorted sequence is
-//! written out once, for the full verification after the timed loop.
+//! generation itself) the keys — generated as the little-endian bytes they
+//! travel as — are put in bucket order once, in place, and become one
+//! buffer: the only copy of its keys a rank ever holds. Their bucket
+//! histogram does not change either; it is the lengths of the keys'
+//! bucket runs, found once by galloping from one run boundary to the next
+//! and decoding a key at each probe. Each timed iteration then sends every
+//! destination its keys as one window of the buffer — a single `alltoallv`
+//! that copies nothing, a rendezvous registering the window in place —
+//! and runs a counting sort off the received windows over the rank's own
+//! key range. So the only per-key work in the loop is that counting sort,
+//! and the loop allocates no key-sized buffer; every iteration is still
+//! charged for the histogram and the partition it would have computed. As
+//! in NPB, an iteration *ranks* the keys (the count table); the sorted
+//! sequence is written out once, for the full verification after the
+//! timed loop.
 
 use crate::class::Class;
 use crate::result::KernelResult;
 use viampi_core::{Mpi, ReduceOp};
-use viampi_sim::SplitMix64;
+use viampi_sim::{PooledBuf, SplitMix64};
 
 struct Params {
     total_keys: u64,
@@ -57,6 +61,14 @@ fn params(class: Class) -> Params {
 
 const BUCKETS: usize = 1 << 10;
 
+/// A key as it travels: four little-endian bytes.
+type Key = [u8; 4];
+
+/// The value of a key in its wire form.
+fn value(k: &Key) -> u32 {
+    u32::from_le_bytes(*k)
+}
+
 /// Set in a rank's "top" word when the rank holds any keys; the low bits
 /// are then its largest key.
 const HAS_KEYS: u32 = 1 << 31;
@@ -84,10 +96,10 @@ fn key_below(rank: usize, prev_top: u32, tops: &[i64]) -> Option<u32> {
 /// the swaps of a pass then do not wait on one another's loads, and the
 /// grouping of a class C rank took a third of the cycle-following time
 /// (2-core Xeon).
-fn group_by_bucket(keys: &mut [u32], bucket: impl Fn(u32) -> usize) {
+fn group_by_bucket(keys: &mut [Key], bucket: impl Fn(u32) -> usize) {
     let mut ends = vec![0usize; BUCKETS];
-    for &k in keys.iter() {
-        ends[bucket(k)] += 1;
+    for k in keys.iter() {
+        ends[bucket(value(k))] += 1;
     }
     // Bucket `b`'s slots end at `ends[b]`; those before `next[b]` hold
     // only its own keys.
@@ -102,7 +114,7 @@ fn group_by_bucket(keys: &mut [u32], bucket: impl Fn(u32) -> usize) {
     while !open.is_empty() {
         for &b in &open {
             for i in next[b]..ends[b] {
-                let t = bucket(keys[i]);
+                let t = bucket(value(&keys[i]));
                 keys.swap(i, next[t]);
                 next[t] += 1;
             }
@@ -117,7 +129,7 @@ fn group_by_bucket(keys: &mut [u32], bucket: impl Fn(u32) -> usize) {
 /// first). Gallops out from `from` in doubling steps and bisects only the
 /// last step, so a short run is found near where it starts rather than by
 /// probes spread over the whole remaining slice.
-fn run_end(keys: &[u32], from: usize, limit: u32) -> usize {
+fn run_end(keys: &[Key], from: usize, limit: u32) -> usize {
     // Invariant: every key in `keys[from..lo]` is below `limit`.
     let (mut lo, mut step) = (from, 1);
     let hi = loop {
@@ -125,20 +137,20 @@ fn run_end(keys: &[u32], from: usize, limit: u32) -> usize {
         if probe >= keys.len() {
             break keys.len();
         }
-        if keys[probe] >= limit {
+        if value(&keys[probe]) >= limit {
             break probe;
         }
         lo = probe + 1;
         step *= 2;
     };
-    lo + keys[lo..hi].partition_point(|&k| k < limit)
+    lo + keys[lo..hi].partition_point(|k| value(k) < limit)
 }
 
 /// The bucket histogram of bucket-ordered `keys`, read off the run
 /// boundaries: bucket `b` ends where the first key of bucket `b + 1` or
 /// above starts, galloping from where bucket `b - 1` ended. The top bucket
 /// takes the rest, as [`group_by_bucket`]'s clamped bucket does.
-fn boundary_histogram(keys: &[u32], log_shift: u32) -> Vec<i64> {
+fn boundary_histogram(keys: &[Key], log_shift: u32) -> Vec<i64> {
     let mut hist = vec![0i64; BUCKETS];
     let mut from = 0;
     for (b, h) in hist[..BUCKETS - 1].iter_mut().enumerate() {
@@ -169,14 +181,15 @@ pub fn sort(mpi: &Mpi, class: Class) -> (KernelResult, Vec<u32>) {
         lo + per
     };
 
-    // Key generation (NPB uses a Gaussian-ish sum of 4 uniforms).
-    let mut keys: Vec<u32> = Vec::with_capacity((hi - lo) as usize);
+    // Key generation (NPB uses a Gaussian-ish sum of 4 uniforms), straight
+    // into the little-endian form the keys travel in.
+    let mut keys: Vec<Key> = Vec::with_capacity((hi - lo) as usize);
     for idx in lo..hi {
         let mut rng = SplitMix64::new(0x1234_5678 ^ (idx * 0x9E37_79B9));
         let k = (0..4)
             .map(|_| rng.next_below(p.max_key as u64 / 4) as u32)
             .sum::<u32>();
-        keys.push(k);
+        keys.push(k.to_le_bytes());
     }
 
     // `max_key` and `BUCKETS` are powers of two, so a key's bucket is a
@@ -190,6 +203,13 @@ pub fn sort(mpi: &Mpi, class: Class) -> (KernelResult, Vec<u32>) {
     // Bucket order, once, untimed and uncharged like the generation: the
     // keys never change, and it is the layout every iteration reads.
     group_by_bucket(&mut keys, |k| ((k >> log_shift) as usize).min(BUCKETS - 1));
+    // The same allocation, as one byte buffer: the rank holds its keys
+    // once, and every iteration sends windows of `wire`.
+    let wire = PooledBuf::from_vec(keys.into_flattened());
+    let (keys, _) = wire.as_chunks::<4>();
+    // Nor does their bucket histogram: it is read off the run boundaries
+    // once, here, and each iteration is charged for computing it.
+    let hist = boundary_histogram(keys, log_shift);
 
     mpi.barrier();
     let t0 = mpi.now();
@@ -199,16 +219,9 @@ pub fn sort(mpi: &Mpi, class: Class) -> (KernelResult, Vec<u32>) {
     let mut counts: Vec<u32> = Vec::new();
     let mut key_lo = 0u32;
     let mut mine = 0usize;
-    // Per-destination wire buffers, kept across iterations (NPB's static
-    // `key_buff`s). `alltoallv` takes them and hands back the blocks it
-    // received, which become the next iteration's buffers: a buffer
-    // shuttles between one pair of ranks and soon holds either direction,
-    // so the timed loop does not hand megabytes back to the allocator and
-    // fault them in again every round.
-    let mut send: Vec<Vec<u8>> = vec![Vec::new(); np];
     for _iter in 0..p.iterations {
-        // Local bucket histogram, off the run boundaries of the keys.
-        let hist = boundary_histogram(&keys, log_shift);
+        // Local bucket histogram (read before the loop; NPB computes it
+        // every iteration).
         mpi.compute(keys.len() as f64 * 2.0);
         // Global histogram (8 KiB message — crosses the eager threshold).
         let global = mpi.allreduce(&hist, ReduceOp::Sum);
@@ -229,23 +242,14 @@ pub fn sort(mpi: &Mpi, class: Class) -> (KernelResult, Vec<u32>) {
         mpi.compute(BUCKETS as f64 * 2.0);
         // Redistribute keys to their bucket owners. `owner` never decreases
         // with the bucket, so destination `d`'s keys are the next
-        // `sizes[d]` of the bucket-ordered keys: one run, copied as wire
-        // bytes into a buffer reserved to its exact size first (left to
-        // the copy, a recycled block would grow by doubling, past `n * 4`).
+        // `sizes[d]` bytes of the bucket-ordered wire bytes: one window,
+        // sent as it lies. The charge is NPB's partition into `key_buff`s.
         let mut sizes = vec![0usize; np];
         for (b, &n) in hist.iter().enumerate() {
-            sizes[owner[b]] += n as usize;
-        }
-        let mut rest = &keys[..];
-        for (buf, &n) in send.iter_mut().zip(&sizes) {
-            let (run, tail) = rest.split_at(n);
-            rest = tail;
-            buf.clear();
-            buf.reserve_exact(n * 4);
-            buf.extend(run.iter().flat_map(|k| k.to_le_bytes()));
+            sizes[owner[b]] += n as usize * 4;
         }
         mpi.compute(keys.len() as f64);
-        let recv = mpi.alltoallv(send);
+        let recv = mpi.alltoallv(&wire, &sizes);
         // Local counting sort, straight off the received blocks: this rank
         // owns a contiguous bucket range, hence a contiguous key range.
         let b_lo = owner.partition_point(|&o| o < rank);
@@ -255,14 +259,13 @@ pub fn sort(mpi: &Mpi, class: Class) -> (KernelResult, Vec<u32>) {
         counts.resize((b_hi - b_lo) << log_shift, 0);
         mine = 0;
         for block in &recv {
-            for k in block.chunks_exact(4) {
-                let k = u32::from_le_bytes(k.try_into().expect("4-byte chunk"));
-                counts[(k - key_lo) as usize] += 1;
+            let (block, _) = block.as_chunks::<4>();
+            for k in block {
+                counts[(value(k) - key_lo) as usize] += 1;
             }
-            mine += block.len() / 4;
+            mine += block.len();
         }
         mpi.compute(mine as f64 * 8.0);
-        send = recv;
     }
 
     mpi.barrier();
@@ -270,11 +273,10 @@ pub fn sort(mpi: &Mpi, class: Class) -> (KernelResult, Vec<u32>) {
 
     // Full verification: the sorted sequence written out from the counts,
     // globally ordered across rank boundaries, and no key lost or altered.
-    // The keys are summed and let go first, with the wire buffers, so the
+    // The keys are summed off their wire bytes and let go first, so the
     // sorted copy does not stack on top of them.
-    let sum = |v: &[u32]| v.iter().map(|&k| k as i64).sum::<i64>();
-    let keys_sum = sum(&keys);
-    drop((keys, send));
+    let keys_sum: i64 = keys.iter().map(|k| value(k) as i64).sum();
+    drop(wire);
     let mut sorted: Vec<u32> = Vec::with_capacity(mine);
     for (i, &c) in counts.iter().enumerate() {
         sorted.resize(sorted.len() + c as usize, key_lo + i as u32);
@@ -298,7 +300,8 @@ pub fn sort(mpi: &Mpi, class: Class) -> (KernelResult, Vec<u32>) {
     // each rank adding into a slot of its own — gathers every rank's top,
     // which is where a rank looks when its predecessor holds no keys.
     let mut mix = vec![0i64; 2 + np];
-    (mix[0], mix[1], mix[2 + rank]) = (sum(&sorted), keys_sum, top as i64);
+    let sorted_sum = sorted.iter().map(|&k| k as i64).sum();
+    (mix[0], mix[1], mix[2 + rank]) = (sorted_sum, keys_sum, top as i64);
     let mix = mpi.allreduce(&mix, ReduceOp::Sum);
     let boundary_ok = match (key_below(rank, prev_top, &mix[2..]), sorted.first()) {
         (Some(below), Some(&my_min)) => below <= my_min,
@@ -344,9 +347,14 @@ mod tests {
         keys
     }
 
+    /// `keys` as they travel: the byte-resident form the kernel reads.
+    fn wire(keys: &[u32]) -> Vec<Key> {
+        keys.iter().map(|k| k.to_le_bytes()).collect()
+    }
+
     #[test]
     fn run_end_finds_empty_and_full_runs_at_every_edge() {
-        let keys = [1, 2, 5, 6, 6, 9];
+        let keys = wire(&[1, 2, 5, 6, 6, 9]);
         // An empty run at the start, in the middle and at the end.
         assert_eq!(run_end(&keys, 0, 1), 0);
         assert_eq!(run_end(&keys, 2, 3), 2);
@@ -359,9 +367,12 @@ mod tests {
         assert_eq!(run_end(&keys, 6, 100), 6);
         assert_eq!(run_end(&[], 0, 3), 0);
         // A one-key slice.
-        assert_eq!(run_end(&[4], 0, 4), 0);
-        assert_eq!(run_end(&[4], 0, 5), 1);
-        assert_eq!(run_end(&[4], 1, 5), 1);
+        let one = wire(&[4]);
+        assert_eq!(run_end(&one, 0, 4), 0);
+        assert_eq!(run_end(&one, 0, 5), 1);
+        assert_eq!(run_end(&one, 1, 5), 1);
+        // A key whose low byte alone would compare the other way.
+        assert_eq!(run_end(&wire(&[0x1FF, 0x200]), 0, 0x200), 1);
     }
 
     #[test]
@@ -370,11 +381,12 @@ mod tests {
         // the gallop stops after every step size and the bisection lands
         // at every offset.
         let keys: Vec<u32> = (0..70u32).flat_map(|k| vec![k; (k % 5) as usize]).collect();
+        let bytes = wire(&keys);
         for from in 0..=keys.len() {
             for limit in 0..=71 {
                 let want = from + keys[from..].iter().take_while(|&&k| k < limit).count();
                 assert_eq!(
-                    run_end(&keys, from, limit),
+                    run_end(&bytes, from, limit),
                     want,
                     "from {from} limit {limit}"
                 );
@@ -391,7 +403,7 @@ mod tests {
             want[bucket(k)] += 1;
         }
         assert!(want.contains(&0), "the sample has empty buckets");
-        assert_eq!(boundary_histogram(&keys, LOG_SHIFT), want);
+        assert_eq!(boundary_histogram(&wire(&keys), LOG_SHIFT), want);
         // No keys at all: every bucket is an empty run.
         assert_eq!(boundary_histogram(&[], LOG_SHIFT), vec![0; BUCKETS]);
     }
@@ -400,8 +412,9 @@ mod tests {
     fn group_by_bucket_is_a_bucket_ordered_permutation() {
         for n in [0, 1, 2, 1000, 20_000] {
             let input = sample(n);
-            let mut keys = input.clone();
+            let mut keys = wire(&input);
             group_by_bucket(&mut keys, bucket);
+            let keys: Vec<u32> = keys.iter().map(value).collect();
             assert!(
                 keys.windows(2).all(|w| bucket(w[0]) <= bucket(w[1])),
                 "n = {n}: not in bucket order"

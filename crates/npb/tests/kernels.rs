@@ -226,7 +226,7 @@ fn is_reference(mpi: &viampi_core::Mpi, class: Class) -> (Vec<u32>, f64, f64) {
         mpi.compute(keys.len() as f64);
         let send: Vec<Vec<u8>> = outgoing.iter().map(|v| to_bytes(v)).collect();
         let mut mine: Vec<u32> = Vec::new();
-        for block in mpi.alltoallv(send) {
+        for block in mpi.alltoall(send) {
             mine.extend(from_bytes::<u32>(&block));
         }
         // Every iteration sorted; only the last one's order is ever read,

@@ -7,6 +7,7 @@
 //! cargo run --release --example sample_sort
 //! ```
 
+use viampi::sim::PooledBuf;
 use viampi::{ConnMode, Device, Mpi, Universe, WaitPolicy};
 
 fn sort_rank(mpi: &Mpi) -> (bool, usize) {
@@ -52,13 +53,15 @@ fn sort_rank(mpi: &Mpi) -> (bool, usize) {
             .collect()
     };
 
-    // 2. Partition keys by splitter and exchange all-to-all.
-    let mut buckets: Vec<Vec<u8>> = vec![Vec::new(); size];
+    // 2. Sort locally, so each destination's keys are one run of a single
+    //    send buffer, and exchange all-to-all: every rank gets a window.
+    keys.sort_unstable();
+    let mut counts = vec![0usize; size];
     for &k in &keys {
-        let dst = splitters.partition_point(|&s| s <= k);
-        buckets[dst].extend_from_slice(&k.to_le_bytes());
+        counts[splitters.partition_point(|&s| s <= k)] += 4;
     }
-    let received = mpi.alltoallv(buckets);
+    let send: Vec<u8> = keys.iter().flat_map(|k| k.to_le_bytes()).collect();
+    let received = mpi.alltoallv(&PooledBuf::from_vec(send), &counts);
 
     // 3. Local sort of the received range.
     keys = received
