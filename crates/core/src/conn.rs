@@ -23,7 +23,7 @@ use crate::config::{ConnMode, CONN_RETRY_MAX, CONN_RETRY_TIMEOUT_US};
 use crate::device::{mpi_metrics, Device};
 use crate::trace::{Span, SpanKind, TraceKind};
 use viampi_sim::{SimDuration, SimTime};
-use viampi_via::{nic_metrics, Discriminator, ViId, ViState, ViaError, ViaPort};
+use viampi_via::{nic_metrics, Discriminator, Open, ViId, ViState, ViaError};
 
 /// Channel connection state (mirrors the per-peer FSM of §4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -226,10 +226,11 @@ impl Device {
         for server in 0..self.rank {
             for stripe in 0..self.nstripes() {
                 let disc = pair_disc(server, self.rank, stripe);
-                self.cs_handshake(server, stripe, |port, vi| {
-                    port.connect_request(vi, server, disc)
-                        .expect("issue client request");
-                });
+                let open = Open::Request {
+                    remote: server,
+                    disc,
+                };
+                self.cs_handshake(server, stripe, open);
             }
         }
         for client in (self.rank + 1)..self.size {
@@ -245,23 +246,21 @@ impl Device {
                     }
                     self.port.wait_activity(stamp);
                 };
-                self.cs_handshake(client, stripe, |port, vi| {
-                    port.accept_cs(req.id, vi).expect("accept pending request");
-                });
+                self.cs_handshake(client, stripe, Open::Accept { req_id: req.id });
             }
         }
     }
 
-    /// One blocking client/server handshake: provision the channel, `open`
-    /// it (the client's request or the server's accept), wait for the VI.
-    fn cs_handshake(&mut self, peer: usize, stripe: usize, open: impl FnOnce(&ViaPort, ViId)) {
+    /// One blocking client/server handshake: provision the channel and
+    /// `open` it (the client's request or the server's accept), wait for
+    /// the VI.
+    fn cs_handshake(&mut self, peer: usize, stripe: usize, open: Open) {
         let slot = self.slot_of(peer, stripe);
         let action = self.conn_on(slot, ConnEvent::Wanted);
         debug_assert_eq!(action, ConnAction::Provision);
         let vi = self
-            .provision(slot)
+            .provision(slot, open)
             .unwrap_or_else(|e| panic!("provision channel to rank {peer}: {e}"));
-        open(&self.port, vi);
         let st = self.port.connect_wait(vi).expect("valid VI");
         assert_eq!(st, ViState::Connected);
         self.conn_event(slot, ConnEvent::Up);
@@ -424,13 +423,14 @@ impl Device {
         action
     }
 
-    /// Create the VI of `slot` and hand it to the data path for its buffer
-    /// pools and pre-posted receive window — which must be in place *before*
-    /// the connection completes or early arrivals would be dropped. Shared
-    /// by all three managers. Transient VI-creation failures (fault
-    /// injection) are retried up to [`CONN_RETRY_MAX`] times; only an
-    /// exhausted budget surfaces as an error.
-    fn provision(&mut self, slot: usize) -> Result<ViId, ViaError> {
+    /// Create the VI of `slot` and hand it to the data path, which pins its
+    /// buffer pools, pre-posts its receive window and issues `open` in one
+    /// port call: the one provision → open path of all three managers.
+    /// Transient VI-creation failures (fault injection) are retried up to
+    /// [`CONN_RETRY_MAX`] times; only an exhausted budget surfaces as an
+    /// error. VI creation stays a call of its own because it draws from the
+    /// fault injector's connection stream, which every rank shares.
+    fn provision(&mut self, slot: usize, open: Open) -> Result<ViId, ViaError> {
         let (peer, stripe) = (self.channels[slot].peer, self.channels[slot].stripe);
         let mut attempt = 0u32;
         let vi = loop {
@@ -449,10 +449,14 @@ impl Device {
                 Err(e) => panic!("create VI for peer {peer}: {e}"),
             }
         };
-        self.attach_pools(slot, vi);
+        self.bring_up(slot, vi, open)
+            .unwrap_or_else(|e| panic!("bring up channel to rank {peer}: {e}"));
+        // The setup span starts where the open is charged, the bring-up's
+        // last verb.
+        let now = self.port.ctx().now();
         let conn = &mut self.channels[slot].conn;
         conn.vi = Some(vi);
-        conn.begin = self.port.ctx().now();
+        conn.begin = SimTime(now.as_nanos() - self.port.profile().conn_call.as_nanos());
         if stripe > 0 {
             self.metrics.inc(mpi_metrics::ENDPOINT_STRIPE_SETUPS);
         }
@@ -463,13 +467,14 @@ impl Device {
     /// the channel and issue the connect request.
     fn issue_peer_connect(&mut self, slot: usize) {
         let (peer, stripe) = (self.channels[slot].peer, self.channels[slot].stripe);
-        let Ok(vi) = self.provision(slot) else {
+        let open = Open::Peer {
+            remote: peer,
+            disc: pair_disc(self.rank, peer, stripe),
+        };
+        if self.provision(slot, open).is_err() {
             self.conn_event(slot, ConnEvent::NoVi);
             return;
-        };
-        self.port
-            .connect_peer(vi, peer, pair_disc(self.rank, peer, stripe))
-            .expect("issue peer connect");
+        }
         if self.retries_armed() {
             self.channels[slot].conn.deadline =
                 self.port.ctx().now() + SimDuration::micros(CONN_RETRY_TIMEOUT_US);

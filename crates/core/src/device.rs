@@ -34,7 +34,7 @@ use crate::window::IdWindow;
 use std::collections::VecDeque;
 use viampi_sim::{BufferPool, Registry, SimDuration, SimTime};
 use viampi_via::fabric::{Bytes, OobBytes};
-use viampi_via::{CompletionKind, MemHandle, ViId, ViaPort};
+use viampi_via::{CompletionKind, MemHandle, Open, ViId, ViaError, ViaPort};
 
 /// The MPI device's metric set (`mpi.*` entries of the cross-layer
 /// registry). A reader takes them from [`Device::metrics`], or after a run
@@ -295,7 +295,7 @@ impl Device {
             size,
             cfg,
             port,
-            channels: ChannelTable::new(stripes),
+            channels: ChannelTable::new(rank, stripes),
             matcher: MatchEngine::new(),
             reqs: IdWindow::new(1),
             vi_to_slot: Vec::new(),
@@ -431,9 +431,11 @@ impl Device {
     // Buffer pools
     // =====================================================================
 
-    /// Pin the buffer pools of `slot`'s freshly created `vi` and pre-post
-    /// its eager receive window, so completions on `vi` route to `slot`.
-    pub(crate) fn attach_pools(&mut self, slot: usize, vi: ViId) {
+    /// Bring up `slot`'s freshly created `vi` in one port call: pin its
+    /// buffer pools, pre-post its eager receive window — which must be in
+    /// place *before* the connection completes or early arrivals would be
+    /// dropped — and `open` it. Completions on `vi` route to `slot`.
+    pub(crate) fn bring_up(&mut self, slot: usize, vi: ViId, open: Open) -> Result<(), ViaError> {
         // Under dynamic flow control (the paper's future-work extension)
         // each side starts with a small chunk and grows under pressure;
         // both sides compute the same initial size so credits agree.
@@ -442,14 +444,7 @@ impl Device {
         } else {
             self.cfg.num_bufs
         };
-        let bsz = self.cfg.buf_size();
-        let recv_mem = self.port.register(chunk * bsz).expect("pin recv pool");
-        self.port.register(chunk * bsz).expect("pin send pool");
-        // The VI is not connected yet, so nothing can arrive between one
-        // descriptor of the window and the next: post it as a run.
-        self.port
-            .post_recv_run(vi, recv_mem, 0, bsz, chunk)
-            .expect("pre-post eager window");
+        self.port.bring_up(vi, self.cfg.buf_size(), chunk, open)?;
         let ch = &mut self.channels[slot];
         ch.chunk = chunk;
         ch.bufs = chunk;
@@ -460,6 +455,7 @@ impl Device {
             self.vi_to_slot.resize(at + 1, None);
         }
         self.vi_to_slot[at] = Some(slot);
+        Ok(())
     }
 
     /// Dynamic flow control: grow a channel's receive pool by one chunk and

@@ -25,6 +25,7 @@
 use crate::conn::ChanState;
 use crate::device::ChannelSnapshot;
 use crate::protocol::Header;
+use crate::table::find_slot;
 use std::fmt;
 use viampi_via::{CompletionKind, Fabric, Nic, ViId};
 
@@ -71,8 +72,11 @@ fn unreaped(nic: &Nic, vi: ViId) -> (usize, usize) {
 
 /// Check every law on a finished world. `ends[r]` is rank `r`'s channel
 /// snapshots, ascending by `(peer, stripe)` as the device reports them, so
-/// an end's reverse is one binary search away.
+/// an end's reverse is found as the channel table finds a slot: where a
+/// fully wired rank holds it, else by binary search.
 pub fn check(vis_per_peer: usize, ends: &[&[ChannelSnapshot]], fabric: &Fabric) -> Vec<Violation> {
+    let stripes = vis_per_peer.max(1);
+    let slot_of = |c: &ChannelSnapshot| c.peer * stripes + c.stripe;
     let mut out = Vec::new();
     for (rank, mine) in ends.iter().enumerate() {
         let nic = &fabric.nics[rank];
@@ -95,8 +99,7 @@ pub fn check(vis_per_peer: usize, ends: &[&[ChannelSnapshot]], fabric: &Fabric) 
                 broke(2, format!("{n} connected VIs (cap {vis_per_peer})"));
             }
             let theirs = ends[e.peer];
-            let back = theirs
-                .binary_search_by_key(&(rank, e.stripe), |c| (c.peer, c.stripe))
+            let back = find_slot(theirs, rank * stripes + e.stripe, e.peer, stripes, slot_of)
                 .map(|i| &theirs[i])
                 .ok();
             let peer_up = back.is_some_and(|b| b.vi_connected);

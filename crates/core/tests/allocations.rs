@@ -138,10 +138,11 @@ fn a_statically_provisioned_channel_costs_a_bounded_number_of_allocations() {
     let channels = (NP * (NP - 1)) as u64;
     assert_eq!(report.metrics.get("nic.vis_created"), Some(channels));
     // Everything the world allocates — engine, ranks and reports included —
-    // divided by the channel endpoints it wires: 4.6 as recorded (8.6 while
-    // the device mirrored each VI's receive queue, 13.1 before the queues
-    // were sized at provisioning and the hashed tables went). The bound
-    // leaves room for a std or compiler change, not for a per-descriptor or
+    // divided by the channel endpoints it wires: 4.71 as measured (4.74
+    // while each NIC filed its connection targets in a `BTreeSet`, 8.6
+    // while the device mirrored each VI's receive queue, 13.1 before the
+    // queues were sized at provisioning and the hashed tables went). The
+    // bound leaves room for a std or compiler change, not for a per-descriptor or
     // per-message allocation coming back.
     let per_channel = made as f64 / channels as f64;
     assert!(
@@ -150,8 +151,9 @@ fn a_statically_provisioned_channel_costs_a_bounded_number_of_allocations() {
     );
     // What an idle, fully wired world holds per channel end, engine and
     // ranks included. A bound, not an exact figure: byte counts follow
-    // std's growth policy. 873 B as recorded; 1 660 B while the device
-    // mirrored the NIC's queue and the NIC kept one entry per descriptor.
+    // std's growth policy. 848 B as measured; 872 B with the `BTreeSet` of
+    // targets, 1 660 B while the device mirrored the NIC's queue and the
+    // NIC kept one entry per descriptor.
     let held = report.results[NP - 1].expect("the last rank reports") - held_before;
     let per_end = held as f64 / channels as f64;
     assert!(
@@ -209,9 +211,11 @@ fn an_alltoall_holds_its_payload_once() {
     // exchange holds with empty blocks, plus a slack: one block for the
     // receiver-side copy of a block whose sender has not yet unpinned it,
     // and half a block for the rendezvous headers and requests. Recorded:
-    // 1.07 copies above the empty exchange; 1.13 when the device copies an
-    // owned payload into a pooled buffer; 2.01 when `alltoall` borrowed
-    // its blocks, copied each into the pool and cloned the own one.
+    // 1.013 copies above the empty exchange (1.07 when the test was
+    // written, before `alltoall` shared `alltoallv`'s exchange); 1.13 when
+    // the device copies an owned payload into a pooled buffer; 2.01 when
+    // `alltoall` borrowed its blocks, copied each into the pool and cloned
+    // the own one.
     const BLOCK: usize = 64 << 10;
     const PAYLOAD: isize = (4 * 4 * BLOCK) as isize;
     const SLACK: isize = (BLOCK + BLOCK / 2) as isize;

@@ -17,8 +17,8 @@ use crate::fault::{fault_metrics, FaultInjector, FaultProfile};
 use crate::nic::{nic_metrics, Nic};
 use crate::profile::DeviceProfile;
 use crate::types::{
-    Completion, CompletionKind, CsRequest, DescId, Discriminator, MemHandle, NodeId, PeerRequest,
-    ViId, ViState, ViaError,
+    Completion, CompletionKind, CsRequest, DescId, Discriminator, MemHandle, NodeId, Open,
+    PeerRequest, ViId, ViState, ViaError,
 };
 use viampi_sim::{Api, BufferPool, Registry, SimDuration, World};
 
@@ -519,6 +519,58 @@ impl Fabric {
         let first = nic.alloc_descs(n);
         nic.vis[vi.0 as usize].push_recv(first, mem, off, len, n);
         Ok(first)
+    }
+
+    /// Bring up the idle `(node, vi)` as a channel end: pin a receive pool
+    /// and a send pool of `n` segments of `len` bytes each, post the whole
+    /// receive pool as one run, and `open` the VI — the verbs `register`,
+    /// `register`, [`Fabric::post_recv`] and the open, in that order.
+    ///
+    /// The whole sequence is checked first, and an error is the one the
+    /// first failing verb would return; an error changes nothing. The
+    /// pools and the window stay private to this NIC until the open: no
+    /// arrival can reach a VI that is not connected, and only the owning
+    /// process reads its pin accounting.
+    pub fn bring_up(
+        &mut self,
+        api: &mut Api<'_, FabricEvent>,
+        node: NodeId,
+        vi: ViId,
+        len: usize,
+        n: usize,
+        open: Open,
+    ) -> Result<(), ViaError> {
+        let pool = len.checked_mul(n).ok_or(ViaError::OutOfBounds)?;
+        let nic = &self.nics[node];
+        nic.check_pins(&[pool, pool], self.profile.max_pinned)?;
+        if nic.vi(vi)?.recv_posted + n > self.profile.max_recv_descs {
+            return Err(ViaError::RecvQueueFull);
+        }
+        self.check_open(node, vi, open)?;
+        // Checked above: none of the verbs below can fail.
+        let recv = self.nics[node].register(pool, self.profile.max_pinned)?;
+        self.nics[node].register(pool, self.profile.max_pinned)?;
+        self.post_recv(node, vi, recv, 0, len, n)?;
+        match open {
+            Open::Peer { remote, disc } => self.connect_peer(api, node, vi, remote, disc),
+            Open::Request { remote, disc } => self.connect_request(api, node, vi, remote, disc),
+            Open::Accept { req_id } => self.accept_cs(api, node, req_id, vi),
+        }
+    }
+
+    /// The error `open` would return on `(node, vi)`, without acting.
+    fn check_open(&self, node: NodeId, vi: ViId, open: Open) -> Result<(), ViaError> {
+        let nic = &self.nics[node];
+        let Open::Accept { req_id } = open else {
+            return nic.check_aim(vi);
+        };
+        let req = (nic.incoming_cs.iter())
+            .find(|r| r.id == req_id)
+            .ok_or(ViaError::NoSuchRequest)?;
+        nic.check_aim(vi)?;
+        self.find_connecting(req.from, node, req.disc)
+            .map(drop)
+            .ok_or(ViaError::NoSuchRequest)
     }
 
     /// Issue a peer-to-peer connection request from `(node, vi)` to

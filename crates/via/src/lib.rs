@@ -38,6 +38,6 @@ pub use nic::{nic_metrics, Nic, RecvRun, Region, Vi};
 pub use port::{fabric_engine, ViaPort};
 pub use profile::DeviceProfile;
 pub use types::{
-    Completion, CompletionKind, CsRequest, DescId, Discriminator, MemHandle, NodeId, PeerRequest,
-    ViId, ViState, ViaError,
+    Completion, CompletionKind, CsRequest, DescId, Discriminator, MemHandle, NodeId, Open,
+    PeerRequest, ViId, ViState, ViaError,
 };

@@ -6,7 +6,7 @@ use crate::types::{
     Completion, CsRequest, DescId, Discriminator, MemHandle, NodeId, PeerRequest, ViId, ViState,
     ViaError,
 };
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use viampi_sim::{BufferPool, ProcId, Registry, SimTime};
 
 /// The NIC metric set (see [`viampi_sim::metrics`]): every fabric-level
@@ -250,10 +250,11 @@ pub struct Nic {
     /// VI table, indexed by `ViId.0`. Slots are never reused.
     pub vis: Vec<Vi>,
     /// Every live VI that has named a connection target, as `(remote,
-    /// disc, vi)` — what connection matching looks endpoints up by. Ordered,
+    /// disc, vi)` — what connection matching looks endpoints up by. Sorted,
     /// so the VIs of one target come out lowest id first, as a scan of
-    /// `vis` would find them.
-    targets: BTreeSet<(NodeId, Discriminator, ViId)>,
+    /// `vis` would find them; static wiring aims in ascending order, so an
+    /// insert is almost always a push.
+    targets: Vec<(NodeId, Discriminator, ViId)>,
     /// Registered-memory table, indexed by `MemHandle.0`.
     pub regions: Vec<Region>,
     /// The completion queue shared by all of this NIC's work queues.
@@ -290,7 +291,7 @@ impl Nic {
         Nic {
             node,
             vis: Vec::new(),
-            targets: BTreeSet::new(),
+            targets: Vec::new(),
             regions: Vec::new(),
             cq: VecDeque::new(),
             waiters: Vec::new(),
@@ -342,6 +343,14 @@ impl Nic {
         }
     }
 
+    /// The error [`Nic::aim_vi`] would return for `id`, without aiming it.
+    pub(crate) fn check_aim(&self, id: ViId) -> Result<(), ViaError> {
+        match self.vi(id)?.state {
+            ViState::Idle => Ok(()),
+            _ => Err(ViaError::AlreadyConnected),
+        }
+    }
+
     /// Start connecting the idle VI `id` to `(remote, disc)`, in `state`
     /// (`Connecting` for a request, `Establishing` for an accept): the one
     /// place a VI's target is set, so the one place it is filed under it.
@@ -352,14 +361,19 @@ impl Nic {
         disc: Discriminator,
         state: ViState,
     ) -> Result<(), ViaError> {
-        let v = self.vi_mut(id)?;
-        if v.state != ViState::Idle {
-            return Err(ViaError::AlreadyConnected);
-        }
+        self.check_aim(id)?;
+        let v = &mut self.vis[id.0 as usize];
         v.state = state;
         v.remote = Some(remote);
         v.disc = Some(disc);
-        self.targets.insert((remote, disc, id));
+        let key = (remote, disc, id);
+        match self.targets.last() {
+            Some(&last) if last > key => {
+                let at = self.targets.partition_point(|&t| t < key);
+                self.targets.insert(at, key);
+            }
+            _ => self.targets.push(key),
+        }
         Ok(())
     }
 
@@ -369,8 +383,12 @@ impl Nic {
         remote: NodeId,
         disc: Discriminator,
     ) -> impl Iterator<Item = (ViId, &Vi)> {
-        self.targets
-            .range((remote, disc, ViId(0))..=(remote, disc, ViId(u32::MAX)))
+        let from = self
+            .targets
+            .partition_point(|&(r, d, _)| (r, d) < (remote, disc));
+        self.targets[from..]
+            .iter()
+            .take_while(move |&&(r, d, _)| (r, d) == (remote, disc))
             .map(|&(_, _, id)| (id, &self.vis[id.0 as usize]))
     }
 
@@ -382,21 +400,33 @@ impl Nic {
         vi.recv_q.clear();
         vi.recv_posted = 0;
         if let (Some(remote), Some(disc)) = (vi.remote, vi.disc) {
-            self.targets.remove(&(remote, disc, id));
+            if let Ok(at) = self.targets.binary_search(&(remote, disc, id)) {
+                self.targets.remove(at);
+            }
         }
         self.metrics.inc(nic_metrics::VIS_DESTROYED);
         Ok(())
     }
 
+    /// The error registering regions of `lens` bytes one after another
+    /// would first meet under the pin limit, without registering any.
+    pub(crate) fn check_pins(&self, lens: &[usize], max_pinned: usize) -> Result<(), ViaError> {
+        let mut pinned = self.metrics.gauge(nic_metrics::PINNED_NOW) as usize;
+        for &len in lens {
+            if pinned + len > max_pinned {
+                return Err(ViaError::PinLimitExceeded {
+                    requested: len,
+                    available: max_pinned - pinned,
+                });
+            }
+            pinned += len;
+        }
+        Ok(())
+    }
+
     /// Register (pin) `len` bytes, respecting the pin limit.
     pub fn register(&mut self, len: usize, max_pinned: usize) -> Result<MemHandle, ViaError> {
-        let pinned_now = self.metrics.gauge(nic_metrics::PINNED_NOW) as usize;
-        if pinned_now + len > max_pinned {
-            return Err(ViaError::PinLimitExceeded {
-                requested: len,
-                available: max_pinned - pinned_now,
-            });
-        }
+        self.check_pins(&[len], max_pinned)?;
         let h = MemHandle(self.regions.len() as u32);
         self.regions.push(Region {
             data: None,
@@ -729,6 +759,46 @@ mod tests {
         let v = &f.nics[0].vis[0];
         assert!(v.recv_q.is_empty());
         assert_eq!(v.recv_posted, 0);
+    }
+
+    #[test]
+    fn targets_behave_like_an_ordered_set() {
+        use std::collections::BTreeSet;
+        let mut rng = viampi_sim::SplitMix64::new(9);
+        let mut nic = Nic::new(0);
+        let mut model = BTreeSet::new();
+        // A few targets, so several VIs share one; aimed in no order.
+        let target = |k: u64| (k as NodeId % 5, Discriminator(k / 5 % 3));
+        let mut live = Vec::new();
+        for _ in 0..300 {
+            let vi = nic.create_vi(usize::MAX).unwrap();
+            let (remote, disc) = target(rng.next_u64());
+            nic.aim_vi(vi, remote, disc, ViState::Connecting).unwrap();
+            model.insert((remote, disc, vi));
+            live.push(vi);
+            // Now and then destroy a live VI, aimed or not.
+            if rng.next_u64().is_multiple_of(4) {
+                let at = (rng.next_u64() % live.len() as u64) as usize;
+                let gone = live.swap_remove(at);
+                let v = &nic.vis[gone.0 as usize];
+                model.remove(&(v.remote.unwrap(), v.disc.unwrap(), gone));
+                nic.destroy_vi(gone).unwrap();
+            }
+            if rng.next_u64().is_multiple_of(7) {
+                nic.create_vi(usize::MAX).unwrap(); // never aimed
+            }
+        }
+        assert_eq!(nic.targets, model.iter().copied().collect::<Vec<_>>());
+        for k in 0..15 {
+            let (remote, disc) = target(k);
+            let got: Vec<ViId> = nic.vis_aimed_at(remote, disc).map(|(id, _)| id).collect();
+            let want: Vec<ViId> = (model
+                .range((remote, disc, ViId(0))..=(remote, disc, ViId(u32::MAX))))
+            .map(|&(_, _, id)| id)
+            .collect();
+            assert!(want.len() > 5, "target {k} is shared");
+            assert_eq!(got, want, "target {k}: lowest id first");
+        }
     }
 
     #[test]

@@ -3,9 +3,14 @@
 //!
 //! Every method charges the *host-side* cost of the corresponding VIPL call
 //! to the calling process's virtual clock and then performs the state change
-//! against the shared [`Fabric`] (receive posting does the two in the other
-//! order — see [`ViaPort::post_recv_run`]). NIC-side and wire costs are paid
-//! by the events the fabric schedules.
+//! against the shared [`Fabric`], in one world access. Two calls stand for
+//! several verbs. [`ViaPort::post_recv_run`] posts a run of receives and
+//! does the two in the other order. [`ViaPort::bring_up`] charges the four
+//! verbs that bring up a channel end one by one, then performs them
+//! together at the instant the last one would act. A charge is clock
+//! arithmetic, but a world access after one is a scheduling point, and
+//! with many ranks at nearly equal clocks most such points are switches.
+//! NIC-side and wire costs are paid by the events the fabric schedules.
 //!
 //! One fabric node corresponds to one MPI process. (The paper's testbed had
 //! 4-way SMP nodes, but its Berkeley-VIA experiments — the ones where
@@ -15,8 +20,8 @@
 use crate::fabric::{Fabric, FabricEvent};
 use crate::profile::DeviceProfile;
 use crate::types::{
-    Completion, CsRequest, DescId, Discriminator, MemHandle, NodeId, PeerRequest, ViId, ViState,
-    ViaError,
+    Completion, CsRequest, DescId, Discriminator, MemHandle, NodeId, Open, PeerRequest, ViId,
+    ViState, ViaError,
 };
 use viampi_sim::{ProcCtx, Registry, SimDuration};
 
@@ -227,6 +232,30 @@ impl ViaPort {
         self.ctx
             .advance(self.profile.post_recv.saturating_mul(n as u64));
         Ok(first)
+    }
+
+    /// A channel end's bring-up on the idle `vi`: `register` a receive pool
+    /// and a send pool of `n` segments of `len` bytes each, post the receive
+    /// pool as one run (as [`ViaPort::post_recv_run`] does), and `open` the
+    /// VI. Each verb is charged its own cost, in that order; then all four
+    /// act in one world access, at the instant the open acts in the
+    /// verb-by-verb sequence, which leaves the NIC and the clock exactly as
+    /// that sequence does. The pools and the window are private to this NIC
+    /// until the open, so nothing can tell when they appeared.
+    ///
+    /// The sequence is checked as a whole first: an error is the one the
+    /// first failing verb would return, and it changes nothing on the NIC
+    /// (the charges stand, as a failed `register`'s does).
+    pub fn bring_up(&self, vi: ViId, len: usize, n: usize, open: Open) -> Result<(), ViaError> {
+        let reg = self.profile.reg_time(len.saturating_mul(n));
+        self.ctx.advance(reg);
+        self.ctx.advance(reg);
+        self.ctx
+            .advance(self.profile.post_recv.saturating_mul(n as u64));
+        self.ctx.advance(self.profile.conn_call);
+        let node = self.node;
+        self.ctx
+            .with_world(|f, api| f.bring_up(api, node, vi, len, n, open))
     }
 
     /// RDMA write (`VipPostSend` with `VIP_RDMAWRITE`): one-sided transfer

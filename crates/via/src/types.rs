@@ -48,6 +48,31 @@ impl ViState {
     }
 }
 
+/// The connection call that opens an idle VI: the last verb of a channel
+/// end's bring-up (see [`crate::ViaPort::bring_up`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Open {
+    /// `VipConnectPeerRequest` to `remote` under `disc`.
+    Peer {
+        /// Target node.
+        remote: NodeId,
+        /// Discriminator both sides use.
+        disc: Discriminator,
+    },
+    /// `VipConnectRequest`: the client side of a client/server handshake.
+    Request {
+        /// The server node.
+        remote: NodeId,
+        /// Discriminator both sides use.
+        disc: Discriminator,
+    },
+    /// `VipConnectAccept` of the pending client/server request `req_id`.
+    Accept {
+        /// The request, as [`CsRequest::id`] names it.
+        req_id: u64,
+    },
+}
+
 /// Failures surfaced by the VIA provider API.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ViaError {

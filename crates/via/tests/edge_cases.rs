@@ -6,8 +6,8 @@
 
 use viampi_sim::{PooledBuf, SimDuration};
 use viampi_via::{
-    fabric_engine, nic_metrics, CompletionKind, DeviceProfile, Discriminator, MemHandle, ViaError,
-    ViaPort,
+    fabric_engine, nic_metrics, CompletionKind, DeviceProfile, Discriminator, MemHandle, Nic, Open,
+    ViState, ViaError, ViaPort,
 };
 
 fn connect_pair(a: &ViaPort, remote: usize, disc: u64) -> viampi_via::ViId {
@@ -74,6 +74,140 @@ fn a_run_leaves_the_nic_as_single_posts_do() {
     assert_eq!((run.1, one_by_one.1), (16, 16), "nic.descs_posted");
     assert_eq!(run.2, one_by_one.2, "16 × post_recv charged either way");
     assert_eq!(one_by_one.3 - run.3, 15, "one world access instead of 16");
+}
+
+/// What a bring-up leaves on node 0's NIC: its regions, its VI (state,
+/// target, receive queue), pinned bytes now and at peak, connection
+/// requests and descriptors posted.
+fn nic_after(nic: &Nic) -> String {
+    let m = &nic.metrics;
+    format!(
+        "{:?} {:?} pinned {}/{} requests {} descs {}",
+        nic.regions,
+        nic.vis,
+        m.gauge(nic_metrics::PINNED_NOW),
+        m.gauge(nic_metrics::PINNED_PEAK),
+        m.counter(nic_metrics::CONN_REQUESTS),
+        m.counter(nic_metrics::DESCS_POSTED),
+    )
+}
+
+/// Node 0 brings up a channel end with a 16-buffer window of 512-byte
+/// segments — in one `bring_up`, or verb by verb — and opens it with a peer
+/// request or, once node 1's client request is in, with an accept. Returns
+/// what node 0's NIC holds at the end, node 0's clock when it finished, and
+/// the world's accesses.
+fn brought_up(one_call: bool, accept: bool) -> (String, u64, u64) {
+    const LEN: usize = 512;
+    const N: usize = 16;
+    let disc = Discriminator(40);
+    let mut eng = fabric_engine(DeviceProfile::clan(), 2);
+    eng.spawn("end", move |ctx| {
+        let port = ViaPort::open(ctx, 0);
+        let open = if accept {
+            let req = loop {
+                let stamp = port.activity_stamp();
+                if let Some(r) = port.cs_requests().first().copied() {
+                    break r;
+                }
+                port.wait_activity(stamp);
+            };
+            Open::Accept { req_id: req.id }
+        } else {
+            Open::Peer { remote: 1, disc }
+        };
+        let vi = port.create_vi().unwrap();
+        if one_call {
+            port.bring_up(vi, LEN, N, open).unwrap();
+            return;
+        }
+        let recv = port.register(N * LEN).unwrap();
+        port.register(N * LEN).unwrap();
+        port.post_recv_run(vi, recv, 0, LEN, N).unwrap();
+        match open {
+            Open::Accept { req_id } => port.accept_cs(req_id, vi),
+            _ => port.connect_peer(vi, 1, disc),
+        }
+        .unwrap();
+    });
+    eng.spawn("client", move |ctx| {
+        let port = ViaPort::open(ctx, 1);
+        if accept {
+            let vi = port.create_vi().unwrap();
+            port.connect_request(vi, 0, disc).unwrap();
+        }
+    });
+    let (fabric, out) = eng.run().unwrap();
+    (
+        nic_after(&fabric.nics[0]),
+        out.proc_finish[0].as_nanos(),
+        out.metrics.get("sim.world_accesses").unwrap(),
+    )
+}
+
+#[test]
+fn a_bring_up_leaves_the_nic_as_its_verbs_do() {
+    for accept in [false, true] {
+        let (one, verbs) = (brought_up(true, accept), brought_up(false, accept));
+        assert_eq!(one.0, verbs.0, "accept {accept}: the NIC");
+        assert_eq!(one.1, verbs.1, "accept {accept}: each verb charged");
+        assert_eq!(verbs.2 - one.2, 3, "accept {accept}: one access, not four");
+    }
+    // The pools are pinned, the window is one run and the open went out.
+    let (peer, _, _) = brought_up(true, false);
+    assert!(
+        peer.contains("pinned 16384/16384 requests 1 descs 16"),
+        "{peer}"
+    );
+    assert!(peer.contains("state: Connecting"), "{peer}");
+}
+
+#[test]
+fn a_bring_up_that_fails_leaves_the_nic_untouched() {
+    const POOL: usize = 16 * 512;
+    let mut profile = DeviceProfile::clan();
+    // Room for the receive pool, not for the send pool after it.
+    profile.max_pinned = POOL + POOL / 2;
+    let mut eng = fabric_engine(profile, 2);
+    eng.spawn("p", |ctx| {
+        let port = ViaPort::open(ctx, 0);
+        let vi = port.create_vi().unwrap();
+        let open = Open::Peer {
+            remote: 1,
+            disc: Discriminator(41),
+        };
+        // The error the second `register` would return.
+        let over = ViaError::PinLimitExceeded {
+            requested: POOL,
+            available: POOL / 2,
+        };
+        assert_eq!(port.bring_up(vi, 512, 16, open), Err(over));
+        // An open the VI cannot take fails before anything is pinned.
+        let busy = port.create_vi().unwrap();
+        port.connect_peer(busy, 1, Discriminator(42)).unwrap();
+        assert_eq!(
+            port.bring_up(busy, 512, 1, open),
+            Err(ViaError::AlreadyConnected)
+        );
+        let gone = Open::Accept { req_id: 7 };
+        assert_eq!(
+            port.bring_up(vi, 512, 1, gone),
+            Err(ViaError::NoSuchRequest)
+        );
+    });
+    let (fabric, _) = eng.run().unwrap();
+    let nic = &fabric.nics[0];
+    assert!(nic.regions.is_empty(), "nothing pinned");
+    assert_eq!(nic.metrics.gauge(nic_metrics::PINNED_PEAK), 0);
+    assert_eq!(nic.metrics.counter(nic_metrics::DESCS_POSTED), 0);
+    let first = &nic.vis[0];
+    assert_eq!((first.state, first.remote), (ViState::Idle, None));
+    assert!(first.recv_q.is_empty());
+    assert_eq!(
+        nic.metrics.counter(nic_metrics::CONN_REQUESTS),
+        1,
+        "only the busy VI's own request"
+    );
 }
 
 /// Node 1 posts a 4-descriptor window over its second region — as one run
