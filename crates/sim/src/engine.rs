@@ -5,9 +5,9 @@
 //! [`Engine::run`], and **exactly one** of {driver, processes} executes at
 //! any real instant: a token is passed to the process with the smallest
 //! virtual clock. Hardware activity (NIC processing, wire flight, DMA,
-//! connection handshakes) is represented by events in a timing-wheel queue
-//! ([`crate::queue`]); events due at or before the next process resume time
-//! are applied first.
+//! connection handshakes) is represented by events in a `(time, seq)`
+//! binary-heap queue ([`crate::queue`]); events due at or before the next
+//! process resume time are applied first.
 //!
 //! The result is a *deterministic* simulation: given the same world, the same
 //! spawned closures and the same seeds, every run produces identical virtual
@@ -855,7 +855,6 @@ impl<W: World> Engine<W> {
         TOTAL_EVENTS.fetch_add(inner.events_processed, Ordering::Relaxed);
         let metrics = {
             use crate::metrics::engine as em;
-            let ws = inner.queue.wheel_stats();
             let mut reg = em::registry();
             reg.add(em::HANDOFFS, inner.pass);
             reg.add(em::EVENTS, inner.events_processed);
@@ -864,11 +863,6 @@ impl<W: World> Engine<W> {
             reg.add(em::DIRECT_HANDOFFS, inner.direct_handoffs);
             reg.add(em::DIRECT_SELF, inner.direct_self);
             reg.add(em::WORLD_ACCESSES, inner.world_accesses);
-            reg.add(em::WHEEL_DUE, ws.push_due);
-            reg.add(em::WHEEL_L0, ws.push_l0);
-            reg.add(em::WHEEL_L1, ws.push_l1);
-            reg.add(em::WHEEL_OVERFLOW, ws.push_overflow);
-            reg.add(em::WHEEL_CASCADES, ws.cascades);
             reg.gauge_max(em::READY_PEAK, inner.ready.peak as u64);
             reg.gauge_max(em::QUEUE_PEAK, inner.queue.peak() as u64);
             reg.snapshot()

@@ -3,7 +3,7 @@
 //! The substrate under the whole `viampi` stack. It provides:
 //!
 //! * [`SimTime`] / [`SimDuration`] — integer-nanosecond virtual time;
-//! * [`EventQueue`] — a `(time, sequence)`-ordered hierarchical timing wheel;
+//! * [`EventQueue`] — a `(time, sequence)`-ordered binary heap;
 //! * [`Engine`] / [`ProcCtx`] / [`World`] — a cooperative scheduler where
 //!   every simulated process runs as a stackful fiber on the thread that
 //!   called [`Engine::run`] (pooled, guard-paged stacks; x86_64/aarch64
@@ -67,6 +67,6 @@ pub use error::{BlockedProc, SimError};
 pub use fiber::{stack_pool_metrics, STACK_POOL_CAP};
 pub use metrics::{MetricEntry, MetricsSnapshot, Registry};
 pub use pool::{BufferPool, PoolStats, PooledBuf};
-pub use queue::{EventQueue, WheelStats};
+pub use queue::EventQueue;
 pub use rng::SplitMix64;
 pub use time::{SimDuration, SimTime};

@@ -145,11 +145,7 @@ pub mod engine {
             DIRECT_HANDOFFS => "sim.direct.handoffs": "Token grants that switched straight from the yielding process's fiber to the next one",
             DIRECT_SELF => "sim.direct.self_resumes": "Inline decisions that returned the token to the caller after event processing",
             WORLD_ACCESSES => "sim.world_accesses": "with_world and block_on entries: the scheduling points a process's world accesses make",
-            WHEEL_DUE => "sim.wheel.push_due": "Events merged straight into the sorted due buffer",
-            WHEEL_L0 => "sim.wheel.push_l0": "Events filed in a level-0 wheel slot",
-            WHEEL_L1 => "sim.wheel.push_l1": "Events filed in a level-1 wheel slot",
-            WHEEL_OVERFLOW => "sim.wheel.push_overflow": "Events parked in the far-future overflow heap",
-            WHEEL_CASCADES => "sim.wheel.cascades": "Level-1/overflow slot cascades into level 0",
+            WHEEL_CASCADES => "sim.wheel.cascades": "Always 0: the event queue is a binary heap and never cascades; the name stays because the frozen repo benchmark reads it as sim.queue.cascades",
         }
         gauges {
             READY_PEAK => "sim.ready_peak": "Peak ready-heap depth",

@@ -768,7 +768,8 @@ impl Fabric {
     }
 
     /// Server side: accept pending request `req_id` on endpoint `vi`
-    /// (VIA `VipConnectAccept`).
+    /// (VIA `VipConnectAccept`). The accept is checked first: an error
+    /// leaves the request pending and every VI as it was.
     pub fn accept_cs(
         &mut self,
         api: &mut Api<'_, FabricEvent>,
@@ -776,16 +777,18 @@ impl Fabric {
         req_id: u64,
         vi: ViId,
     ) -> Result<(), ViaError> {
-        let idx = self.nics[node]
-            .incoming_cs
-            .iter()
+        self.check_open(node, vi, Open::Accept { req_id })?;
+        // Checked above: the request is pending, `vi` is idle and the
+        // client's VI still waits, so nothing below can fail.
+        let nic = &mut self.nics[node];
+        let idx = (nic.incoming_cs.iter())
             .position(|r| r.id == req_id)
             .ok_or(ViaError::NoSuchRequest)?;
-        let req = self.nics[node].incoming_cs.remove(idx);
+        let req = nic.incoming_cs.remove(idx);
+        let client_vi = self
+            .find_connecting(req.from, node, req.disc)
+            .ok_or(ViaError::NoSuchRequest)?;
         self.nics[node].aim_vi(vi, req.from, req.disc, ViState::Establishing)?;
-        let Some(client_vi) = self.find_connecting(req.from, node, req.disc) else {
-            return Err(ViaError::NoSuchRequest);
-        };
         self.nics[req.from].vis[client_vi.0 as usize].state = ViState::Establishing;
         let est = self.profile.conn_accept + self.profile.conn_establish;
         api.schedule(

@@ -6,11 +6,11 @@
 
 use viampi_sim::{PooledBuf, SimDuration};
 use viampi_via::{
-    fabric_engine, nic_metrics, CompletionKind, DeviceProfile, Discriminator, MemHandle, Nic, Open,
-    ViState, ViaError, ViaPort,
+    fabric_engine, nic_metrics, CompletionKind, CsRequest, DeviceProfile, Discriminator, MemHandle,
+    Nic, Open, ViId, ViState, ViaError, ViaPort,
 };
 
-fn connect_pair(a: &ViaPort, remote: usize, disc: u64) -> viampi_via::ViId {
+fn connect_pair(a: &ViaPort, remote: usize, disc: u64) -> ViId {
     let vi = a.create_vi().unwrap();
     a.connect_peer(vi, remote, Discriminator(disc)).unwrap();
     a.connect_wait(vi).unwrap();
@@ -92,6 +92,17 @@ fn nic_after(nic: &Nic) -> String {
     )
 }
 
+/// Block until a client/server request reaches `port`; the first one.
+fn first_cs_request(port: &ViaPort) -> CsRequest {
+    loop {
+        let stamp = port.activity_stamp();
+        if let Some(r) = port.cs_requests().first().copied() {
+            return r;
+        }
+        port.wait_activity(stamp);
+    }
+}
+
 /// Node 0 brings up a channel end with a 16-buffer window of 512-byte
 /// segments — in one `bring_up`, or verb by verb — and opens it with a peer
 /// request or, once node 1's client request is in, with an accept. Returns
@@ -105,14 +116,9 @@ fn brought_up(one_call: bool, accept: bool) -> (String, u64, u64) {
     eng.spawn("end", move |ctx| {
         let port = ViaPort::open(ctx, 0);
         let open = if accept {
-            let req = loop {
-                let stamp = port.activity_stamp();
-                if let Some(r) = port.cs_requests().first().copied() {
-                    break r;
-                }
-                port.wait_activity(stamp);
-            };
-            Open::Accept { req_id: req.id }
+            Open::Accept {
+                req_id: first_cs_request(&port).id,
+            }
         } else {
             Open::Peer { remote: 1, disc }
         };
@@ -730,4 +736,64 @@ fn deregister_with_an_rdma_in_flight_drops_or_lands_cleanly() {
             assert_eq!(nic.counter(nic_metrics::MSGS_RX), 1);
         },
     );
+}
+
+/// What an accept on node 0 could change: the states of `vis`, the pending
+/// client/server requests and the bytes pinned now.
+fn accept_inputs(port: &ViaPort, vis: &[ViId]) -> (Vec<ViState>, Vec<CsRequest>, u64) {
+    (
+        vis.iter().map(|&vi| port.vi_state(vi).unwrap()).collect(),
+        port.cs_requests(),
+        port.metrics().gauge(nic_metrics::PINNED_NOW),
+    )
+}
+
+#[test]
+fn a_failed_accept_leaves_the_request_and_the_vis_as_they_were() {
+    // Either the server's VI is busy, or the client's VI is gone by the
+    // time the server accepts.
+    for client_gone in [false, true] {
+        let disc = Discriminator(43);
+        let mut eng = fabric_engine(DeviceProfile::clan(), 2);
+        eng.spawn("server", move |ctx| {
+            let port = ViaPort::open(ctx, 0);
+            port.register(4096).unwrap();
+            let req = first_cs_request(&port);
+            port.oob_recv();
+            let idle = port.create_vi().unwrap();
+            let busy = port.create_vi().unwrap();
+            port.connect_peer(busy, 1, Discriminator(44)).unwrap();
+            let vis = [idle, busy];
+            let before = accept_inputs(&port, &vis);
+            let (vi, err) = if client_gone {
+                (idle, ViaError::NoSuchRequest)
+            } else {
+                (busy, ViaError::AlreadyConnected)
+            };
+            assert_eq!(port.accept_cs(req.id, vi), Err(err));
+            assert_eq!(
+                accept_inputs(&port, &vis),
+                before,
+                "client gone {client_gone}"
+            );
+            if !client_gone {
+                // The request is still there to accept.
+                port.accept_cs(req.id, idle).unwrap();
+                assert_eq!(port.connect_wait(idle), Ok(ViState::Connected));
+            }
+        });
+        eng.spawn("client", move |ctx| {
+            let port = ViaPort::open(ctx, 1);
+            let vi = port.create_vi().unwrap();
+            port.connect_request(vi, 0, disc).unwrap();
+            if client_gone {
+                port.destroy_vi(vi).unwrap();
+            }
+            port.oob_send(0, Vec::new());
+            if !client_gone {
+                assert_eq!(port.connect_wait(vi), Ok(ViState::Connected));
+            }
+        });
+        eng.run().unwrap();
+    }
 }

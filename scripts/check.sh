@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Pre-PR gate: formatting, lints, rustdoc, the tier-1 build/test pair, the
-# record identity check, the campaign frontier and a smoke run of the repo
-# benchmark, all offline (the build environment has no crate registry — see
-# DESIGN.md §3) and, for the workspace, --locked, so a drifted Cargo.lock
-# fails loudly instead of resolving.
+# record identity check, the campaign frontier, and a smoke run and a
+# traced run of the repo benchmark, all offline (the build environment has
+# no crate registry — see DESIGN.md §3) and, for the workspace, --locked,
+# so a drifted Cargo.lock fails loudly instead of resolving. The traced
+# run's result lines are checked with jq.
 #
 # Usage:
 #   scripts/check.sh                  # the full gate (default)
@@ -22,10 +23,11 @@ cd "$(dirname "$0")/.."
 
 # Every committed results/<name>.json against a fresh regeneration, writing
 # nothing; a row that differs prints `MOVED results/<name>.json` and fails
-# the stage. The rows take about 50 s on 2 cores, most of it the two
-# large-N rows, whose np = 1024 static worlds hold about 0.55 GB each — two
-# at once on 2 workers: 1.16 GB max RSS measured for the process (2.9 GB
-# when every posted descriptor was its own queue entry).
+# the stage. The rows take about 35 s on one worker of a 2-core box, most
+# of it fig6_npb_clan and the large-N row tab2_largen, whose np = 1024
+# static worlds hold about 0.55 GB each — two at once on 2 workers:
+# 1.16 GB max RSS measured for the process (2.9 GB when every posted
+# descriptor was its own queue entry).
 records_stage() {
     echo "== record identity: every experiment vs the committed results/"
     cargo run -q --release --offline --locked -p viampi-bench --bin repro_all -- --check
@@ -87,5 +89,19 @@ echo "== repo benchmark: unit tests, offline build + smoke run"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml \
     --target-dir "${CARGO_TARGET_DIR:-target/benchmark}"
 bash benchmark/run.sh --smoke
+
+# The smoke run is untraced, and only a traced run reads engine counters by
+# name: a name the engine stops publishing reads as null on the result
+# line, with exit status 0. So run each workload once traced (a few
+# seconds each) and fail unless its last stdout line is one JSON object
+# with no null anywhere in it.
+echo "== repo benchmark: one traced run per workload"
+for workload in coll16 cg_b16 is_c16 conn128; do
+    bash benchmark/run.sh --workload "$workload" --seed 1 --seconds 1 --trace 1 |
+        tail -n 1 |
+        jq -es 'length == 1 and (.[0] | type == "object") and all(..; . != null)' \
+            >/dev/null ||
+        { echo "traced $workload: last line is not JSON or holds a null"; exit 1; }
+done
 
 echo "all checks passed"
